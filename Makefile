@@ -33,9 +33,9 @@ test-slow:
 	$(GO) test -tags slow ./...
 
 # One iteration of every paper-figure benchmark plus the scheduler
-# micro-benchmarks and the sharded-engine speedup comparisons (the
-# multi-channel posted-write stream and the multi-contender core-lane
-# workload), captured as test2json streams for trend tracking. Captures
+# micro-benchmarks and the plain-vs-sharded engine comparisons (the
+# multi-channel posted-write stream, the spin and hit-loop contenders
+# and the open-loop driver), captured as test2json streams for trend tracking. Captures
 # are written to a temp file and renamed only on success, so a failing
 # benchmark run cannot clobber the previous (committed) capture with a
 # partial stream. BENCH_COUNT repeats each engine benchmark; the diff
@@ -67,7 +67,7 @@ bench-compare:
 # mem.pprof`. Override PROFILE_EXPERIMENT / PROFILE_FLAGS to aim the
 # profiler elsewhere.
 PROFILE_EXPERIMENT ?= headline
-PROFILE_FLAGS ?= -shards auto -core-lanes auto
+PROFILE_FLAGS ?= -shards auto
 
 profile:
 	$(GO) run ./cmd/pimmu-bench $(PROFILE_FLAGS) \

@@ -1,6 +1,6 @@
 // Result-cache correctness tests: a cache-hit rerun of an experiment
-// must be byte-identical to a cold run — across worker counts and
-// shard/core-lane topologies — and the cache must reject (and silently
+// must be byte-identical to a cold run — across worker counts and shard
+// counts within an engine class — and the cache must reject (and silently
 // recompute past) corrupt, truncated and wrong-code-version entries.
 // These are the properties that make caching sound on top of the
 // determinism contract the rest of this suite pins.
@@ -24,14 +24,14 @@ import (
 var cachedExperiments = []string{"fig8", "replay"}
 
 // renderWith renders one experiment through a fresh Runner with the
-// given sweep/topology settings, fronted by store when non-nil.
-func renderWith(t *testing.T, store *resultcache.Store, name string, workers, shards, coreLanes int) []byte {
+// given sweep and engine settings, fronted by store when non-nil.
+func renderWith(t *testing.T, store *resultcache.Store, name string, workers, shards int) []byte {
 	t.Helper()
 	e, ok := harness.ByName(name)
 	if !ok {
 		t.Fatalf("unknown experiment %q", name)
 	}
-	r := &harness.Runner{Shards: shards, CoreLanes: coreLanes, Workers: workers}
+	r := &harness.Runner{Shards: shards, Workers: workers}
 	if store != nil {
 		r.Cache = store
 	}
@@ -69,7 +69,7 @@ func TestCacheHitRerunByteIdentical(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			pinVersion(t, "cache-test-v1")
 			store := openCache(t, t.TempDir(), resultcache.ReadWrite)
-			cold := renderWith(t, store, name, 1, 0, 0)
+			cold := renderWith(t, store, name, 1, 0)
 			st := store.Stats()
 			if st.Hits != 0 || st.Misses == 0 || st.Stores != st.Misses {
 				t.Fatalf("cold-run stats: %+v", st)
@@ -77,7 +77,7 @@ func TestCacheHitRerunByteIdentical(t *testing.T) {
 			jobs := st.Misses
 			for _, workers := range []int{1, 4, 8} {
 				before := store.Stats()
-				warm := renderWith(t, store, name, workers, 0, 0)
+				warm := renderWith(t, store, name, workers, 0)
 				if !bytes.Equal(cold, warm) {
 					t.Fatalf("workers=%d: warm run differs from cold\n--- cold ---\n%s--- warm ---\n%s",
 						workers, cold, warm)
@@ -92,46 +92,40 @@ func TestCacheHitRerunByteIdentical(t *testing.T) {
 }
 
 // TestCacheCrossTopologyReuse pins the result-neutral fingerprint: the
-// lane-topology knobs are masked out of the cache key, so entries
-// warmed at shards=1 serve every sharded topology — different shard
-// counts, core-lane counts, auto — with zero re-simulation and
-// byte-identical output (the cross-shard invariant sharded_test.go
-// proves is what makes the sharing sound). The plain engine (shards=0)
-// keeps its own keys: fig8 is a CPU-streaming workload where it
-// legitimately orders same-instant ties differently — see
-// system.Config.Shards — so plain and sharded must never alias.
+// shard count is masked out of the cache key, so entries warmed at
+// shards=1 serve every other sharded count, auto included, with zero
+// re-simulation and byte-identical output. The plain engine (shards=0)
+// keeps its own keys: fig8 is a CPU-streaming workload where it orders
+// same-instant ties differently — see system.Config.Shards — so plain
+// and sharded must never alias.
 func TestCacheCrossTopologyReuse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed experiment")
 	}
 	pinVersion(t, "cache-test-v1")
 	store := openCache(t, t.TempDir(), resultcache.ReadWrite)
-	serial := renderWith(t, store, "fig8", 4, 1, 0)
+	serial := renderWith(t, store, "fig8", 4, 1)
 	jobs := store.Stats().Misses
-	for _, topo := range []struct{ shards, coreLanes int }{
-		{2, 4}, {4, 2}, {system.Auto, system.Auto},
-	} {
+	for _, shards := range []int{2, 4, system.Auto} {
 		before := store.Stats()
-		got := renderWith(t, store, "fig8", 4, topo.shards, topo.coreLanes)
+		got := renderWith(t, store, "fig8", 4, shards)
 		if !bytes.Equal(serial, got) {
-			t.Fatalf("shards=%d core-lanes=%d: warm output diverged from serial sharded engine",
-				topo.shards, topo.coreLanes)
+			t.Fatalf("shards=%d: warm output diverged from shards=1", shards)
 		}
 		d := store.Stats().Sub(before)
 		if d.Hits != jobs || d.Misses != 0 {
-			t.Fatalf("shards=%d core-lanes=%d: delta %+v, want %d hits and no re-simulation",
-				topo.shards, topo.coreLanes, d, jobs)
+			t.Fatalf("shards=%d: delta %+v, want %d hits and no re-simulation", shards, d, jobs)
 		}
 	}
 	// The plain engine is a different engine class: fresh misses, and
 	// the sharded entries stay intact underneath.
 	before := store.Stats()
-	renderWith(t, store, "fig8", 4, 0, 0)
+	renderWith(t, store, "fig8", 4, 0)
 	if d := store.Stats().Sub(before); d.Hits != 0 || d.Misses != jobs {
 		t.Fatalf("plain-engine delta %+v, want %d fresh misses", d, jobs)
 	}
 	before = store.Stats()
-	if warm := renderWith(t, store, "fig8", 4, 1, 0); !bytes.Equal(serial, warm) {
+	if warm := renderWith(t, store, "fig8", 4, 1); !bytes.Equal(serial, warm) {
 		t.Fatal("serial-sharded rerun no longer matches")
 	}
 	if d := store.Stats().Sub(before); d.Hits != jobs {
@@ -142,9 +136,9 @@ func TestCacheCrossTopologyReuse(t *testing.T) {
 // TestCacheWarmShards1ServesShards4 is the headline acceptance path for
 // result-neutral keys, on the two experiments the nightly render job
 // publishes: a cache warmed at -shards 1 replays headline and loadcurve
-// at -shards 4 -core-lanes 4 with hit count == job count and the
-// artifact byte-identical — turning a lane-topology knob costs zero
-// re-simulation.
+// at -shards 4 with hit count == job count and the artifact
+// byte-identical — changing the shard count within the sharded engine
+// class costs zero re-simulation.
 func TestCacheWarmShards1ServesShards4(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed experiment")
@@ -153,25 +147,25 @@ func TestCacheWarmShards1ServesShards4(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			pinVersion(t, "cache-test-v1")
 			store := openCache(t, t.TempDir(), resultcache.ReadWrite)
-			cold := renderWith(t, store, name, 0, 1, 0)
+			cold := renderWith(t, store, name, 0, 1)
 			jobs := store.Stats().Misses
 			if jobs == 0 {
 				t.Fatalf("%s planned no cacheable jobs", name)
 			}
 			before := store.Stats()
-			warm := renderWith(t, store, name, 0, 4, 4)
+			warm := renderWith(t, store, name, 0, 4)
 			if !bytes.Equal(cold, warm) {
-				t.Fatalf("warm shards=4 core-lanes=4 render differs from cold shards=1\n--- cold ---\n%s--- warm ---\n%s",
+				t.Fatalf("warm shards=4 render differs from cold shards=1\n--- cold ---\n%s--- warm ---\n%s",
 					cold, warm)
 			}
 			d := store.Stats().Sub(before)
 			if d.Hits != jobs || d.Misses != 0 {
-				t.Fatalf("cross-topology delta %+v, want %d hits and zero misses", d, jobs)
+				t.Fatalf("shards=4 delta %+v, want %d hits and zero misses", d, jobs)
 			}
-			// And the reuse is stable: rerunning the moved topology stays
+			// And the reuse is stable: rerunning at shards=4 stays
 			// all-hits (nothing was re-stored under a different key).
 			before = store.Stats()
-			renderWith(t, store, name, 0, 4, 4)
+			renderWith(t, store, name, 0, 4)
 			if d := store.Stats().Sub(before); d.Misses != 0 {
 				t.Fatalf("identical rerun missed: %+v", d)
 			}
@@ -181,7 +175,7 @@ func TestCacheWarmShards1ServesShards4(t *testing.T) {
 
 // TestCacheNonNeutralPerturbationMisses proves the mask is surgical:
 // changing a result-affecting config field (a DRAM timing parameter)
-// under the same topology forces fresh misses, never a stale hit.
+// under the same engine class forces fresh misses, never a stale hit.
 func TestCacheNonNeutralPerturbationMisses(t *testing.T) {
 	pinVersion(t, "cache-test-v1")
 	cfg := system.DefaultConfig(system.PIMMMU)
@@ -192,7 +186,7 @@ func TestCacheNonNeutralPerturbationMisses(t *testing.T) {
 	moved := cfg
 	moved.Shards, moved.CoreLanes = 4, 4
 	if r.NewJob("test/v1", moved, "op").Key != base.Key {
-		t.Fatal("lane-topology change altered the cache key")
+		t.Fatal("shard-count change altered the cache key")
 	}
 	// Non-neutral change: different key.
 	timing := cfg
@@ -219,7 +213,7 @@ func TestCacheCorruptEntriesRecomputed(t *testing.T) {
 	pinVersion(t, "cache-test-v1")
 	dir := t.TempDir()
 	store := openCache(t, dir, resultcache.ReadWrite)
-	cold := renderWith(t, store, "fig8", 2, 0, 0)
+	cold := renderWith(t, store, "fig8", 2, 0)
 	entries, err := filepath.Glob(filepath.Join(dir, "*.prc"))
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("no cache entries written: %v (%v)", entries, err)
@@ -242,7 +236,7 @@ func TestCacheCorruptEntriesRecomputed(t *testing.T) {
 		}
 	}
 	before := store.Stats()
-	warm := renderWith(t, store, "fig8", 2, 0, 0)
+	warm := renderWith(t, store, "fig8", 2, 0)
 	if !bytes.Equal(cold, warm) {
 		t.Fatalf("recomputed run differs from cold\n--- cold ---\n%s--- recomputed ---\n%s", cold, warm)
 	}
@@ -252,7 +246,7 @@ func TestCacheCorruptEntriesRecomputed(t *testing.T) {
 	}
 	// The repaired entries hit again.
 	before = store.Stats()
-	renderWith(t, store, "fig8", 2, 0, 0)
+	renderWith(t, store, "fig8", 2, 0)
 	if d := store.Stats().Sub(before); d.Hits != uint64(len(entries)) || d.Misses != 0 {
 		t.Fatalf("repair did not stick: %+v", d)
 	}
@@ -267,11 +261,11 @@ func TestCacheCodeVersionChangeForcesMiss(t *testing.T) {
 	}
 	pinVersion(t, "build-A")
 	store := openCache(t, t.TempDir(), resultcache.ReadWrite)
-	cold := renderWith(t, store, "fig8", 2, 0, 0)
+	cold := renderWith(t, store, "fig8", 2, 0)
 	jobs := store.Stats().Misses
 	resultcache.SetCodeVersion("build-B")
 	before := store.Stats()
-	if got := renderWith(t, store, "fig8", 2, 0, 0); !bytes.Equal(cold, got) {
+	if got := renderWith(t, store, "fig8", 2, 0); !bytes.Equal(cold, got) {
 		t.Fatal("same-code rerun under a new stamp changed output")
 	}
 	if d := store.Stats().Sub(before); d.Hits != 0 || d.Misses != jobs {
@@ -281,7 +275,7 @@ func TestCacheCodeVersionChangeForcesMiss(t *testing.T) {
 	// coexist in one directory without clobbering each other's keys.
 	resultcache.SetCodeVersion("build-A")
 	before = store.Stats()
-	renderWith(t, store, "fig8", 2, 0, 0)
+	renderWith(t, store, "fig8", 2, 0)
 	if d := store.Stats().Sub(before); d.Hits != jobs {
 		t.Fatalf("original version's entries lost: %+v", d)
 	}
@@ -297,9 +291,9 @@ func TestCacheReadOnlySharing(t *testing.T) {
 	dir := t.TempDir()
 	// Warm half the cache in rw mode, then reopen read-only.
 	rw := openCache(t, dir, resultcache.ReadWrite)
-	cold := renderWith(t, rw, "fig8", 2, 0, 0)
+	cold := renderWith(t, rw, "fig8", 2, 0)
 	ro := openCache(t, dir, resultcache.ReadOnly)
-	if got := renderWith(t, ro, "fig8", 2, 0, 0); !bytes.Equal(cold, got) {
+	if got := renderWith(t, ro, "fig8", 2, 0); !bytes.Equal(cold, got) {
 		t.Fatal("read-only warm run differs")
 	}
 	st := ro.Stats()
@@ -308,7 +302,7 @@ func TestCacheReadOnlySharing(t *testing.T) {
 	}
 	// A different experiment misses and recomputes without writing.
 	before := ro.Stats()
-	renderWith(t, ro, "replay", 2, 0, 0)
+	renderWith(t, ro, "replay", 2, 0)
 	d := ro.Stats().Sub(before)
 	if d.Misses == 0 || d.Stores != 0 {
 		t.Fatalf("read-only miss path delta %+v", d)

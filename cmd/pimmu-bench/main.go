@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	pimmu-bench [-full] [-format text|json] [-workers N] [-shards N|auto] [-core-lanes N|auto] [-lane-stats] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE] <experiment>|all|list
+//	pimmu-bench [-full] [-format text|json] [-workers N] [-shards N|auto] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE] <experiment>|all|list
 //
 // Experiments: table1 fig4 fig6 fig8 fig13a fig13b fig14 fig15a fig15b
 // fig16 area headline. Quick sizes are the default; -full uses the
@@ -10,28 +10,19 @@
 // of DRAM commands). Multi-design experiments fan their independent
 // simulations across CPU cores; -workers caps the parallelism (1 forces
 // the serial path, which produces byte-identical output). -shards
-// additionally parallelizes inside each simulated machine by running its
-// lane topology — one event lane per DDR4 channel, plus -core-lanes
-// per-core host lanes with the LLC as the crossing boundary (the lever
-// for the contender-heavy fig13 sweeps) — in conservative windows.
-// auto sizes the pool to the host and lets the adaptive controller tune
-// window thresholds per run. Output is byte-identical across all
-// -shards counts >= 1 (auto included) and every -core-lanes count (0,
-// the default serial engine, can break
-// same-instant event ties differently on CPU-streaming workloads; see
-// system.Config.Shards). -lane-stats prints each machine's per-lane
-// fired/window/serial/mailbox counters to stderr after its run, so
-// frontier serialization is visible without a profiler.
+// selects the event-engine class of each simulated machine: 0 (the
+// default) is the plain engine, any other count or auto the sharded
+// engine. The two classes are separate event orders and can give
+// different results (fig8, fig14); see system.Config.Shards.
 //
 // -cache-dir enables the content-addressed result cache: every sweep job
 // (one design point of one experiment) is keyed on (config fingerprint,
 // op, code version) and served from disk when a prior run already
 // computed it — which is what makes `-full` reruns and the nightly CI
-// render incremental. The fingerprint excludes -shards, -core-lanes and
-// -workers: those knobs change how fast a simulation runs, never what it
-// computes, so a cache warmed at one lane topology serves every other
-// (the plain -shards 0 engine keys separately — it may order
-// same-instant event ties differently). Experiment tables are
+// render incremental. The fingerprint keys the engine class, not the
+// -shards count, and excludes -workers, so a cache warmed at -shards 1
+// serves -shards 4 (the plain -shards 0 engine keys separately).
+// Experiment tables are
 // byte-identical warm or cold; the per-experiment hit/miss summary
 // prints in the timing footer, which is not part of the deterministic
 // artifact. -cache ro shares a cache directory without writing to it
@@ -82,13 +73,10 @@ func main() {
 	f := registerFlags(flag.CommandLine)
 	flag.Usage = usage
 	flag.Parse()
-	runner, store, warns, err := f.runner.Runner(os.Stderr)
+	runner, store, err := f.runner.Runner()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pimmu-bench: %v\n", err)
 		os.Exit(2)
-	}
-	for _, w := range warns {
-		fmt.Fprintf(os.Stderr, "pimmu-bench: warning: %s\n", w)
 	}
 	cacheStore = store
 	format, err := f.runner.Format()
@@ -177,6 +165,6 @@ func runOne(r *harness.Runner, e harness.Experiment, sc harness.Scale, format st
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: pimmu-bench [-full] [-format text|json] [-workers N] [-shards N|auto] [-core-lanes N|auto] [-lane-stats] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE] <experiment>|all|list\n")
+	fmt.Fprintf(os.Stderr, "usage: pimmu-bench [-full] [-format text|json] [-workers N] [-shards N|auto] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE] <experiment>|all|list\n")
 	flag.PrintDefaults()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/system"
 )
 
 // Every CLI registers the same shared Runner flag set.
@@ -24,21 +25,21 @@ func TestFlagsParseAndResolve(t *testing.T) {
 	fs.SetOutput(io.Discard)
 	f := registerFlags(fs)
 	err := fs.Parse([]string{"-full", "-workers", "2", "-shards", "auto",
-		"-core-lanes", "4", "-lane-stats", "-cache", "off", "all"})
+		"-cache", "off", "all"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !*f.full {
 		t.Error("-full not parsed")
 	}
-	r, store, _, err := f.runner.Runner(io.Discard)
+	r, store, err := f.runner.Runner()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if store != nil || r.Cache != nil {
 		t.Error("-cache off still opened a store")
 	}
-	if r.Workers != 2 || r.LaneStats == nil {
+	if r.Workers != 2 || r.Shards != system.Auto {
 		t.Errorf("runner not resolved from flags: %+v", r)
 	}
 }

@@ -6,8 +6,8 @@
 //	pimmu-replay record  [-design D] [-kb N] [-dir to|from] [-text] -o FILE
 //	pimmu-replay gen     [-pattern P] [-n N] [-gap NS] [-seed S] [-text] -o FILE
 //	pimmu-replay inspect [-n N] FILE
-//	pimmu-replay replay  [-design D|all] [-format text|json] [-workers N] [-shards N|auto] [-core-lanes N|auto] [-lane-stats] [-inflight N] [-noncacheable] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE] FILE
-//	pimmu-replay load    [-process fixed|poisson|burst] [-pattern P] [-gaps NS,...] [-n N] [-slo-ns N] [-seed S] [... replay's format, topology, cache and profile flags]
+//	pimmu-replay replay  [-design D|all] [-format text|json] [-workers N] [-shards N|auto] [-inflight N] [-noncacheable] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE] FILE
+//	pimmu-replay load    [-process fixed|poisson|burst] [-pattern P] [-gaps NS,...] [-n N] [-slo-ns N] [-seed S] [... replay's format, engine, cache and profile flags]
 //
 // record captures every request a transfer presents to the memory port
 // of the chosen design; gen synthesizes one of the built-in application
@@ -15,15 +15,11 @@
 // trace's summary and head/tail records; replay injects a trace into a
 // fresh machine (or, with -design all, into every design point in
 // parallel) at its recorded inter-arrival times and reports bandwidth
-// and latency. Replays of the same trace are bit-identical across runs,
-// across -workers counts, across -shards counts >= 1 (auto included)
-// and across every -core-lanes count (-shards runs each machine's lane
-// topology — one event lane per DDR4 channel plus -core-lanes per-core
-// host lanes — in conservative parallel windows; auto sizes the pool to
-// the host with adaptive window tuning; 0, the default serial engine,
-// can break same-instant event ties differently on some workloads — see
-// system.Config.Shards). -lane-stats dumps each machine's per-lane
-// event counters to stderr after its replay; cache hits skip the dump.
+// and latency. Replays of the same trace are bit-identical across runs
+// and across -workers counts. -shards selects the event-engine class (0,
+// the default, is the plain engine; any other count or auto the sharded
+// engine), and the two classes can give different results — see
+// system.Config.Shards.
 //
 // load sweeps an open-loop arrival process (fixed-rate, poisson, or
 // bursty on/off) over an offered-load axis on Base and PIM-MMU: unlike
@@ -39,10 +35,9 @@
 // result is served from disk when already computed. The trace identity
 // is a digest of the canonical binary encoding of the records, so the
 // same workload hits whether it was stored as text or binary, and any
-// record change forces a recompute. The machine fingerprint excludes
-// -shards, -core-lanes and -workers — they change execution speed,
-// never results — so a cache warmed at one lane topology serves every
-// other (the plain -shards 0 engine keys separately). The report is
+// record change forces a recompute. The machine fingerprint keys the
+// engine class, not the -shards count, and excludes -workers (the plain
+// -shards 0 engine keys separately from the sharded one). The report is
 // byte-identical warm or cold; the hit/miss summary goes to stderr.
 //
 // replay and load also accept -cpuprofile and -memprofile, writing
@@ -111,8 +106,8 @@ func usage() {
   pimmu-replay record  [-design D] [-kb N] [-dir to|from] [-text] -o FILE
   pimmu-replay gen     [-pattern P] [-n N] [-gap NS] [-seed S] [-text] -o FILE
   pimmu-replay inspect [-n N] FILE
-  pimmu-replay replay  [-design D|all] [-format text|json] [-workers N] [-shards N|auto] [-core-lanes N|auto] [-lane-stats] [-inflight N] [-noncacheable] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE] FILE
-  pimmu-replay load    [-process fixed|poisson|burst] [-pattern P] [-gaps NS,NS,...] [-n N] [-slo-ns N] [-seed S] [-format text|json] [-workers N] [-shards N|auto] [-core-lanes N|auto] [-lane-stats] [-inflight N] [-noncacheable] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE]
+  pimmu-replay replay  [-design D|all] [-format text|json] [-workers N] [-shards N|auto] [-inflight N] [-noncacheable] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE] FILE
+  pimmu-replay load    [-process fixed|poisson|burst] [-pattern P] [-gaps NS,NS,...] [-n N] [-slo-ns N] [-seed S] [-format text|json] [-workers N] [-shards N|auto] [-inflight N] [-noncacheable] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE]
 `)
 }
 
@@ -136,17 +131,9 @@ func registerFlags(fs *flag.FlagSet) *replayFlags {
 	}
 }
 
-// runner resolves the shared flags, printing warnings under the CLI
-// prefix.
+// newRunner resolves the shared flags.
 func (f *replayFlags) newRunner() (*harness.Runner, *resultcache.Store, error) {
-	runner, store, warns, err := f.runner.Runner(os.Stderr)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, w := range warns {
-		fmt.Fprintf(os.Stderr, "pimmu-replay: warning: %s\n", w)
-	}
-	return runner, store, nil
+	return f.runner.Runner()
 }
 
 // emit prints one computed result in the selected -format: text runs
@@ -328,7 +315,7 @@ func cmdReplay(args []string) error {
 		return harness.Plan{Experiment: "pimmu-replay", Jobs: jobs}
 	}
 	run := func(i int, j harness.Job) trace.Result {
-		return replayOn(runner, j, recs, cfg)
+		return replayOn(j, recs, cfg)
 	}
 
 	if *designFlag == "all" {
@@ -449,7 +436,7 @@ func cmdLoad(args []string) error {
 	results := harness.ComputePlan(runner,
 		harness.Plan{Experiment: "pimmu-load", Jobs: jobs},
 		func(i int, j harness.Job) trace.LoadResult {
-			return loadOn(runner, j, trace.Pattern(*pattern), gcfg, dcfgAt(gaps[pts[i].gi]))
+			return loadOn(j, trace.Pattern(*pattern), gcfg, dcfgAt(gaps[pts[i].gi]))
 		})
 
 	render := func(w io.Writer) {
@@ -518,7 +505,7 @@ func kneeGBs(gap clock.Picos) string {
 // loadOn runs one open-loop point on a fresh machine of the job's
 // config: the pattern supplies addresses (its footprint allocated on the
 // machine), the driver config supplies arrivals.
-func loadOn(runner *harness.Runner, j harness.Job, p trace.Pattern, gcfg trace.GenConfig, dcfg trace.DriverConfig) trace.LoadResult {
+func loadOn(j harness.Job, p trace.Pattern, gcfg trace.GenConfig, dcfg trace.DriverConfig) trace.LoadResult {
 	s := system.MustNew(j.Config)
 	gcfg.Base = s.Alloc(gcfg.FootprintBytes(p))
 	recs, err := trace.Generate(p, gcfg)
@@ -529,7 +516,6 @@ func loadOn(runner *harness.Runner, j harness.Job, p trace.Pattern, gcfg trace.G
 	if err != nil {
 		panic(err)
 	}
-	runner.ReportLaneStats(fmt.Sprintf("load %v gap=%v", s.Cfg.Design, dcfg.MeanGap), s)
 	return r
 }
 
@@ -542,14 +528,12 @@ func traceIdentity(recs []trace.Record) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// replayOn replays recs on a fresh machine of the job's config, with
-// the event queue sharded over the runner's lane topology.
-func replayOn(runner *harness.Runner, j harness.Job, recs []trace.Record, cfg trace.ReplayConfig) trace.Result {
+// replayOn replays recs on a fresh machine of the job's config.
+func replayOn(j harness.Job, recs []trace.Record, cfg trace.ReplayConfig) trace.Result {
 	s := system.MustNew(j.Config)
 	r, err := s.RunReplay(recs, cfg)
 	if err != nil {
 		panic(err)
 	}
-	runner.ReportLaneStats(fmt.Sprintf("replay %v", s.Cfg.Design), s)
 	return r
 }

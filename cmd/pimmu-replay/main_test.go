@@ -32,7 +32,7 @@ func TestFlagsParseAndResolve(t *testing.T) {
 	if *f.inflight != 32 || !*f.noncache {
 		t.Error("replay flags not parsed")
 	}
-	r, store, _, err := f.runner.Runner(io.Discard)
+	r, store, err := f.runner.Runner()
 	if err != nil {
 		t.Fatal(err)
 	}

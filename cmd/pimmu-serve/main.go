@@ -1,6 +1,6 @@
 // Command pimmu-serve exposes the experiment harness as a long-lived
-// HTTP service: clients POST jobs — (experiment, scale, runner
-// topology, cache mode) — and the server validates them against the
+// HTTP service: clients POST jobs — (experiment, scale, engine class,
+// cache mode) — and the server validates them against the
 // harness registry, dedupes identical in-flight and completed
 // submissions through the content-addressed result cache before they
 // reach a worker, admission-controls a bounded worker pool, and
@@ -25,8 +25,8 @@
 // unbounded queue. -workers sets the default per-job sweep parallelism
 // (requests may override it). -cache-dir/-cache back the server with
 // the same content-addressed store the CLIs use: completed serve jobs
-// are stored whole (keyed topology-neutrally, so a result computed at
-// one lane topology serves every other) and per-design-point results
+// are stored whole (keyed by engine class, not shard count, so a result
+// computed at -shards 1 serves -shards 4) and per-design-point results
 // are shared with any CLI warming the same directory.
 //
 // -smoke EXPERIMENT boots the server on an ephemeral loopback port,

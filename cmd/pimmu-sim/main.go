@@ -5,34 +5,22 @@
 //
 // Usage:
 //
-//	pimmu-sim [-design base|base+d|base+d+h|pim-mmu|all] [-mb N] [-dir to|from] [-format text|json] [-workers N] [-shards N|auto] [-core-lanes N|auto] [-lane-stats] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE] [-list] [-cache-gc]
+//	pimmu-sim [-design base|base+d|base+d+h|pim-mmu|all] [-mb N] [-dir to|from] [-format text|json] [-workers N] [-shards N|auto] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE] [-list] [-cache-gc]
 //
 // -workers parallelizes across independent design-point machines;
-// -shards parallelizes inside each machine, running its lane topology —
-// one event lane per DDR4 channel plus -core-lanes per-core host lanes
-// with the LLC as the crossing boundary — in conservative windows (0 =
-// plain serial engine, 1 = sharded queue executed serially, >= 2 = that
-// many window workers, auto = sized to the host with adaptive window
-// tuning). Output is independent of -workers, of -shards across all
-// counts >= 1 including auto, and of -core-lanes across every count
-// including auto (0 can break same-instant event ties differently on
-// some workloads; see system.Config.Shards).
-//
-// -lane-stats dumps each simulated machine's per-lane event counters
-// and the controller's sampled wall-time cost EWMAs to stderr after its
-// transfer — the adaptive controller's inputs. Cache hits skip the
-// dump: they describe a simulation, and a hit does not simulate.
+// output is independent of it. -shards selects the event-engine class:
+// 0 (the default) is the plain engine, any other count or auto the
+// sharded engine. The two classes are separate event orders and can give
+// different results; see system.Config.Shards.
 //
 // -cache-dir enables the content-addressed result cache: each design
 // point's measurement is keyed on (config fingerprint, direction, size,
 // code version) and served from disk when already computed, so warm
 // reruns print byte-identical reports without simulating. The
-// fingerprint excludes the result-neutral execution knobs — -shards,
-// -core-lanes and -workers never change what a simulation computes, so
-// a cache warmed at one lane topology serves every other one (the
-// plain -shards 0 engine keys separately: it may order same-instant
-// event ties differently). A hit/miss summary goes to stderr; stdout
-// stays identical warm or cold.
+// fingerprint keys the engine class, not the -shards count, and
+// excludes -workers, so a cache warmed at -shards 1 serves -shards 4
+// (the plain -shards 0 engine keys separately). A hit/miss summary goes
+// to stderr; stdout stays identical warm or cold.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run — the CPU
 // profile covers the measured transfers, the heap profile is captured
@@ -115,13 +103,10 @@ func main() {
 		fmt.Printf("pimmu-sim: cache-gc: %v\n", st)
 		return
 	}
-	runner, store, warns, err := f.runner.Runner(os.Stderr)
+	runner, store, err := f.runner.Runner()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pimmu-sim: %v\n", err)
 		os.Exit(2)
-	}
-	for _, w := range warns {
-		fmt.Fprintf(os.Stderr, "pimmu-sim: warning: %s\n", w)
 	}
 
 	dir := core.DRAMToPIM
@@ -202,10 +187,7 @@ func measurePlan(r *harness.Runner, designs []system.Design, dir core.Direction,
 func measureCached(r *harness.Runner, designs []system.Design, dir core.Direction, mb uint64) []system.TransferMeasurement {
 	p := measurePlan(r, designs, dir, mb)
 	return harness.ComputePlan(r, p, func(i int, j harness.Job) system.TransferMeasurement {
-		s := system.MustNew(j.Config)
-		m := s.MeasureTransfer(dir, mb)
-		r.ReportLaneStats(fmt.Sprintf("%v %v %d MiB", designs[i], dir, mb), s)
-		return m
+		return system.MustNew(j.Config).MeasureTransfer(dir, mb)
 	})
 }
 

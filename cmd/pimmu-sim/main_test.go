@@ -24,14 +24,14 @@ func TestFlagsParseAndResolve(t *testing.T) {
 	fs.SetOutput(io.Discard)
 	f := registerFlags(fs)
 	err := fs.Parse([]string{"-design", "base", "-mb", "4", "-dir", "from",
-		"-workers", "1", "-shards", "2", "-core-lanes", "auto", "-cache-dir", t.TempDir()})
+		"-workers", "1", "-shards", "2", "-cache-dir", t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *f.design != "base" || *f.mb != 4 || *f.dir != "from" {
 		t.Error("sim flags not parsed")
 	}
-	r, store, _, err := f.runner.Runner(io.Discard)
+	r, store, err := f.runner.Runner()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ import (
 var staticExperiments = map[string]bool{"table1": true, "area": true}
 
 // renderRunner renders one experiment through a fresh Runner.
-func renderRunner(e harness.Experiment, workers, shards, coreLanes int) []byte {
-	r := &harness.Runner{Workers: workers, Shards: shards, CoreLanes: coreLanes}
+func renderRunner(e harness.Experiment, workers int) []byte {
+	r := &harness.Runner{Workers: workers}
 	var buf bytes.Buffer
 	r.Run(e, &buf, harness.Quick)
 	return buf.Bytes()
@@ -36,9 +36,9 @@ func TestEveryExperimentSerialParallelIdentical(t *testing.T) {
 		}
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			serial := renderRunner(e, 1, 0, 0)
-			parallel := renderRunner(e, 8, 0, 0)
-			rerun := renderRunner(e, 8, 0, 0)
+			serial := renderRunner(e, 1)
+			parallel := renderRunner(e, 8)
+			rerun := renderRunner(e, 8)
 			if len(serial) == 0 {
 				t.Fatal("experiment rendered nothing")
 			}
@@ -48,63 +48,6 @@ func TestEveryExperimentSerialParallelIdentical(t *testing.T) {
 			}
 			if !bytes.Equal(parallel, rerun) {
 				t.Errorf("rerun differs\n--- first ---\n%s--- second ---\n%s", parallel, rerun)
-			}
-		})
-	}
-}
-
-// TestEveryExperimentShardCountIdentical is the shard-count counterpart of
-// the audit above: every simulation-backed experiment must render
-// byte-identical output whether each machine's event queue runs on one
-// shard (the serial reference of the sharded engine) or is executed in
-// conservative windows across 2 or 4 workers. Any channel event wrongly
-// classified as lane-local — or any lane-local handler that touches state
-// outside its channel — shows up here as a diff.
-func TestEveryExperimentShardCountIdentical(t *testing.T) {
-	for _, e := range harness.All() {
-		if staticExperiments[e.Name] {
-			continue
-		}
-		e := e
-		t.Run(e.Name, func(t *testing.T) {
-			serial := renderRunner(e, 0, 1, 0)
-			if len(serial) == 0 {
-				t.Fatal("experiment rendered nothing")
-			}
-			for _, shards := range []int{2, 4} {
-				if got := renderRunner(e, 0, shards, 0); !bytes.Equal(serial, got) {
-					t.Errorf("output differs at %d shards\n--- 1 shard ---\n%s--- %d shards ---\n%s",
-						shards, serial, shards, got)
-				}
-			}
-		})
-	}
-}
-
-// TestEveryExperimentCoreLaneCountIdentical is the core-lane counterpart:
-// with per-core host lanes added to the topology (the LLC as the crossing
-// boundary), every simulation-backed experiment — including the
-// contender-heavy fig13 sweeps the lanes exist for — must render
-// byte-identical output at core-lane counts 0, 2, 4 and 8, serially and
-// under parallel windows.
-func TestEveryExperimentCoreLaneCountIdentical(t *testing.T) {
-	for _, e := range harness.All() {
-		if staticExperiments[e.Name] {
-			continue
-		}
-		e := e
-		t.Run(e.Name, func(t *testing.T) {
-			serial := renderRunner(e, 0, 1, 0)
-			if len(serial) == 0 {
-				t.Fatal("experiment rendered nothing")
-			}
-			for _, p := range []struct{ shards, coreLanes int }{
-				{1, 2}, {2, 4}, {4, 8},
-			} {
-				if got := renderRunner(e, 0, p.shards, p.coreLanes); !bytes.Equal(serial, got) {
-					t.Errorf("output differs at shards=%d core-lanes=%d\n--- reference ---\n%s--- got ---\n%s",
-						p.shards, p.coreLanes, serial, got)
-				}
 			}
 		})
 	}

@@ -43,13 +43,11 @@ const goldenHead = 48
 
 // commandStream runs a 128 KiB DRAM->PIM transfer on the design with
 // every PIM channel observed and renders the pimmu-trace-equivalent
-// view of it. shards selects the event-engine mode (0 plain, >= 1
-// sharded) and coreLanes the per-core lane count; the rendering must
-// not depend on either.
-func commandStream(d system.Design, shards, coreLanes int) string {
+// view of it. shards selects the event-engine class (0 plain, else
+// sharded); the rendering must not depend on it.
+func commandStream(d system.Design, shards int) string {
 	cfg := system.DefaultConfig(d)
 	cfg.Shards = shards
-	cfg.CoreLanes = coreLanes
 	s := system.MustNew(cfg)
 	chans := cfg.Mem.PIM.Geometry.Channels
 	recs := make([]*cmdRecorder, chans)
@@ -90,12 +88,10 @@ func commandStream(d system.Design, shards, coreLanes int) string {
 // software-baseline DRAM->PIM transfer co-located with four spin
 // contenders and two medium-intensity memory hogs, so the command
 // stream pins CPU-thread scheduling, contender interference, and the
-// write path together — the exact traffic core-lane refactors touch.
-// The rendering must not depend on shards or coreLanes.
-func contendedStream(shards, coreLanes int) string {
+// write path together. The rendering must not depend on shards.
+func contendedStream(shards int) string {
 	cfg := system.DefaultConfig(system.Base)
 	cfg.Shards = shards
-	cfg.CoreLanes = coreLanes
 	s := system.MustNew(cfg)
 
 	chans := cfg.Mem.PIM.Geometry.Channels
@@ -161,12 +157,11 @@ func contendedStream(shards, coreLanes int) string {
 
 // TestGoldenContendedStream pins the contender-heavy command stream
 // against its golden file on the default (plain) engine, with the same
-// worker-count stability gate as the transfer goldens; the lane-topology
-// invariants in sharded_test.go pin the sharded renderings bit-equal to
-// this one.
+// worker-count stability gate as the transfer goldens;
+// sharded_test.go pins the sharded rendering bit-equal to this one.
 func TestGoldenContendedStream(t *testing.T) {
-	serial := sweep.MapN(2, 1, func(int) string { return contendedStream(0, 0) })
-	parallel := sweep.MapN(2, 4, func(int) string { return contendedStream(0, 0) })
+	serial := sweep.MapN(2, 1, func(int) string { return contendedStream(0) })
+	parallel := sweep.MapN(2, 4, func(int) string { return contendedStream(0) })
 	if serial[0] != serial[1] || serial[0] != parallel[0] || serial[0] != parallel[1] {
 		t.Fatal("contended command stream not stable across reruns/worker counts")
 	}
@@ -212,8 +207,8 @@ func TestGoldenCommandStream(t *testing.T) {
 	// count must not matter.
 	// Goldens pin the default (plain, Shards=0) engine; sharded_test.go
 	// separately pins sharded renderings bit-equal to these.
-	serial := sweep.MapN(len(designs), 1, func(i int) string { return commandStream(designs[i], 0, 0) })
-	parallel := sweep.MapN(len(designs), 4, func(i int) string { return commandStream(designs[i], 0, 0) })
+	serial := sweep.MapN(len(designs), 1, func(i int) string { return commandStream(designs[i], 0) })
+	parallel := sweep.MapN(len(designs), 4, func(i int) string { return commandStream(designs[i], 0) })
 	for i, d := range designs {
 		if serial[i] != parallel[i] {
 			t.Fatalf("%v: command stream differs between worker counts", d)

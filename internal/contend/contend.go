@@ -10,14 +10,9 @@
 //     intensity), streaming over a footprint far larger than the LLC. It
 //     competes for DRAM bandwidth, degrading both designs (Fig. 13b).
 //
-// Contenders are plain cpu.Programs, so on a machine with per-core host
-// lanes (system.Config.CoreLanes) each contender rides the lane of
-// whichever core the OS scheduler dispatches it on: its compute-span
-// chains execute lane-locally inside conservative windows, and its
-// memory operations cross at the LLC boundary. The Stopper flag is only
-// written from serially-fired events and only read through the
-// engine-independent one-op program peek (see cpu.Program), so stopping
-// is byte-identical across every lane topology.
+// Contenders are plain cpu.Programs. The Stopper flag is read through
+// the core's one-op program peek (see cpu.Program), so a stopped
+// contender exits one operation after the flag is set.
 package contend
 
 import (
@@ -42,10 +37,7 @@ func (s *Stopper) Stopped() bool { return s.stopped }
 // an occasional load inside a 16 KB working set (always an LLC hit after
 // warm-up). The span is emitted as spinChunks shorter compute operations
 // rather than one monolithic op — a spin loop is iterations, not one
-// straight-line burst — which is also what lets the chain execute
-// lane-locally on a per-core lane: every chunk is far longer than the
-// core lanes' LLC crossing edge, so consecutive chunks window together.
-// Total compute per load is unchanged (spanCycles).
+// straight-line burst. Total compute per load is spanCycles.
 func Spin(st *Stopper, workingSetBase uint64) cpu.Program {
 	const (
 		spanCycles = 4096

@@ -229,12 +229,10 @@ type transferState struct {
 
 // Engine is the DCE hardware model.
 //
-// On a topology-sharded engine the DCE schedules its standing events on
-// the serial-only "dce" lane: every DCE event (driver phases, the
-// preprocessing drain) pumps the batch pipeline into the memory system,
-// so all of them are crossings and fire at the shared frontier — the
-// lane buys no window parallelism, but it gives the DCE its own
-// ShardStats row so frontier pressure is attributable.
+// On a sharded engine the DCE schedules its standing events on its own
+// "dce" lane: every DCE event (driver phases, the preprocessing drain)
+// pumps the batch pipeline into the memory system, so all of them are
+// crossings. The lane gives the DCE its own ShardStats row.
 type Engine struct {
 	eng   *sim.Engine
 	sched sim.Scheduler // the DCE's event lane (the engine when not laned)
@@ -273,10 +271,7 @@ func New(eng *sim.Engine, sys *memsys.System, geom pim.Geometry, cfg Config) (*E
 	if err := geom.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{eng: eng, sched: eng, sys: sys, geom: geom, cfg: cfg, dom: clock.NewDomain(cfg.Clock)}
-	if l, ok := eng.Lane("dce"); ok {
-		e.sched = l
-	}
+	e := &Engine{eng: eng, sched: eng.NewLane("dce"), sys: sys, geom: geom, cfg: cfg, dom: clock.NewDomain(cfg.Clock)}
 	e.phaseEv.Init(sim.HandlerFunc(e.onPhase))
 	e.preprocEv.Init(sim.HandlerFunc(e.firePreproc))
 	return e, nil

@@ -11,44 +11,10 @@
 // stores (write-combining buffers) — so per-thread bandwidth follows
 // Little's law just as on real hardware.
 //
-// # Sharding contract
-//
-// On a topology-sharded engine (system.Config.CoreLanes >= 1) every core
-// schedules its standing execution event on its own lane (topology name
-// "core:<i>"); cores only interact with the rest of the machine through
-// the memory system and the OS scheduler, so the lane's crossing edge is
-// the LLC. Classification happens at schedule time, one program
-// operation ahead:
-//
-//   - a compute span whose following operation is another compute span at
-//     least Config.LaneLocalFloor long ends in a lane-local event — a
-//     computing core cannot touch shared memory state sooner than the
-//     floor, which system derives from min(LLC hit latency, scheduler
-//     quantum), the same derivation the lane's topology edge uses;
-//   - every other execution step (memory issue, barrier, thread exit,
-//     dispatch, preemption wake) is a crossing and fires serially at the
-//     engine frontier, where touching the LLC, the channels, and the
-//     CPU-wide scheduler state is safe;
-//   - LLC-hit completions deliver on the issuing core's own scheduler
-//     (mem.Req.DeliverOn): the completion callback touches only the
-//     issuing thread, which runs on that very lane, so a computing
-//     thread's hit loop stays off the frontier entirely. The assertion
-//     holds only while the thread stays scheduled there and unblocked,
-//     so the core promotes in-flight deliveries back to crossing events
-//     (mem.HitPromoter) whenever the thread blocks, is preempted, or
-//     migrates — mirroring how resumeCycles carries an interrupted
-//     compute span across a preemption. Only laned cores set DeliverOn:
-//     an unlaned core's scheduler is the engine itself, where the
-//     memory system's batched host queue is strictly cheaper and
-//     observably identical (deliveries fire in enqueue order at the
-//     same instants), so every golden is byte-identical across the
-//     whole lane-topology axis either way.
-//
-// The peek that classification requires pulls the next program operation
-// at span start rather than span end. The pull happens identically on
-// every engine (plain or sharded, any lane count), so the model's
-// behavior — including when a contender program observes its stop flag —
-// is byte-identical across lane topologies.
+// The core pulls the next program operation when a compute span starts,
+// not when it ends (see Program). That pull schedule is part of the
+// model's results — it decides when a contender program observes its
+// stop flag — and is the same on every engine.
 package cpu
 
 import (
@@ -84,10 +50,9 @@ type Op struct {
 
 // Program is a pull-based instruction stream. Next returns false when the
 // thread has finished. The core pulls one operation ahead of execution
-// (it classifies the event ending a compute span by what follows the
-// span), so a program that reads external state in Next — a contender's
-// stop flag — observes it one operation early; the pull schedule is
-// engine-independent, so this costs determinism nothing.
+// (at the start of each compute span), so a program that reads external
+// state in Next — a contender's stop flag — observes it one operation
+// early.
 type Program interface {
 	Next() (Op, bool)
 }
@@ -111,22 +76,6 @@ type Config struct {
 	// Quantum is the OS scheduler's round-robin time slice (Section V:
 	// threads preempted every 1.5 ms).
 	Quantum clock.Picos
-	// Lanes is how many per-core event lanes the cores claim from a
-	// topology-sharded engine (core i attaches to lane "core:<i mod
-	// Lanes>"). 0 keeps every core on the host lane. Set by
-	// system.Config.CoreLanes.
-	Lanes int
-	// LaneLocalFloor is the minimum compute-span duration eligible for
-	// lane-local execution. It must be AT LEAST the core lanes' topology
-	// edge latency: a local span-end may schedule a crossing as close as
-	// the span it starts (>= the floor away), and the window algorithm
-	// trusts the edge latency as the minimum crossing distance — so a
-	// floor below it would let a window miss a crossing it should have
-	// serialized against. New enforces the bound by raising each laned
-	// core's effective floor to its lane's lookahead. 0 disables local
-	// execution (every core event crosses). Set by system alongside the
-	// topology.
-	LaneLocalFloor clock.Picos
 }
 
 // DefaultConfig is the Table I host processor.
@@ -150,12 +99,6 @@ func (c Config) Validate() error {
 	}
 	if c.Quantum <= 0 {
 		return fmt.Errorf("cpu: non-positive quantum")
-	}
-	if c.Lanes < 0 {
-		return fmt.Errorf("cpu: negative core lane count %d", c.Lanes)
-	}
-	if c.LaneLocalFloor < 0 {
-		return fmt.Errorf("cpu: negative lane-local floor %v", c.LaneLocalFloor)
 	}
 	return nil
 }
@@ -208,16 +151,9 @@ func (t *Thread) Done() bool { return t.done }
 
 // Core is one hardware context.
 type Core struct {
-	id    int
-	cpu   *CPU
-	sched sim.Scheduler // the core's event lane (the engine when not laned)
-	laned bool          // sched is a real lane (compute chains may run locally)
-	// localFloor is the effective lane-local classification floor:
-	// max(Config.LaneLocalFloor, the lane's lookahead), or 0 when local
-	// execution is disabled — the window algorithm's safety bound, see
-	// Config.LaneLocalFloor.
-	localFloor clock.Picos
-	thread     *Thread
+	id     int
+	cpu    *CPU
+	thread *Thread
 	// kickEv is the core's single standing execution event: dispatch,
 	// wake-ups, and compute-span ends all reschedule it in place, so the
 	// per-op scheduling path performs no allocation.
@@ -241,41 +177,17 @@ type CPU struct {
 	ready  []*Thread // runnable threads not on a core
 	nextID int
 	alive  int // spawned minus exited
-
-	// hits is the port's hit-promotion surface, set when the cores run on
-	// their own lanes and the port supports per-requester hit delivery;
-	// nil otherwise (promotion is then meaningless: every delivery
-	// already fires at the frontier).
-	hits mem.HitPromoter
 }
 
 // New builds the processor. The quantum ticker starts with the first
-// spawned thread and stops when every thread has exited. With cfg.Lanes
-// >= 1 each core attaches to its topology lane "core:<i mod Lanes>";
-// cores whose lane the engine does not declare stay on the host lane.
+// spawned thread and stops when every thread has exited.
 func New(eng *sim.Engine, cfg Config, port mem.Port) *CPU {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	c := &CPU{eng: eng, cfg: cfg, dom: clock.NewDomain(cfg.Clock), mem: port}
-	if cfg.Lanes > 0 {
-		if hp, ok := port.(mem.HitPromoter); ok {
-			c.hits = hp
-		}
-	}
 	for i := 0; i < cfg.Cores; i++ {
-		core := &Core{id: i, cpu: c, sched: eng}
-		if cfg.Lanes > 0 {
-			if l, ok := eng.Lane(fmt.Sprintf("core:%d", i%cfg.Lanes)); ok {
-				core.sched, core.laned = l, true
-				if cfg.LaneLocalFloor > 0 {
-					core.localFloor = cfg.LaneLocalFloor
-					if la := l.(*sim.Lane).Lookahead(); core.localFloor < la {
-						core.localFloor = la
-					}
-				}
-			}
-		}
+		core := &Core{id: i, cpu: c}
 		core.kickEv.Init(sim.HandlerFunc(core.advance))
 		c.cores = append(c.cores, core)
 	}
@@ -352,9 +264,7 @@ func (c *CPU) startQuantumTicker() {
 // rotate implements the OS's fairness-first round-robin policy: at every
 // quantum boundary all running threads move to the tail of the ready
 // queue and the head of the queue is dispatched. When there are no more
-// threads than cores this is a no-op reassignment. rotate runs from a
-// host (ticker) event, so every lane is parked and touching thread state
-// owned by core lanes is safe.
+// threads than cores this is a no-op reassignment.
 func (c *CPU) rotate() {
 	if len(c.ready) == 0 {
 		return // nobody waiting: current threads keep their cores
@@ -372,11 +282,6 @@ func (c *CPU) rotate() {
 			t.computeUntil = 0
 			core.thread = nil
 			t.core = nil
-			// The thread may land on a different core (a different lane)
-			// or none at all; either way its in-flight hit deliveries
-			// must leave the old lane — exactly as resumeCycles carries
-			// the interrupted span — so they complete at the frontier.
-			c.promoteHits(t)
 			c.ready = append(c.ready, t)
 		}
 	}
@@ -397,10 +302,6 @@ func (c *CPU) exit(core *Core) {
 	core.thread = nil
 	t.core = nil
 	t.done = true
-	// A program may end with operations still in flight; their
-	// deliveries must not stay lane-local on a core about to run
-	// someone else.
-	c.promoteHits(t)
 	c.alive--
 	if len(c.ready) > 0 {
 		next := c.ready[0]
@@ -430,30 +331,17 @@ func (core *Core) BusyTime() clock.Picos {
 func (c *CPU) Cores() []*Core { return c.cores }
 
 // kick schedules the core's execution step now, pulling a pending
-// span-end event forward (and reclassifying it as a crossing) if one is
-// standing in the future. Only called from serial context: assignment,
-// completions, and queue-space wakes all run at the engine frontier.
+// span-end event forward if one is standing in the future.
 func (core *Core) kick() {
-	now := core.cpu.eng.Now()
-	if core.kickEv.Scheduled() && core.kickEv.When() <= now {
-		// The standing event already fires at this very instant, but it
-		// may be classified lane-local (a span end that coincided with
-		// this wake — e.g. a quantum boundary that just swapped threads).
-		// The step must now run the thread's full execution loop, which
-		// can issue memory operations, so force it to the serial
-		// frontier. No-op when it is already a crossing.
-		core.sched.Promote(&core.kickEv)
+	eng := core.cpu.eng
+	if core.kickEv.Scheduled() && core.kickEv.When() <= eng.Now() {
 		return
 	}
-	core.sched.Schedule(&core.kickEv, now)
+	eng.Schedule(&core.kickEv, eng.Now())
 }
 
 // advance runs the scheduled thread until it blocks on a resource, starts
-// a compute span, or exits. It fires either at the serial frontier (a
-// crossing: it may issue memory operations and touch CPU-wide state) or
-// lane-locally inside a window, in which case the classification
-// invariant guarantees the pending operation is a compute span and the
-// only effect is starting it.
+// a compute span, or exits.
 func (core *Core) advance(now clock.Picos) {
 	t := core.thread
 	if t == nil {
@@ -462,8 +350,8 @@ func (core *Core) advance(now clock.Picos) {
 	cpu := core.cpu
 	if now < t.computeUntil {
 		// A wake pulled the standing event into the middle of a span;
-		// re-arm the span end (serial context, so a crossing is safe).
-		core.sched.Schedule(&core.kickEv, t.computeUntil)
+		// re-arm the span end.
+		cpu.eng.Schedule(&core.kickEv, t.computeUntil)
 		return
 	}
 	t.computeUntil = 0
@@ -499,7 +387,6 @@ func (core *Core) advance(now clock.Picos) {
 		case OpBarrier:
 			if t.totalOut > 0 {
 				t.blocked = true
-				cpu.promoteHits(t)
 				return
 			}
 			t.haveOp = false
@@ -510,19 +397,12 @@ func (core *Core) advance(now clock.Picos) {
 			if op.Kind == OpLoad && t.loadsOut >= cpu.cfg.LoadBuffers ||
 				op.Kind == OpStore && t.storesOut >= cpu.cfg.StoreBuffers {
 				t.blocked = true
-				cpu.promoteHits(t)
 				return
 			}
 			req := &mem.Req{
 				Addr:      mem.LineAlign(op.Addr),
 				Cacheable: !op.NC,
 				SrcID:     t.ID,
-			}
-			if core.laned {
-				// An unlaned core's scheduler is the engine: the batched
-				// host hit queue is cheaper there and delivers in the
-				// same order.
-				req.DeliverOn = core.sched
 			}
 			if op.Kind == OpStore {
 				req.Kind = mem.Write
@@ -548,12 +428,9 @@ func (core *Core) advance(now clock.Picos) {
 	}
 }
 
-// startSpan begins a compute span of the given length and schedules the
-// core's span-end step, peeking one program operation ahead to classify
-// it: lane-local when the span is followed by another compute span at
-// least LaneLocalFloor long (so anything *that* span-end schedules —
-// including a crossing — lands at least the floor away, which is the
-// lane's declared edge latency), a crossing otherwise.
+// startSpan begins a compute span of the given length, pulls the next
+// program operation (see Program), and schedules the core's span-end
+// step.
 func (core *Core) startSpan(t *Thread, now clock.Picos, cycles int64) {
 	cpu := core.cpu
 	end := now + cpu.dom.Duration(cycles)
@@ -566,13 +443,7 @@ func (core *Core) startSpan(t *Thread, now clock.Picos, cycles int64) {
 			t.progEnded = true
 		}
 	}
-	if core.laned && core.localFloor > 0 &&
-		t.haveOp && t.pending.Kind == OpCompute &&
-		cpu.dom.Duration(t.pending.Cycles) >= core.localFloor {
-		core.sched.ScheduleLocal(&core.kickEv, end)
-	} else {
-		core.sched.Schedule(&core.kickEv, end)
-	}
+	cpu.eng.Schedule(&core.kickEv, end)
 }
 
 // kickIfMine re-kicks the core if thread t is still scheduled on it.
@@ -582,27 +453,8 @@ func (core *Core) kickIfMine(t *Thread) {
 	}
 }
 
-// promoteHits migrates thread t's in-flight LLC-hit deliveries to the
-// serial frontier, because the lane-locality assertion behind
-// mem.Req.DeliverOn is about to stop holding: the thread blocks (its
-// next completion must kick the core — serial-only work), is preempted,
-// migrates, or exits. Only called from serial context. Promotion never
-// reorders a delivery, it only changes where it executes, so results
-// are unaffected by construction.
-func (c *CPU) promoteHits(t *Thread) {
-	if c.hits != nil && t.totalOut > 0 {
-		c.hits.PromoteHits(t.ID)
-	}
-}
-
-// complete absorbs one memory-operation completion. A completion fires
-// either at the serial frontier (channel-lane crossings, promoted or
-// host-delivered LLC hits) — where touching the thread and kicking its
-// core is safe on any topology — or lane-locally on the issuing core's
-// lane (an unpromoted per-requester hit delivery), in which case the
-// promotion contract guarantees the thread is unblocked and still
-// scheduled there: the completion then only decrements the in-flight
-// counters, state owned by that same lane.
+// complete absorbs one memory-operation completion, waking the thread if
+// it was blocked.
 func (t *Thread) complete(kind OpKind) {
 	if kind == OpLoad {
 		t.loadsOut--

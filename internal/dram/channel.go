@@ -132,19 +132,12 @@ type lastCAS struct {
 // Channel is one DDR4 channel: an FR-FCFS controller plus the ranks and
 // banks behind it. All timing bookkeeping is in command-clock cycles.
 //
-// On a sharded engine each channel schedules on its own event lane — the
-// topology lane "<set>:<id>" ("dram:0", "pim:3") when the engine was
-// built from a topology, a dynamically claimed lane otherwise. The
-// channel's only crossing edge is toward the host (the memory system
-// that enqueued the request): a data burst follows its column command by
-// min(CL,CWL)+BL, so that is the edge's minimum latency and the lane's
-// conservative lookahead. The scheduler tick and data-burst completions
-// are lane-local unless they can touch the outside world (queue-space
-// waiters to notify, a completion callback to invoke), which is what
-// lets independent channels simulate in parallel inside a conservative
-// window. Everything the channel mutates — queues, bank state, stats,
-// its observer — belongs to the channel, so the per-channel Observer
-// must not be shared across channels of a sharded machine.
+// On a sharded engine each channel schedules on its own event lane,
+// "<set>:<id>" ("dram:0", "pim:3"). The scheduler tick and data-burst
+// completions are lane-local unless they can touch the outside world
+// (queue-space waiters to notify, a completion callback to invoke); the
+// classification decides the frontier sequence of the events they
+// schedule (see sim.Lane).
 type Channel struct {
 	sched sim.Scheduler
 	cfg   Config
@@ -164,12 +157,6 @@ type Channel struct {
 	waiters  []func()
 	observer Observer
 
-	// cbQueued counts queued requests carrying a completion callback.
-	// While it is zero and no waiters are registered, nothing the channel
-	// does can schedule a crossing event, and its shard lane may run
-	// without a lookahead cap (posted-write streams, writeback drains).
-	cbQueued int
-
 	// prepMark/prepGen are the scheduler's allocation-free per-tick
 	// scratch: prepMark[rank*banks+bank] == prepGen marks a bank already
 	// owned by an older request in the current scan.
@@ -187,16 +174,8 @@ type Channel struct {
 }
 
 func newChannel(eng *sim.Engine, cfg Config, id int, name string) *Channel {
-	// Prefer the topology-declared lane; fall back to a dynamically
-	// claimed one (plain NewSharded engines, unit tests) with the same
-	// command-to-data lookahead. On a serial engine both paths resolve to
-	// the engine itself.
-	sched, ok := eng.Lane(fmt.Sprintf("%s:%d", name, id))
-	if !ok {
-		sched = eng.NewLane(cfg.Timing.MinCrossLatency())
-	}
 	c := &Channel{
-		sched:    sched,
+		sched:    eng.NewLane(fmt.Sprintf("%s:%d", name, id)),
 		cfg:      cfg,
 		dom:      cfg.Timing.Domain(),
 		id:       id,
@@ -205,7 +184,6 @@ func newChannel(eng *sim.Engine, cfg Config, id int, name string) *Channel {
 		stats:    newChannelStats(cfg.SeriesWindow),
 	}
 	c.tickEv.Init(sim.HandlerFunc(c.tick))
-	c.updateCrossingFree()
 	nBanks := cfg.Geometry.BankGroups * cfg.Geometry.Banks
 	c.prepMark = make([]uint64, cfg.Geometry.Ranks*nBanks)
 	for r := 0; r < cfg.Geometry.Ranks; r++ {
@@ -267,19 +245,8 @@ func (c *Channel) TryEnqueue(r *mem.Req, loc addrmap.Loc) bool {
 	}
 	*p = pending{req: r, loc: loc}
 	*q = append(*q, p)
-	if r.OnDone != nil {
-		if c.cbQueued++; c.cbQueued == 1 {
-			c.updateCrossingFree()
-		}
-	}
 	c.kick()
 	return true
-}
-
-// updateCrossingFree tells the channel's lane whether any future action
-// could schedule a crossing event.
-func (c *Channel) updateCrossingFree() {
-	c.sched.SetCrossingFree(c.cbQueued == 0 && len(c.waiters) == 0)
 }
 
 // catchUpRefresh skips refresh intervals that elapsed while the channel
@@ -300,7 +267,6 @@ func (c *Channel) catchUpRefresh(cyc int64) {
 func (c *Channel) WaitSpace(fn func()) {
 	c.waiters = append(c.waiters, fn)
 	c.sched.Promote(&c.tickEv)
-	c.updateCrossingFree()
 }
 
 func (c *Channel) notifySpace() {
@@ -309,7 +275,6 @@ func (c *Channel) notifySpace() {
 	}
 	ws := c.waiters
 	c.waiters = nil
-	c.updateCrossingFree()
 	for _, fn := range ws {
 		fn()
 	}

@@ -333,16 +333,11 @@ func (c *Channel) issueCAS(p *pending, cyc int64) {
 	}
 	cp.req = p.req
 	// A completion with no callback only updates channel-local stats; one
-	// with a callback crosses back into the requester. Once the crossing
-	// is scheduled it is visible in the lane's mailbox, so the dequeued
-	// callback no longer needs the lookahead cap.
+	// with a callback crosses back into the requester.
 	if p.req.OnDone == nil {
 		c.sched.ScheduleLocal(&cp.ev, c.dom.Duration(doneCycle))
 	} else {
 		c.sched.Schedule(&cp.ev, c.dom.Duration(doneCycle))
-		if c.cbQueued--; c.cbQueued == 0 {
-			c.updateCrossingFree()
-		}
 	}
 	c.notifySpace()
 

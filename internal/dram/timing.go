@@ -144,18 +144,3 @@ func (t Timing) PeakChannelBandwidth() float64 {
 
 // ReadLatency is the idle-bank read latency (ACT+CAS+burst) in cycles.
 func (t Timing) ReadLatency() int { return t.RCD + t.CL + t.BL }
-
-// MinCrossLatency is the conservative lookahead a channel grants a sharded
-// simulation engine: the minimum simulated delay between anything the
-// controller does and the earliest externally visible consequence it can
-// schedule. That consequence is always a data-burst completion, which
-// lands CL+BL (read) or CWL+BL (write) command cycles after the column
-// command that caused it; command issue itself (ACT/PRE/REF and the next
-// scheduler tick) stays inside the channel.
-func (t Timing) MinCrossLatency() clock.Picos {
-	m := t.CL
-	if t.CWL < m {
-		m = t.CWL
-	}
-	return t.Domain().Duration(int64(m + t.BL))
-}

@@ -514,7 +514,6 @@ func replayCompute(r *Runner, sc Scale) []ReplayPoint {
 		if err != nil {
 			panic(err)
 		}
-		r.ReportLaneStats(fmt.Sprintf("replay %s %v", wl.name, s.Cfg.Design), s)
 		return ReplayPoint{Thr: rr.Throughput(), Hist: rr.Latency}
 	})
 }
@@ -558,7 +557,6 @@ func loadCurveCompute(r *Runner, sc Scale) []LoadPoint {
 		if err != nil {
 			panic(err)
 		}
-		r.ReportLaneStats(fmt.Sprintf("loadcurve gap=%v %v", gaps[g.Coord(i, 0)], s.Cfg.Design), s)
 		return LoadPoint{Thr: lr.Throughput(), Total: lr.Total, Queue: lr.Queue}
 	})
 }

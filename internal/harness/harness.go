@@ -9,8 +9,8 @@
 //     touches internal/system);
 //   - Render writes the deterministic text artifact from results alone.
 //
-// Execution state (lane topology, worker count, result cache,
-// lane-stats writer) lives in a Runner threaded explicitly through all
+// Execution state (engine class, worker count, result cache) lives in
+// a Runner threaded explicitly through all
 // three phases; cmd/pimmu-sim, cmd/pimmu-bench and cmd/pimmu-replay
 // construct one per invocation. The split makes an experiment
 // addressable data: "serve experiment X at design point Y" is a plan

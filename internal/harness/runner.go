@@ -13,7 +13,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/resultcache"
@@ -22,22 +21,16 @@ import (
 )
 
 // Runner carries every knob that used to live in package-global setters:
-// the lane topology applied to each simulated machine, the sweep worker
-// count, the result cache fronting compute, and the lane-stats
-// diagnostic writer. The CLIs construct one Runner per invocation and
-// thread it through all three experiment phases; tests build their own.
-//
-// Runner contains a mutex — always pass *Runner, never copy one.
+// the engine class applied to each simulated machine, the sweep worker
+// count and the result cache fronting compute. The CLIs construct one
+// Runner per invocation and thread it through all three experiment
+// phases; tests build their own.
 type Runner struct {
-	// Shards is the event-engine shard count applied to every machine
-	// built (the CLIs' -shards flag); <= 1 selects the serial engine,
-	// system.Auto sizes the pool to the host. Experiment output is
-	// byte-identical across all shard counts >= 1, auto included.
+	// Shards selects the event-engine class of every machine built (the
+	// CLIs' -shards flag): 0 is the plain engine, any other value —
+	// system.Auto included — the sharded engine. The two classes are
+	// separate event orders, so their results can differ (fig8, fig14).
 	Shards int
-	// CoreLanes is the per-core lane count (the -core-lanes flag;
-	// requires Shards >= 1 or auto). Output is byte-identical across
-	// every core-lane count, auto included.
-	CoreLanes int
 	// Workers caps the sweep worker pool for this runner's computes
 	// (<= 0 selects the process-wide sweep default).
 	Workers int
@@ -46,16 +39,6 @@ type Runner struct {
 	// computation it replaces, so rendered tables are the same bytes
 	// warm or cold.
 	Cache sweep.Cache
-	// LaneStats, when non-nil, receives a per-machine ShardStats block
-	// after each transfer or replay (the -lane-stats flag). Blocks print
-	// whole under the runner's lock, but machines running in parallel
-	// sweeps interleave blocks in completion order: the output is a
-	// diagnostic, deliberately kept out of the deterministic artifact.
-	// Cache hits skip the dump: they describe a simulation, and a hit
-	// does not simulate.
-	LaneStats io.Writer
-
-	laneStatsMu sync.Mutex
 }
 
 // Job is one plan-addressable unit of simulation: the machine
@@ -85,11 +68,10 @@ func (r *Runner) Run(e Experiment, w io.Writer, sc Scale) {
 }
 
 // Config is the Table I configuration at the given design point with
-// the runner's shard and core-lane selections applied.
+// the runner's engine class applied.
 func (r *Runner) Config(d system.Design) system.Config {
 	cfg := system.DefaultConfig(d)
 	cfg.Shards = r.Shards
-	cfg.CoreLanes = r.CoreLanes
 	return cfg
 }
 
@@ -121,26 +103,6 @@ func ComputePlan[R any](r *Runner, p Plan, run func(i int, j Job) R) []R {
 		func(i int) R { return run(i, p.Jobs[i]) })
 }
 
-// ReportLaneStats prints one machine's per-lane counters to the
-// runner's diagnostic writer, then resets them: experiments reuse
-// machines across transfers, so without the reset each block would
-// re-report every earlier run's events. Resetting only happens when a
-// block was actually written — the counters are a diagnostic, and
-// clearing them must not depend on whether anyone looks.
-func (r *Runner) ReportLaneStats(tag string, s *system.System) {
-	r.laneStatsMu.Lock()
-	defer r.laneStatsMu.Unlock()
-	if r.LaneStats == nil {
-		return
-	}
-	st := s.Eng.ShardStats()
-	if st.Lanes == nil {
-		return // plain engine: nothing to attribute
-	}
-	fmt.Fprintf(r.LaneStats, "-- lanes: %s --\n%s", tag, st)
-	s.Eng.ResetStats()
-}
-
 // newSystem builds a fresh Table I machine at the given design point.
 func (r *Runner) newSystem(d system.Design) *system.System {
 	return system.MustNew(r.Config(d))
@@ -149,9 +111,7 @@ func (r *Runner) newSystem(d system.Design) *system.System {
 // runTransfer executes one whole-device transfer of totalBytes.
 func (r *Runner) runTransfer(s *system.System, dir core.Direction, totalBytes uint64) system.XferResult {
 	per := perCore(s, totalBytes)
-	res := s.RunTransfer(s.TransferOp(dir, s.Cfg.PIM.NumCores(), per))
-	r.ReportLaneStats(fmt.Sprintf("%v %v %d MiB", s.Cfg.Design, dir, totalBytes>>20), s)
-	return res
+	return s.RunTransfer(s.TransferOp(dir, s.Cfg.PIM.NumCores(), per))
 }
 
 // perCore converts a total size into the per-core size, floored to one
@@ -164,34 +124,37 @@ func perCore(s *system.System, totalBytes uint64) uint64 {
 	return per
 }
 
-// ResolveTopology parses and normalizes lane-topology selections given
-// in CLI flag syntax (a count or "auto"; empty selects the default
-// serial engine) into concrete Runner values. It exists so callers
-// outside the compute layer — the serve front end in particular — can
-// resolve request topology without importing internal/system.
+// ResolveTopology parses an engine-class selection given in CLI flag
+// syntax (a count or "auto"; empty selects the plain engine) into a
+// Runner.Shards value. It exists so callers outside the compute layer —
+// the serve front end in particular — can resolve it without importing
+// internal/system. coreLanes is ignored; cl is always 0 and warns nil.
 func ResolveTopology(shards, coreLanes string) (sh, cl int, warns []string, err error) {
 	if shards == "" {
 		shards = "0"
 	}
-	if coreLanes == "" {
-		coreLanes = "0"
-	}
-	shardsN, err := system.ParseLaneFlag(shards)
-	if err != nil {
+	if sh, err = parseShards(shards); err != nil {
 		return 0, 0, nil, fmt.Errorf("shards: %w", err)
 	}
-	coreLanesN, err := system.ParseLaneFlag(coreLanes)
+	return sh, 0, nil, nil
+}
+
+// parseShards parses and validates one -shards value.
+func parseShards(s string) (int, error) {
+	n, err := system.ParseLaneFlag(s)
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("core-lanes: %w", err)
+		return 0, err
 	}
-	return system.NormalizeLaneFlags(shardsN, coreLanesN)
+	cfg := system.DefaultConfig(system.PIMMMU)
+	cfg.Shards = n
+	return n, cfg.Validate()
 }
 
 // RunnerFlagNames is the canonical shared flag set every CLI registers
 // through RegisterRunnerFlags; the per-CLI flag tests assert all three
 // binaries accept exactly these names.
 func RunnerFlagNames() []string {
-	return []string{"workers", "shards", "core-lanes", "lane-stats",
+	return []string{"workers", "shards",
 		"cache-dir", "cache", "cpuprofile", "memprofile", "format"}
 }
 
@@ -199,22 +162,19 @@ func RunnerFlagNames() []string {
 // Runner after FlagSet.Parse to resolve them.
 type RunnerFlags struct {
 	workers                *int
-	shards, coreLanes      *string
-	laneStats              *bool
+	shards                 *string
 	cacheDir, cacheMode    *string
 	cpuProfile, memProfile *string
 	format                 *string
 }
 
-// RegisterRunnerFlags registers the lane-topology, worker, lane-stats,
-// result-cache and profiling flags shared by pimmu-sim, pimmu-bench and
+// RegisterRunnerFlags registers the engine-class, worker, result-cache
+// and profiling flags shared by pimmu-sim, pimmu-bench and
 // pimmu-replay on fs, deduplicating what each CLI used to spell out.
 func RegisterRunnerFlags(fs *flag.FlagSet) *RunnerFlags {
 	f := &RunnerFlags{}
 	f.workers = fs.Int("workers", 0, "parallel simulations per sweep (0 = all cores, 1 = serial)")
-	f.shards = fs.String("shards", "0", "event-engine shards per machine (0 = serial engine, >= 2 = parallel windows, auto = sized to this host)")
-	f.coreLanes = fs.String("core-lanes", "0", "per-core event lanes per machine (requires -shards >= 1; auto = one per core)")
-	f.laneStats = fs.Bool("lane-stats", false, "dump per-lane event counters to stderr after each simulated run")
+	f.shards = fs.String("shards", "0", "event-engine class per machine: 0 = plain engine, any other count or auto = sharded engine (the two can differ in results, e.g. fig8, fig14)")
 	f.cacheDir = fs.String("cache-dir", "", "result-cache directory (empty = caching off)")
 	f.cacheMode = fs.String("cache", "rw", "result-cache mode: off, rw, or ro")
 	f.cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
@@ -282,33 +242,20 @@ func (f *RunnerFlags) StartProfiles() (stop func() error, err error) {
 func (f *RunnerFlags) CacheDir() string { return *f.cacheDir }
 
 // Runner resolves the parsed flags into a Runner and its backing store
-// (nil when caching is off). laneStats is the writer -lane-stats dumps
-// to (normally os.Stderr). Warnings are returned for the caller to
-// print under its own prefix; on error the Runner is nil.
-func (f *RunnerFlags) Runner(laneStats io.Writer) (*Runner, *resultcache.Store, []string, error) {
-	shardsN, err := system.ParseLaneFlag(*f.shards)
+// (nil when caching is off). On error the Runner is nil.
+func (f *RunnerFlags) Runner() (*Runner, *resultcache.Store, error) {
+	sh, err := parseShards(*f.shards)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("-shards: %w", err)
-	}
-	coreLanesN, err := system.ParseLaneFlag(*f.coreLanes)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("-core-lanes: %w", err)
-	}
-	sh, cl, warns, err := system.NormalizeLaneFlags(shardsN, coreLanesN)
-	if err != nil {
-		return nil, nil, warns, err
+		return nil, nil, fmt.Errorf("-shards: %w", err)
 	}
 	store, err := resultcache.OpenFlags(*f.cacheDir, *f.cacheMode)
 	if err != nil {
-		return nil, nil, warns, err
+		return nil, nil, err
 	}
-	r := &Runner{Shards: sh, CoreLanes: cl, Workers: *f.workers}
+	r := &Runner{Shards: sh, Workers: *f.workers}
 	if store != nil {
 		// A nil *Store must not become a non-nil sweep.Cache interface.
 		r.Cache = store
 	}
-	if *f.laneStats {
-		r.LaneStats = laneStats
-	}
-	return r, store, warns, nil
+	return r, store, nil
 }

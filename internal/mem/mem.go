@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/clock"
-	"repro/internal/sim"
 )
 
 // LineBytes is the transfer granularity of the memory system: one 64-byte
@@ -84,21 +83,6 @@ type Req struct {
 	// OnDone, if non-nil, runs when the request's data transfer completes.
 	OnDone func(now clock.Picos)
 
-	// DeliverOn, if non-nil, is the lane LLC-hit completions for this
-	// request should be delivered on — the issuing agent's own lane on a
-	// sharded engine (its deliveries then fire lane-locally inside
-	// windows instead of serially at the frontier). The agent asserts
-	// OnDone touches nothing outside that lane; when the assertion can
-	// stop holding (the owning thread blocks, is preempted or migrates),
-	// it must promote in-flight deliveries back to the frontier via the
-	// port's HitPromoter surface. A nil DeliverOn keeps hits on the
-	// memory system's own batched host-lane queue — the memory system
-	// also falls back to it whenever the engine executes serially, where
-	// lane delivery would cost a frontier scan per hit; delivery order
-	// is identical on both paths. Misses are unaffected either way:
-	// they complete through the channel controllers.
-	DeliverOn sim.Scheduler
-
 	// SrcID tags the requesting agent for per-agent statistics
 	// (e.g. distinguishing transfer traffic from contender traffic).
 	SrcID int
@@ -120,14 +104,4 @@ type Port interface {
 	// WaitSpace registers a callback invoked (once) the next time queue
 	// space that previously caused a TryEnqueue failure becomes available.
 	WaitSpace(fn func())
-}
-
-// HitPromoter is the optional port surface behind per-requester LLC-hit
-// delivery (Req.DeliverOn): PromoteHits reclassifies every in-flight hit
-// delivery tagged with srcID as a frontier (crossing) event, because the
-// requesting agent's completion callback is about to stop being
-// lane-local — its thread blocks, is preempted, or migrates. Ports that
-// never defer hits off the host lane simply don't implement it.
-type HitPromoter interface {
-	PromoteHits(srcID int)
 }

@@ -9,28 +9,12 @@ import (
 	"repro/internal/sim"
 )
 
-// shardedSystem builds the memory system on a topology-sharded engine
-// mirroring system.Config.Topology: one named lane per channel of each
-// device set, one core lane, and the serial-only dce lane.
-func shardedSystem(t *testing.T, workers int) (*sim.Engine, *System) {
+// shardedSystem builds the memory system on a sharded engine: one lane
+// per channel of each device set, claimed by the channels themselves.
+func shardedSystem(t *testing.T) (*sim.Engine, *System) {
 	t.Helper()
-	cfg := smallConfig(MapLocalityBoth)
-	var topo sim.Topology
-	for i := 0; i < cfg.DRAM.Geometry.Channels; i++ {
-		topo.Add(fmt.Sprintf("dram:%d", i),
-			sim.Edge{To: "host", MinLatency: cfg.DRAM.Timing.MinCrossLatency()})
-	}
-	for i := 0; i < cfg.PIM.Geometry.Channels; i++ {
-		topo.Add(fmt.Sprintf("pim:%d", i),
-			sim.Edge{To: "host", MinLatency: cfg.PIM.Timing.MinCrossLatency()})
-	}
-	topo.Add("core:0", sim.Edge{To: "llc", MinLatency: cfg.LLCHitLatency})
-	topo.Add("dce", sim.Edge{To: "llc", MinLatency: 0})
-	eng, err := sim.NewShardedTopology(workers, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, MustNew(eng, cfg)
+	eng := sim.NewSharded()
+	return eng, MustNew(eng, smallConfig(MapLocalityBoth))
 }
 
 // laneStat finds one lane's snapshot by name.
@@ -48,9 +32,9 @@ func laneStat(t *testing.T, eng *sim.Engine, name string) sim.LaneStats {
 // TestCrossingClassification is the table test of the package's sharding
 // contract: every request path through the memory system must classify
 // lane-local vs crossing exactly as documented. The observable is the
-// owning channel lane's mailbox high-water mark — a crossing completion
-// lives in the mailbox until the frontier drains it, a purely local
-// path never touches it — plus where the completion callback fires.
+// owning channel lane's crossing count — a completion that calls back
+// into the requester fires as a crossing, a purely local path never
+// does — plus whether the completion callback fires.
 func TestCrossingClassification(t *testing.T) {
 	cases := []struct {
 		name string
@@ -100,7 +84,7 @@ func TestCrossingClassification(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, s := shardedSystem(t, 1)
+			eng, s := shardedSystem(t)
 			r := tc.req(s)
 			done := false
 			if tc.wantsDone {
@@ -111,13 +95,13 @@ func TestCrossingClassification(t *testing.T) {
 			}
 			eng.Run()
 			ls := laneStat(t, eng, tc.lane)
-			if tc.crossing && ls.MailboxPeak == 0 {
-				t.Errorf("%s: expected a crossing on %s, mailbox never used (stats %+v)",
+			if tc.crossing && ls.Crossings == 0 {
+				t.Errorf("%s: expected a crossing on %s, none fired (stats %+v)",
 					tc.name, tc.lane, ls)
 			}
-			if !tc.crossing && ls.MailboxPeak != 0 {
-				t.Errorf("%s: expected a lane-local path on %s, mailbox peaked at %d",
-					tc.name, tc.lane, ls.MailboxPeak)
+			if !tc.crossing && ls.Crossings != 0 {
+				t.Errorf("%s: expected a lane-local path on %s, %d crossings fired",
+					tc.name, tc.lane, ls.Crossings)
 			}
 			if tc.wantsDone && !done {
 				t.Errorf("%s: completion callback never fired", tc.name)
@@ -127,10 +111,9 @@ func TestCrossingClassification(t *testing.T) {
 }
 
 // TestLLCHitDeliversFromHostLane pins the LLC-hit path: a hit never
-// touches a channel lane — its deferred completion is a host event, the
-// only context allowed to touch a requester on an arbitrary core lane.
+// touches a channel lane — its deferred completion is a host event.
 func TestLLCHitDeliversFromHostLane(t *testing.T) {
-	eng, s := shardedSystem(t, 1)
+	eng, s := shardedSystem(t)
 	// Prime the line (miss, fills from DRAM).
 	s.TryEnqueue(&mem.Req{Addr: 0x2000, Kind: mem.Read, Cacheable: true})
 	eng.Run()
@@ -158,182 +141,24 @@ func TestLLCHitDeliversFromHostLane(t *testing.T) {
 	}
 }
 
-// TestLLCHitDeliveryLane is the table test of the per-requester hit
-// delivery contract: a hit whose request names a delivery lane
-// (mem.Req.DeliverOn) becomes a lane-local event on exactly that lane —
-// never a channel lane, never the host — until PromoteHits reclassifies
-// it as a crossing for the request's source. A nil DeliverOn keeps the
-// batched host-queue path.
-func TestLLCHitDeliveryLane(t *testing.T) {
-	cases := []struct {
-		name    string
-		deliver string // delivery lane ("" = nil DeliverOn, batched host path)
-		src     int    // SrcID on the hit request
-		promote int    // SrcID passed to PromoteHits after enqueue (-1 = none)
-		// wantHost: the hit scheduled a host event; wantMail: the delivery
-		// was reclassified as a crossing on the delivery lane.
-		wantHost bool
-		wantMail bool
-	}{
-		{
-			name:    "hit lands on requester's lane",
-			deliver: "core:0", src: 3, promote: -1,
-		},
-		{
-			name:    "nil DeliverOn keeps batched host delivery",
-			deliver: "", promote: -1,
-			wantHost: true,
-		},
-		{
-			name:    "promotion moves the delivery to the frontier",
-			deliver: "core:0", src: 3, promote: 3,
-			wantMail: true,
-		},
-		{
-			name:    "promoting another source is a no-op",
-			deliver: "core:0", src: 3, promote: 9,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			// workers=2: lane delivery only engages when the engine can
-			// execute windows; a serial engine falls back to the host
-			// queue (TestLLCHitSerialEnginesUseHostQueue).
-			eng, s := shardedSystem(t, 2)
-			// Prime the line (miss, fills from DRAM).
-			s.TryEnqueue(&mem.Req{Addr: 0x2000, Kind: mem.Read, Cacheable: true})
-			eng.Run()
-			var deliver sim.Scheduler
-			if tc.deliver != "" {
-				lane, ok := eng.Lane(tc.deliver)
-				if !ok {
-					t.Fatalf("lane %q not in topology", tc.deliver)
-				}
-				deliver = lane
-			}
-			hostBefore := eng.ShardStats().HostPending
-			done := false
-			s.TryEnqueue(&mem.Req{Addr: 0x2000, Kind: mem.Read, Cacheable: true,
-				SrcID: tc.src, DeliverOn: deliver,
-				OnDone: func(clock.Picos) { done = true }})
-			if tc.promote >= 0 {
-				s.PromoteHits(tc.promote)
-			}
-			st := eng.ShardStats()
-			if gotHost := st.HostPending > hostBefore; gotHost != tc.wantHost {
-				t.Errorf("host event scheduled = %v, want %v", gotHost, tc.wantHost)
-			}
-			for _, l := range st.Lanes {
-				want := 0
-				if l.Name == tc.deliver {
-					want = 1
-				}
-				if l.Pending != want {
-					t.Errorf("lane %s has %d pending events, want %d (hits deliver on the requester's lane only)",
-						l.Name, l.Pending, want)
-				}
-			}
-			if tc.deliver != "" {
-				ls := laneStat(t, eng, tc.deliver)
-				if gotMail := ls.MailboxPeak > 0; gotMail != tc.wantMail {
-					t.Errorf("delivery in %s mailbox = %v, want %v", tc.deliver, gotMail, tc.wantMail)
-				}
-			}
-			eng.Run()
-			if !done {
-				t.Fatal("hit completion never fired")
-			}
-			if lst := s.LLC.Stats(); lst.Hits != 1 {
-				t.Errorf("LLC hits = %d, want 1", lst.Hits)
-			}
-		})
-	}
-}
-
-// TestLLCHitSerialEnginesUseHostQueue pins the delivery-path gate: on an
-// engine that executes serially (workers <= 1) a DeliverOn request still
-// uses the batched host queue — lane delivery would add one frontier
-// scan per hit with no window to batch it into — and the completion
-// order is unchanged either way.
-func TestLLCHitSerialEnginesUseHostQueue(t *testing.T) {
-	eng, s := shardedSystem(t, 1)
-	s.TryEnqueue(&mem.Req{Addr: 0x2000, Kind: mem.Read, Cacheable: true})
-	eng.Run()
-	lane, ok := eng.Lane("core:0")
-	if !ok {
-		t.Fatal("core:0 not in topology")
-	}
-	before := eng.ShardStats().HostPending
-	done := false
-	s.TryEnqueue(&mem.Req{Addr: 0x2000, Kind: mem.Read, Cacheable: true,
-		SrcID: 1, DeliverOn: lane,
-		OnDone: func(clock.Picos) { done = true }})
-	st := eng.ShardStats()
-	if st.HostPending != before+1 {
-		t.Errorf("host pending %d -> %d, want the hit batched on the host queue",
-			before, st.HostPending)
-	}
-	if ls := laneStat(t, eng, "core:0"); ls.Pending != 0 {
-		t.Errorf("serial engine put %d events on core:0; lane delivery must be gated off", ls.Pending)
-	}
-	eng.Run()
-	if !done {
-		t.Fatal("hit completion never fired")
-	}
-}
-
-// TestPromoteHitsSelectsBySource pins promotion's per-source selectivity
-// with several deliveries in flight on one lane: only the promoted
-// source's deliveries move to the mailbox, and every delivery still
-// fires exactly once.
-func TestPromoteHitsSelectsBySource(t *testing.T) {
-	eng, s := shardedSystem(t, 2)
-	s.TryEnqueue(&mem.Req{Addr: 0x2000, Kind: mem.Read, Cacheable: true})
-	eng.Run()
-	lane, ok := eng.Lane("core:0")
-	if !ok {
-		t.Fatal("core:0 not in topology")
-	}
-	done := 0
-	for src := 0; src < 3; src++ {
-		s.TryEnqueue(&mem.Req{Addr: 0x2000, Kind: mem.Read, Cacheable: true,
-			SrcID: src, DeliverOn: lane,
-			OnDone: func(clock.Picos) { done++ }})
-	}
-	s.PromoteHits(1)
-	if peak := laneStat(t, eng, "core:0").MailboxPeak; peak != 1 {
-		t.Errorf("mailbox peak = %d after promoting 1 of 3 sources, want 1", peak)
-	}
-	eng.Run()
-	if done != 3 {
-		t.Errorf("%d of 3 hit completions fired", done)
-	}
-	// Promotion after delivery is a no-op, not a double fire.
-	s.PromoteHits(0)
-	eng.Run()
-	if done != 3 {
-		t.Errorf("late PromoteHits re-fired a delivery: %d completions", done)
-	}
-}
-
 // TestWritebackStaysPostedAndLocal forces a dirty eviction and checks the
 // writeback path: the evicted line's write is posted (no callback), so
 // the receiving channel's work stays lane-local — only the triggering
 // fill (which carries the requester's callback) crosses.
 func TestWritebackStaysPostedAndLocal(t *testing.T) {
-	eng, s := shardedSystem(t, 1)
+	eng, s := shardedSystem(t)
 	ways := s.Config().LLC.Ways
 	setStride := uint64(s.Config().LLC.SizeBytes / ways) // same-set stride
 	// Dirty one line, then evict it by filling the set with reads.
 	s.TryEnqueue(&mem.Req{Addr: 0, Kind: mem.Write, Cacheable: true})
 	eng.Run()
-	peaks := func() (total int) {
+	crossings := func() (total uint64) {
 		for _, l := range eng.ShardStats().Lanes {
-			total += l.MailboxPeak
+			total += l.Crossings
 		}
 		return
 	}
-	basePeak := peaks()
+	base := crossings()
 	done := 0
 	for i := 1; i <= ways; i++ {
 		s.TryEnqueue(&mem.Req{Addr: uint64(i) * setStride, Kind: mem.Read, Cacheable: true,
@@ -347,21 +172,20 @@ func TestWritebackStaysPostedAndLocal(t *testing.T) {
 	if wrote != mem.LineBytes {
 		t.Fatalf("writeback traffic = %d bytes, want exactly one line", wrote)
 	}
-	// Every mailbox crossing after the priming write must be one of the
-	// `ways` fills; the posted writeback adds none.
-	if got, want := peaks()-basePeak, ways; got > want {
+	// Every crossing after the priming write must be one of the `ways`
+	// fills; the posted writeback adds none.
+	if got, want := crossings()-base, uint64(ways); got > want {
 		t.Errorf("crossings after eviction = %d, want <= %d (writeback must stay local)",
 			got, want)
 	}
 }
 
 // TestTapObservesEveryLaneSerially pins the trace-tap contract on a
-// sharded machine with parallel windows: the tap sees every accepted
-// request exactly once, identically to a serial run, because TryEnqueue
-// only ever executes from serially-fired events.
+// sharded machine: the tap sees every accepted request exactly once,
+// identically to a plain-engine run.
 func TestTapObservesEveryLaneSerially(t *testing.T) {
-	run := func(workers int) []string {
-		eng, s := shardedSystem(t, workers)
+	run := func(eng *sim.Engine) []string {
+		s := MustNew(eng, smallConfig(MapLocalityBoth))
 		var seen []string
 		s.SetTap(func(now clock.Picos, r *mem.Req) {
 			seen = append(seen, fmt.Sprintf("%d:%x:%v", now, r.Addr, r.Kind))
@@ -382,14 +206,14 @@ func TestTapObservesEveryLaneSerially(t *testing.T) {
 		eng.Run()
 		return seen
 	}
-	serial := run(1)
-	if len(serial) != 64 {
-		t.Fatalf("tap saw %d requests, want 64", len(serial))
+	plain := run(sim.New())
+	if len(plain) != 64 {
+		t.Fatalf("tap saw %d requests, want 64", len(plain))
 	}
-	parallel := run(4)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("tap diverged at %d: %s vs %s", i, serial[i], parallel[i])
+	sharded := run(sim.NewSharded())
+	for i := range plain {
+		if plain[i] != sharded[i] {
+			t.Fatalf("tap diverged at %d: %s vs %s", i, plain[i], sharded[i])
 		}
 	}
 }

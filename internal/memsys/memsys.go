@@ -15,51 +15,18 @@
 //
 // # Sharding contract
 //
-// On a sharded engine (system.Config.Shards >= 1) every channel behind
-// this port simulates on its own event lane, and — with CoreLanes >= 1 —
-// so does every CPU core and the DCE. The memory system is the crossing
-// boundary of that lane topology: every path through this package either
-// runs at the engine's serial frontier or is classified as a crossing
-// that will:
+// On a sharded engine (system.Config.Shards != 0) every channel behind
+// this port schedules on its own event lane. Everything else the memory
+// system owns — the LLC, the page map, the deferred hit queue — is host
+// state on the engine's own heap:
 //
-//   - enqueue crossings (TryEnqueue, WaitSpace, writeback retries) only
-//     ever run from serially-fired events — host events, core-lane
-//     crossing kicks, DCE phase events, channel ticks with registered
-//     waiters. A window never has any of them in flight, so touching the
-//     shared LLC, pushing into a channel's queues, and pulling its
-//     lane's clock forward are all safe;
-//   - complete crossings (a request's OnDone) are mailbox events on the
-//     owning channel's lane: the engine holds them at the frontier and
-//     drains them serially at window barriers in canonical order, so
-//     state on other lanes — a CPU thread's in-flight counters, the DCE
-//     pipeline, replayers — observes completions exactly as a serial run
-//     would;
-//   - LLC hits deliver on the requester's own scheduler when the request
-//     carries one (mem.Req.DeliverOn) and the engine runs parallel
-//     windows: the completion is batched on a per-requester queue whose
-//     standing event is lane-local on the issuing core's lane, so a
-//     computing thread's hit loop never touches the frontier. The
-//     requester asserts its callback is lane-local and promotes
-//     in-flight deliveries back to crossing events (PromoteHits) the
-//     moment that stops holding — its thread blocks, is preempted or
-//     migrates. Requests without a DeliverOn (the DCE, replayers,
-//     transfer helpers) — and every request on an engine that executes
-//     serially, where lane delivery would only add frontier scans —
-//     keep the batched host-lane hit queue (hitEv): host events always
-//     fire serially, in the same delivery order;
-//   - the tap (trace recording) observes requests inside TryEnqueue,
-//     i.e. only ever from serial context, so one recorder safely sees
-//     CPU, DCE and contender traffic from every lane.
-//
-// The core lanes' crossing edge latency is derived from this boundary:
-// min(LLC hit latency, scheduler quantum) — see
-// system.Config.CoreLaneLookahead. Everything else the memory system
-// owns (the LLC, the page map, the deferred hit queues) is host state
-// and never touched from a lane-local event — except each per-scheduler
-// hit queue (hitLane), which is owned by its scheduler's lane exactly
-// like the lane's own heap: entries are appended from serial context
-// (TryEnqueue) and drained by the lane firing its own standing delivery
-// event, never concurrently.
+//   - enqueue paths (TryEnqueue, WaitSpace, writeback retries) run from
+//     host events, crossing events and other enqueues;
+//   - a request's OnDone runs from a crossing event on the owning
+//     channel's lane, or — for an LLC hit — from the batched host-lane hit
+//     queue (hitEv);
+//   - the tap (trace recording) observes requests inside TryEnqueue, so
+//     one recorder sees CPU, DCE and contender traffic from every lane.
 package memsys
 
 import (
@@ -167,133 +134,18 @@ type System struct {
 	// attaches here.
 	tap func(now clock.Picos, r *mem.Req)
 
-	// hitQ defers LLC-hit completions for requests without a DeliverOn:
-	// the hit latency is a constant, so completions are FIFO and one
-	// standing host event drains the queue — no per-hit event allocation.
+	// hitQ defers LLC-hit completions: the hit latency is a constant, so
+	// completions are FIFO and one standing host event drains the queue —
+	// no per-hit event allocation.
 	hitQ    []hitDone
 	hitHead int
 	hitEv   sim.Event
-
-	// hitLanes batches per-requester hit deliveries (mem.Req.DeliverOn),
-	// one queue per scheduler because delivery events fire lane-locally:
-	// a queue may only ever be drained by its own lane (or serial
-	// context), never shared across lanes inside a window. hitLaneList
-	// mirrors the map in creation order so PromoteHits walks
-	// deterministically.
-	hitLanes    map[sim.Scheduler]*hitLane
-	hitLaneList []*hitLane
-	// laneHits gates the per-requester path: true only when the engine
-	// runs windows (Workers > 1), where lane-local deliveries execute in
-	// batched lane dispatch instead of one frontier scan per event.
-	laneHits bool
 }
 
-// hitDone is one deferred LLC-hit completion on the batched host path.
+// hitDone is one deferred LLC-hit completion.
 type hitDone struct {
 	at   clock.Picos
 	done func(clock.Picos)
-}
-
-// hitLane is the per-scheduler queue of in-flight lane-delivered hits
-// (mem.Req.DeliverOn). Completions enqueue in timestamp order (the hit
-// latency is a constant and TryEnqueue is serial), so each delivery
-// lane gets the same amortization as the batched host path: one
-// standing lane-local event drains the FIFO — no per-hit event, no
-// per-hit allocation. Only the owning lane (or serial context) fires
-// the event, and TryEnqueue/PromoteHits run serially, so the queue is
-// never touched from two contexts at once.
-type hitLane struct {
-	sched sim.Scheduler
-	q     []laneHit
-	head  int
-	ev    sim.Event
-	// promoted records that a requester with deliveries still queued
-	// has stopped being lane-local (blocked, preempted, migrated or
-	// exited): until the queue drains, every fire and re-arm of the
-	// delivery event stays a crossing, so no delivery for that
-	// requester can run inside a window.
-	promoted bool
-}
-
-// laneHit is one deferred lane-delivered hit completion.
-type laneHit struct {
-	at   clock.Picos
-	done func(clock.Picos)
-	src  int
-}
-
-// OnEvent delivers every matured hit on this lane — lane-locally inside
-// a window, or serially at the frontier after a promotion. Mirrors the
-// host path's fireHits: callbacks may enqueue further hits while we
-// drain.
-func (hl *hitLane) OnEvent(now clock.Picos) {
-	for hl.head < len(hl.q) && hl.q[hl.head].at <= now {
-		h := hl.q[hl.head]
-		hl.q[hl.head] = laneHit{} // drop the callback reference
-		hl.head++
-		h.done(now)
-	}
-	if hl.head == len(hl.q) {
-		hl.q = hl.q[:0]
-		hl.head = 0
-		hl.promoted = false // every promoted delivery has fired
-		return
-	}
-	if next := hl.q[hl.head].at; !hl.ev.Scheduled() || hl.ev.When() > next {
-		hl.arm(next)
-	}
-}
-
-// arm schedules the lane's delivery event, preserving a promotion:
-// while a promoted delivery is still queued the event must keep firing
-// at the serial frontier, not inside a window.
-func (hl *hitLane) arm(at clock.Picos) {
-	if hl.promoted {
-		hl.sched.Schedule(&hl.ev, at)
-	} else {
-		hl.sched.ScheduleLocal(&hl.ev, at)
-	}
-}
-
-// scheduleLaneHit appends one hit completion to the requester's own
-// delivery queue. Always called from serial context (TryEnqueue), so
-// creating queues and arming lane events is safe.
-func (s *System) scheduleLaneHit(r *mem.Req, at clock.Picos) {
-	hl := s.hitLanes[r.DeliverOn]
-	if hl == nil {
-		if s.hitLanes == nil {
-			s.hitLanes = make(map[sim.Scheduler]*hitLane)
-		}
-		hl = &hitLane{sched: r.DeliverOn}
-		hl.ev.Init(hl)
-		s.hitLanes[r.DeliverOn] = hl
-		s.hitLaneList = append(s.hitLaneList, hl)
-	}
-	hl.q = append(hl.q, laneHit{at: at, done: r.OnDone, src: r.SrcID})
-	if !hl.ev.Scheduled() {
-		hl.arm(at)
-	}
-}
-
-// PromoteHits implements mem.HitPromoter: any delivery queue holding an
-// in-flight hit tagged srcID has its standing event reclassified as a
-// crossing, because the requester's completion callback is about to
-// stop being lane-local (its thread blocks, is preempted or migrates).
-// Promotion is per-queue, so same-lane deliveries of other requesters
-// ride along to the frontier — a pure execution-mode change: promotion
-// never reorders a delivery, it only changes where it executes, so
-// results are unaffected by construction. Only called from serial
-// context.
-func (s *System) PromoteHits(srcID int) {
-	for _, hl := range s.hitLaneList {
-		for i := hl.head; i < len(hl.q); i++ {
-			if hl.q[i].src == srcID {
-				hl.promoted = true
-				hl.sched.Promote(&hl.ev)
-				break
-			}
-		}
-	}
 }
 
 // New assembles the memory system.
@@ -339,12 +191,6 @@ func New(eng *sim.Engine, cfg Config) (*System, error) {
 		s.pages = NewPageMap(cfg.DRAM.Geometry.TotalBytes(), cfg.ArenaBytes, cfg.PageSeed)
 	}
 	s.hitEv.Init(sim.HandlerFunc(s.fireHits))
-	// Lane delivery pays off only when windows can actually execute
-	// lane-local events in batches; on a serial engine (or a sharded
-	// queue run serially) every extra event is one more frontier scan,
-	// so the batched host queue is strictly cheaper and delivers in the
-	// same order.
-	s.laneHits = eng.Workers() > 1
 	return s, nil
 }
 
@@ -417,13 +263,9 @@ func (s *System) TryEnqueue(r *mem.Req) bool {
 		s.LLC.Access(r.Addr, r.Kind == mem.Write) // hit: update LRU/dirty
 		if r.OnDone != nil {
 			at := s.eng.Now() + s.cfg.LLCHitLatency
-			if r.DeliverOn != nil && s.laneHits {
-				s.scheduleLaneHit(r, at)
-			} else {
-				s.hitQ = append(s.hitQ, hitDone{at: at, done: r.OnDone})
-				if !s.hitEv.Scheduled() {
-					s.eng.Schedule(&s.hitEv, at)
-				}
+			s.hitQ = append(s.hitQ, hitDone{at: at, done: r.OnDone})
+			if !s.hitEv.Scheduled() {
+				s.eng.Schedule(&s.hitEv, at)
 			}
 		}
 		return true
@@ -499,4 +341,3 @@ func (s *System) WaitSpace(fn func()) {
 func (s *System) Idle() bool { return s.DRAM.Idle() && s.PIM.Idle() }
 
 var _ mem.Port = (*System)(nil)
-var _ mem.HitPromoter = (*System)(nil)

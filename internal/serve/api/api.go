@@ -45,19 +45,20 @@ const (
 )
 
 // JobRequest is the body of POST /v1/jobs: one experiment render at one
-// scale under an explicit runner topology and cache mode. Zero values
-// select the server's defaults (quick scale, serial engine, rw cache),
-// mirroring the CLI flag defaults.
+// scale on an explicit engine class and cache mode. Zero values select
+// the server's defaults (quick scale, plain engine, rw cache), mirroring
+// the CLI flag defaults.
 type JobRequest struct {
 	Schema     string `json:"schema"`
 	Experiment string `json:"experiment"`
 	// Scale is "quick" (default) or "full".
 	Scale string `json:"scale,omitempty"`
-	// Shards and CoreLanes take the CLI flag syntax: a count or "auto".
-	// They steer how fast the simulation runs, never what it returns —
-	// results are byte-identical across topologies by contract.
-	Shards    string `json:"shards,omitempty"`
-	CoreLanes string `json:"core_lanes,omitempty"`
+	// Shards takes the CLI flag syntax: a count or "auto". "0" (the
+	// default) selects the plain engine, any other value the sharded
+	// engine. The two engine classes are separate event orders, so
+	// results can differ between them (fig8, fig14); within a class they
+	// are byte-identical.
+	Shards string `json:"shards,omitempty"`
 	// Workers caps the sweep worker pool for this job (0 = server
 	// default).
 	Workers int `json:"workers,omitempty"`
@@ -108,7 +109,7 @@ type JobEvent struct {
 // output: the machine-readable per-design-point results plus the
 // deterministic text render of exactly those results. Identical
 // (experiment, scale, config) inputs produce byte-identical
-// ExperimentResult JSON regardless of worker count or lane topology —
+// ExperimentResult JSON regardless of worker count —
 // the server stores and serves the marshaled bytes verbatim.
 type ExperimentResult struct {
 	Schema     string `json:"schema"`

@@ -142,7 +142,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 			`did you mean \"headline\"?`},
 		{"bad scale", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Scale: "huge"}, "unknown scale"},
 		{"bad shards", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Shards: "many"}, "shards"},
-		{"core lanes require shards", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", CoreLanes: "2"}, "CoreLanes"},
+		{"negative shards", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Shards: "-2"}, "shard count"},
 		{"bad cache mode", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Cache: "maybe"}, "cache mode"},
 		{"negative workers", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Workers: -1}, "workers"},
 	}
@@ -160,6 +160,21 @@ func TestServeRejectsBadRequests(t *testing.T) {
 				t.Fatalf("error body not a schema-stamped api.Error: %s", body)
 			}
 		})
+	}
+}
+
+// TestServeIgnoresRetiredCoreLanes pins compatibility with clients that
+// still send the retired core_lanes field: the decoder ignores it.
+func TestServeIgnoresRetiredCoreLanes(t *testing.T) {
+	ts := startServer(t, Config{})
+	body := `{"schema":"` + api.SchemaVersion + `","experiment":"table1","shards":"auto","core_lanes":"2"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want the job accepted", resp.StatusCode)
 	}
 }
 
@@ -249,9 +264,9 @@ func TestServeStaticExperiment(t *testing.T) {
 // TestServeDedupAndTopologyIdentity is the acceptance test: a cold
 // submit simulates once; concurrent identical submissions share that
 // one job; warm resubmits — including from a fresh server process at a
-// different lane topology — serve the stored payload with zero
-// additional simulations; and a cold recompute at a different topology
-// yields byte-identical response bodies.
+// different shard count in the same engine class — serve the stored
+// payload with zero additional simulations; and a cold recompute at
+// that shard count yields byte-identical response bodies.
 func TestServeDedupAndTopologyIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed; skipped in -short")
@@ -322,19 +337,18 @@ func TestServeDedupAndTopologyIdentity(t *testing.T) {
 	}
 
 	// Warm resubmit from a fresh server process sharing the store, at a
-	// different topology and worker count: the serve key is topology-
-	// neutral, so the stored payload serves without simulating.
+	// different shard count and worker count: the serve key carries only
+	// the engine class, so the stored payload serves without simulating.
 	ts2 := startServer(t, Config{Store: store})
 	req2 := req
 	req2.Shards = "4"
-	req2.CoreLanes = "2"
 	req2.Workers = 2
 	st2, code, body := postJob(t, ts2, req2)
 	if code != http.StatusOK {
-		t.Fatalf("cross-topology warm submit status %d: %s", code, body)
+		t.Fatalf("cross-shard warm submit status %d: %s", code, body)
 	}
 	if !st2.Cached || st2.State != api.StateDone {
-		t.Fatalf("cross-topology warm submit not served from store: %+v", st2)
+		t.Fatalf("cross-shard warm submit not served from store: %+v", st2)
 	}
 	warmBody := fetchResult(t, ts2, st2.ID)
 	if !bytes.Equal(cold, warmBody) {
@@ -344,20 +358,20 @@ func TestServeDedupAndTopologyIdentity(t *testing.T) {
 		t.Fatalf("warm serving wrote %d new entries", got-coldStores)
 	}
 
-	// Cold recompute at a different topology (fresh store, so nothing
+	// Cold recompute at a different shard count (fresh store, so nothing
 	// can be served): the response body must be byte-identical — the
 	// determinism contract, visible at the API boundary.
 	ts3 := startServer(t, Config{Store: openStore(t, t.TempDir())})
 	st3, code, body := postJob(t, ts3, req2)
 	if code != http.StatusAccepted {
-		t.Fatalf("cold cross-topology submit status %d: %s", code, body)
+		t.Fatalf("cold cross-shard submit status %d: %s", code, body)
 	}
 	if f := waitDone(t, ts3, st3.ID); f.State != api.StateDone {
-		t.Fatalf("cross-topology job failed: %+v", f)
+		t.Fatalf("cross-shard job failed: %+v", f)
 	}
 	recomputed := fetchResult(t, ts3, st3.ID)
 	if !bytes.Equal(cold, recomputed) {
-		t.Fatalf("recomputed body at shards=4/core-lanes=2 differs from shards=1 body:\n%s\n%s",
+		t.Fatalf("recomputed body at shards=4 differs from shards=1 body:\n%s\n%s",
 			cold, recomputed)
 	}
 }

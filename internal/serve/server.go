@@ -1,6 +1,6 @@
 // Package serve is the simulation-as-a-service front end: an HTTP
-// server that accepts experiment jobs — (experiment, scale, runner
-// topology, cache mode) — validates them against the harness registry,
+// server that accepts experiment jobs — (experiment, scale, engine
+// class, cache mode) — validates them against the harness registry,
 // dedupes identical in-flight and completed submissions through the
 // content-addressed result cache *before* they reach a worker, admission-
 // controls a bounded sweep-backed worker pool, and streams per-job
@@ -8,12 +8,12 @@
 //
 // The serving contract rides the repository's two load-bearing
 // invariants. Determinism: identical (experiment, scale, config) inputs
-// produce byte-identical results at every worker count and lane
-// topology, so a cached payload is indistinguishable from a fresh
-// computation and the server can serve stored bytes verbatim.
-// Content-addressed keys: a job's serve key binds the code version and
-// every planned design-point key (themselves topology-neutral since the
-// fingerprint masks result-neutral fields), so "same request" is
+// produce byte-identical results at every worker count, so a cached
+// payload is indistinguishable from a fresh computation and the server
+// can serve stored bytes verbatim. Content-addressed keys: a job's serve
+// key binds the code version and every planned design-point key (each of
+// which keys the engine class but not the shard count), so "same
+// request" is
 // decidable before simulating — two submissions with equal keys cost
 // one simulation, whether they arrive concurrently (single-flight on
 // the in-flight job) or a week apart (the completed-result store).
@@ -140,7 +140,7 @@ func (s *Server) validate(req api.JobRequest) (accepted, error) {
 	if err != nil {
 		return a, err
 	}
-	sh, cl, _, err := harness.ResolveTopology(req.Shards, req.CoreLanes)
+	sh, _, _, err := harness.ResolveTopology(req.Shards, "")
 	if err != nil {
 		return a, err
 	}
@@ -160,7 +160,7 @@ func (s *Server) validate(req api.JobRequest) (accepted, error) {
 		workers = s.cfg.Workers
 	}
 	a.exp, a.sc = exp, sc
-	a.runner = &harness.Runner{Shards: sh, CoreLanes: cl, Workers: workers}
+	a.runner = &harness.Runner{Shards: sh, Workers: workers}
 	a.plan = exp.Plan(a.runner, sc)
 	a.key = serveKey(exp.Name, sc, a.plan)
 	a.mode = parsedMode
@@ -170,9 +170,9 @@ func (s *Server) validate(req api.JobRequest) (accepted, error) {
 
 // serveKey is the dedup identity of one submission: the code version,
 // the experiment, the scale, and every planned design-point key. Plan
-// keys are topology-neutral (the config fingerprint masks result-
-// neutral fields), so submissions differing only in shards/core-lanes/
-// workers share a key — and therefore a simulation.
+// keys carry the engine class but not the shard count, so submissions
+// differing only in non-zero shards or in workers share a key — and
+// therefore a simulation.
 func serveKey(experiment string, sc harness.Scale, p harness.Plan) string {
 	keys := make([]string, len(p.Jobs))
 	for i, j := range p.Jobs {

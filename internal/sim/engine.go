@@ -2,13 +2,12 @@
 // every timed component in the repository: DDR4 channel controllers, CPU
 // cores, the OS thread scheduler, the Data Copy Engine, and workload agents.
 //
-// The engine is a priority queue of events, single-threaded by default.
-// Determinism is guaranteed: events at the same timestamp fire in
-// insertion order (and a reschedule counts as a fresh insertion), so
-// repeated runs of the same configuration produce bit-identical results.
-// NewSharded additionally partitions the queue into per-component lanes
-// and runs provably independent stretches of them in parallel with the
-// same determinism guarantee — see sharded.go.
+// The engine is a single-threaded priority queue of events. Determinism
+// is guaranteed: events at the same timestamp fire in insertion order
+// (and a reschedule counts as a fresh insertion), so repeated runs of the
+// same configuration produce bit-identical results. NewSharded builds the
+// second engine class, which partitions the queue into per-component
+// lanes merged in a canonical order — see sharded.go.
 //
 // Two scheduling styles coexist:
 //
@@ -49,11 +48,11 @@ type Event struct {
 	seq uint64
 	pos int // heap index + 1; 0 when unscheduled
 
-	// Sharded-engine fields (see sharded.go); all zero on a serial engine.
-	lane    *Lane       // owning lane once scheduled through one
-	schedAt clock.Picos // simulated time of the most recent (re)schedule
-	xseq    uint64      // frontier sequence: fresh from serial context, inherited in windows
-	mpos    int         // mailbox (crossing sub-heap) index + 1; 0 when local
+	// Sharded-engine fields (see sharded.go); all zero on a plain engine.
+	lane     *Lane       // owning lane once scheduled through one
+	schedAt  clock.Picos // simulated time of the most recent (re)schedule
+	xseq     uint64      // frontier sequence: fresh, or inherited from a firing local event
+	crossing bool        // scheduled (or promoted) as a crossing event
 }
 
 // Init binds the handler. Calling Init on a scheduled event is a
@@ -107,7 +106,7 @@ func (te *tickerEvent) OnEvent(now clock.Picos) {
 	}
 }
 
-// Engine is the event loop. The zero value is ready to use (as a serial
+// Engine is the event loop. The zero value is ready to use (as a plain
 // engine; sharded engines are built with NewSharded).
 type Engine struct {
 	now    clock.Picos
@@ -117,10 +116,11 @@ type Engine struct {
 	fired  uint64
 	freeFn *funcEvent
 
-	// shards, when non-nil, enables per-lane sharded execution: the
-	// engine's own heap becomes the host lane (lane 0) and components may
-	// claim additional lanes via NewLane. See sharded.go.
-	shards *shardSet
+	// laned selects the sharded engine class: the engine's own heap is
+	// the host lane (lane 0) and components may claim additional lanes
+	// via NewLane. See sharded.go.
+	laned bool
+	lanes []*Lane
 }
 
 // New returns a fresh engine with its clock at time zero.
@@ -130,23 +130,13 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) Now() clock.Picos { return e.now }
 
 // Fired reports how many events have run, a cheap progress/cost metric.
-func (e *Engine) Fired() uint64 {
-	n := e.fired
-	if e.shards != nil {
-		for _, l := range e.shards.lanes {
-			n += l.fired
-		}
-	}
-	return n
-}
+func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports the number of scheduled events not yet fired.
 func (e *Engine) Pending() int {
 	n := len(e.heap)
-	if e.shards != nil {
-		for _, l := range e.shards.lanes {
-			n += len(l.heap)
-		}
+	for _, l := range e.lanes {
+		n += len(l.heap)
 	}
 	return n
 }
@@ -158,11 +148,9 @@ func (e *Engine) Next() clock.Picos {
 	if len(e.heap) > 0 {
 		t = e.heap[0].at
 	}
-	if e.shards != nil {
-		for _, l := range e.shards.lanes {
-			if len(l.heap) > 0 && l.heap[0].at < t {
-				t = l.heap[0].at
-			}
+	for _, l := range e.lanes {
+		if len(l.heap) > 0 && l.heap[0].at < t {
+			t = l.heap[0].at
 		}
 	}
 	return t
@@ -335,12 +323,11 @@ func (e *Engine) At(t clock.Picos, fn func()) {
 // After schedules fn to run d picoseconds from now.
 func (e *Engine) After(d clock.Picos, fn func()) { e.At(e.now+d, fn) }
 
-// Step fires the single earliest event (on a sharded engine: one serial
-// frontier event, or one whole conservative window of shard-local events).
-// It reports false when no events remain.
+// Step fires the single earliest event (on a sharded engine, in the
+// canonical order across lanes). It reports false when no events remain.
 func (e *Engine) Step() bool {
-	if e.shards != nil {
-		return e.shardedStep(clock.Never)
+	if e.laned {
+		return e.lanedStep(clock.Never)
 	}
 	if len(e.heap) == 0 {
 		return false
@@ -354,9 +341,6 @@ func (e *Engine) Step() bool {
 
 // Run fires events until the queue drains.
 func (e *Engine) Run() {
-	if e.shards != nil {
-		defer e.enterRun()()
-	}
 	for e.Step() {
 	}
 }
@@ -364,9 +348,8 @@ func (e *Engine) Run() {
 // RunUntil fires events with timestamps <= deadline, leaving later events
 // queued. The engine clock ends at the deadline.
 func (e *Engine) RunUntil(deadline clock.Picos) {
-	if e.shards != nil {
-		defer e.enterRun()()
-		for e.shardedStep(deadline) {
+	if e.laned {
+		for e.lanedStep(deadline) {
 		}
 	} else {
 		for len(e.heap) > 0 && e.heap[0].at <= deadline {
@@ -379,34 +362,9 @@ func (e *Engine) RunUntil(deadline clock.Picos) {
 }
 
 // RunWhile fires events until cond reports false or the queue drains.
-// cond is checked after every step. On a sharded engine one step may fire
-// a whole window of shard-local events, so cond must depend only on
-// host-lane state (completion flags, callback-set results): host state
-// only ever changes at the serial frontier, where cond is evaluated after
-// every event exactly like the serial engine. A condition that reads
-// component state a window batches past — queue occupancies, channel
-// counters — must use RunWhileSerial instead, or shard counts could
-// disagree on where it stopped.
+// cond is checked after every event.
 func (e *Engine) RunWhile(cond func() bool) {
-	if e.shards != nil {
-		defer e.enterRun()()
-	}
 	for cond() && e.Step() {
-	}
-}
-
-// RunWhileSerial is RunWhile with window execution disabled: every event
-// fires one at a time with cond evaluated between events, on any engine.
-// Use it when cond reads state that shard-local events mutate; the serial
-// stop point is then identical across shard counts (at the cost of no
-// parallelism, so keep it to short phases such as queue drains).
-func (e *Engine) RunWhileSerial(cond func() bool) {
-	if e.shards == nil {
-		for cond() && e.Step() {
-		}
-		return
-	}
-	for cond() && e.serialStep(clock.Never) {
 	}
 }
 

@@ -1,94 +1,55 @@
-// Sharded execution: conservative-window parallel simulation of a single
-// machine.
+// Laned execution: the sharded engine class.
 //
 // A sharded engine partitions the event queue into lanes, one per
-// component whose interactions with the rest of the machine pass through
-// a latency-protected boundary. The lane set comes from a Topology
-// (NewShardedTopology; see topology.go) — DDR4 channels, CPU cores and
-// the DCE each claim their named lane — or from dynamic NewLane calls
-// (NewSharded). Lane 0 — the host lane — is the engine's own heap and
-// carries everything else that touches shared machine state: the
-// LLC/memsys front end, the OS scheduler, tickers and closures. A lane is
-// one shard of the event queue with its own intrusive heap, its own
-// clock, and its own serially assigned sequence numbers.
+// component that claims one (NewLane): the DDR4 channels of both device
+// sets and the DCE. Lane 0 — the host lane — is the engine's own heap
+// and carries everything else: the LLC/memsys front end, the CPU cores,
+// the OS scheduler, tickers and closures. A lane is one shard of the
+// event queue with its own intrusive heap and its own serially assigned
+// sequence numbers.
 //
-// Every scheduled event is classified at schedule time:
+// Every event fires serially, one at a time, in a canonical order across
+// the heaps: (timestamp, schedule timestamp, frontier sequence, lane,
+// per-lane seq) — see headBefore. The frontier sequence is a global
+// counter stamped on every event scheduled from host code or from a
+// crossing event's handler. An event scheduled by a lane-local event's
+// handler instead inherits that event's stamp, so a lane-local chain
+// carries the stamp of the crossing (or host) event that started it.
+//
+// Every lane event is classified at schedule time:
 //
 //   - local: firing it touches only its lane's state (a channel scheduler
 //     tick with no registered waiters, a data-burst completion with no
-//     completion callback, a CPU compute-span end whose continuation is
-//     provably another span). Local events may fire concurrently with
-//     other lanes' local events.
-//   - crossing: firing it may touch state outside its lane (any host
-//     event, a completion that invokes a caller's OnDone, a tick that will
-//     notify queue-space waiters, a CPU execution step that may issue
-//     memory operations). Crossing events are entered into the lane's
-//     mailbox — a sub-heap ordered by timestamp — and only ever fire
-//     serially, at the shared frontier, in a canonical deterministic
-//     order.
+//     completion callback);
+//   - crossing: firing it may touch state outside its lane (a completion
+//     that invokes a caller's OnDone, a tick that will notify queue-space
+//     waiters, any DCE event).
 //
-// The dispatcher alternates between two modes:
+// The classification only decides which frontier sequence the handler's
+// own schedules carry; it never delays or reorders the event itself.
 //
-//   - Window mode: let H be the earliest crossing timestamp anywhere (the
-//     frontier) capped by every lane's conservative lookahead — the
-//     minimum delay after which a lane-local event can schedule a new
-//     crossing, derived from the lane's topology edges (for a DDR4
-//     channel, the command-to-data latency min(CL,CWL)+BL: nothing a
-//     controller does becomes externally visible sooner than its data
-//     burst; for a CPU core, min(LLC hit latency, scheduler quantum)).
-//     All events strictly before H are provably lane-local and independent
-//     across lanes, so the lanes drain them in parallel, each stopping at
-//     H or at its first crossing event. Small windows execute inline on
-//     the caller's goroutine instead of dispatching the pool (batched
-//     drains beat per-event frontier scans even single-threaded). At the
-//     window barrier the mailboxes are re-examined and the frontier
-//     advances.
-//   - Serial fallback: when the window degenerates (fewer than two lanes
-//     have runnable local events before H, or the engine was built with
-//     one worker), the single earliest event fires on the caller's
-//     goroutine, exactly like the serial engine.
-//
-// Determinism contract: results are byte-identical across worker counts by
-// construction — window execution only ever covers commuting events, and
-// the serial frontier uses a canonical order, (timestamp, schedule
-// timestamp, frontier sequence, lane, per-lane seq), that does not depend
-// on how many workers execute windows. The frontier sequence is a global
-// counter stamped on every event scheduled from host code or from a
-// crossing event's handler (both only ever run serially); an event
-// scheduled by a lane-local event's handler instead inherits that event's
-// stamp — whether the local event fired inside a window or one-at-a-time
-// at a degenerate frontier — so a lane-local chain carries the stamp of
-// the serial event that started it.
-// That reproduces the plain engine's insertion order wherever the two
-// engines can be compared: frontier-scheduled events tie-break exactly as
-// plain insertion, and same-instant cohorts of window-scheduled events
-// (for example lockstep CPU cores ending identical compute spans) order by
-// the serial roots of their chains — again plain insertion order,
-// independent of how cores are partitioned onto lanes. The cross-shard
-// regression tests pin this equivalence on every experiment.
+// The plain engine orders same-instant events by insertion alone, so the
+// two engine classes can break ties differently on some workloads (fig8,
+// fig14, a Fig. 13 contended transfer). Both orders are deterministic;
+// the result cache keys them apart (system.Config.Shards).
 package sim
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/clock"
 )
 
 // Scheduler is the scheduling surface a timed component binds its standing
-// events to: the serial engine itself, or one lane of a sharded engine.
+// events to: the plain engine itself, or one lane of a sharded engine.
 // Components that can classify their events (see ScheduleLocal) should
 // hold a Scheduler instead of an *Engine so they shard transparently.
 type Scheduler interface {
-	// Now reports the component's current simulated time: the lane-local
-	// clock while the lane runs a window, the engine clock otherwise.
+	// Now reports the current simulated time.
 	Now() clock.Picos
 	// Schedule places a crossing event: one whose handler may touch state
 	// outside the component's lane.
 	Schedule(ev *Event, t clock.Picos)
 	// ScheduleLocal places a lane-local event: the caller asserts the
-	// handler touches nothing outside its lane. On a serial engine this is
+	// handler touches nothing outside its lane. On the plain engine this is
 	// identical to Schedule.
 	ScheduleLocal(ev *Event, t clock.Picos)
 	// Cancel removes the event if scheduled.
@@ -97,203 +58,59 @@ type Scheduler interface {
 	// (a waiter registered against the component after the event was
 	// scheduled). No-op when unscheduled or already crossing.
 	Promote(ev *Event)
-	// SetCrossingFree declares whether the component currently cannot
-	// schedule any crossing event at all (for a DDR4 channel: no queued
-	// request carries a completion callback and no waiter is registered).
-	// A crossing-free lane needs no conservative lookahead cap, so
-	// windows stretch to the next real frontier event. Transitions to
-	// false only happen from host context (serial), which is what makes
-	// the relaxation safe.
-	SetCrossingFree(free bool)
 }
 
-// ScheduleLocal on the serial engine is plain Schedule: everything shares
+// ScheduleLocal on the plain engine is plain Schedule: everything shares
 // one heap, so locality carries no meaning.
 func (e *Engine) ScheduleLocal(ev *Event, t clock.Picos) { e.Schedule(ev, t) }
 
-// Promote is a no-op on the serial engine.
+// Promote is a no-op on the plain engine.
 func (e *Engine) Promote(*Event) {}
-
-// SetCrossingFree is a no-op on the serial engine.
-func (e *Engine) SetCrossingFree(bool) {}
 
 var _ Scheduler = (*Engine)(nil)
 var _ Scheduler = (*Lane)(nil)
 
-// shardSet is the sharded extension of an Engine.
-type shardSet struct {
-	workers int
-	lanes   []*Lane
-	pool    *windowPool
-	// runDepth counts nested Run/RunUntil/RunWhile calls; the worker
-	// pool only exists inside them, so no goroutine outlives a run loop.
-	runDepth int
-
-	// byName/topo are set when the engine was built from a Topology
-	// (NewShardedTopology); byName is nil for dynamically claimed lanes.
-	byName map[string]*Lane
-	topo   Topology
-
-	// active lists lanes with at least one scheduled event, the only
-	// lanes a frontier step must scan. Activation happens at schedule
-	// time (a lane scheduling inside a window is necessarily active
-	// already, so only serial contexts mutate the list); deactivation is
-	// lazy — the frontier scan prunes empty lanes — because windows drain
-	// heaps concurrently.
-	active []*Lane
-
-	// inlineNext, when true, runs the next window on the caller's
-	// goroutine instead of dispatching the pool: the previous window was
-	// too small for dispatch to amortize (a few lockstep core events
-	// rather than a channel-bound burst). Execution mode cannot affect
-	// results — window events commute and stamping is mode-independent —
-	// so this is purely a wall-clock adaptation.
-	inlineNext bool
-
-	// Adaptive window controller (see tune): the inline dispatch
-	// threshold and the pool's worker target both track the live
-	// counters instead of being compile-time constants. Like inlineNext,
-	// neither can affect simulation results — only which goroutine runs
-	// a window and how big a window must be before the pool is woken.
-	inlineMax  uint64 // events-per-worker threshold for inline windows
-	poolTarget int    // worker goroutines windows should currently use
-	tuneAt     uint64 // value of windows at the last controller update
-	tuneEvents uint64 // events fired in windows since the last update
-	tuneInline uint64 // inline windows since the last update
-	tuneSerial uint64 // serialSteps snapshot at the last update
-
-	// Wall-time cost model (see costmodel.go): a coarse monotonic clock
-	// sampled every costSampleInterval windows / serial steps feeds the
-	// EWMAs tune consults. wallClock is swappable for tests
-	// (Engine.SetWallClock); both sampling sites run in serial context
-	// only, so no synchronization is needed.
-	wallClock func() int64
-	cost      costModel
-
-	// Instrumentation (ShardStats).
-	windows         uint64 // parallel windows executed
-	inlineWindows   uint64 // subset executed inline (small-window path)
-	serialSteps     uint64 // serial frontier fires
-	laneSerialFired uint64 // subset of Engine.fired that hit lanes
-}
-
-// Adaptive controller bounds. inlineMax is the events-per-window
-// threshold (per worker) below which the next window runs inline:
-// dispatching parked workers costs on the order of a microsecond, so a
-// window needs a multiple of the worker count in events before parallel
-// execution can pay for it. The controller starts at inlineMaxInit (the
-// PR 4 constant) and retunes every tuneInterval windows from the live
-// ShardStats counters — events per window, the inline-window ratio, the
-// serial-fallback rate and the mailbox depth (see tune).
-const (
-	tuneInterval  = 64
-	inlineMaxMin  = 2
-	inlineMaxMax  = 64
-	inlineMaxInit = 6
-)
-
 // NewSharded returns an engine whose components may claim per-shard event
-// lanes (NewLane); windows of provably independent lane-local events run
-// across up to workers goroutines. workers <= 1 still shards the event
-// queue but executes everything serially — the determinism reference.
-func NewSharded(workers int) *Engine {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Engine{shards: &shardSet{
-		workers:    workers,
-		inlineMax:  inlineMaxInit,
-		poolTarget: workers,
-		wallClock:  wallNanos,
-	}}
+// lanes (NewLane).
+func NewSharded() *Engine {
+	return &Engine{laned: true}
 }
 
-// Sharded reports whether the engine was built with NewSharded.
-func (e *Engine) Sharded() bool { return e.shards != nil }
-
-// Workers reports how many goroutines execute windows (1 for a serial
-// engine).
-func (e *Engine) Workers() int {
-	if e.shards == nil {
-		return 1
-	}
-	return e.shards.workers
-}
-
-// NewLane claims a fresh event lane with the given conservative lookahead:
-// the minimum simulated delay between a lane-local event firing and any
-// crossing event it can schedule. A zero lookahead makes the lane
-// serial-only. On a serial engine NewLane returns the engine itself, so
-// components shard transparently.
-func (e *Engine) NewLane(lookahead clock.Picos) Scheduler {
-	if e.shards == nil {
+// NewLane claims a fresh event lane named name. Lane ids follow claim
+// order and are part of the canonical event order, so a machine must
+// claim its lanes in a fixed order. On the plain engine NewLane returns
+// the engine itself, so components shard transparently.
+func (e *Engine) NewLane(name string) Scheduler {
+	if !e.laned {
 		return e
 	}
-	// Lanes are claimed at machine construction: the window pool and the
-	// worker partition snapshot the lane set, so growing it mid-run would
-	// leave the new lane undrained by windows.
-	if e.shards.pool != nil || e.shards.runDepth > 0 {
-		panic("sim: NewLane while the engine is running")
-	}
-	if lookahead < 0 {
-		lookahead = 0
-	}
-	l := &Lane{eng: e, id: len(e.shards.lanes) + 1, lookahead: lookahead}
-	e.shards.lanes = append(e.shards.lanes, l)
+	l := &Lane{eng: e, id: len(e.lanes) + 1, name: name}
+	e.lanes = append(e.lanes, l)
 	return l
 }
 
 // Lane is one shard of a sharded engine's event queue.
 type Lane struct {
-	eng       *Engine
-	id        int
-	name      string // topology name; "" for dynamically claimed lanes
-	lookahead clock.Picos
-	// crossingFree mirrors the component's SetCrossingFree declaration;
-	// while true the lane's lookahead cap is waived.
-	crossingFree bool
+	eng  *Engine
+	id   int
+	name string
 
-	now   clock.Picos // last fired event's timestamp in this lane
-	seq   uint64
-	fired uint64   // events fired inside windows (runLocal)
-	heap  []*Event // all scheduled events, (at, seq) order
-	mail  []*Event // mailbox: the crossing subset, ordered by at
-
-	// activeIdx is the lane's position + 1 in shardSet.active (0 when
-	// not listed).
-	activeIdx int
+	seq  uint64
+	heap []*Event // all scheduled events, (at, seq) order
 
 	// curXseq/firingLocal drive frontier-sequence inheritance: while the
-	// lane fires one of its local events (in a window or serially at a
-	// degenerate frontier — the stamp rule must be execution-mode
-	// independent), events the handler schedules inherit curXseq (see
-	// the determinism contract in the package comment).
+	// lane fires one of its local events, events the handler schedules
+	// inherit curXseq (see the package comment).
 	curXseq     uint64
 	firingLocal bool
 
 	// Instrumentation (ShardStats).
-	serialFired uint64 // events fired at the serial frontier
-	windows     uint64 // windows in which the lane fired >= 1 event
-	mailPeak    int    // mailbox high-water mark
+	fired     uint64
+	crossings uint64
 }
 
-// Name reports the lane's topology name ("" when claimed dynamically).
-func (l *Lane) Name() string { return l.name }
-
-// Lookahead reports the lane's conservative window bound — the minimum
-// delay between a lane-local event firing and any crossing it may
-// schedule. Components use it to keep their local/crossing
-// classification at least this conservative.
-func (l *Lane) Lookahead() clock.Picos { return l.lookahead }
-
-// Now reports the lane clock: the engine's serial clock, or the lane's own
-// when it has run ahead inside the current window.
-func (l *Lane) Now() clock.Picos {
-	if l.now > l.eng.now {
-		return l.now
-	}
-	return l.eng.now
-}
+// Now reports the engine clock.
+func (l *Lane) Now() clock.Picos { return l.eng.now }
 
 // Schedule places ev as a crossing event.
 func (l *Lane) Schedule(ev *Event, t clock.Picos) { l.schedule(ev, t, true) }
@@ -302,7 +119,7 @@ func (l *Lane) Schedule(ev *Event, t clock.Picos) { l.schedule(ev, t, true) }
 func (l *Lane) ScheduleLocal(ev *Event, t clock.Picos) { l.schedule(ev, t, false) }
 
 func (l *Lane) schedule(ev *Event, t clock.Picos, crossing bool) {
-	now := l.Now()
+	now := l.eng.now
 	if t < now {
 		panic("sim: event scheduled in the past")
 	}
@@ -317,13 +134,12 @@ func (l *Lane) schedule(ev *Event, t clock.Picos, crossing bool) {
 	ev.at = t
 	ev.seq = l.seq
 	ev.schedAt = now
+	ev.crossing = crossing
 	// Frontier-sequence stamp: an event scheduled by one of this lane's
-	// local events firing — inside a window or serially, the rule must
-	// not depend on the execution mode — inherits the firing event's
-	// stamp, so a local chain carries its serial root's stamp; every
-	// other schedule (host code, a crossing event's handler) takes a
-	// fresh stamp from the engine counter, which only serial contexts
-	// touch (see the package comment).
+	// local events inherits the firing event's stamp, so a local chain
+	// carries its root's stamp; every other schedule (host code, a
+	// crossing event's handler) takes a fresh stamp from the engine
+	// counter.
 	if l.firingLocal {
 		ev.xseq = l.curXseq
 	} else {
@@ -334,32 +150,11 @@ func (l *Lane) schedule(ev *Event, t clock.Picos, crossing bool) {
 		l.heap = append(l.heap, ev)
 		ev.pos = len(l.heap)
 		evSiftUp(l.heap, len(l.heap)-1)
-		if l.activeIdx == 0 {
-			l.eng.shards.active = append(l.eng.shards.active, l)
-			l.activeIdx = len(l.eng.shards.active)
-		}
-	} else {
-		i := ev.pos - 1
-		if !evSiftUp(l.heap, i) {
-			evSiftDown(l.heap, i)
-		}
+		return
 	}
-	if crossing {
-		if ev.mpos == 0 {
-			l.mail = append(l.mail, ev)
-			ev.mpos = len(l.mail)
-			if len(l.mail) > l.mailPeak {
-				l.mailPeak = len(l.mail)
-			}
-			mailSiftUp(l.mail, len(l.mail)-1)
-		} else {
-			i := ev.mpos - 1
-			if !mailSiftUp(l.mail, i) {
-				mailSiftDown(l.mail, i)
-			}
-		}
-	} else if ev.mpos != 0 {
-		mailRemove(&l.mail, ev)
+	i := ev.pos - 1
+	if !evSiftUp(l.heap, i) {
+		evSiftDown(l.heap, i)
 	}
 }
 
@@ -371,58 +166,19 @@ func (l *Lane) Cancel(ev *Event) {
 	if ev.lane != l {
 		panic("sim: Cancel on another lane's event")
 	}
-	if ev.mpos != 0 {
-		mailRemove(&l.mail, ev)
-	}
 	evHeapRemove(&l.heap, ev)
 }
 
-// SetCrossingFree waives (or restores) the lane's lookahead cap.
-func (l *Lane) SetCrossingFree(free bool) { l.crossingFree = free }
-
 // Promote reclassifies a scheduled local event as crossing.
 func (l *Lane) Promote(ev *Event) {
-	if ev.pos == 0 || ev.lane != l || ev.mpos != 0 {
-		return
-	}
-	l.mail = append(l.mail, ev)
-	ev.mpos = len(l.mail)
-	if len(l.mail) > l.mailPeak {
-		l.mailPeak = len(l.mail)
-	}
-	mailSiftUp(l.mail, len(l.mail)-1)
-}
-
-// runLocal drains the lane's local events strictly before horizon h,
-// stopping at the first crossing event. Only called between barriers, with
-// every other lane either parked or running its own runLocal.
-func (l *Lane) runLocal(h clock.Picos) {
-	n := uint64(0)
-	for len(l.heap) > 0 {
-		ev := l.heap[0]
-		if ev.at >= h || ev.mpos != 0 {
-			break
-		}
-		evHeapPop(&l.heap)
-		l.now = ev.at
-		l.fired++
-		n++
-		l.curXseq = ev.xseq
-		l.firingLocal = true
-		ev.h.OnEvent(ev.at)
-		l.firingLocal = false
-	}
-	if n > 0 {
-		l.windows++
+	if ev.pos != 0 && ev.lane == l {
+		ev.crossing = true
 	}
 }
 
-// headBefore is the canonical frontier order across heaps: timestamp, then
-// schedule timestamp (which reproduces the serial engine's global
-// scheduling order whenever the two differ), then the frontier sequence
-// stamped at schedule time (which reproduces it when they tie — window
-// scheduled events carry their serial root's stamp), then lane, then
-// per-lane seq.
+// headBefore is the canonical order across heaps: timestamp, then
+// schedule timestamp, then the frontier sequence stamped at schedule
+// time, then lane, then per-lane seq.
 func headBefore(a *Event, aLane int, b *Event, bLane int) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -447,7 +203,7 @@ func (e *Engine) minHead() (*Event, int) {
 	if len(e.heap) > 0 {
 		best = e.heap[0]
 	}
-	for _, l := range e.shards.lanes {
+	for _, l := range e.lanes {
 		if len(l.heap) == 0 {
 			continue
 		}
@@ -458,542 +214,72 @@ func (e *Engine) minHead() (*Event, int) {
 	return best, bestLane
 }
 
-// serialStep fires the single earliest event at the frontier, ignoring
-// events beyond limit. It reports false when nothing remains in range.
-func (e *Engine) serialStep(limit clock.Picos) bool {
+// lanedStep fires the single earliest event under the canonical order,
+// ignoring events beyond limit. It reports false when nothing remains in
+// range.
+func (e *Engine) lanedStep(limit clock.Picos) bool {
 	best, bestLane := e.minHead()
 	if best == nil || best.at > limit {
 		return false
 	}
-	e.fireSerial(best, bestLane)
-	return true
-}
-
-// fireSerial pops and fires one event on the caller's goroutine. Every
-// costSampleInterval-th fire is wall-clock timed for the cost model
-// (host events and crossings count as crossing time, lane-local
-// fallbacks as serial time).
-func (e *Engine) fireSerial(best *Event, bestLane int) {
-	s := e.shards
-	s.serialSteps++
-	sampled := s.serialSteps&costSampleMask == 0
-	var t0 int64
-	if sampled {
-		t0 = s.wallClock()
-	}
-	crossing := true
+	e.now = best.at
+	e.fired++
 	if bestLane == 0 {
 		evHeapPop(&e.heap)
-		e.now = best.at
-		e.fired++
 		best.h.OnEvent(e.now)
-	} else {
-		l := s.lanes[bestLane-1]
-		evHeapPop(&l.heap)
-		crossing = best.mpos != 0
-		if crossing {
-			mailRemove(&l.mail, best)
-		}
-		l.now = best.at
-		l.serialFired++
-		s.laneSerialFired++
-		e.now = best.at
-		e.fired++
-		if crossing {
-			best.h.OnEvent(e.now)
-		} else {
-			// A lane-local event firing at a degenerate frontier must stamp
-			// exactly as it would inside a window, or worker counts would
-			// disagree on same-instant tie order.
-			l.curXseq = best.xseq
-			l.firingLocal = true
-			best.h.OnEvent(e.now)
-			l.firingLocal = false
-		}
+		return true
 	}
-	if sampled {
-		s.cost.observeSerial(crossing, s.wallClock()-t0)
+	l := e.lanes[bestLane-1]
+	evHeapPop(&l.heap)
+	l.fired++
+	if best.crossing {
+		l.crossings++
+		best.h.OnEvent(e.now)
+		return true
 	}
-}
-
-// shardedStep advances a sharded engine by one serial frontier event or
-// one parallel window, ignoring events beyond limit. It reports false when
-// nothing remains at or before limit. The canonical frontier minimum and
-// the safe horizon come from one pass over the lanes; the (rarer)
-// window-eligibility pass only runs when the horizon actually clears the
-// frontier.
-func (e *Engine) shardedStep(limit clock.Picos) bool {
-	s := e.shards
-
-	// One pass: the globally earliest event under the canonical order
-	// (lane 0 = the host heap), and the safe horizon — the earliest
-	// crossing anywhere (host events always cross), capped by each lane's
-	// conservative lookahead on the events it would fire this window.
-	var best *Event
-	bestLane := 0
-	h := clock.Never
-	if len(e.heap) > 0 {
-		best = e.heap[0]
-		h = best.at
-	}
-	for i := 0; i < len(s.active); {
-		l := s.active[i]
-		if len(l.heap) == 0 {
-			// Lazy prune (the mailbox is a subset of the heap): swap-remove
-			// the drained lane; only this serial scan mutates the list.
-			last := len(s.active) - 1
-			s.active[i] = s.active[last]
-			s.active[i].activeIdx = i + 1
-			s.active[last] = nil
-			s.active = s.active[:last]
-			l.activeIdx = 0
-			continue
-		}
-		i++
-		hd := l.heap[0]
-		if best == nil || headBefore(hd, l.id, best, bestLane) {
-			best, bestLane = hd, l.id
-		}
-		if len(l.mail) > 0 && l.mail[0].at < h {
-			h = l.mail[0].at
-		}
-		if !l.crossingFree {
-			if w := hd.at + l.lookahead; w >= hd.at && w < h {
-				h = w
-			}
-		}
-	}
-	if best == nil || best.at > limit {
-		return false
-	}
-	if limit < clock.Never && limit+1 < h {
-		h = limit + 1
-	}
-
-	// Window mode needs at least two lanes with runnable local work;
-	// otherwise parallelism cannot pay for the barrier. A horizon at (or
-	// below) the frontier event cannot contain anything, so the
-	// eligibility pass is skipped entirely on frontier-bound stretches.
-	if s.workers > 1 && h > best.at {
-		eligible := 0
-		for _, l := range s.active {
-			if len(l.heap) > 0 && l.heap[0].mpos == 0 && l.heap[0].at < h {
-				if eligible++; eligible >= 2 {
-					break
-				}
-			}
-		}
-		if eligible >= 2 {
-			e.runWindow(h)
-			return true
-		}
-	}
-
-	// Serial fallback: fire the single earliest event at the frontier.
-	e.fireSerial(best, bestLane)
+	l.curXseq = best.xseq
+	l.firingLocal = true
+	best.h.OnEvent(e.now)
+	l.firingLocal = false
 	return true
 }
 
-// runWindow drains every lane's local events before h across the worker
-// pool (inside a run loop) or one-shot goroutines (a bare Step, where a
-// persistent pool would have nothing to stop it). Lane-to-worker
-// assignment is static; it cannot affect results because window events
-// commute across lanes.
-func (e *Engine) runWindow(h clock.Picos) {
-	s := e.shards
-	workers := s.poolTarget
-	if workers > s.workers {
-		workers = s.workers
-	}
-	if workers > len(s.lanes) {
-		workers = len(s.lanes)
-	}
-	if s.pool == nil && s.runDepth > 0 {
-		s.pool = newWindowPool(s.lanes, workers)
-	}
-	sampled := s.windows&costSampleMask == 0
-	var t0 int64
-	if sampled {
-		t0 = s.wallClock()
-	}
-	s.windows++
-	var before uint64
-	for _, l := range s.active {
-		before += l.fired
-	}
-	inline := s.inlineNext
-	switch {
-	case inline:
-		s.inlineWindows++
-		s.tuneInline++
-		for _, l := range s.active {
-			l.runLocal(h)
-		}
-	case s.pool != nil:
-		s.pool.runWindow(h)
-	default:
-		runWindowAdhoc(s.lanes, workers, h)
-	}
-	var after uint64
-	for _, l := range s.active {
-		after += l.fired
-	}
-	if sampled {
-		s.cost.observeWindow(inline, s.wallClock()-t0, after-before)
-	}
-	s.tuneEvents += after - before
-	s.inlineNext = after-before < s.inlineMax*uint64(workers)
-	if s.windows-s.tuneAt >= tuneInterval {
-		s.tune()
-	}
-	// Advance the serial clock to the furthest point the window reached:
-	// every event fired in it was before h, and every remaining event is
-	// at or beyond h, so this can never move time past a pending event.
-	for _, l := range s.lanes {
-		if l.now > e.now {
-			e.now = l.now
-		}
-	}
+// LaneStats is one lane's instrumentation snapshot (see ShardStats).
+type LaneStats struct {
+	Name string
+	// Fired counts events fired on the lane; Crossings is the crossing
+	// subset.
+	Fired     uint64
+	Crossings uint64
+	// WindowFired is always 0: every event fires serially.
+	WindowFired uint64
+	// Pending is the lane's scheduled-but-unfired event count.
+	Pending int
 }
 
-// tune is the adaptive window controller, run every tuneInterval windows
-// from the live counters and the wall-time cost model (costmodel.go).
-// It adjusts two execution-mode knobs — the inline dispatch threshold
-// and the pool's worker target — neither of which can affect simulation
-// results (window events commute and stamping is execution-mode
-// independent), so the cost model is free to chase wall clock:
-//
-//   - inline threshold: once both window modes have wall-time samples,
-//     compare the measured ns/event of dispatched windows against
-//     inline windows — dispatched events costing more real time each
-//     means the dispatch fee is not amortizing at the current cut, so
-//     double the threshold; dispatched events clearly cheaper (beyond a
-//     7/8 hysteresis band) means profitable windows are being kept
-//     inline, so halve it. Cold start — before both modes have samples
-//     — falls back to the inline-window ratio: nearly-all-inline
-//     intervals double the threshold, nearly-none halve it.
-//   - worker target: how many workers an average window can pay for.
-//     Measured, that is the window's inline-speed work (events/window x
-//     inline ns/event) divided by the measured dispatch fee
-//     (dispatchOverhead); cold start divides events/window by the
-//     inline threshold as before. Quantized down to a power of two
-//     (hysteresis: pool rebuilds allocate, so the target must not flap
-//     between neighboring sizes).
-//   - serial-fallback pressure and mailbox depth: when the interval's
-//     wall time went mostly to serial frontier fires (measured when
-//     sampled, event counts otherwise), or crossings are piling up
-//     deeper than the active lanes can clear, upcoming windows will
-//     stay small — bias the target down a notch before growing the
-//     pool into them.
-//
-// A target change parks the current pool; the next window lazily builds
-// one at the new size.
-func (s *shardSet) tune() {
-	dw := s.windows - s.tuneAt
-	inline := s.tuneInline
-	serial := s.serialSteps - s.tuneSerial
-	ev := s.tuneEvents
-	s.tuneAt = s.windows
-	s.tuneInline = 0
-	s.tuneEvents = 0
-	s.tuneSerial = s.serialSteps
-
-	cm := &s.cost
-	peInline, pePooled := cm.perEventInline(), cm.perEventPooled()
-	switch {
-	case peInline > 0 && pePooled > 0:
-		switch {
-		case pePooled > peInline && s.inlineMax < inlineMaxMax:
-			s.inlineMax *= 2
-		case pePooled*8 < peInline*7 && s.inlineMax > inlineMaxMin:
-			s.inlineMax /= 2
-		}
-	case inline*8 > dw*7 && s.inlineMax < inlineMaxMax:
-		s.inlineMax *= 2
-	case inline*8 < dw && s.inlineMax > inlineMaxMin:
-		s.inlineMax /= 2
-	}
-
-	var target int
-	if fee := cm.dispatchOverhead(s.poolTarget); fee > 0 && peInline > 0 && dw > 0 {
-		work := float64(ev) / float64(dw) * peInline
-		target = int(work / fee)
-	} else {
-		target = int(ev / dw / s.inlineMax)
-	}
-	serialWall := float64(serial) * cm.anySerNs
-	windowWall := float64(dw) * cm.windowNs
-	if windowWall > 0 {
-		if serialWall > windowWall {
-			target /= 2
-		}
-	} else if serial > ev {
-		target /= 2
-	}
-	mailDepth := 0
-	for _, l := range s.active {
-		mailDepth += len(l.mail)
-	}
-	if mailDepth > 4*len(s.active) {
-		target /= 2
-	}
-	max := s.workers
-	if n := len(s.lanes); n < max {
-		max = n
-	}
-	if target > max {
-		target = max
-	}
-	if target < 2 {
-		target = 2
-	}
-	for q := 2; ; q *= 2 {
-		if q*2 > target {
-			target = q
-			break
-		}
-	}
-	if target != s.poolTarget {
-		s.poolTarget = target
-		if s.pool != nil {
-			s.pool.shutdown()
-			s.pool = nil
-		}
-	}
+// ShardStats is a snapshot of a sharded engine's per-lane counters. A
+// plain engine reports a zero value with nil Lanes.
+type ShardStats struct {
+	// HostFired/HostPending describe the host lane (lane 0).
+	HostFired   uint64
+	HostPending int
+	Lanes       []LaneStats
 }
 
-// runWindowAdhoc is the poolless window executor: spawn, run, join.
-func runWindowAdhoc(lanes []*Lane, workers int, h clock.Picos) {
-	var (
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicAt  = -1
-		panicVal any
-	)
-	run := func(start int) {
-		defer func() {
-			if r := recover(); r != nil {
-				panicMu.Lock()
-				if panicAt < 0 || start < panicAt {
-					panicAt, panicVal = start, r
-				}
-				panicMu.Unlock()
-			}
-		}()
-		for i := start; i < len(lanes); i += workers {
-			lanes[i].runLocal(h)
-		}
+// ShardStats snapshots the engine's per-lane instrumentation counters.
+func (e *Engine) ShardStats() ShardStats {
+	if !e.laned {
+		return ShardStats{}
 	}
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			run(w)
-		}(w)
+	st := ShardStats{HostFired: e.fired, HostPending: len(e.heap)}
+	for _, l := range e.lanes {
+		st.HostFired -= l.fired
+		st.Lanes = append(st.Lanes, LaneStats{
+			Name:      l.name,
+			Fired:     l.fired,
+			Crossings: l.crossings,
+			Pending:   len(l.heap),
+		})
 	}
-	run(0)
-	wg.Wait()
-	if panicAt >= 0 {
-		panic(panicVal)
-	}
-}
-
-// enterRun brackets a run loop: while at least one is active the engine
-// may keep a persistent worker pool; when the outermost exits the pool
-// is parked, so no goroutine outlives a Run/RunUntil/RunWhile call.
-func (e *Engine) enterRun() func() {
-	s := e.shards
-	s.runDepth++
-	return func() {
-		if s.runDepth--; s.runDepth == 0 && s.pool != nil {
-			s.pool.shutdown()
-			s.pool = nil
-		}
-	}
-}
-
-// windowPool executes windows across persistent helper goroutines. Waking
-// a parked goroutine costs on the order of a microsecond — comparable to
-// a whole small window — so helpers spin briefly between windows (windows
-// arrive back to back while the simulation is channel-bound) and park on
-// a channel when the frontier goes quiet.
-type windowPool struct {
-	lanes   []*Lane
-	workers int // including the caller's goroutine (worker 0)
-
-	h     clock.Picos  // horizon of the current window; written before epoch
-	epoch atomic.Int64 // incremented to release helpers into a window
-	done  atomic.Int64 // helpers completed in the current window
-	quit  chan struct{}
-	wake  []chan struct{} // per helper, buffered: nudges parked helpers
-
-	panicMu sync.Mutex
-	panicAt int // lowest worker index that panicked; -1 when none
-	panicV  any
-	exited  sync.WaitGroup
-}
-
-// poolSpin is how many scheduler yields a helper burns before parking.
-const poolSpin = 512
-
-func newWindowPool(lanes []*Lane, workers int) *windowPool {
-	p := &windowPool{
-		lanes:   lanes,
-		workers: workers,
-		quit:    make(chan struct{}),
-		panicAt: -1,
-	}
-	p.exited.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		ch := make(chan struct{}, 1)
-		p.wake = append(p.wake, ch)
-		go p.helper(w, ch)
-	}
-	return p
-}
-
-// helper is one pool goroutine: wait for an epoch, run its lane share,
-// report done.
-func (p *windowPool) helper(w int, wake chan struct{}) {
-	defer p.exited.Done()
-	last := int64(0)
-	for {
-		spins := 0
-		for p.epoch.Load() == last {
-			if spins++; spins <= poolSpin {
-				select {
-				case <-p.quit:
-					return
-				default:
-					runtime.Gosched()
-				}
-				continue
-			}
-			select {
-			case <-wake:
-			case <-p.quit:
-				return
-			}
-			spins = 0
-		}
-		last = p.epoch.Load()
-		p.runShare(w)
-		p.done.Add(1)
-	}
-}
-
-// runShare drains worker w's statically assigned lanes, capturing panics
-// so a worker failure surfaces on the caller instead of killing the
-// process.
-func (p *windowPool) runShare(w int) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.panicMu.Lock()
-			if p.panicAt < 0 || w < p.panicAt {
-				p.panicAt, p.panicV = w, r
-			}
-			p.panicMu.Unlock()
-		}
-	}()
-	h := p.h
-	for i := w; i < len(p.lanes); i += p.workers {
-		p.lanes[i].runLocal(h)
-	}
-}
-
-// runWindow releases the helpers into one window and joins them.
-func (p *windowPool) runWindow(h clock.Picos) {
-	p.h = h
-	p.done.Store(0)
-	p.epoch.Add(1)
-	for _, ch := range p.wake {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-	p.runShare(0)
-	for p.done.Load() < int64(p.workers-1) {
-		runtime.Gosched()
-	}
-	if p.panicAt >= 0 {
-		v := p.panicV
-		p.panicAt, p.panicV = -1, nil
-		panic(v)
-	}
-}
-
-// shutdown parks the pool for good.
-func (p *windowPool) shutdown() {
-	close(p.quit)
-	p.exited.Wait()
-}
-
-// Mailbox heap: a second intrusive index (Event.mpos) ordering a lane's
-// crossing events by timestamp alone — only the head's timestamp is ever
-// read (the frontier), so tie order inside the mailbox is irrelevant.
-
-func mailSiftUp(h []*Event, i int) bool {
-	ev := h[i]
-	moved := false
-	for i > 0 {
-		parent := (i - 1) / 2
-		p := h[parent]
-		if ev.at >= p.at {
-			break
-		}
-		h[i] = p
-		p.mpos = i + 1
-		i = parent
-		moved = true
-	}
-	if moved {
-		h[i] = ev
-		ev.mpos = i + 1
-	}
-	return moved
-}
-
-func mailSiftDown(h []*Event, i int) {
-	ev := h[i]
-	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		child := left
-		if right := left + 1; right < n && h[right].at < h[left].at {
-			child = right
-		}
-		c := h[child]
-		if c.at >= ev.at {
-			break
-		}
-		h[i] = c
-		c.mpos = i + 1
-		i = child
-	}
-	h[i] = ev
-	ev.mpos = i + 1
-}
-
-func mailRemove(hp *[]*Event, ev *Event) {
-	h := *hp
-	i := ev.mpos - 1
-	n := len(h) - 1
-	ev.mpos = 0
-	if i == n {
-		h[n] = nil
-		*hp = h[:n]
-		return
-	}
-	moved := h[n]
-	h[i] = moved
-	moved.mpos = i + 1
-	h[n] = nil
-	*hp = h[:n]
-	if !mailSiftUp(h[:n], i) {
-		mailSiftDown(h[:n], i)
-	}
+	return st
 }

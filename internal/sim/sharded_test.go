@@ -1,202 +1,141 @@
 package sim
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/clock"
 )
 
-// shardedHarness is a synthetic multi-lane machine: nLanes lanes each run
-// a self-rescheduling local event chain, periodically scheduling crossing
-// events that append to a shared log next to a host ticker. The log and
-// the final counters must not depend on the worker count.
-type shardedHarness struct {
-	eng    *Engine
-	log    []string
-	lanes  []*benchLane
-	hostEv Event
-	hostN  int
+// logEvent returns an event whose handler appends name to *log.
+func logEvent(log *[]string, name string) *Event {
+	ev := &Event{}
+	ev.Init(HandlerFunc(func(clock.Picos) { *log = append(*log, name) }))
+	return ev
 }
 
-type benchLane struct {
-	h         *shardedHarness
-	sched     Scheduler
-	id        int
-	tick      Event
-	cross     Event
-	step      clock.Picos
-	remaining int
-	fired     int
-}
-
-// OnEvent is the lane's local chain: pure lane-local state.
-func (l *benchLane) OnEvent(now clock.Picos) {
-	l.fired++
-	if l.remaining--; l.remaining > 0 {
-		l.sched.ScheduleLocal(&l.tick, now+l.step)
-	}
-	// Every fourth firing schedules a crossing event one lookahead out,
-	// which appends to the shared log when it fires at the frontier.
-	if l.fired%4 == 0 {
-		if !l.cross.Scheduled() {
-			l.sched.Schedule(&l.cross, now+lookaheadPs)
-		}
-	}
-}
-
-type crossFire struct{ l *benchLane }
-
-func (c crossFire) OnEvent(now clock.Picos) {
-	h := c.l.h
-	h.log = append(h.log, fmt.Sprintf("%d lane%d f%d", now, c.l.id, c.l.fired))
-}
-
-const lookaheadPs = 5000
-
-// buildHarness wires nLanes lanes with n local events each onto eng.
-func buildHarness(eng *Engine, nLanes, perLane int) *shardedHarness {
-	h := &shardedHarness{eng: eng}
-	for i := 0; i < nLanes; i++ {
-		l := &benchLane{
-			h:     h,
-			sched: eng.NewLane(lookaheadPs),
-			id:    i,
-			// Distinct primes stagger the lanes' clocks so windows see
-			// uneven load.
-			step:      clock.Picos(701 + 97*i),
-			remaining: perLane,
-		}
-		l.tick.Init(l)
-		l.cross.Init(crossFire{l})
-		l.sched.ScheduleLocal(&l.tick, l.step)
-		h.lanes = append(h.lanes, l)
-	}
-	h.hostEv.Init(HandlerFunc(func(now clock.Picos) {
-		h.hostN++
-		h.log = append(h.log, fmt.Sprintf("%d host %d", now, h.hostN))
-		if h.hostN < 40 {
-			eng.Schedule(&h.hostEv, now+3301)
-		}
-	}))
-	eng.Schedule(&h.hostEv, 1000)
-	return h
-}
-
-// runHarness drives one full run at the given worker count and returns
-// the shared log plus per-lane fired counts.
-func runHarness(workers, nLanes, perLane int) ([]string, []int, uint64) {
-	eng := NewSharded(workers)
-	h := buildHarness(eng, nLanes, perLane)
+// TestShardedCanonicalOrder pins the order the sharded engine merges its
+// heaps in: timestamp, then schedule timestamp, then frontier sequence —
+// never the lane index while those differ.
+func TestShardedCanonicalOrder(t *testing.T) {
+	eng := NewSharded()
+	l1, l2 := eng.NewLane("a"), eng.NewLane("b")
+	var log []string
+	// Scheduled at t=0 for t=100, in this order: the frontier sequence
+	// orders them across the host heap and both lanes.
+	l2.Schedule(logEvent(&log, "b0"), 100)
+	eng.Schedule(logEvent(&log, "host0"), 100)
+	l1.Schedule(logEvent(&log, "a0"), 100)
+	// Scheduled later in simulated time for the same instant: fires after
+	// every event scheduled at t=0, whatever its frontier sequence.
+	eng.At(50, func() { l1.Schedule(logEvent(&log, "a50"), 100) })
+	eng.Schedule(logEvent(&log, "host0b"), 100)
+	// Earlier timestamps still come first.
+	l2.ScheduleLocal(logEvent(&log, "b-early"), 99)
 	eng.Run()
-	counts := make([]int, nLanes)
-	for i, l := range h.lanes {
-		counts[i] = l.fired
-	}
-	return h.log, counts, eng.Fired()
-}
-
-// TestShardedDeterministicAcrossWorkers pins the construction-level
-// guarantee: the crossing-event log, every lane's event count, and the
-// total fired count are identical for 1, 2, 3, 4 and 8 workers.
-func TestShardedDeterministicAcrossWorkers(t *testing.T) {
-	refLog, refCounts, refFired := runHarness(1, 6, 400)
-	if len(refLog) == 0 {
-		t.Fatal("harness produced no crossing events")
-	}
-	for _, w := range []int{2, 3, 4, 8} {
-		log, counts, fired := runHarness(w, 6, 400)
-		if !reflect.DeepEqual(log, refLog) {
-			t.Fatalf("workers=%d: crossing log diverged (len %d vs %d)", w, len(log), len(refLog))
-		}
-		if !reflect.DeepEqual(counts, refCounts) {
-			t.Fatalf("workers=%d: lane counts %v != %v", w, counts, refCounts)
-		}
-		if fired != refFired {
-			t.Fatalf("workers=%d: fired %d != %d", w, fired, refFired)
-		}
+	want := []string{"b-early", "b0", "host0", "a0", "host0b", "a50"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("fire order %v, want %v", log, want)
 	}
 }
 
-// TestShardedFrontierSafety checks the conservative window never runs a
-// lane past a pending host event: a host probe at a fixed time must
-// observe exactly the lane events with earlier timestamps, regardless of
-// worker count.
-func TestShardedFrontierSafety(t *testing.T) {
-	for _, w := range []int{1, 2, 4} {
-		eng := NewSharded(w)
-		type counterLane struct {
-			ev    Event
-			n     int
-			sched Scheduler
-		}
-		lanes := make([]*counterLane, 4)
-		for i := range lanes {
-			l := &counterLane{sched: eng.NewLane(1000)}
-			step := clock.Picos(10 + i) // events at 10,20,... / 11,22,...
-			l.ev.Init(HandlerFunc(func(now clock.Picos) {
-				l.n++
-				if now < 100000 {
-					l.sched.ScheduleLocal(&l.ev, now+step)
-				}
-			}))
-			l.sched.ScheduleLocal(&l.ev, step)
-			lanes[i] = l
-		}
-		const probeAt = 50000
-		var seen []int
-		eng.At(probeAt, func() {
-			for _, l := range lanes {
-				seen = append(seen, l.n)
-			}
-		})
-		eng.Run()
-		for i, l := range lanes {
-			step := 10 + i
-			want := (probeAt - 1) / step // events strictly before the probe
-			if seen[i] != want {
-				t.Errorf("workers=%d lane%d: probe saw %d events, want %d", w, i, seen[i], want)
-			}
-			_ = l
-		}
+// inheritanceOrder runs the frontier-sequence inheritance scenario: a
+// host event f and a lane event root both fire at t=10 (f first); f
+// schedules H and root schedules C, both for t=100 from t=10. schedule
+// places root on its lane; promote, when set, promotes it afterwards.
+func inheritanceOrder(schedule func(l Scheduler, ev *Event, t clock.Picos), promote bool) []string {
+	eng := NewSharded()
+	lane := eng.NewLane("lane")
+	var log []string
+	eng.At(10, func() { eng.Schedule(logEvent(&log, "H"), 100) })
+	root := &Event{}
+	root.Init(HandlerFunc(func(clock.Picos) { lane.ScheduleLocal(logEvent(&log, "C"), 100) }))
+	schedule(lane, root, 10)
+	if promote {
+		lane.Promote(root)
+	}
+	eng.Run()
+	return log
+}
+
+// TestShardedXseqInheritance pins frontier-sequence inheritance: an event
+// scheduled by a lane-local handler carries its root's stamp (taken
+// before f's child H was stamped), so it fires before H; scheduled by a
+// crossing handler it takes a fresh stamp and fires after.
+func TestShardedXseqInheritance(t *testing.T) {
+	local := func(l Scheduler, ev *Event, t clock.Picos) { l.ScheduleLocal(ev, t) }
+	crossing := func(l Scheduler, ev *Event, t clock.Picos) { l.Schedule(ev, t) }
+	if got := inheritanceOrder(local, false); !reflect.DeepEqual(got, []string{"C", "H"}) {
+		t.Errorf("local root: order %v, want [C H] (inherited stamp)", got)
+	}
+	if got := inheritanceOrder(crossing, false); !reflect.DeepEqual(got, []string{"H", "C"}) {
+		t.Errorf("crossing root: order %v, want [H C] (fresh stamp)", got)
+	}
+	// On the plain engine C is simply inserted after H.
+	eng := New()
+	var log []string
+	eng.At(10, func() { eng.Schedule(logEvent(&log, "H"), 100) })
+	eng.At(10, func() { eng.Schedule(logEvent(&log, "C"), 100) })
+	eng.Run()
+	if !reflect.DeepEqual(log, []string{"H", "C"}) {
+		t.Errorf("plain engine: order %v, want [H C]", log)
 	}
 }
 
-// TestShardedPromote verifies a promoted event joins the mailbox: after
-// Promote, the event must fire at the frontier in canonical order with
-// host events rather than inside a window. Observable consequence: a
-// promoted event and a host event at the same timestamp fire in
-// deterministic relative order at every worker count, with the log intact.
+// TestShardedPromote verifies a promoted event fires as a crossing: the
+// events its handler schedules take fresh frontier stamps, exactly as if
+// it had been scheduled crossing from the start.
 func TestShardedPromote(t *testing.T) {
-	run := func(workers int) []string {
-		eng := NewSharded(workers)
-		var log []string
-		sched := eng.NewLane(100)
-		var lane Event
-		lane.Init(HandlerFunc(func(now clock.Picos) {
-			log = append(log, fmt.Sprintf("lane@%d", now))
-		}))
-		sched.ScheduleLocal(&lane, 500)
-		sched.Promote(&lane)
-		// A second, still-local lane keeps window mode reachable.
-		sched2 := eng.NewLane(100)
-		var filler Event
-		n := 0
-		filler.Init(HandlerFunc(func(now clock.Picos) {
-			if n++; n < 50 {
-				sched2.ScheduleLocal(&filler, now+20)
+	local := func(l Scheduler, ev *Event, t clock.Picos) { l.ScheduleLocal(ev, t) }
+	if got := inheritanceOrder(local, true); !reflect.DeepEqual(got, []string{"H", "C"}) {
+		t.Errorf("promoted root: order %v, want [H C]", got)
+	}
+	// Promoting an unscheduled event is a no-op.
+	eng := NewSharded()
+	lane := eng.NewLane("lane")
+	var ev Event
+	ev.Init(HandlerFunc(func(clock.Picos) {}))
+	lane.Promote(&ev)
+	if ev.Scheduled() || ev.crossing {
+		t.Error("Promote changed an unscheduled event")
+	}
+}
+
+// TestShardedFrontierSafety checks the merge never runs a lane past a
+// pending host event: a host probe at a fixed time must observe exactly
+// the lane events with earlier timestamps.
+func TestShardedFrontierSafety(t *testing.T) {
+	eng := NewSharded()
+	type counterLane struct {
+		ev    Event
+		n     int
+		sched Scheduler
+	}
+	lanes := make([]*counterLane, 4)
+	for i := range lanes {
+		l := &counterLane{sched: eng.NewLane("")}
+		step := clock.Picos(10 + i) // events at 10,20,... / 11,22,...
+		l.ev.Init(HandlerFunc(func(now clock.Picos) {
+			l.n++
+			if now < 100000 {
+				l.sched.ScheduleLocal(&l.ev, now+step)
 			}
 		}))
-		sched2.ScheduleLocal(&filler, 20)
-		eng.At(500, func() { log = append(log, "host@500") })
-		eng.Run()
-		return log
+		l.sched.ScheduleLocal(&l.ev, step)
+		lanes[i] = l
 	}
-	ref := run(1)
-	for _, w := range []int{2, 4} {
-		if got := run(w); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d: log %v != %v", w, got, ref)
+	const probeAt = 50000
+	var seen []int
+	eng.At(probeAt, func() {
+		for _, l := range lanes {
+			seen = append(seen, l.n)
+		}
+	})
+	eng.Run()
+	for i := range lanes {
+		want := (probeAt - 1) / (10 + i) // events strictly before the probe
+		if seen[i] != want {
+			t.Errorf("lane%d: probe saw %d events, want %d", i, seen[i], want)
 		}
 	}
 }
@@ -204,8 +143,8 @@ func TestShardedPromote(t *testing.T) {
 // TestShardedRunUntil checks deadline semantics on a sharded engine: only
 // events at or before the deadline fire and the clock lands on it.
 func TestShardedRunUntil(t *testing.T) {
-	eng := NewSharded(2)
-	sched := eng.NewLane(50)
+	eng := NewSharded()
+	sched := eng.NewLane("")
 	fired := 0
 	var ev Event
 	ev.Init(HandlerFunc(func(now clock.Picos) {
@@ -236,11 +175,11 @@ func TestShardedRunUntil(t *testing.T) {
 	}
 }
 
-// TestShardedCancel removes a crossing event and checks the mailbox does
-// not keep stalling the frontier (the run must drain completely).
+// TestShardedCancel removes a crossing event and checks it never fires
+// while the rest of the lane drains completely.
 func TestShardedCancel(t *testing.T) {
-	eng := NewSharded(2)
-	sched := eng.NewLane(100)
+	eng := NewSharded()
+	sched := eng.NewLane("")
 	var cross Event
 	cross.Init(HandlerFunc(func(clock.Picos) { t.Error("canceled event fired") }))
 	sched.Schedule(&cross, 10000)
@@ -265,78 +204,13 @@ func TestShardedCancel(t *testing.T) {
 	}
 }
 
-// TestAdaptiveTune exercises the window controller's policy table
-// directly on a synthetic shardSet: threshold doubling/halving on the
-// inline ratio, pool sizing from events/window quantized to a power of
-// two, the serial-fallback bias, and the hard bounds.
-func TestAdaptiveTune(t *testing.T) {
-	mk := func() *shardSet {
-		return &shardSet{workers: 8, lanes: make([]*Lane, 8), inlineMax: inlineMaxInit, poolTarget: 8}
-	}
-
-	// Every window ran inline: the threshold doubles so the rare large
-	// window still dispatches the pool.
-	s := mk()
-	s.windows, s.tuneInline, s.tuneEvents = tuneInterval, tuneInterval, tuneInterval*100
-	s.tune()
-	if s.inlineMax != 2*inlineMaxInit {
-		t.Errorf("all-inline interval: inlineMax = %d, want %d", s.inlineMax, 2*inlineMaxInit)
-	}
-
-	// No window ran inline and windows were tiny: the threshold halves
-	// and the pool parks down to the floor.
-	s = mk()
-	s.windows, s.tuneEvents = tuneInterval, tuneInterval*4
-	s.tune()
-	if s.inlineMax != inlineMaxInit/2 {
-		t.Errorf("no-inline interval: inlineMax = %d, want %d", s.inlineMax, inlineMaxInit/2)
-	}
-	if s.poolTarget != 2 {
-		t.Errorf("tiny windows: poolTarget = %d, want 2", s.poolTarget)
-	}
-
-	// Big windows keep the pool at the worker cap.
-	s = mk()
-	s.windows, s.tuneEvents = tuneInterval, tuneInterval*1000
-	s.tune()
-	if s.poolTarget != 8 {
-		t.Errorf("big windows: poolTarget = %d, want 8", s.poolTarget)
-	}
-
-	// A serial-dominated interval biases the target down a notch, and the
-	// result lands on a power of two.
-	s = mk()
-	s.windows, s.tuneEvents = tuneInterval, tuneInterval*40
-	s.serialSteps = tuneInterval * 100
-	s.tune()
-	if s.poolTarget != 4 {
-		t.Errorf("serial-biased interval: poolTarget = %d, want 4", s.poolTarget)
-	}
-
-	// Bounds hold at both extremes.
-	s = mk()
-	s.inlineMax = inlineMaxMax
-	s.windows, s.tuneInline, s.tuneEvents = tuneInterval, tuneInterval, tuneInterval
-	s.tune()
-	if s.inlineMax != inlineMaxMax {
-		t.Errorf("inlineMax grew past the cap: %d", s.inlineMax)
-	}
-	s = mk()
-	s.inlineMax = inlineMaxMin
-	s.windows, s.tuneEvents = tuneInterval, tuneInterval
-	s.tune()
-	if s.inlineMax != inlineMaxMin {
-		t.Errorf("inlineMax shrank past the floor: %d", s.inlineMax)
-	}
-}
-
 // TestSerialEngineIsAScheduler pins that a plain engine satisfies the
 // Scheduler surface lanes offer, so components shard transparently.
 func TestSerialEngineIsAScheduler(t *testing.T) {
 	eng := New()
-	s := eng.NewLane(1234)
+	s := eng.NewLane("x")
 	if s != Scheduler(eng) {
-		t.Fatal("NewLane on a serial engine must return the engine itself")
+		t.Fatal("NewLane on a plain engine must return the engine itself")
 	}
 	var ev Event
 	fired := false
@@ -349,26 +223,45 @@ func TestSerialEngineIsAScheduler(t *testing.T) {
 	}
 }
 
-// TestBareStepLeavesNoPool drives a sharded engine with bare Step calls
-// (no run-loop bracket): windows must execute ad hoc and leave no
-// persistent worker pool behind to leak.
-func TestBareStepLeavesNoPool(t *testing.T) {
-	eng := NewSharded(4)
-	h := buildHarness(eng, 6, 200)
-	for eng.Step() {
+// TestShardStatsCounters checks the instrumentation snapshot adds up:
+// per-lane fires split into crossings and local fires, and the totals
+// agree with Engine.Fired.
+func TestShardStatsCounters(t *testing.T) {
+	eng := NewSharded()
+	a, b := eng.NewLane("a"), eng.NewLane("b")
+	var ev [4]Event
+	for i := range ev {
+		ev[i].Init(HandlerFunc(func(clock.Picos) {}))
 	}
-	if eng.shards.pool != nil {
-		t.Fatal("bare Step left a persistent worker pool")
+	a.Schedule(&ev[0], 10)
+	a.ScheduleLocal(&ev[1], 20)
+	b.ScheduleLocal(&ev[2], 30)
+	eng.Schedule(&ev[3], 40)
+	st := eng.ShardStats()
+	if st.HostPending != 1 || len(st.Lanes) != 2 || st.Lanes[0].Pending != 2 || st.Lanes[1].Pending != 1 {
+		t.Fatalf("pending snapshot %+v", st)
 	}
-	if eng.shards.runDepth != 0 {
-		t.Fatalf("runDepth = %d after bare stepping", eng.shards.runDepth)
+	eng.Run()
+	st = eng.ShardStats()
+	want := []LaneStats{
+		{Name: "a", Fired: 2, Crossings: 1},
+		{Name: "b", Fired: 1},
 	}
-	_ = h
-	// And a bracketed run on the same engine still works and cleans up.
-	eng2 := NewSharded(4)
-	buildHarness(eng2, 6, 200)
-	eng2.Run()
-	if eng2.shards.pool != nil || eng2.shards.runDepth != 0 {
-		t.Fatal("Run did not park its pool")
+	if !reflect.DeepEqual(st.Lanes, want) {
+		t.Errorf("lanes %+v, want %+v", st.Lanes, want)
+	}
+	if st.HostFired != 1 || st.HostPending != 0 {
+		t.Errorf("host fired %d pending %d, want 1 and 0", st.HostFired, st.HostPending)
+	}
+	if eng.Fired() != 4 {
+		t.Errorf("Fired = %d, want 4", eng.Fired())
+	}
+}
+
+// TestShardStatsPlainEngine pins the plain-engine snapshot: a zero value
+// with nil lanes, so callers can gate diagnostics on it.
+func TestShardStatsPlainEngine(t *testing.T) {
+	if st := New().ShardStats(); !reflect.DeepEqual(st, ShardStats{}) {
+		t.Errorf("plain engine ShardStats = %+v, want zero", st)
 	}
 }

@@ -15,18 +15,16 @@ import "repro/internal/resultcache"
 const configSchema = "system.Config/v2"
 
 // neutralFields are the Config fields excluded from the fingerprint
-// because they are proven result-neutral: the cross-topology
-// determinism suite (sharded_test.go, plus the slow-tier experiment
-// audit) pins byte-identical output across every CoreLanes value and
-// every Shards value >= 1 including Auto. Worker counts never appear
-// here because they are not Config fields at all — parallelism level
-// (harness.Runner.Workers, sweep.SetWorkers) lives outside the
-// simulated machine's configuration.
+// because they are result-neutral: CoreLanes is ignored, and every
+// non-zero Shards value selects the same sharded engine. Worker counts
+// never appear here because they are not Config fields at all —
+// parallelism level (harness.Runner.Workers, sweep.SetWorkers) lives
+// outside the simulated machine's configuration.
 //
-// Shards is masked but not ignored: the plain serial engine (Shards ==
-// 0) may break same-instant event ties differently from any sharded
-// engine on CPU-streaming workloads, so Fingerprint folds the engine
-// class — plain vs sharded — back into the key below. SeriesWindow
+// Shards is masked but not ignored: the plain engine (Shards == 0) and
+// the sharded engine are separate event orders whose results can differ,
+// so Fingerprint folds the engine class — plain vs sharded — back into
+// the key below. SeriesWindow
 // (Mem.*.SeriesWindow) is deliberately NOT masked: it changes what the
 // simulation records (per-channel bandwidth series on or off), so two
 // configs differing there do not compute the same result payload.
@@ -36,9 +34,8 @@ var neutralFields = resultcache.Mask{
 }
 
 // engineClass projects Shards onto the only distinction that can reach
-// results: whether the machine runs the plain serial engine or a
-// sharded one. Auto (-1) normalizes to a host-sized shard count >= 1,
-// so it is sharded.
+// results: whether the machine runs the plain engine or the sharded one
+// (Auto included).
 func (c Config) engineClass() string {
 	if c.Shards == 0 {
 		return "plain"
@@ -48,21 +45,18 @@ func (c Config) engineClass() string {
 
 // Fingerprint returns a stable content digest of the configuration:
 // every exported field — recursively, covering the memory system, CPU,
-// PIM geometry, DCE, energy model, transfer engines, design point, and
-// lane topology settings — is canonically encoded and hashed, except
-// the result-neutral lane-topology knobs (neutralFields). Two configs
+// PIM geometry, DCE, energy model, transfer engines and design point —
+// is canonically encoded and hashed, except the result-neutral fields
+// (neutralFields), with the engine class keyed on its own. Two configs
 // share a fingerprint iff every result-affecting field agrees (proven
 // per-field by the reflection-based sensitivity test), so the
 // fingerprint is a sound cache-key component for any result that is a
 // pure function of the machine: by the determinism contract, that is
 // every simulation result.
 //
-// Shards and CoreLanes are masked out precisely because results are
-// byte-identical across lane topologies (sharded_test.go pins that):
-// a cache warmed at -shards 1 serves renders at -shards 4 -core-lanes
-// auto without re-simulating. The one residual distinction — the plain
-// serial engine can order same-instant ties differently than any
-// sharded engine — survives as the engine-class key part.
+// Shards and CoreLanes are masked out so that a cache warmed at -shards
+// 1 serves renders at -shards 4 or auto without re-simulating; the
+// engine class survives as its own key part.
 func (c Config) Fingerprint() string {
 	return resultcache.KeyOf(configSchema, c.engineClass(),
 		string(resultcache.CanonicalMasked(c, neutralFields)))

@@ -23,7 +23,7 @@ func TestFingerprintStable(t *testing.T) {
 // TestFingerprintSensitivity proves — by reflection, so a newly added
 // field is covered automatically — that perturbing ANY exported leaf
 // field of Config changes Fingerprint(), except the declared
-// result-neutral lane-topology knobs, whose perturbation must NOT
+// result-neutral Shards/CoreLanes fields, whose perturbation must NOT
 // change it. This is the property the result cache's soundness rests
 // on: no result-affecting configuration change can alias into a stale
 // cache entry, and no result-neutral one can force a re-simulation.
@@ -65,12 +65,10 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-// TestFingerprintResultNeutralFields pins the cross-topology reuse
-// contract directly: every sharded lane topology — any Shards >= 1
-// including Auto, any CoreLanes including Auto — shares one
-// fingerprint, while the plain serial engine (Shards == 0) keeps its
-// own. sharded_test.go proves the byte-identical results that make the
-// sharing sound.
+// TestFingerprintResultNeutralFields pins the cross-shard reuse contract
+// directly: every non-zero Shards value, Auto included, with any
+// (ignored) CoreLanes value shares one fingerprint, while the plain
+// engine (Shards == 0) keeps its own.
 func TestFingerprintResultNeutralFields(t *testing.T) {
 	ref := DefaultConfig(PIMMMU)
 	ref.Shards = 1
@@ -81,7 +79,7 @@ func TestFingerprintResultNeutralFields(t *testing.T) {
 		cfg := DefaultConfig(PIMMMU)
 		cfg.Shards, cfg.CoreLanes = tc.shards, tc.coreLanes
 		if got := cfg.Fingerprint(); got != base {
-			t.Errorf("shards=%d core-lanes=%d: fingerprint %s != sharded base %s",
+			t.Errorf("shards=%d CoreLanes=%d: fingerprint %s != sharded base %s",
 				tc.shards, tc.coreLanes, got, base)
 		}
 	}
@@ -90,7 +88,7 @@ func TestFingerprintResultNeutralFields(t *testing.T) {
 		t.Fatalf("DefaultConfig no longer defaults to the plain engine (Shards=%d); update this test", plain.Shards)
 	}
 	if plain.Fingerprint() == base {
-		t.Error("plain engine shares the sharded fingerprint; same-instant tie order may differ (see Config.Shards)")
+		t.Error("plain engine shares the sharded fingerprint; its event order differs (see Config.Shards)")
 	}
 }
 

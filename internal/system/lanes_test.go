@@ -1,16 +1,13 @@
 package system
 
 import (
-	"fmt"
+	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/clock"
 )
 
-// TestLaneFlagValidation covers the error paths of the shard/core-lane
-// settings: negative counts and core lanes without a sharded engine are
-// rejected, not clamped.
+// TestLaneFlagValidation covers the error paths of the shard setting:
+// counts below Auto are rejected; CoreLanes is ignored.
 func TestLaneFlagValidation(t *testing.T) {
 	cases := []struct {
 		name              string
@@ -18,11 +15,10 @@ func TestLaneFlagValidation(t *testing.T) {
 		wantErr           string
 	}{
 		{"negative shards", -2, 0, "invalid shard count"},
-		{"negative core lanes", 1, -2, "invalid core-lane count"},
-		{"core lanes without shards", 0, 4, "requires a sharded engine"},
 		{"plain ok", 0, 0, ""},
 		{"sharded ok", 4, 8, ""},
 		{"auto ok", Auto, Auto, ""},
+		{"core lanes ignored", 0, -5, ""},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(PIMMMU)
@@ -44,78 +40,7 @@ func TestLaneFlagValidation(t *testing.T) {
 	}
 }
 
-// TestLaneFlagClamping covers the clamp-with-warning paths: excessive
-// lane counts normalize to the machine's limits with one warning each.
-func TestLaneFlagClamping(t *testing.T) {
-	cfg := DefaultConfig(PIMMMU)
-	cfg.Shards = 1
-	cfg.CoreLanes = cfg.CPU.Cores + 5
-	norm, warns := cfg.Normalize()
-	if norm.CoreLanes != cfg.CPU.Cores {
-		t.Errorf("CoreLanes normalized to %d, want %d", norm.CoreLanes, cfg.CPU.Cores)
-	}
-	if len(warns) != 1 || !strings.Contains(warns[0], "clamping") {
-		t.Errorf("warnings = %v, want one clamp warning", warns)
-	}
-
-	cfg = DefaultConfig(PIMMMU)
-	cfg.Shards = 1000
-	cfg.CoreLanes = 2
-	norm, warns = cfg.Normalize()
-	wantLanes := cfg.Mem.DRAM.Geometry.Channels + cfg.Mem.PIM.Geometry.Channels + 2 + 1
-	if norm.Shards != wantLanes {
-		t.Errorf("Shards normalized to %d, want the %d-lane total", norm.Shards, wantLanes)
-	}
-	if len(warns) != 1 {
-		t.Errorf("warnings = %v, want one", warns)
-	}
-
-	// In-range settings pass through untouched.
-	cfg = DefaultConfig(PIMMMU)
-	cfg.Shards = 2
-	cfg.CoreLanes = 4
-	if norm, warns = cfg.Normalize(); len(warns) != 0 || norm.Shards != 2 || norm.CoreLanes != 4 {
-		t.Errorf("in-range settings changed: %+v warns %v", norm, warns)
-	}
-
-	// New applies the clamps silently and still builds.
-	cfg.CoreLanes = cfg.CPU.Cores + 1
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Cfg.CPU.Lanes; got != cfg.CPU.Cores {
-		t.Errorf("built machine uses %d core lanes, want clamp to %d", got, cfg.CPU.Cores)
-	}
-}
-
-// TestNormalizeLaneFlags covers the CLI-facing wrapper.
-func TestNormalizeLaneFlags(t *testing.T) {
-	if _, _, _, err := NormalizeLaneFlags(-2, 0); err == nil {
-		t.Error("negative -shards accepted")
-	}
-	if _, _, _, err := NormalizeLaneFlags(0, 3); err == nil {
-		t.Error("-core-lanes without -shards accepted")
-	}
-	sh, cl, warns, err := NormalizeLaneFlags(2, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh != 2 || cl != DefaultConfig(PIMMMU).CPU.Cores || len(warns) != 1 {
-		t.Errorf("NormalizeLaneFlags(2, 100) = %d, %d, %v", sh, cl, warns)
-	}
-	// Auto passes through as the sentinel (resolution happens inside
-	// New, keeping CLI cache keys machine-independent), with no warning.
-	sh, cl, warns, err = NormalizeLaneFlags(Auto, Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh != Auto || cl != Auto || len(warns) != 0 {
-		t.Errorf("NormalizeLaneFlags(auto, auto) = %d, %d, %v; want sentinels, no warnings", sh, cl, warns)
-	}
-}
-
-// TestParseLaneFlag covers the flag-string form of the lane knobs.
+// TestParseLaneFlag covers the flag-string form of the shard setting.
 func TestParseLaneFlag(t *testing.T) {
 	if n, err := ParseLaneFlag("auto"); err != nil || n != Auto {
 		t.Errorf(`ParseLaneFlag("auto") = %d, %v; want Auto`, n, err)
@@ -128,101 +53,41 @@ func TestParseLaneFlag(t *testing.T) {
 	}
 }
 
-// TestAutoResolution pins what the sentinels resolve to: CoreLanes=auto
-// becomes one lane per configured core (never a host-dependent count),
-// Shards=auto the lane count capped by the host's CPUs.
+// TestAutoResolution pins what Shards=Auto selects: the sharded engine,
+// with the same lanes as any other non-zero count, whatever the host.
 func TestAutoResolution(t *testing.T) {
-	cfg := DefaultConfig(PIMMMU)
-	cfg.Shards = Auto
-	cfg.CoreLanes = Auto
-	norm, warns := cfg.Normalize()
-	if len(warns) != 0 {
-		t.Errorf("auto resolution warned: %v", warns)
+	lanes := func(shards int) []string {
+		cfg := DefaultConfig(PIMMMU)
+		cfg.Shards = shards
+		var names []string
+		for _, l := range MustNew(cfg).Eng.ShardStats().Lanes {
+			names = append(names, l.Name)
+		}
+		return names
 	}
-	if norm.CoreLanes != cfg.CPU.Cores {
-		t.Errorf("CoreLanes=auto resolved to %d, want one per core (%d)", norm.CoreLanes, cfg.CPU.Cores)
+	auto := lanes(Auto)
+	if len(auto) == 0 {
+		t.Fatal("Shards=auto built the plain engine")
 	}
-	if norm.Shards < 1 {
-		t.Errorf("Shards=auto resolved to %d, want >= 1", norm.Shards)
+	if one := lanes(1); !reflect.DeepEqual(auto, one) {
+		t.Errorf("Shards=auto lanes %v, Shards=1 lanes %v", auto, one)
 	}
-	if max := norm.laneCount(); norm.Shards > max {
-		t.Errorf("Shards=auto resolved to %d, beyond the %d-lane topology", norm.Shards, max)
-	}
-	// The auto machine builds and runs.
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Cfg.CPU.Lanes != cfg.CPU.Cores {
-		t.Errorf("built machine uses %d core lanes, want %d", s.Cfg.CPU.Lanes, cfg.CPU.Cores)
+	if plain := lanes(0); plain != nil {
+		t.Errorf("Shards=0 built lanes %v", plain)
 	}
 }
 
-// TestTopologyShape pins the lane topology the machine is built from:
-// one lane per channel of each device set, CoreLanes core lanes with the
-// LLC edge, and the serial-only dce lane.
-func TestTopologyShape(t *testing.T) {
-	cfg := DefaultConfig(PIMMMU)
-	cfg.Shards = 1
-	cfg.CoreLanes = 3
-	topo := cfg.Topology()
-	if err := topo.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	want := cfg.Mem.DRAM.Geometry.Channels + cfg.Mem.PIM.Geometry.Channels + 3 + 1
-	if len(topo.Lanes) != want {
-		t.Fatalf("topology has %d lanes, want %d", len(topo.Lanes), want)
-	}
-	byName := map[string]int{}
-	for _, l := range topo.Lanes {
-		byName[l.Name] = int(l.Lookahead())
-	}
-	if la := byName["dram:0"]; la != int(cfg.Mem.DRAM.Timing.MinCrossLatency()) {
-		t.Errorf("dram:0 lookahead = %d, want the command-to-data latency", la)
-	}
-	if la := byName["core:2"]; la != int(cfg.CoreLaneLookahead()) {
-		t.Errorf("core:2 lookahead = %d, want CoreLaneLookahead", la)
-	}
-	if la, ok := byName["dce"]; !ok || la != 0 {
-		t.Errorf("dce lane lookahead = %d (present %v), want serial-only 0", la, ok)
-	}
-	if _, ok := byName["core:3"]; ok {
-		t.Error("topology declared more core lanes than configured")
-	}
-}
-
-// TestCoreLaneLookaheadDerivation pins the min(LLC hit, quantum) rule.
-func TestCoreLaneLookaheadDerivation(t *testing.T) {
-	cfg := DefaultConfig(PIMMMU)
-	if got := cfg.CoreLaneLookahead(); got != cfg.Mem.LLCHitLatency {
-		t.Errorf("lookahead = %v, want the LLC hit latency %v", got, cfg.Mem.LLCHitLatency)
-	}
-	cfg.CPU.Quantum = 3 * clock.Nanosecond // pathological, but the min must hold
-	if got := cfg.CoreLaneLookahead(); got != 3*clock.Nanosecond {
-		t.Errorf("lookahead = %v, want the quantum", got)
-	}
-}
-
-// TestBuiltMachineClaimsLanes checks the wired machine: every topology
-// lane is claimed and attributable through ShardStats.
+// TestBuiltMachineClaimsLanes pins the lane order of the wired machine:
+// lane ids are part of the sharded engine's event order.
 func TestBuiltMachineClaimsLanes(t *testing.T) {
 	cfg := DefaultConfig(PIMMMU)
 	cfg.Shards = 1
-	cfg.CoreLanes = 2
-	s := MustNew(cfg)
-	st := s.Eng.ShardStats()
-	names := map[string]bool{}
-	for _, l := range st.Lanes {
-		names[l.Name] = true
+	var names []string
+	for _, l := range MustNew(cfg).Eng.ShardStats().Lanes {
+		names = append(names, l.Name)
 	}
-	for _, want := range []string{"dram:0", "pim:3", "core:0", "core:1", "dce"} {
-		if !names[want] {
-			t.Errorf("built machine lacks lane %q (have %v)", want, names)
-		}
-	}
-	for i := 0; i < cfg.Mem.DRAM.Geometry.Channels; i++ {
-		if !names[fmt.Sprintf("dram:%d", i)] {
-			t.Errorf("missing dram:%d", i)
-		}
+	want := []string{"dram:0", "dram:1", "dram:2", "dram:3", "pim:0", "pim:1", "pim:2", "pim:3", "dce"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("lanes %v, want %v", names, want)
 	}
 }

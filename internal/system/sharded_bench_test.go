@@ -12,15 +12,13 @@ import (
 	"repro/internal/trace"
 )
 
-// benchContenders builds a Table I machine at the given lane topology
+// benchContenders builds a Table I machine on the given engine class
 // with n spin contenders — the Fig. 13a interference workload: every
-// thread alternates compute-span chains (lane-local on a per-core lane)
-// with LLC-hit loads (crossings at the memory-system boundary) — and
-// runs it for simTime. It returns the machine for verification.
-func benchContenders(shards, coreLanes, n int, simTime clock.Picos) *system.System {
+// thread alternates compute-span chains with LLC-hit loads — and runs it
+// for simTime. It returns the machine for verification.
+func benchContenders(shards, n int, simTime clock.Picos) *system.System {
 	cfg := system.DefaultConfig(system.Base)
 	cfg.Shards = shards
-	cfg.CoreLanes = coreLanes
 	s := system.MustNew(cfg)
 	const wset = 16 << 10
 	base := s.Alloc(uint64(n) * wset)
@@ -32,37 +30,25 @@ func benchContenders(shards, coreLanes, n int, simTime clock.Picos) *system.Syst
 	return s
 }
 
-// BenchmarkEngineShardedCores measures the multi-contender speedup of
-// per-core host lanes on the Fig. 13a spin-contender workload — the
-// artifact captured into BENCH_engine.json, framed exactly like the
-// channel counterpart (BenchmarkEngineShardedChannels): the plain
-// engine, the sharded queue executed serially (lanes1, the determinism
-// reference), windowed execution at 2/4/8 workers with one lane per
-// core, and — for the topology comparison — 8 workers with every core
-// left on the host lane (PR 3 behavior). The windowed core-lane rows
-// beat lanes1 even single-threaded (batched lane dispatch skips the
-// per-event frontier scan); on multi-core hardware the 8 lanes'
-// windows additionally execute in parallel.
+// BenchmarkEngineShardedCores measures the Fig. 13a spin-contender
+// workload on the plain engine (serial) and the sharded one
+// (host-lanes8).
 func BenchmarkEngineShardedCores(b *testing.B) {
 	const (
 		contenders = 8
 		simTime    = 4 * clock.Millisecond
 	)
 	for _, p := range []struct {
-		name              string
-		shards, coreLanes int
+		name   string
+		shards int
 	}{
-		{"serial", 0, 0},
-		{"lanes1", 1, 8},
-		{"lanes2", 2, 8},
-		{"lanes4", 4, 8},
-		{"lanes8", 8, 8},
-		{"host-lanes8", 8, 0},
+		{"serial", 0},
+		{"host-lanes8", 8},
 	} {
 		b.Run(p.name, func(b *testing.B) {
 			var memOps uint64
 			for i := 0; i < b.N; i++ {
-				s := benchContenders(p.shards, p.coreLanes, contenders, simTime)
+				s := benchContenders(p.shards, contenders, simTime)
 				memOps = 0
 				for _, c := range s.CPU.Cores() {
 					if t := c.Thread(); t != nil {
@@ -76,11 +62,10 @@ func BenchmarkEngineShardedCores(b *testing.B) {
 }
 
 // hitLoop returns a hit-dominated contender: bursts of LLC-hit loads
-// inside a 16 KB working set separated by one short lane-local compute
-// chunk. Where Spin spends 4096 cycles of compute per load, hitLoop
-// issues four loads per 512 cycles — the completion stream is almost
-// entirely LLC-hit deliveries, which is exactly the traffic the
-// per-requester delivery path takes off the serial frontier.
+// inside a 16 KB working set separated by one short compute chunk. Where
+// Spin spends 4096 cycles of compute per load, hitLoop issues four loads
+// per 512 cycles — the completion stream is almost entirely LLC-hit
+// deliveries.
 func hitLoop(st *contend.Stopper, base uint64) cpu.Program {
 	const (
 		chunkCycles = 512
@@ -104,12 +89,11 @@ func hitLoop(st *contend.Stopper, base uint64) cpu.Program {
 }
 
 // benchHitContenders is benchContenders with the hit-dominated workload
-// and an oversubscribed thread count, so quantum rotations exercise the
-// delivery-promotion path under load.
-func benchHitContenders(shards, coreLanes, n int, simTime clock.Picos) *system.System {
+// and an oversubscribed thread count, so quantum rotations run under
+// load.
+func benchHitContenders(shards, n int, simTime clock.Picos) *system.System {
 	cfg := system.DefaultConfig(system.Base)
 	cfg.Shards = shards
-	cfg.CoreLanes = coreLanes
 	s := system.MustNew(cfg)
 	const wset = 16 << 10
 	base := s.Alloc(uint64(n) * wset)
@@ -121,39 +105,25 @@ func benchHitContenders(shards, coreLanes, n int, simTime clock.Picos) *system.S
 	return s
 }
 
-// BenchmarkEngineContendedHits measures the tentpole payoff on the
-// contender path itself: a hit-dominated Fig. 13-style workload where
-// nearly every completion is an LLC-hit delivery. With per-requester
-// delivery those completions ride the issuing core's lane and execute
-// inside that lane's windows, so on a multi-core host the 16 threads'
-// delivery streams drain in parallel instead of one at a time at the
-// frontier. On a single-CPU runner the laned rows sit at parity with
-// the host-queue baseline (each hit is followed by a crossing enqueue,
-// so the frontier still paces per-load progress when windows cannot
-// overlap) — there the payoff row is auto, which sizes workers to the
-// host and keeps the cheap serial hit path. The auto row runs the
-// adaptive controller end to end: Normalize sizes the topology to the
-// host, the controller tunes window thresholds and the worker pool from
-// live ShardStats.
+// BenchmarkEngineContendedHits measures a hit-dominated Fig. 13-style
+// workload, where nearly every completion is an LLC-hit delivery, on the
+// plain engine (serial) and the sharded one (host-lanes8).
 func BenchmarkEngineContendedHits(b *testing.B) {
 	const (
 		contenders = 16
 		simTime    = 2 * clock.Millisecond
 	)
 	for _, p := range []struct {
-		name              string
-		shards, coreLanes int
+		name   string
+		shards int
 	}{
-		{"serial", 0, 0},
-		{"lanes1", 1, 8},
-		{"lanes8", 8, 8},
-		{"host-lanes8", 8, 0},
-		{"auto", system.Auto, system.Auto},
+		{"serial", 0},
+		{"host-lanes8", 8},
 	} {
 		b.Run(p.name, func(b *testing.B) {
 			var memOps uint64
 			for i := 0; i < b.N; i++ {
-				s := benchHitContenders(p.shards, p.coreLanes, contenders, simTime)
+				s := benchHitContenders(p.shards, contenders, simTime)
 				memOps = 0
 				for _, c := range s.CPU.Cores() {
 					if t := c.Thread(); t != nil {
@@ -167,12 +137,11 @@ func BenchmarkEngineContendedHits(b *testing.B) {
 }
 
 // benchOpenLoop runs one open-loop Poisson load point (32 GB/s offered,
-// the mixed pattern over a 1 MiB footprint) at the given lane topology
+// the mixed pattern over a 1 MiB footprint) on the given engine class
 // and returns its result for verification.
-func benchOpenLoop(shards, coreLanes int) trace.LoadResult {
+func benchOpenLoop(shards int) trace.LoadResult {
 	cfg := system.DefaultConfig(system.PIMMMU)
 	cfg.Shards = shards
-	cfg.CoreLanes = coreLanes
 	s := system.MustNew(cfg)
 	gen := trace.DefaultGenConfig()
 	gen.FootprintLines = 1 << 14
@@ -189,24 +158,20 @@ func benchOpenLoop(shards, coreLanes int) trace.LoadResult {
 }
 
 // BenchmarkEngineOpenLoopLoad measures the engine cost of the open-loop
-// driver path — the loadcurve experiment's inner loop — on the serial
-// engine, the sharded queue executed serially (the determinism
-// reference), and windowed execution at 4 workers. Captured into
-// BENCH_engine.json and gated by bench-compare like the other engine
-// benches.
+// driver path — the loadcurve experiment's inner loop — on the plain
+// engine (serial) and the sharded one (lanes1).
 func BenchmarkEngineOpenLoopLoad(b *testing.B) {
 	for _, p := range []struct {
-		name              string
-		shards, coreLanes int
+		name   string
+		shards int
 	}{
-		{"serial", 0, 0},
-		{"lanes1", 1, 0},
-		{"lanes4", 4, 0},
+		{"serial", 0},
+		{"lanes1", 1},
 	} {
 		b.Run(p.name, func(b *testing.B) {
 			var completed uint64
 			for i := 0; i < b.N; i++ {
-				completed = benchOpenLoop(p.shards, p.coreLanes).Completed
+				completed = benchOpenLoop(p.shards).Completed
 			}
 			b.ReportMetric(float64(completed), "reqs")
 		})
@@ -214,25 +179,24 @@ func BenchmarkEngineOpenLoopLoad(b *testing.B) {
 }
 
 // TestBenchContendersDeterministic pins that the benchmark workload
-// itself is lane-topology invariant — per-thread progress and engine
-// event counts match bit for bit — so the speedup comparison is apples
-// to apples.
+// itself is engine-class invariant — per-thread progress and LLC counts
+// match bit for bit — so the comparison is apples to apples.
 func TestBenchContendersDeterministic(t *testing.T) {
 	workloads := []struct {
 		name  string
-		build func(shards, coreLanes int) *system.System
+		build func(shards int) *system.System
 	}{
-		{"spin", func(sh, cl int) *system.System {
-			return benchContenders(sh, cl, 8, 2*clock.Millisecond)
+		{"spin", func(sh int) *system.System {
+			return benchContenders(sh, 8, 2*clock.Millisecond)
 		}},
-		{"hit-loop", func(sh, cl int) *system.System {
-			return benchHitContenders(sh, cl, 16, clock.Millisecond)
+		{"hit-loop", func(sh int) *system.System {
+			return benchHitContenders(sh, 16, clock.Millisecond)
 		}},
 	}
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
-			snap := func(shards, coreLanes int) string {
-				s := w.build(shards, coreLanes)
+			snap := func(shards int) string {
+				s := w.build(shards)
 				out := fmt.Sprintf("now=%v", s.Eng.Now())
 				for _, c := range s.CPU.Cores() {
 					if th := c.Thread(); th != nil {
@@ -243,15 +207,8 @@ func TestBenchContendersDeterministic(t *testing.T) {
 				out += fmt.Sprintf(" llc=%d/%d", ls.Hits, ls.Misses)
 				return out
 			}
-			want := snap(0, 0)
-			for _, p := range []struct{ shards, coreLanes int }{
-				{1, 0}, {1, 4}, {2, 2}, {4, 8}, {8, 8},
-				{system.Auto, system.Auto},
-			} {
-				if got := snap(p.shards, p.coreLanes); got != want {
-					t.Errorf("shards=%d core-lanes=%d diverged:\nwant %s\ngot  %s",
-						p.shards, p.coreLanes, want, got)
-				}
+			if want, got := snap(0), snap(1); got != want {
+				t.Errorf("sharded engine diverged:\nwant %s\ngot  %s", want, got)
 			}
 		})
 	}

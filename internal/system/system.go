@@ -8,7 +8,6 @@ package system
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 
 	"repro/internal/clock"
@@ -89,45 +88,24 @@ type Config struct {
 	Baseline xfer.BaselineConfig
 	Memcpy   xfer.MemcpyConfig
 	Design   Design
-	// Shards selects the event-engine execution mode. 0 (the default)
-	// runs the machine on the plain serial engine. >= 1 builds a sharded
-	// engine from the machine's lane topology (see Topology): 1 executes
-	// everything serially — the determinism reference — while >= 2 runs
-	// conservative windows of lane-local events across that many worker
-	// goroutines. Auto sizes the worker pool to the machine (see Auto).
-	// Sharded output is byte-identical across all shard counts >= 1 by
-	// construction; only wall-clock time changes. The plain engine agrees
-	// with the sharded one everywhere except the tie order of events
-	// scheduled at identical timestamps from identical instants, where
-	// each engine uses its own (equally valid, bit-stable) canonical
-	// order; the golden command streams and replay metrics are pinned
-	// identical across both by the cross-shard regression tests.
+	// Shards selects the event-engine class. 0 (the default) runs the
+	// machine on the plain engine; any other value, Auto included, on the
+	// sharded engine (one event lane per DDR4 channel plus the DCE's; see
+	// sim.NewSharded). The two classes are separate event orders: they
+	// can break same-instant ties differently, so results can differ
+	// between them (fig8, fig14, a Fig. 13 contended transfer).
+	// Within a class the value is irrelevant.
 	Shards int
-	// CoreLanes adds per-core host lanes to the topology: CPU core i
-	// schedules on lane "core:<i mod CoreLanes>", with the LLC as the
-	// crossing boundary (cores only interact through the memory system
-	// and the OS scheduler quantum). 0 (the default) keeps every core on
-	// the host lane — PR 3 behavior; Auto claims one lane per core.
-	// Requires Shards >= 1; output is byte-identical across every
-	// core-lane count, pinned by the cross-shard regression tests.
+	// CoreLanes is accepted for compatibility and ignored.
 	CoreLanes int
 }
 
-// Auto is the adaptive sentinel for Config.Shards and Config.CoreLanes
-// (CLI spelling "auto"). Normalize resolves it against the machine:
-// CoreLanes=Auto claims one event lane per configured CPU core, and
-// Shards=Auto sizes the worker pool to min(lane count, runtime.NumCPU())
-// — from there the engine's adaptive window controller parks or wakes
-// pool workers per run (sim.ShardStats.InlineMax / PoolTarget). The
-// resolution is results-neutral: worker counts never affect simulation
-// output, and the core-lane count resolves from the configured core
-// count, never from the host — so "auto" produces byte-identical results
-// on every machine, only different wall-clock time.
+// Auto is the "auto" CLI spelling of Config.Shards; it selects the
+// sharded engine.
 const Auto = -1
 
-// ParseLaneFlag parses one -shards / -core-lanes CLI value: "auto"
-// selects adaptive sizing (Auto); anything else must be an integer
-// count.
+// ParseLaneFlag parses one -shards CLI value: "auto" selects Auto;
+// anything else must be an integer count.
 func ParseLaneFlag(s string) (int, error) {
 	if s == "auto" {
 		return Auto, nil
@@ -137,117 +115,6 @@ func ParseLaneFlag(s string) (int, error) {
 		return 0, fmt.Errorf("system: lane flag %q (want a count or \"auto\")", s)
 	}
 	return n, nil
-}
-
-// Topology is the machine's lane topology, the declarative input
-// sim.NewShardedTopology builds the sharded engine from:
-//
-//   - one lane per DDR4 channel of each device set ("dram:<i>",
-//     "pim:<i>"), crossing toward the host with the command-to-data
-//     latency min(CL,CWL)+BL of that set's timing — nothing a controller
-//     does becomes externally visible sooner than its data burst;
-//   - CoreLanes per-core lanes ("core:<i>"), crossing at the LLC with
-//     min(LLC hit latency, scheduler quantum) — the earliest a computing
-//     core can reach shared memory state, and the only other
-//     externally-imposed interaction is the preemption quantum;
-//   - the serial-only "dce" lane (zero-latency edge: every DCE event
-//     pumps the memory system).
-func (c Config) Topology() sim.Topology {
-	var t sim.Topology
-	for i := 0; i < c.Mem.DRAM.Geometry.Channels; i++ {
-		t.Add(fmt.Sprintf("dram:%d", i),
-			sim.Edge{To: "host", MinLatency: c.Mem.DRAM.Timing.MinCrossLatency()})
-	}
-	for i := 0; i < c.Mem.PIM.Geometry.Channels; i++ {
-		t.Add(fmt.Sprintf("pim:%d", i),
-			sim.Edge{To: "host", MinLatency: c.Mem.PIM.Timing.MinCrossLatency()})
-	}
-	la := c.CoreLaneLookahead()
-	for i := 0; i < c.CoreLanes; i++ {
-		t.Add(fmt.Sprintf("core:%d", i), sim.Edge{To: "llc", MinLatency: la})
-	}
-	t.Add("dce", sim.Edge{To: "llc", MinLatency: 0})
-	return t
-}
-
-// CoreLaneLookahead derives the core lanes' crossing-edge latency: a
-// core executing a compute span cannot make a new memory access visible
-// sooner than an LLC traversal, and the only other externally-imposed
-// interaction — preemption — arrives no sooner than the scheduler
-// quantum. The same value seeds cpu.Config.LaneLocalFloor, which keeps
-// the classification and the window bound consistent by construction.
-func (c Config) CoreLaneLookahead() clock.Picos {
-	la := c.Mem.LLCHitLatency
-	if c.CPU.Quantum < la {
-		la = c.CPU.Quantum
-	}
-	return la
-}
-
-// Normalize resolves Auto sentinels against the machine, clamps
-// out-of-range lane settings to their effective values, and reports one
-// warning string per clamp (the CLIs print them; New applies the same
-// normalization silently). Invalid — rather than merely excessive —
-// settings are Validate errors, not clamps. Auto resolution warns
-// nothing: it is requested behavior, not a correction.
-func (c Config) Normalize() (Config, []string) {
-	var warns []string
-	if c.CoreLanes == Auto {
-		c.CoreLanes = c.CPU.Cores
-	}
-	if c.Shards == Auto {
-		c.Shards = c.laneCount()
-		if n := runtime.NumCPU(); n < c.Shards {
-			c.Shards = n
-		}
-		if c.Shards < 1 {
-			c.Shards = 1
-		}
-	}
-	if c.CoreLanes > c.CPU.Cores {
-		warns = append(warns, fmt.Sprintf(
-			"core lanes %d exceed the %d CPU cores; clamping to %d (extra lanes would idle)",
-			c.CoreLanes, c.CPU.Cores, c.CPU.Cores))
-		c.CoreLanes = c.CPU.Cores
-	}
-	if lanes := c.laneCount(); c.Shards > lanes {
-		warns = append(warns, fmt.Sprintf(
-			"shards %d exceed the machine's %d event lanes; clamping to %d (extra workers would idle)",
-			c.Shards, lanes, lanes))
-		c.Shards = lanes
-	}
-	return c, warns
-}
-
-// laneCount is the total lane count of the machine's topology (windows
-// cannot use more workers than lanes).
-func (c Config) laneCount() int {
-	return c.Mem.DRAM.Geometry.Channels + c.Mem.PIM.Geometry.Channels + c.CoreLanes + 1
-}
-
-// NormalizeLaneFlags validates and normalizes the CLIs' -shards /
-// -core-lanes flags against the Table I machine: values below Auto and
-// core lanes without a sharded engine are errors; excessive values clamp
-// with a warning string per adjustment. The returned values are the
-// effective settings to apply — except that Auto stays Auto: the
-// sentinel resolves machine-dependently (runtime.NumCPU) inside New,
-// and callers fingerprint these values into cache keys that must stay
-// machine-independent.
-func NormalizeLaneFlags(shards, coreLanes int) (int, int, []string, error) {
-	cfg := DefaultConfig(PIMMMU)
-	cfg.Shards = shards
-	cfg.CoreLanes = coreLanes
-	if shards < Auto || coreLanes < Auto || (coreLanes != 0 && shards == 0) {
-		return 0, 0, nil, cfg.Validate()
-	}
-	cfg, warns := cfg.Normalize()
-	if shards == Auto {
-		cfg.Shards = Auto
-	}
-	if coreLanes == Auto {
-		cfg.CoreLanes = Auto
-	}
-	return cfg.Shards, cfg.CoreLanes, warns, nil
 }
 
 // DefaultConfig is the Table I machine with the chosen design point.
@@ -282,13 +149,7 @@ func DefaultConfig(d Design) Config {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Shards < Auto {
-		return fmt.Errorf("system: invalid shard count %d (0 = plain engine, >= 1 = sharded, Auto = adaptive)", c.Shards)
-	}
-	if c.CoreLanes < Auto {
-		return fmt.Errorf("system: invalid core-lane count %d", c.CoreLanes)
-	}
-	if c.CoreLanes != 0 && c.Shards == 0 {
-		return fmt.Errorf("system: CoreLanes=%d requires a sharded engine (set Shards >= 1 or auto)", c.CoreLanes)
+		return fmt.Errorf("system: invalid shard count %d (0 = plain engine, >= 1 or Auto = sharded)", c.Shards)
 	}
 	if err := c.CPU.Validate(); err != nil {
 		return err
@@ -326,20 +187,12 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg, _ = cfg.Normalize()
+	// Lane ids are part of the sharded engine's event order: the memory
+	// system claims dram:0.. then pim:0.., and the DCE claims dce last.
 	eng := sim.New()
-	if cfg.Shards >= 1 {
-		var err error
-		eng, err = sim.NewShardedTopology(cfg.Shards, cfg.Topology())
-		if err != nil {
-			return nil, fmt.Errorf("system: building lane topology: %w", err)
-		}
+	if cfg.Shards != 0 {
+		eng = sim.NewSharded()
 	}
-	// The CPU claims its core lanes by topology name; the classification
-	// floor mirrors the core lanes' crossing-edge latency (see
-	// CoreLaneLookahead).
-	cfg.CPU.Lanes = cfg.CoreLanes
-	cfg.CPU.LaneLocalFloor = cfg.CoreLaneLookahead()
 	ms, err := memsys.New(eng, cfg.Mem)
 	if err != nil {
 		return nil, err
@@ -521,15 +374,12 @@ func (s *System) RunLoad(recs []trace.Record, cfg trace.DriverConfig) (trace.Loa
 // drain runs remaining completion events (posted writes, refreshes in
 // flight) without advancing past quiescence. With live threads (for
 // example contenders) the memory system never goes idle, so draining is
-// skipped — their traffic keeps flowing on the next run anyway. The
-// condition reads channel queue state, which shard-local events mutate,
-// so the drain steps serially: the stop point is then the same event at
-// every shard count (windows would batch past it).
+// skipped — their traffic keeps flowing on the next run anyway.
 func (s *System) drain() {
 	if s.CPU.Runnable() > 0 {
 		return
 	}
-	s.Eng.RunWhileSerial(func() bool { return !s.Mem.Idle() })
+	s.Eng.RunWhile(func() bool { return !s.Mem.Idle() })
 }
 
 // Contenders launches n co-located contender threads built by mk and

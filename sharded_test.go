@@ -1,76 +1,37 @@
-// Cross-shard invariant tests: a sharded machine must be indistinguishable
-// from a serial one in everything but wall-clock time, at every point of
-// its lane topology. The DDR4 channels only interact with the rest of the
-// machine at request enqueue/complete boundaries, CPU cores only through
-// the LLC and the scheduler quantum, and the sharded engine fires every
-// such crossing serially at its frontier, so the command stream each
-// channel issues — and every metric derived from it — must be
-// byte-identical across shard counts AND across core-lane counts,
-// including combined channel x core topologies.
+// Cross-engine invariant tests: on these workloads the sharded engine
+// must be indistinguishable from the plain one. The two engines are
+// separate event orders that can break same-instant ties differently
+// (fig8, fig14 and the Fig. 13 contended transfers differ), so these
+// tests pin the workloads where they agree: the per-channel DDR4 command
+// streams of transfers, replay and open-loop results, and a contended
+// golden stream.
 package pimmmu_test
 
 import (
-	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/clock"
-	"repro/internal/harness"
 	"repro/internal/mem"
 	"repro/internal/system"
 	"repro/internal/trace"
 )
 
-// laneTopo is one point of the lane-topology axis.
-type laneTopo struct{ shards, coreLanes int }
+// laneTopos is the engine-class axis every invariant is checked across,
+// as Config.Shards values: the plain engine (the reference) and the
+// sharded one.
+var laneTopos = []int{0, 1}
 
-func (lt laneTopo) String() string {
-	n := func(v int) string {
-		if v == system.Auto {
-			return "auto"
-		}
-		return fmt.Sprintf("%d", v)
-	}
-	return fmt.Sprintf("shards=%s,core-lanes=%s", n(lt.shards), n(lt.coreLanes))
-}
-
-// laneTopos is the topology axis every invariant is checked across: the
-// plain serial engine (0,0); the sharded queue executed serially with
-// core-lane counts 0/1/2/4 (per the acceptance contract, including
-// lane-sharing partitions of the 8 cores); and combined channel x core
-// window execution at 2 and 4 workers up to one lane per core; and the
-// adaptive auto sizing (shards and core lanes resolved per host by
-// Normalize, window thresholds tuned at run time by the controller). The
-// first entry is the reference; everything after must match it bit for
-// bit.
-var laneTopos = []laneTopo{
-	{0, 0},
-	{1, 0},
-	{1, 1},
-	{1, 2},
-	{1, 4},
-	{2, 2},
-	{2, 4},
-	{4, 8},
-	{system.Auto, system.Auto},
-}
-
-// shardCounts is the legacy shard-only axis kept for workloads where the
-// core-lane dimension is redundant (no CPU threads run at all).
-var shardCounts = []int{0, 1, 2, 4}
-
-// TestShardedCommandStreamIdentical pins the tentpole's hard requirement:
-// the full per-channel DDR4 command stream of a transfer (the golden-test
-// rendering) is byte-identical between the plain engine and every lane
-// topology — shard counts, core-lane counts, and combinations — for both
-// the software-baseline (CPU-thread-heavy) and the PIM-MMU design.
+// TestShardedCommandStreamIdentical pins the full per-channel DDR4
+// command stream of a transfer (the golden-test rendering) byte-identical
+// between the plain and the sharded engine, for both the
+// software-baseline (CPU-thread-heavy) and the PIM-MMU design.
 func TestShardedCommandStreamIdentical(t *testing.T) {
 	for _, d := range []system.Design{system.Base, system.PIMMMU} {
-		want := commandStream(d, laneTopos[0].shards, laneTopos[0].coreLanes)
+		want := commandStream(d, laneTopos[0])
 		for _, lt := range laneTopos[1:] {
-			if got := commandStream(d, lt.shards, lt.coreLanes); got != want {
-				t.Errorf("%v: command stream diverged at %v\n--- serial ---\n%s--- %v ---\n%s",
+			if got := commandStream(d, lt); got != want {
+				t.Errorf("%v: command stream diverged at shards=%d\n--- plain ---\n%s--- %d ---\n%s",
 					d, lt, want, lt, got)
 			}
 		}
@@ -78,21 +39,21 @@ func TestShardedCommandStreamIdentical(t *testing.T) {
 }
 
 // TestContendedStreamLaneTopologyIdentical is the Fig. 13-style
-// counterpart: the contender-heavy command stream (spin + memory-hog
-// threads co-located with a software transfer — the workload per-core
-// lanes exist for) must render byte-identically at every lane topology.
+// counterpart: the contender-heavy golden command stream (spin +
+// memory-hog threads co-located with a software transfer) must render
+// byte-identically on both engines.
 func TestContendedStreamLaneTopologyIdentical(t *testing.T) {
-	want := contendedStream(laneTopos[0].shards, laneTopos[0].coreLanes)
+	want := contendedStream(laneTopos[0])
 	for _, lt := range laneTopos[1:] {
-		if got := contendedStream(lt.shards, lt.coreLanes); got != want {
-			t.Errorf("contended stream diverged at %v\n--- serial ---\n%s--- %v ---\n%s",
+		if got := contendedStream(lt); got != want {
+			t.Errorf("contended stream diverged at shards=%d\n--- plain ---\n%s--- %d ---\n%s",
 				lt, want, lt, got)
 		}
 	}
 }
 
-// TestShardedReplayResultIdentical replays one synthetic trace on machines
-// at every lane topology and requires the full trace.Result — counts,
+// TestShardedReplayResultIdentical replays one synthetic trace on both
+// engines and requires the full trace.Result — counts,
 // bytes, timestamps, latency sum and histogram, backpressure metrics — to
 // match field for field.
 func TestShardedReplayResultIdentical(t *testing.T) {
@@ -102,8 +63,7 @@ func TestShardedReplayResultIdentical(t *testing.T) {
 	results := make([]trace.Result, len(laneTopos))
 	for i, lt := range laneTopos {
 		cfg := system.DefaultConfig(system.PIMMMU)
-		cfg.Shards = lt.shards
-		cfg.CoreLanes = lt.coreLanes
+		cfg.Shards = lt
 		s := system.MustNew(cfg)
 		g := gen
 		g.Base = s.Alloc(g.FootprintBytes(trace.PatternMixed))
@@ -116,14 +76,14 @@ func TestShardedReplayResultIdentical(t *testing.T) {
 	}
 	for i, lt := range laneTopos[1:] {
 		if !reflect.DeepEqual(results[i+1], results[0]) {
-			t.Errorf("trace.Result diverged at %v:\nserial: %+v\nsharded: %+v",
+			t.Errorf("trace.Result diverged at shards=%d:\nplain: %+v\nsharded: %+v",
 				lt, results[0], results[i+1])
 		}
 	}
 }
 
 // TestShardedLoadResultIdentical drives one open-loop Poisson point on
-// machines at every lane topology and requires the full trace.LoadResult
+// both engines and requires the full trace.LoadResult
 // — arrival/issue/completion counts, the queue/service/total latency
 // split with all three histograms, and the backpressure metrics — to
 // match field for field.
@@ -137,8 +97,7 @@ func TestShardedLoadResultIdentical(t *testing.T) {
 	results := make([]trace.LoadResult, len(laneTopos))
 	for i, lt := range laneTopos {
 		cfg := system.DefaultConfig(system.PIMMMU)
-		cfg.Shards = lt.shards
-		cfg.CoreLanes = lt.coreLanes
+		cfg.Shards = lt
 		s := system.MustNew(cfg)
 		g := gen
 		g.Base = s.Alloc(g.FootprintBytes(trace.PatternMixed))
@@ -151,14 +110,14 @@ func TestShardedLoadResultIdentical(t *testing.T) {
 	}
 	for i, lt := range laneTopos[1:] {
 		if !reflect.DeepEqual(results[i+1], results[0]) {
-			t.Errorf("trace.LoadResult diverged at %v:\nserial: %+v\nsharded: %+v",
+			t.Errorf("trace.LoadResult diverged at shards=%d:\nplain: %+v\nsharded: %+v",
 				lt, results[0], results[i+1])
 		}
 	}
 }
 
-// TestShardedTransferMetricsIdentical runs a mid-size DCE transfer at
-// every lane topology and compares the transfer result plus the aggregate
+// TestShardedTransferMetricsIdentical runs a mid-size DCE transfer on
+// both engines and compares the transfer result plus the aggregate
 // channel statistics on both device sets.
 func TestShardedTransferMetricsIdentical(t *testing.T) {
 	type snapshot struct {
@@ -172,10 +131,9 @@ func TestShardedTransferMetricsIdentical(t *testing.T) {
 		pimChannelRowHits    []uint64
 		pimChannelQueueFulls []uint64
 	}
-	run := func(lt laneTopo) snapshot {
+	run := func(shards int) snapshot {
 		cfg := system.DefaultConfig(system.PIMMMU)
-		cfg.Shards = lt.shards
-		cfg.CoreLanes = lt.coreLanes
+		cfg.Shards = shards
 		s := system.MustNew(cfg)
 		per := (1 << 20) / uint64(s.Cfg.PIM.NumCores()) &^ 63
 		res := s.RunTransfer(s.TransferOp(0, s.Cfg.PIM.NumCores(), per))
@@ -198,41 +156,14 @@ func TestShardedTransferMetricsIdentical(t *testing.T) {
 	want := run(laneTopos[0])
 	for _, lt := range laneTopos[1:] {
 		if got := run(lt); !reflect.DeepEqual(got, want) {
-			t.Errorf("transfer metrics diverged at %v:\nserial:  %+v\nsharded: %+v",
+			t.Errorf("transfer metrics diverged at shards=%d:\nplain:   %+v\nsharded: %+v",
 				lt, want, got)
 		}
 	}
 }
 
-// TestShardedExperimentOutputIdentical renders one full harness experiment
-// serially and sharded (with core lanes); the printed artifact must not
-// change.
-func TestShardedExperimentOutputIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment render in -short mode")
-	}
-	fig8, ok := harness.ByName("fig8")
-	if !ok {
-		t.Fatal("fig8 experiment not registered")
-	}
-	render := func(shards, coreLanes int) string {
-		r := &harness.Runner{Shards: shards, CoreLanes: coreLanes}
-		var b bytes.Buffer
-		r.Run(fig8, &b, harness.Quick)
-		return b.String()
-	}
-	want := render(1, 0)
-	for _, lt := range []laneTopo{{2, 0}, {2, 4}, {4, 8}} {
-		if got := render(lt.shards, lt.coreLanes); got != want {
-			t.Errorf("fig8 output diverged at %v\n--- serial ---\n%s--- %v ---\n%s",
-				lt, want, lt, got)
-		}
-	}
-}
-
 // TestShardedPIMRegionReplay exercises the non-cacheable PIM-region path
-// (no LLC in front of the channels) across shard counts; no CPU threads
-// run, so the core-lane axis is redundant here.
+// (no LLC in front of the channels) on both engines.
 func TestShardedPIMRegionReplay(t *testing.T) {
 	gen := trace.DefaultGenConfig()
 	gen.Records = 1 << 10
@@ -241,7 +172,7 @@ func TestShardedPIMRegionReplay(t *testing.T) {
 	gen.WritePercent = 100
 	recs := trace.MustGenerate(trace.PatternMixed, gen)
 	var want trace.Result
-	for i, shards := range shardCounts {
+	for i, shards := range laneTopos {
 		cfg := system.DefaultConfig(system.Base)
 		cfg.Shards = shards
 		s := system.MustNew(cfg)
@@ -252,7 +183,7 @@ func TestShardedPIMRegionReplay(t *testing.T) {
 		if i == 0 {
 			want = r
 		} else if !reflect.DeepEqual(r, want) {
-			t.Errorf("PIM-region replay diverged at %d shards:\nserial: %+v\nsharded: %+v",
+			t.Errorf("PIM-region replay diverged at shards=%d:\nplain: %+v\nsharded: %+v",
 				shards, want, r)
 		}
 	}
