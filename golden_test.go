@@ -17,12 +17,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/contend"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/sweep"
 	"repro/internal/system"
+	"repro/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
@@ -180,6 +182,89 @@ func TestGoldenContendedStream(t *testing.T) {
 	if string(want) != serial[0] {
 		t.Errorf("contended command stream diverged from %s\n--- got ---\n%s--- want ---\n%s",
 			path, serial[0], want)
+	}
+}
+
+// openLoopArrivals is the arrival count of the conflict-heavy golden.
+const openLoopArrivals = 8192
+
+// openLoopStream is the conflict-heavy golden workload: a Base open-loop
+// run of uncached Poisson arrivals at a 2 ns mean gap over a
+// uniform-random mixed read/write trace on a 16 MiB footprint, with
+// enough requests in flight to fill the controller queues. Nearly every
+// DRAM access is a row conflict, so the stream pins the FR-FCFS
+// scheduler's precharge decisions (the row-hit guard, bank ownership
+// across both queues and write-drain switches) rather than the row-hit
+// path the transfer goldens exercise.
+func openLoopStream() string {
+	cfg := system.DefaultConfig(system.Base)
+	s := system.MustNew(cfg)
+
+	chans := cfg.Mem.DRAM.Geometry.Channels
+	recs := make([]*cmdRecorder, chans)
+	for i := range recs {
+		recs[i] = &cmdRecorder{counts: map[dram.Cmd]int{}}
+		s.Mem.DRAM.Channel(i).Observe(recs[i])
+	}
+	chk := dram.NewChecker(cfg.Mem.DRAM)
+	s.Mem.DRAM.Channel(0).Observe(observerPair{recs[0], chk})
+
+	gcfg := trace.DefaultGenConfig()
+	gcfg.Records = openLoopArrivals
+	gcfg.FootprintLines = 1 << 18
+	gcfg.Base = s.Alloc(gcfg.FootprintBytes(trace.PatternMixed))
+	dcfg := trace.DefaultDriverConfig()
+	dcfg.MeanGap = 2 * clock.Nanosecond
+	dcfg.Duration = dcfg.MeanGap * openLoopArrivals
+	// Uncached, so the trace's stores reach the write queue and drive
+	// write-drain switches instead of waiting in the LLC.
+	dcfg.Cacheable = false
+	dcfg.MaxInFlight = 256
+	lr, err := s.RunLoad(trace.MustGenerate(trace.PatternMixed, gcfg), dcfg)
+	if err != nil {
+		panic(err)
+	}
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "design %v open-loop mixed poisson gap=%dps arrivals=%d completed=%d retries=%d end=%d ps\n",
+		system.Base, dcfg.MeanGap, lr.Arrivals, lr.Completed, lr.Retries, s.Eng.Now())
+	for i, r := range recs {
+		fmt.Fprintf(&b, "dram[%d] n=%d ACT=%d PRE=%d RD=%d WR=%d REF=%d\n",
+			i, len(r.events),
+			r.counts[dram.CmdACT], r.counts[dram.CmdPRE],
+			r.counts[dram.CmdRD], r.counts[dram.CmdWR], r.counts[dram.CmdREF])
+	}
+	fmt.Fprintf(&b, "protocol violations=%d\n", len(chk.Violations()))
+	head := goldenHead
+	if head > len(recs[0].events) {
+		head = len(recs[0].events)
+	}
+	fmt.Fprintf(&b, "-- dram[0] head (%d) --\n", head)
+	for _, e := range recs[0].events[:head] {
+		fmt.Fprintf(&b, "%s\n", e)
+	}
+	return b.String()
+}
+
+// TestGoldenOpenLoopStream pins the conflict-heavy open-loop command
+// stream against its golden file.
+func TestGoldenOpenLoopStream(t *testing.T) {
+	got := openLoopStream()
+	path := filepath.Join("testdata", "cmdstream_openloop.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test -run Golden -update .` to create)", err)
+	}
+	if string(want) != got {
+		t.Errorf("open-loop command stream diverged from %s\n--- got ---\n%s--- want ---\n%s",
+			path, got, want)
 	}
 }
 
