@@ -39,6 +39,7 @@ func (r Region) End() uint64 { return r.Base + r.Size() }
 // the homogeneous BIOS mapping real PIM systems are forced into.
 type HetMap struct {
 	regions []Region // sorted by Base
+	ends    []uint64 // ends[i] is regions[i].End(), cached for Lookup
 }
 
 // NewHetMap builds a mapping unit from the given regions. Regions must not
@@ -52,15 +53,25 @@ func NewHetMap(regions ...Region) *HetMap {
 			panic(fmt.Sprintf("addrmap: regions %q and %q overlap", rs[i-1].Name, rs[i].Name))
 		}
 	}
-	return &HetMap{regions: rs}
+	h := &HetMap{regions: rs, ends: make([]uint64, len(rs))}
+	for i, r := range rs {
+		h.ends[i] = r.End()
+	}
+	return h
 }
 
 // Lookup finds the region containing addr. The second result is false when
 // the address falls outside every region.
 func (h *HetMap) Lookup(addr uint64) (Region, bool) {
-	i := sort.Search(len(h.regions), func(i int) bool { return h.regions[i].End() > addr })
-	if i < len(h.regions) && addr >= h.regions[i].Base {
-		return h.regions[i], true
+	// Regions are sorted and disjoint, and a system has a handful: the
+	// first region ending past addr is the only candidate.
+	for i, end := range h.ends {
+		if addr < end {
+			if addr >= h.regions[i].Base {
+				return h.regions[i], true
+			}
+			break
+		}
 	}
 	return Region{}, false
 }

@@ -10,6 +10,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 )
@@ -41,13 +42,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-type way struct {
-	valid bool
-	dirty bool
-	tag   uint64
-	used  uint64 // LRU timestamp
-}
-
 // Stats counts cache events.
 type Stats struct {
 	Hits       uint64
@@ -65,13 +59,19 @@ func (s Stats) HitRate() float64 {
 }
 
 // Cache is a set-associative, write-back, write-allocate cache with LRU
-// replacement.
+// replacement. Way state lives in flat per-field arrays indexed
+// set*Ways+way, so a lookup scans only one set's keys — a couple of host
+// cache lines — and touches LRU and dirty state only for the way it uses.
 type Cache struct {
-	cfg     Config
-	sets    [][]way
-	setMask uint64
-	clock   uint64
-	stats   Stats
+	cfg      Config
+	nSets    int
+	setMask  uint64
+	tagShift uint     // set-index bits: a line's tag is line >> tagShift
+	keys     []uint64 // tag+1 of the line a way holds; 0 when invalid
+	used     []uint64 // LRU timestamp
+	dirty    []bool
+	clock    uint64
+	stats    Stats
 }
 
 // New builds a cache; it panics on invalid configuration (static).
@@ -80,32 +80,24 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nSets := cfg.SizeBytes / mem.LineBytes / cfg.Ways
-	c := &Cache{cfg: cfg, setMask: uint64(nSets - 1)}
-	c.sets = make([][]way, nSets)
-	for i := range c.sets {
-		c.sets[i] = make([]way, cfg.Ways)
-	}
-	return c
+	n := nSets * cfg.Ways
+	return &Cache{cfg: cfg, nSets: nSets, setMask: uint64(nSets - 1),
+		tagShift: uint(bits.OnesCount(uint(nSets - 1))),
+		keys:     make([]uint64, n), used: make([]uint64, n), dirty: make([]bool, n)}
 }
 
 // Sets reports the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return c.nSets }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
+// index locates addr: its set, the set's first way, and its line's key
+// (tag+1, so no valid line has key 0).
+func (c *Cache) index(addr uint64) (set uint64, base int, key uint64) {
 	line := addr / mem.LineBytes
-	return line & c.setMask, line >> uint(popcount(c.setMask))
-}
-
-func popcount(v uint64) int {
-	n := 0
-	for v != 0 {
-		v &= v - 1
-		n++
-	}
-	return n
+	set = line & c.setMask
+	return set, int(set) * c.cfg.Ways, line>>c.tagShift + 1
 }
 
 // Result describes the outcome of an access.
@@ -121,14 +113,14 @@ type Result struct {
 // a miss allocates the line (the caller is responsible for fetching it
 // from memory) and may evict a dirty victim.
 func (c *Cache) Access(addr uint64, write bool) Result {
-	set, tag := c.index(addr)
+	set, base, key := c.index(addr)
 	c.clock++
-	ws := c.sets[set]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			ws[i].used = c.clock
+	keys := c.keys[base : base+c.cfg.Ways]
+	for i, k := range keys {
+		if k == key {
+			c.used[base+i] = c.clock
 			if write {
-				ws[i].dirty = true
+				c.dirty[base+i] = true
 			}
 			c.stats.Hits++
 			return Result{Hit: true}
@@ -136,36 +128,36 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	}
 	c.stats.Misses++
 	// Choose victim: first invalid way, else LRU.
+	used := c.used[base : base+len(keys)]
 	victim := 0
-	for i := range ws {
-		if !ws[i].valid {
+	for i, k := range keys {
+		if k == 0 {
 			victim = i
-			goto fill
+			break
 		}
-		if ws[i].used < ws[victim].used {
+		if used[i] < used[victim] {
 			victim = i
 		}
 	}
-fill:
 	res := Result{}
-	if ws[victim].valid {
+	if keys[victim] != 0 {
 		c.stats.Evictions++
-		if ws[victim].dirty {
+		if c.dirty[base+victim] {
 			c.stats.Writebacks++
 			res.HasWriteback = true
-			res.Writeback = c.victimAddr(set, ws[victim].tag)
+			res.Writeback = c.victimAddr(set, keys[victim]-1)
 		}
 	}
-	ws[victim] = way{valid: true, dirty: write, tag: tag, used: c.clock}
+	keys[victim], used[victim], c.dirty[base+victim] = key, c.clock, write
 	return res
 }
 
 // Contains reports whether the line holding addr is cached, without
 // touching LRU state.
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, w := range c.sets[set] {
-		if w.valid && w.tag == tag {
+	_, base, key := c.index(addr)
+	for _, k := range c.keys[base : base+c.cfg.Ways] {
+		if k == key {
 			return true
 		}
 	}
@@ -174,5 +166,5 @@ func (c *Cache) Contains(addr uint64) bool {
 
 // victimAddr reconstructs a line address from (set, tag).
 func (c *Cache) victimAddr(set, tag uint64) uint64 {
-	return (tag<<uint(popcount(c.setMask)) | set) * mem.LineBytes
+	return (tag<<c.tagShift | set) * mem.LineBytes
 }

@@ -134,6 +134,11 @@ type Thread struct {
 	// built once at spawn so the per-op issue path allocates nothing.
 	loadDone, storeDone func(clock.Picos)
 
+	// rejected is the request the memory port last turned away; the
+	// thread's next issue attempt reuses it (mem.Port retains no rejected
+	// request).
+	rejected *mem.Req
+
 	// computeUntil marks the end of an in-progress compute span so that a
 	// preemption can carry the unfinished remainder over to the thread's
 	// next dispatch instead of losing it.
@@ -177,6 +182,9 @@ type CPU struct {
 	ready  []*Thread // runnable threads not on a core
 	nextID int
 	alive  int // spawned minus exited
+
+	// freeWaiters recycles queue-space retry callbacks (see spaceWaiter).
+	freeWaiters *spaceWaiter
 }
 
 // New builds the processor. The quantum ticker starts with the first
@@ -399,7 +407,12 @@ func (core *Core) advance(now clock.Picos) {
 				t.blocked = true
 				return
 			}
-			req := &mem.Req{
+			req := t.rejected
+			if req == nil {
+				req = &mem.Req{}
+			}
+			t.rejected = nil
+			*req = mem.Req{
 				Addr:      mem.LineAlign(op.Addr),
 				Cacheable: !op.NC,
 				SrcID:     t.ID,
@@ -411,7 +424,8 @@ func (core *Core) advance(now clock.Picos) {
 				req.OnDone = t.loadDone
 			}
 			if !cpu.mem.TryEnqueue(req) {
-				cpu.mem.WaitSpace(func() { core.kickIfMine(t) })
+				t.rejected = req
+				cpu.mem.WaitSpace(cpu.spaceWaiter(core, t))
 				return
 			}
 			if op.Kind == OpLoad {
@@ -451,6 +465,41 @@ func (core *Core) kickIfMine(t *Thread) {
 	if core.thread == t {
 		core.kick()
 	}
+}
+
+// spaceWaiter is a pooled queue-space callback: when the memory port has
+// room again it re-kicks core if thread is still scheduled there. fn is
+// bound once per record, so a rejected enqueue registers its retry
+// without allocating.
+type spaceWaiter struct {
+	cpu    *CPU
+	core   *Core
+	thread *Thread
+	fn     func()
+	next   *spaceWaiter // free list
+}
+
+// fire recycles the record, then re-kicks; a waiter fires at most once.
+func (w *spaceWaiter) fire() {
+	core, t := w.core, w.thread
+	w.core, w.thread = nil, nil
+	w.next = w.cpu.freeWaiters
+	w.cpu.freeWaiters = w
+	core.kickIfMine(t)
+}
+
+// spaceWaiter returns the one-shot retry callback for thread t on core.
+func (c *CPU) spaceWaiter(core *Core, t *Thread) func() {
+	w := c.freeWaiters
+	if w == nil {
+		w = &spaceWaiter{cpu: c}
+		w.fn = w.fire
+	} else {
+		c.freeWaiters = w.next
+		w.next = nil
+	}
+	w.core, w.thread = core, t
+	return w.fn
 }
 
 // complete absorbs one memory-operation completion, waking the thread if

@@ -71,10 +71,14 @@ func (c Config) Validate() error {
 
 // pending is a request in flight inside a channel controller. Records
 // recycle through the channel's free list (freePend), so steady-state
-// enqueueing allocates nothing.
+// enqueueing allocates nothing. The target rank and bank are resolved
+// once at enqueue, so the scheduler's scans never re-derive them.
 type pending struct {
 	req       *mem.Req
 	loc       addrmap.Loc
+	rank      *rankState
+	bank      *bankState
+	bankIdx   int      // rank-global bank index, loc.BankID
 	activated bool     // this request caused an ACT (row miss)
 	conflict  bool     // this request caused a PRE (row conflict)
 	next      *pending // free list
@@ -156,12 +160,17 @@ type Channel struct {
 	lastTick int64     // last cycle the scheduler ran (one command per cycle)
 	waiters  []func()
 	observer Observer
+	// spareWaiters is the idle backing array of waiters (see notifySpace).
+	spareWaiters []func()
 
-	// prepMark/prepGen are the scheduler's allocation-free per-tick
-	// scratch: prepMark[rank*banks+bank] == prepGen marks a bank already
-	// owned by an older request in the current scan.
-	prepMark []uint64
-	prepGen  uint64
+	// hitMark/hitGen are the scheduler's row-hit guard, generation-stamped
+	// so a rebuild allocates and clears nothing: hitMark[rank*banks+bank]
+	// == hitGen marks a bank whose open row some request in either scan
+	// window targets. hitValid reports whether the marks describe the
+	// current tick (see rowHitQueued).
+	hitMark  []uint64
+	hitGen   uint64
+	hitValid bool
 
 	// freeComp recycles data-burst completion records so the per-command
 	// completion path performs no event allocation.
@@ -185,7 +194,7 @@ func newChannel(eng *sim.Engine, cfg Config, id int, name string) *Channel {
 	}
 	c.tickEv.Init(sim.HandlerFunc(c.tick))
 	nBanks := cfg.Geometry.BankGroups * cfg.Geometry.Banks
-	c.prepMark = make([]uint64, cfg.Geometry.Ranks*nBanks)
+	c.hitMark = make([]uint64, cfg.Geometry.Ranks*nBanks)
 	for r := 0; r < cfg.Geometry.Ranks; r++ {
 		rs := &rankState{
 			banks:      make([]bankState, nBanks),
@@ -237,16 +246,24 @@ func (c *Channel) TryEnqueue(r *mem.Req, loc addrmap.Loc) bool {
 		c.catchUpRefresh(c.dom.Cycles(c.sched.Now()))
 	}
 	r.Enqueued = c.sched.Now()
+	*q = append(*q, c.newPending(r, loc))
+	c.kick()
+	return true
+}
+
+// newPending takes a record from the free list and resolves its target
+// rank and bank.
+func (c *Channel) newPending(r *mem.Req, loc addrmap.Loc) *pending {
 	p := c.freePend
 	if p == nil {
 		p = &pending{}
 	} else {
 		c.freePend = p.next
 	}
-	*p = pending{req: r, loc: loc}
-	*q = append(*q, p)
-	c.kick()
-	return true
+	rs := c.ranks[loc.Rank]
+	*p = pending{req: r, loc: loc, rank: rs,
+		bank: rs.bank(loc, c.cfg.Geometry.Banks), bankIdx: loc.BankID(c.cfg.Geometry)}
+	return p
 }
 
 // catchUpRefresh skips refresh intervals that elapsed while the channel
@@ -269,15 +286,21 @@ func (c *Channel) WaitSpace(fn func()) {
 	c.sched.Promote(&c.tickEv)
 }
 
+// notifySpace fires and clears the registered waiters. The waiter list
+// alternates between two backing arrays, so steady-state registration
+// allocates nothing; waiters registered by a firing callback land in the
+// other array and wait for the next notification.
 func (c *Channel) notifySpace() {
 	if len(c.waiters) == 0 {
 		return
 	}
 	ws := c.waiters
-	c.waiters = nil
-	for _, fn := range ws {
+	c.waiters, c.spareWaiters = c.spareWaiters[:0], nil
+	for i, fn := range ws {
+		ws[i] = nil
 		fn()
 	}
+	c.spareWaiters = ws[:0]
 }
 
 // kick schedules a scheduler tick at the next cycle boundary. If the

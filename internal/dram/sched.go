@@ -1,7 +1,6 @@
 package dram
 
 import (
-	"repro/internal/addrmap"
 	"repro/internal/clock"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -67,7 +66,18 @@ func (c *Channel) tryIssue(cyc int64) (bool, int64) {
 		}
 	}
 
-	// --- Choose serving direction (write drain policy) ---
+	issued, w := c.serveQueues(cyc)
+	if issued {
+		return true, 0
+	}
+	return false, min64(wake, w)
+}
+
+// serveQueues picks the serving direction under the write-drain policy
+// and issues at most one command from the request queues. Like tryIssue
+// it returns whether a command issued and, if not, the earliest retry
+// cycle.
+func (c *Channel) serveQueues(cyc int64) (bool, int64) {
 	if c.drain && len(c.writeQ) <= c.cfg.WriteDrainLo {
 		c.drain = false
 	}
@@ -78,120 +88,127 @@ func (c *Channel) tryIssue(cyc int64) (bool, int64) {
 	if c.drain || len(c.readQ) == 0 {
 		primary, secondary = c.writeQ, c.readQ
 	}
+	c.hitValid = false // any row-hit marks describe an earlier tick
+	// Refreshing ranks are rare: only then do the scans test each
+	// request's rank.
+	refreshing := false
+	for _, r := range c.ranks {
+		refreshing = refreshing || r.refreshing
+	}
 	// Prefer the primary queue; if nothing in it can issue this cycle,
 	// serve the other queue opportunistically (this is what keeps posted
 	// writes from starving while a steady read stream holds the bus).
-	if issued, w := c.tryQueue(primary, cyc); issued {
+	issued, wake := c.tryQueue(primary, cyc, refreshing)
+	if issued {
 		return true, 0
-	} else {
-		wake = min64(wake, w)
 	}
-	if issued, w := c.tryQueue(secondary, cyc); issued {
+	issued, w := c.tryQueue(secondary, cyc, refreshing)
+	if issued {
 		return true, 0
-	} else {
-		wake = min64(wake, w)
 	}
-	return false, wake
+	return false, min64(wake, w)
 }
 
 // tryQueue attempts to issue one command on behalf of the given queue,
-// returning the earliest retry cycle when it cannot.
-func (c *Channel) tryQueue(q []*pending, cyc int64) (bool, int64) {
+// returning the earliest retry cycle when it cannot. refreshing reports
+// whether any rank is refreshing; requests to such a rank wait.
+//
+// It scans the queue's window once, oldest first. The first ready row
+// hit issues at once: no ACT or PRE outranks a row hit. Meanwhile the
+// first non-hit request whose bank's next command (ACT on a closed bank,
+// PRE on a conflicting one) is ready is remembered; it issues when the
+// scan ends without a ready row hit. Requests to one bank share that
+// command's readiness and its row-hit guard, so the remembered request
+// is its bank's oldest non-hit one, as FCFS wants, and younger requests
+// to a bank only repeat its wake cycle. Decisions and wake cycle are
+// therefore exactly those of two passes over the window, hits first, with
+// each bank owned by its oldest non-hit request: neither pass changes
+// channel state before it issues.
+func (c *Channel) tryQueue(q []*pending, cyc int64, refreshing bool) (bool, int64) {
+	if len(q) > c.cfg.ScanWindow {
+		q = q[:c.cfg.ScanWindow]
+	}
 	wake := never
-	if len(q) == 0 {
-		return false, wake
-	}
-	scan := q
-	if len(scan) > c.cfg.ScanWindow {
-		scan = scan[:c.cfg.ScanWindow]
-	}
-
-	// --- Pass 1: first-ready row hit ---
-	for _, p := range scan {
-		r := c.ranks[p.loc.Rank]
-		if r.refreshing {
+	var prep *pending
+	for _, p := range q {
+		if refreshing && p.rank.refreshing {
 			continue
 		}
-		b := r.bank(p.loc, c.cfg.Geometry.Banks)
-		if b.row != p.loc.Row {
-			continue
-		}
-		ready := c.earliestCAS(p, cyc)
-		if ready <= cyc {
-			c.issueCAS(p, cyc)
-			return true, 0
-		}
-		wake = min64(wake, ready)
-	}
-
-	// --- Pass 2: oldest request per bank, prepare its row ---
-	// prepMark is generation-stamped scratch (see Channel), so per-tick
-	// bank ownership tracking allocates nothing. BankID is already
-	// rank-global.
-	c.prepGen++
-	for _, p := range scan {
-		r := c.ranks[p.loc.Rank]
-		if r.refreshing {
-			continue
-		}
-		b := r.bank(p.loc, c.cfg.Geometry.Banks)
+		b := p.bank
 		if b.row == p.loc.Row {
-			continue // row hit, pass 1's business
-		}
-		key := p.loc.BankID(c.cfg.Geometry)
-		if c.prepMark[key] == c.prepGen {
-			continue // an older request already owns this bank
-		}
-		c.prepMark[key] = c.prepGen
-		if b.row < 0 {
-			ready := c.earliestACT(p, cyc)
+			ready := c.earliestCAS(p)
 			if ready <= cyc {
-				c.issueACT(p, cyc)
+				c.issueCAS(p, cyc)
 				return true, 0
 			}
 			wake = min64(wake, ready)
 			continue
 		}
-		// Conflict: precharge, unless a queued row hit still wants the
-		// open row (closing it would waste that hit).
-		if c.hasRowHitFor(p.loc, b.row) {
-			continue
+		if prep != nil {
+			continue // only a row hit can still outrank the chosen command
 		}
-		ready := max64(b.nextPRE, 0)
+		var ready int64
+		switch {
+		case b.row < 0:
+			ready = c.earliestACT(p)
+		case c.rowHitQueued(p):
+			// Conflict, but a queued row hit still wants the open row:
+			// closing it would waste that hit.
+			continue
+		default:
+			ready = b.nextPRE
+		}
 		if ready <= cyc {
-			p.conflict = true
-			c.issuePREBank(r, b)
-			return true, 0
+			prep = p
+			continue
 		}
 		wake = min64(wake, ready)
 	}
-	return false, wake
+	switch {
+	case prep == nil:
+		return false, wake
+	case prep.bank.row < 0:
+		c.issueACT(prep, cyc)
+	default:
+		prep.conflict = true
+		c.issuePREBank(prep.rank, prep.bank)
+	}
+	return true, 0
 }
 
-// hasRowHitFor reports whether any queued request targets the open row of
-// the given bank (so the scheduler should not precharge it yet).
-func (c *Channel) hasRowHitFor(loc addrmap.Loc, openRow int) bool {
-	match := func(q []*pending) bool {
-		n := len(q)
-		if n > c.cfg.ScanWindow {
-			n = c.cfg.ScanWindow
+// rowHitQueued reports whether any request in either queue's scan window
+// targets the open row of p's bank, so the scheduler should not
+// precharge it yet. The marks are built on the first call of a tick;
+// they stay exact for the rest of the tick because no command issues
+// before the scheduler returns.
+func (c *Channel) rowHitQueued(p *pending) bool {
+	if !c.hitValid {
+		c.markRowHits()
+	}
+	return c.hitMark[p.bankIdx] == c.hitGen
+}
+
+// markRowHits stamps, in one pass over both scan windows, the bank of
+// every queued row hit.
+func (c *Channel) markRowHits() {
+	c.hitValid = true
+	c.hitGen++
+	for _, q := range [2][]*pending{c.readQ, c.writeQ} {
+		if len(q) > c.cfg.ScanWindow {
+			q = q[:c.cfg.ScanWindow]
 		}
-		for _, p := range q[:n] {
-			if p.loc.Rank == loc.Rank && p.loc.BankGroup == loc.BankGroup &&
-				p.loc.Bank == loc.Bank && p.loc.Row == openRow {
-				return true
+		for _, p := range q {
+			if p.bank.row == p.loc.Row {
+				c.hitMark[p.bankIdx] = c.hitGen
 			}
 		}
-		return false
 	}
-	return match(c.readQ) || match(c.writeQ)
 }
 
 // earliestACT computes the first cycle an ACT for p may issue.
-func (c *Channel) earliestACT(p *pending, cyc int64) int64 {
+func (c *Channel) earliestACT(p *pending) int64 {
 	t := &c.cfg.Timing
-	r := c.ranks[p.loc.Rank]
-	b := r.bank(p.loc, c.cfg.Geometry.Banks)
+	r, b := p.rank, p.bank
 	ready := max64(b.nextACT, r.nextACT)
 	ready = max64(ready, r.nextACTbg[p.loc.BankGroup])
 	// tFAW: the fifth ACT must wait for the oldest of the last four.
@@ -201,9 +218,8 @@ func (c *Channel) earliestACT(p *pending, cyc int64) int64 {
 
 // earliestCAS computes the first cycle the column command for p may issue,
 // assuming its row is open.
-func (c *Channel) earliestCAS(p *pending, cyc int64) int64 {
-	r := c.ranks[p.loc.Rank]
-	b := r.bank(p.loc, c.cfg.Geometry.Banks)
+func (c *Channel) earliestCAS(p *pending) int64 {
+	r, b := p.rank, p.bank
 	var ready int64
 	if p.req.Kind == mem.Read {
 		ready = b.nextRD
@@ -254,8 +270,7 @@ func (c *Channel) busReady(kind mem.Kind, rank int) int64 {
 // issueACT opens p's row.
 func (c *Channel) issueACT(p *pending, cyc int64) {
 	t := &c.cfg.Timing
-	r := c.ranks[p.loc.Rank]
-	b := r.bank(p.loc, c.cfg.Geometry.Banks)
+	r, b := p.rank, p.bank
 	c.emit(CmdEvent{Cycle: cyc, Cmd: CmdACT, Rank: p.loc.Rank,
 		BankGrp: p.loc.BankGroup, Bank: p.loc.Bank, Row: p.loc.Row, Col: -1})
 	b.row = p.loc.Row
@@ -289,8 +304,7 @@ func (c *Channel) issuePREBank(r *rankState, b *bankState) {
 // schedules its data-burst completion.
 func (c *Channel) issueCAS(p *pending, cyc int64) {
 	t := &c.cfg.Timing
-	r := c.ranks[p.loc.Rank]
-	b := r.bank(p.loc, c.cfg.Geometry.Banks)
+	r, b := p.rank, p.bank
 
 	r.nextCASbg[p.loc.BankGroup] = cyc + int64(t.CCDL)
 	c.nextCAS = cyc + int64(t.CCDS)

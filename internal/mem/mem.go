@@ -99,7 +99,9 @@ func LineAlign(addr uint64) uint64 { return addr &^ uint64(LineBytes-1) }
 // TryEnqueue reports false when the target controller queue is full; the
 // caller must retry after Wakeup fires (registered via WaitSpace).
 type Port interface {
-	// TryEnqueue attempts to hand the request to the memory system.
+	// TryEnqueue attempts to hand the request to the memory system. A
+	// rejected request is not retained: the caller owns it again and may
+	// reuse it for its retry or any other request.
 	TryEnqueue(r *Req) bool
 	// WaitSpace registers a callback invoked (once) the next time queue
 	// space that previously caused a TryEnqueue failure becomes available.

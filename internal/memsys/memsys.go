@@ -128,6 +128,10 @@ type System struct {
 	// Access, so WaitSpace can register there (mem.Port contract).
 	lastFull *dram.Channel
 
+	// spareFill is an LLC-miss fill request a channel rejected, reused by
+	// the next miss.
+	spareFill *mem.Req
+
 	// tap, when set, observes every request accepted at the mem.Port
 	// boundary — CPU, DCE and contender traffic alike — before any queue
 	// or cache side effect becomes visible to the caller. Trace recording
@@ -243,7 +247,8 @@ func (s *System) Decode(addr uint64) (mem.Space, addrmap.Loc) {
 }
 
 // TryEnqueue implements mem.Port. It returns false when the target
-// controller queue is full; call WaitSpace to be notified and retry.
+// controller queue is full, retaining neither r nor anything derived
+// from it; call WaitSpace to be notified and retry.
 func (s *System) TryEnqueue(r *mem.Req) bool {
 	region, loc := s.Het.Decode(s.physical(r.Addr))
 	ch := s.channelFor(region.Space, loc)
@@ -272,7 +277,12 @@ func (s *System) TryEnqueue(r *mem.Req) bool {
 	}
 
 	// Miss: fetch the line (a read, even for a store — write-allocate).
-	fill := &mem.Req{
+	fill := s.spareFill
+	if fill == nil {
+		fill = &mem.Req{}
+	}
+	s.spareFill = nil
+	*fill = mem.Req{
 		Addr:      r.Addr,
 		Kind:      mem.Read,
 		Cacheable: true,
@@ -280,6 +290,7 @@ func (s *System) TryEnqueue(r *mem.Req) bool {
 		SrcID:     r.SrcID,
 	}
 	if !ch.TryEnqueue(fill, loc) {
+		s.spareFill = fill
 		s.lastFull = ch
 		return false
 	}

@@ -112,7 +112,7 @@ type Engine struct {
 	now    clock.Picos
 	seq    uint64
 	xseq   uint64 // frontier sequence counter (see sharded.go headBefore)
-	heap   []*Event
+	heap   evHeap
 	fired  uint64
 	freeFn *funcEvent
 
@@ -177,22 +177,9 @@ func (e *Engine) Schedule(ev *Event, t clock.Picos) {
 	}
 	e.seq++
 	e.xseq++
-	ev.at = t
-	ev.seq = e.seq
 	ev.schedAt = e.now
 	ev.xseq = e.xseq
-	if ev.pos == 0 {
-		e.heap = append(e.heap, ev)
-		ev.pos = len(e.heap)
-		evSiftUp(e.heap, len(e.heap)-1)
-		return
-	}
-	// In place: a fresh seq means the event can only sink relative to
-	// equal-timestamp peers, but an earlier t can still float it up.
-	i := ev.pos - 1
-	if !evSiftUp(e.heap, i) {
-		evSiftDown(e.heap, i)
-	}
+	e.heap.set(ev, t, e.seq)
 }
 
 // ScheduleAfter places ev d picoseconds from now.
@@ -205,105 +192,129 @@ func (e *Engine) Cancel(ev *Event) {
 		ev.lane.Cancel(ev)
 		return
 	}
-	evHeapRemove(&e.heap, ev)
+	e.heap.remove(ev)
 }
 
-// evLess orders a heap: earliest timestamp first, FIFO among equals.
+// heapSlot is one entry of an event heap: the event's (at, seq) key
+// inline beside the event, so sift comparisons never dereference an
+// event. The key mirrors Event.at/seq, which When and the sharded
+// engine's cross-heap order read.
+type heapSlot struct {
+	at  clock.Picos
+	seq uint64
+	ev  *Event
+}
+
+// before orders a heap: earliest timestamp first, FIFO among equals.
 // Within one heap (the host's or one lane's) seq is assigned serially, so
 // this is exactly the serial engine's firing order.
-func evLess(a, b *Event) bool {
+func (a *heapSlot) before(b *heapSlot) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// evSiftUp restores the heap above index i; it reports whether i moved.
-func evSiftUp(h []*Event, i int) bool {
-	ev := h[i]
-	moved := false
+// evHeap is an indexed binary min-heap of scheduled events, shared by the
+// plain engine and every lane: each event's pos is its slot index + 1.
+type evHeap []heapSlot
+
+// head returns the earliest event; the heap must not be empty.
+func (h evHeap) head() *Event { return h[0].ev }
+
+// set (re)schedules ev under the key (at, seq): a fresh event is
+// appended, a scheduled one is moved in place.
+func (h *evHeap) set(ev *Event, at clock.Picos, seq uint64) {
+	ev.at, ev.seq = at, seq
+	s := heapSlot{at: at, seq: seq, ev: ev}
+	if ev.pos == 0 {
+		*h = append(*h, s)
+		h.up(len(*h)-1, s)
+		return
+	}
+	// In place: a fresh seq means the event can only sink relative to
+	// equal-timestamp peers, but an earlier t can still float it up.
+	h.fix(ev.pos-1, s)
+}
+
+// fix stores s in the hole at i, moving it whichever way restores order.
+func (h evHeap) fix(i int, s heapSlot) {
+	if i > 0 && s.before(&h[(i-1)/2]) {
+		h.up(i, s)
+	} else {
+		h.down(i, s)
+	}
+}
+
+// up moves s from the hole at i toward the root until its parent is
+// earlier, and stores it.
+func (h evHeap) up(i int, s heapSlot) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		p := h[parent]
-		if !evLess(ev, p) {
+		if !s.before(&h[parent]) {
 			break
 		}
-		h[i] = p
-		p.pos = i + 1
+		h[i] = h[parent]
+		h[i].ev.pos = i + 1
 		i = parent
-		moved = true
 	}
-	if moved {
-		h[i] = ev
-		ev.pos = i + 1
-	}
-	return moved
+	h[i] = s
+	s.ev.pos = i + 1
 }
 
-// evSiftDown restores the heap below index i.
-func evSiftDown(h []*Event, i int) {
-	ev := h[i]
+// down moves s from the hole at i toward the leaves until no child is
+// earlier, and stores it.
+func (h evHeap) down(i int, s heapSlot) {
 	n := len(h)
 	for {
-		left := 2*i + 1
-		if left >= n {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		child := left
-		if right := left + 1; right < n && evLess(h[right], h[left]) {
+		if right := child + 1; right < n && h[right].before(&h[child]) {
 			child = right
 		}
-		c := h[child]
-		if !evLess(c, ev) {
+		if !h[child].before(&s) {
 			break
 		}
-		h[i] = c
-		c.pos = i + 1
+		h[i] = h[child]
+		h[i].ev.pos = i + 1
 		i = child
 	}
-	h[i] = ev
-	ev.pos = i + 1
+	h[i] = s
+	s.ev.pos = i + 1
 }
 
-// evHeapRemove removes a scheduled event from its heap by index.
-func evHeapRemove(hp *[]*Event, ev *Event) {
+// remove takes a scheduled event out of the heap; an unscheduled event is
+// a no-op.
+func (h *evHeap) remove(ev *Event) {
 	if ev.pos == 0 {
 		return
 	}
-	h := *hp
 	i := ev.pos - 1
-	n := len(h) - 1
 	ev.pos = 0
-	if i == n {
-		h[n] = nil
-		*hp = h[:n]
-		return
-	}
-	moved := h[n]
-	h[i] = moved
-	moved.pos = i + 1
-	h[n] = nil
-	*hp = h[:n]
-	if !evSiftUp(h[:n], i) {
-		evSiftDown(h[:n], i)
+	if last := h.shrink(); i < len(*h) {
+		h.fix(i, last)
 	}
 }
 
-// evHeapPop removes and returns the heap's earliest event.
-func evHeapPop(hp *[]*Event) *Event {
-	h := *hp
-	ev := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[0] = last
-	last.pos = 1
-	h[n] = nil
-	*hp = h[:n]
-	if n > 0 {
-		evSiftDown(h[:n], 0)
-	}
+// pop removes and returns the earliest event; the heap must not be empty.
+func (h *evHeap) pop() *Event {
+	ev := (*h)[0].ev
 	ev.pos = 0
+	if last := h.shrink(); len(*h) > 0 {
+		h.down(0, last)
+	}
 	return ev
+}
+
+// shrink drops the heap's last slot and returns it.
+func (h *evHeap) shrink() heapSlot {
+	n := len(*h) - 1
+	last := (*h)[n]
+	(*h)[n].ev = nil // the slot is unused; drop its event reference
+	*h = (*h)[:n]
+	return last
 }
 
 // At schedules fn to run at absolute time t.
@@ -332,7 +343,7 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	ev := evHeapPop(&e.heap)
+	ev := e.heap.pop()
 	e.now = ev.at
 	e.fired++
 	ev.h.OnEvent(e.now)

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/clock"
@@ -222,5 +224,63 @@ func TestClosurePoolReuse(t *testing.T) {
 	e.Run()
 	if total != 1000 {
 		t.Fatalf("chained closures fired %d times, want 1000", total)
+	}
+}
+
+// TestHeapRandomOpsFireInKeyOrder drives one engine through random
+// schedules, in-place reschedules and cancels of a pool of standing
+// events, checking after every operation that each slot's inline key
+// matches its event and each event's pos names its slot, then requires
+// the survivors to fire in (time, insertion) order.
+func TestHeapRandomOpsFireInKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	e := New()
+	var fired []clock.Picos
+	evs := make([]Event, 64)
+	for i := range evs {
+		evs[i].Init(HandlerFunc(func(now clock.Picos) { fired = append(fired, now) }))
+	}
+	check := func() {
+		t.Helper()
+		for i, s := range e.heap {
+			if s.ev.pos != i+1 || s.at != s.ev.at || s.seq != s.ev.seq {
+				t.Fatalf("slot %d: pos %d, key (%d,%d), event key (%d,%d)",
+					i, s.ev.pos, s.at, s.seq, s.ev.at, s.ev.seq)
+			}
+			if i > 0 && s.before(&e.heap[(i-1)/2]) {
+				t.Fatalf("slot %d is earlier than its parent", i)
+			}
+		}
+	}
+	for op := 0; op < 20000; op++ {
+		ev := &evs[rng.Intn(len(evs))]
+		if rng.Intn(4) == 0 {
+			e.Cancel(ev)
+		} else {
+			e.Schedule(ev, clock.Picos(rng.Intn(50)))
+		}
+		check()
+	}
+	type key struct {
+		at  clock.Picos
+		seq uint64
+	}
+	var want []key
+	for _, s := range e.heap {
+		want = append(want, key{s.at, s.seq})
+	}
+	sort.Slice(want, func(i, j int) bool {
+		return want[i].at < want[j].at || want[i].at == want[j].at && want[i].seq < want[j].seq
+	})
+	for e.Step() {
+		check()
+	}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(fired), len(want))
+	}
+	for i := range want {
+		if fired[i] != want[i].at {
+			t.Fatalf("event %d fired at %d, want %d", i, fired[i], want[i].at)
+		}
 	}
 }

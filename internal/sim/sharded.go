@@ -96,7 +96,7 @@ type Lane struct {
 	name string
 
 	seq  uint64
-	heap []*Event // all scheduled events, (at, seq) order
+	heap evHeap // all scheduled events, (at, seq) order
 
 	// curXseq/firingLocal drive frontier-sequence inheritance: while the
 	// lane fires one of its local events, events the handler schedules
@@ -131,8 +131,6 @@ func (l *Lane) schedule(ev *Event, t clock.Picos, crossing bool) {
 	}
 	ev.lane = l
 	l.seq++
-	ev.at = t
-	ev.seq = l.seq
 	ev.schedAt = now
 	ev.crossing = crossing
 	// Frontier-sequence stamp: an event scheduled by one of this lane's
@@ -146,16 +144,7 @@ func (l *Lane) schedule(ev *Event, t clock.Picos, crossing bool) {
 		l.eng.xseq++
 		ev.xseq = l.eng.xseq
 	}
-	if ev.pos == 0 {
-		l.heap = append(l.heap, ev)
-		ev.pos = len(l.heap)
-		evSiftUp(l.heap, len(l.heap)-1)
-		return
-	}
-	i := ev.pos - 1
-	if !evSiftUp(l.heap, i) {
-		evSiftDown(l.heap, i)
-	}
+	l.heap.set(ev, t, l.seq)
 }
 
 // Cancel removes ev from the lane.
@@ -166,7 +155,7 @@ func (l *Lane) Cancel(ev *Event) {
 	if ev.lane != l {
 		panic("sim: Cancel on another lane's event")
 	}
-	evHeapRemove(&l.heap, ev)
+	l.heap.remove(ev)
 }
 
 // Promote reclassifies a scheduled local event as crossing.
@@ -201,13 +190,13 @@ func (e *Engine) minHead() (*Event, int) {
 	var best *Event
 	bestLane := 0
 	if len(e.heap) > 0 {
-		best = e.heap[0]
+		best = e.heap.head()
 	}
 	for _, l := range e.lanes {
 		if len(l.heap) == 0 {
 			continue
 		}
-		if hd := l.heap[0]; best == nil || headBefore(hd, l.id, best, bestLane) {
+		if hd := l.heap.head(); best == nil || headBefore(hd, l.id, best, bestLane) {
 			best, bestLane = hd, l.id
 		}
 	}
@@ -225,12 +214,12 @@ func (e *Engine) lanedStep(limit clock.Picos) bool {
 	e.now = best.at
 	e.fired++
 	if bestLane == 0 {
-		evHeapPop(&e.heap)
+		e.heap.pop()
 		best.h.OnEvent(e.now)
 		return true
 	}
 	l := e.lanes[bestLane-1]
-	evHeapPop(&l.heap)
+	l.heap.pop()
 	l.fired++
 	if best.crossing {
 		l.crossings++
