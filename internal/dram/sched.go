@@ -89,20 +89,14 @@ func (c *Channel) serveQueues(cyc int64) (bool, int64) {
 		primary, secondary = c.writeQ, c.readQ
 	}
 	c.hitValid = false // any row-hit marks describe an earlier tick
-	// Refreshing ranks are rare: only then do the scans test each
-	// request's rank.
-	refreshing := false
-	for _, r := range c.ranks {
-		refreshing = refreshing || r.refreshing
-	}
 	// Prefer the primary queue; if nothing in it can issue this cycle,
 	// serve the other queue opportunistically (this is what keeps posted
 	// writes from starving while a steady read stream holds the bus).
-	issued, wake := c.tryQueue(primary, cyc, refreshing)
+	issued, wake := c.tryQueue(primary, cyc)
 	if issued {
 		return true, 0
 	}
-	issued, w := c.tryQueue(secondary, cyc, refreshing)
+	issued, w := c.tryQueue(secondary, cyc)
 	if issued {
 		return true, 0
 	}
@@ -110,8 +104,8 @@ func (c *Channel) serveQueues(cyc int64) (bool, int64) {
 }
 
 // tryQueue attempts to issue one command on behalf of the given queue,
-// returning the earliest retry cycle when it cannot. refreshing reports
-// whether any rank is refreshing; requests to such a rank wait.
+// returning the earliest retry cycle when it cannot. Requests to a
+// refreshing rank wait.
 //
 // It scans the queue's window once, oldest first. The first ready row
 // hit issues at once: no ACT or PRE outranks a row hit. Meanwhile the
@@ -124,14 +118,14 @@ func (c *Channel) serveQueues(cyc int64) (bool, int64) {
 // therefore exactly those of two passes over the window, hits first, with
 // each bank owned by its oldest non-hit request: neither pass changes
 // channel state before it issues.
-func (c *Channel) tryQueue(q []*pending, cyc int64, refreshing bool) (bool, int64) {
+func (c *Channel) tryQueue(q []*pending, cyc int64) (bool, int64) {
 	if len(q) > c.cfg.ScanWindow {
 		q = q[:c.cfg.ScanWindow]
 	}
 	wake := never
 	var prep *pending
 	for _, p := range q {
-		if refreshing && p.rank.refreshing {
+		if p.rank.refreshing {
 			continue
 		}
 		b := p.bank
