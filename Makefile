@@ -62,15 +62,15 @@ bench-compare:
 		status=$$?; rm -f BENCH_engine.baseline.tmp; exit $$status
 
 # CPU- and heap-profile a representative simulation-heavy experiment
-# through the shared -cpuprofile/-memprofile flags (every CLI accepts
-# them). Inspect with `go tool pprof cpu.pprof` / `go tool pprof
-# mem.pprof`. Override PROFILE_EXPERIMENT / PROFILE_FLAGS to aim the
-# profiler elsewhere.
+# through the shared -cpuprofile/-memprofile Runner flags of `pimmu run`.
+# Inspect with `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
+# Override PROFILE_EXPERIMENT / PROFILE_FLAGS to aim the profiler
+# elsewhere.
 PROFILE_EXPERIMENT ?= headline
 PROFILE_FLAGS ?= -shards auto
 
 profile:
-	$(GO) run ./cmd/pimmu-bench $(PROFILE_FLAGS) \
+	$(GO) run ./cmd/pimmu run $(PROFILE_FLAGS) \
 		-cpuprofile cpu.pprof -memprofile mem.pprof $(PROFILE_EXPERIMENT)
 	@echo "wrote cpu.pprof and mem.pprof"
 

@@ -4,7 +4,7 @@
 //	go test -bench=. -benchmem -benchtime=1x
 //
 // Each iteration performs one full simulation; custom metrics (GB/s,
-// speedup ratios) carry the experiment's result. cmd/pimmu-bench prints
+// speedup ratios) carry the experiment's result. `pimmu run` prints
 // the paper-style rows; these benches make the same machinery part of the
 // go test workflow.
 package pimmmu_test

@@ -2,7 +2,7 @@
 // issues for a fixed small transfer is part of the simulator's
 // contract. Each golden file pins the per-channel command counts, the
 // protocol-check verdict, and the head of PIM channel 0's stream
-// (cmd/pimmu-trace's view); any timing-model or scheduler change that
+// (`pimmu cmds`'s view); any timing-model or scheduler change that
 // moves a single command shows up as a diff. Regenerate deliberately
 // with:
 //
@@ -44,7 +44,7 @@ func (r *cmdRecorder) Command(_ int, e dram.CmdEvent) {
 const goldenHead = 48
 
 // commandStream runs a 128 KiB DRAM->PIM transfer on the design with
-// every PIM channel observed and renders the pimmu-trace-equivalent
+// every PIM channel observed and renders the `pimmu cmds`-equivalent
 // view of it. shards selects the event-engine class (0 plain, else
 // sharded); the rendering must not depend on it.
 func commandStream(d system.Design, shards int) string {
@@ -60,11 +60,7 @@ func commandStream(d system.Design, shards int) string {
 	chk := dram.NewChecker(cfg.Mem.PIM)
 	s.Mem.PIM.Channel(0).Observe(observerPair{recs[0], chk})
 
-	per := (128 << 10) / uint64(s.Cfg.PIM.NumCores()) &^ 63
-	if per < 64 {
-		per = 64
-	}
-	res := s.RunTransfer(s.TransferOp(core.DRAMToPIM, s.Cfg.PIM.NumCores(), per))
+	res := s.RunTransfer(s.TransferOp(core.DRAMToPIM, s.Cfg.PIM.NumCores(), s.PerCoreBytes(128<<10)))
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "design %v DRAM->PIM %d bytes %d ps\n", d, res.Bytes, res.Duration)
@@ -125,11 +121,7 @@ func contendedStream(shards int) string {
 			contend.MemoryHog(st, base, hogFoot, contend.Medium), nil)
 	}
 
-	per := (128 << 10) / uint64(s.Cfg.PIM.NumCores()) &^ 63
-	if per < 64 {
-		per = 64
-	}
-	res := s.RunTransfer(s.TransferOp(core.DRAMToPIM, s.Cfg.PIM.NumCores(), per))
+	res := s.RunTransfer(s.TransferOp(core.DRAMToPIM, s.Cfg.PIM.NumCores(), s.PerCoreBytes(128<<10)))
 	st.Stop()
 
 	var b strings.Builder

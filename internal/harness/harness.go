@@ -10,9 +10,8 @@
 //   - Render writes the deterministic text artifact from results alone.
 //
 // Execution state (engine class, worker count, result cache) lives in
-// a Runner threaded explicitly through all
-// three phases; cmd/pimmu-sim, cmd/pimmu-bench and cmd/pimmu-replay
-// construct one per invocation. The split makes an experiment
+// a Runner threaded explicitly through all three phases; cmd/pimmu
+// constructs one per invocation. The split makes an experiment
 // addressable data: "serve experiment X at design point Y" is a plan
 // lookup plus a compute, not a rewrite.
 //

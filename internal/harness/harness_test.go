@@ -140,11 +140,14 @@ func TestReplayWorkloadNamesUnique(t *testing.T) {
 
 func TestPerCoreFloor(t *testing.T) {
 	s := (&Runner{}).newSystem(0)
-	if got := perCore(s, 1); got != 64 {
-		t.Errorf("perCore(1 byte) = %d, want floor 64", got)
+	if got := s.PerCoreBytes(1); got != 64 {
+		t.Errorf("PerCoreBytes(1 byte) = %d, want floor 64", got)
 	}
-	if got := perCore(s, 512*128); got != 128 {
-		t.Errorf("perCore = %d, want 128", got)
+	if got := s.PerCoreBytes(512 * 128); got != 128 {
+		t.Errorf("PerCoreBytes = %d, want 128", got)
+	}
+	if got := s.PerCoreBytes(512*128 + 512*63); got != 128 {
+		t.Errorf("PerCoreBytes = %d, want 128 (rounded down to a line)", got)
 	}
 }
 

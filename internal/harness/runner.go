@@ -110,18 +110,7 @@ func (r *Runner) newSystem(d system.Design) *system.System {
 
 // runTransfer executes one whole-device transfer of totalBytes.
 func (r *Runner) runTransfer(s *system.System, dir core.Direction, totalBytes uint64) system.XferResult {
-	per := perCore(s, totalBytes)
-	return s.RunTransfer(s.TransferOp(dir, s.Cfg.PIM.NumCores(), per))
-}
-
-// perCore converts a total size into the per-core size, floored to one
-// line.
-func perCore(s *system.System, totalBytes uint64) uint64 {
-	per := totalBytes / uint64(s.Cfg.PIM.NumCores()) &^ 63
-	if per < 64 {
-		per = 64
-	}
-	return per
+	return s.RunTransfer(s.TransferOp(dir, s.Cfg.PIM.NumCores(), s.PerCoreBytes(totalBytes)))
 }
 
 // ResolveTopology parses an engine-class selection given in CLI flag
@@ -150,9 +139,9 @@ func parseShards(s string) (int, error) {
 	return n, cfg.Validate()
 }
 
-// RunnerFlagNames is the canonical shared flag set every CLI registers
-// through RegisterRunnerFlags; the per-CLI flag tests assert all three
-// binaries accept exactly these names.
+// RunnerFlagNames is the canonical shared flag set RegisterRunnerFlags
+// registers; cmd/pimmu's flag test asserts that exactly the subcommands
+// taking Runner flags accept these names.
 func RunnerFlagNames() []string {
 	return []string{"workers", "shards",
 		"cache-dir", "cache", "cpuprofile", "memprofile", "format"}
@@ -168,9 +157,9 @@ type RunnerFlags struct {
 	format                 *string
 }
 
-// RegisterRunnerFlags registers the engine-class, worker, result-cache
-// and profiling flags shared by pimmu-sim, pimmu-bench and
-// pimmu-replay on fs, deduplicating what each CLI used to spell out.
+// RegisterRunnerFlags registers the engine-class, worker, result-cache,
+// profiling and output-format flags shared by the pimmu run, sim,
+// replay and load subcommands on fs.
 func RegisterRunnerFlags(fs *flag.FlagSet) *RunnerFlags {
 	f := &RunnerFlags{}
 	f.workers = fs.Int("workers", 0, "parallel simulations per sweep (0 = all cores, 1 = serial)")
@@ -236,10 +225,6 @@ func (f *RunnerFlags) StartProfiles() (stop func() error, err error) {
 		return nil
 	}, nil
 }
-
-// CacheDir reports the parsed -cache-dir value (for cache maintenance
-// commands that operate on the directory without opening a store).
-func (f *RunnerFlags) CacheDir() string { return *f.cacheDir }
 
 // Runner resolves the parsed flags into a Runner and its backing store
 // (nil when caching is off). On error the Runner is nil.

@@ -27,7 +27,7 @@ func (s PruneStats) String() string {
 // considers files with the entry suffix whose header parses as a valid
 // entry; anything else in the directory (foreign files, temp files,
 // corrupt data) is left untouched and counted as skipped, so pointing
-// -cache-gc at the wrong directory cannot destroy it.
+// `pimmu cache-gc` at the wrong directory cannot destroy it.
 func Prune(dir, keepVersion string) (PruneStats, error) {
 	var st PruneStats
 	files, err := os.ReadDir(dir)

@@ -115,7 +115,7 @@ type ExperimentResult struct {
 	Schema     string `json:"schema"`
 	Experiment string `json:"experiment"`
 	// Scale is empty for CLI operations that have no quick/full axis
-	// (pimmu-sim transfers, replay/load runs).
+	// (pimmu sim transfers, replay/load runs).
 	Scale string `json:"scale,omitempty"`
 	// Op carries a non-registry operation's parameters (direction, size,
 	// trace identity, load axis); empty for registry experiments, whose

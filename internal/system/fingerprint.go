@@ -10,7 +10,7 @@ import "repro/internal/resultcache"
 //
 // v2: Shards and CoreLanes left the encoding (neutralFields below);
 // caches warmed under v1 never hit again — prune them with
-// `pimmu-sim -cache-gc` after a code-version bump, or leave them to
+// `pimmu cache-gc` after a code-version bump, or leave them to
 // age out.
 const configSchema = "system.Config/v2"
 

@@ -24,17 +24,19 @@ type TransferMeasurement struct {
 	PIMCh                 []ChannelStat
 }
 
+// PerCoreBytes is each PIM core's share of a whole-device transfer of
+// totalBytes: rounded down to whole 64 B lines, and at least one line.
+func (s *System) PerCoreBytes(totalBytes uint64) uint64 {
+	return max(totalBytes/uint64(s.Cfg.PIM.NumCores())&^63, 64)
+}
+
 // MeasureTransfer runs one whole-device transfer of mb MiB (split
 // across every PIM core, floored to one line per core) and snapshots
 // the result, the energy over the transfer, and the memory-system
 // counters the detailed reports render.
 func (s *System) MeasureTransfer(dir core.Direction, mb uint64) TransferMeasurement {
-	per := (mb << 20) / uint64(s.Cfg.PIM.NumCores()) &^ 63
-	if per < 64 {
-		per = 64
-	}
 	before := s.Activity()
-	res := s.RunTransfer(s.TransferOp(dir, s.Cfg.PIM.NumCores(), per))
+	res := s.RunTransfer(s.TransferOp(dir, s.Cfg.PIM.NumCores(), s.PerCoreBytes(mb<<20)))
 	m := TransferMeasurement{Res: res, Energy: s.EnergyOver(before, s.Activity())}
 	ds, ps := s.Mem.DRAM.Stats(), s.Mem.PIM.Stats()
 	m.DRAMRead, m.DRAMWritten = ds.BytesRead(), ds.BytesWritten()
