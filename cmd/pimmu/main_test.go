@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"flag"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -36,21 +37,74 @@ func TestSubcommandFlags(t *testing.T) {
 		t.Errorf("%d subcommands, want %d", len(cmds), len(own))
 	}
 	for _, c := range cmds {
-		want := slices.Clone(own[c.name])
-		if runner[c.name] {
-			want = append(want, harness.RunnerFlagNames()...)
-		}
-		slices.Sort(want)
-		var ue usageError
-		if err := c.run([]string{"-h"}, nil); !errors.As(err, &ue) || !errors.Is(err, flag.ErrHelp) || ue.fs == nil {
-			t.Errorf("%s -h: %v, want a usage error carrying the flag set", c.name, err)
-			continue
-		}
-		var got []string
-		ue.fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
-		if !slices.Equal(got, want) {
-			t.Errorf("%s flags = %v, want %v", c.name, got, want)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			want := slices.Clone(own[c.name])
+			if runner[c.name] {
+				want = append(want, harness.RunnerFlagNames()...)
+			}
+			slices.Sort(want)
+			var ue usageError
+			if err := c.run([]string{"-h"}, nil); !errors.As(err, &ue) || !errors.Is(err, flag.ErrHelp) || ue.fs == nil {
+				t.Fatalf("-h: %v, want a usage error carrying the flag set", err)
+			}
+			var got []string
+			ue.fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+			if !slices.Equal(got, want) {
+				t.Errorf("flags = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// run, sim and replay parse their own flags next to the Runner flags
+// and resolve the Runner ones before planning: a good line runs with
+// its own flags in effect, and a bad -shards is a usage error.
+func TestFlagsParseAndResolve(t *testing.T) {
+	dir := t.TempDir()
+	tr := filepath.Join(dir, "t.pmt")
+	if err := trace.WriteFile(tr, trace.MustGenerate(trace.PatternStream, trace.DefaultGenConfig()), false); err != nil {
+		t.Fatal(err)
+	}
+	cacheDir := filepath.Join(dir, "cache")
+	for _, c := range []struct {
+		name string
+		args []string
+		want []string // substrings of stdout that show the own flags took effect
+	}{
+		{"sim", []string{"-design", "base", "-mb", "4", "-dir", "from",
+			"-workers", "1", "-shards", "2", "-cache-dir", cacheDir},
+			[]string{"design      Base\n", "direction   PIM->DRAM\n", "bytes       4194304 "}},
+		{"run", []string{"-full", "-workers", "2", "-shards", "auto", "-cache", "off", "table1"},
+			[]string{"(full mode)"}},
+		{"replay", []string{"-inflight", "32", "-noncacheable", "-shards", "1", "-cache", "off", tr},
+			[]string{"design     Base+D+H+P\n", "records    16384 "}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			out, err := runCommand(t, append([]string{c.name}, c.args...)...)
+			if err != nil {
+				t.Fatalf("%v: %v", c.args, err)
+			}
+			for _, w := range c.want {
+				if !strings.Contains(string(out), w) {
+					t.Errorf("output lacks %q:\n%s", w, out)
+				}
+			}
+			var pos []string
+			if c.name != "sim" {
+				pos = c.args[len(c.args)-1:]
+			}
+			if def, err := runCommand(t, append([]string{c.name}, pos...)...); err != nil || string(def) == string(out) {
+				t.Errorf("the flags changed nothing: default output %v", err)
+			}
+			bad := append([]string{c.name, "-shards", "many"}, pos...)
+			var ue usageError
+			if _, err := runCommand(t, bad...); !errors.As(err, &ue) {
+				t.Errorf("%v: err = %v, want a usage error", bad, err)
+			}
+		})
+	}
+	if entries, err := os.ReadDir(cacheDir); err != nil || len(entries) == 0 {
+		t.Errorf("sim -cache-dir did not open a store: %d entries, %v", len(entries), err)
 	}
 }
 
