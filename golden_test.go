@@ -189,17 +189,8 @@ const openLoopArrivals = 8192
 // across both queues and write-drain switches) rather than the row-hit
 // path the transfer goldens exercise.
 func openLoopStream() string {
-	cfg := system.DefaultConfig(system.Base)
-	s := system.MustNew(cfg)
-
-	chans := cfg.Mem.DRAM.Geometry.Channels
-	recs := make([]*cmdRecorder, chans)
-	for i := range recs {
-		recs[i] = &cmdRecorder{counts: map[dram.Cmd]int{}}
-		s.Mem.DRAM.Channel(i).Observe(recs[i])
-	}
-	chk := dram.NewChecker(cfg.Mem.DRAM)
-	s.Mem.DRAM.Channel(0).Observe(observerPair{recs[0], chk})
+	s := system.MustNew(system.DefaultConfig(system.Base))
+	recs, chk := observeDRAM(s)
 
 	gcfg := trace.DefaultGenConfig()
 	gcfg.Records = openLoopArrivals
@@ -220,29 +211,100 @@ func openLoopStream() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "design %v open-loop mixed poisson gap=%dps arrivals=%d completed=%d retries=%d end=%d ps\n",
 		system.Base, dcfg.MeanGap, lr.Arrivals, lr.Completed, lr.Retries, s.Eng.Now())
+	renderDRAMChannels(&b, recs, chk)
+	return b.String()
+}
+
+// recordChannels attaches a command recorder to each of the first n
+// channels of a device set.
+func recordChannels(ds *dram.DeviceSet, n int) []*cmdRecorder {
+	recs := make([]*cmdRecorder, n)
+	for i := range recs {
+		recs[i] = &cmdRecorder{counts: map[dram.Cmd]int{}}
+		ds.Channel(i).Observe(recs[i])
+	}
+	return recs
+}
+
+// observeDRAM attaches a command recorder to every DRAM channel and a
+// protocol checker to channel 0.
+func observeDRAM(s *system.System) ([]*cmdRecorder, *dram.Checker) {
+	recs := recordChannels(s.Mem.DRAM, s.Cfg.Mem.DRAM.Geometry.Channels)
+	chk := dram.NewChecker(s.Cfg.Mem.DRAM)
+	s.Mem.DRAM.Channel(0).Observe(observerPair{recs[0], chk})
+	return recs, chk
+}
+
+// renderCounts writes one line of command counts per channel.
+func renderCounts(b *strings.Builder, name string, recs []*cmdRecorder) {
 	for i, r := range recs {
-		fmt.Fprintf(&b, "dram[%d] n=%d ACT=%d PRE=%d RD=%d WR=%d REF=%d\n",
-			i, len(r.events),
+		fmt.Fprintf(b, "%s[%d] n=%d ACT=%d PRE=%d RD=%d WR=%d REF=%d\n",
+			name, i, len(r.events),
 			r.counts[dram.CmdACT], r.counts[dram.CmdPRE],
 			r.counts[dram.CmdRD], r.counts[dram.CmdWR], r.counts[dram.CmdREF])
 	}
-	fmt.Fprintf(&b, "protocol violations=%d\n", len(chk.Violations()))
+}
+
+// renderDRAMChannels writes every DRAM channel's command counts, the
+// checker's verdict and the head of channel 0's stream.
+func renderDRAMChannels(b *strings.Builder, recs []*cmdRecorder, chk *dram.Checker) {
+	renderCounts(b, "dram", recs)
+	fmt.Fprintf(b, "protocol violations=%d\n", len(chk.Violations()))
 	head := goldenHead
 	if head > len(recs[0].events) {
 		head = len(recs[0].events)
 	}
-	fmt.Fprintf(&b, "-- dram[0] head (%d) --\n", head)
+	fmt.Fprintf(b, "-- dram[0] head (%d) --\n", head)
 	for _, e := range recs[0].events[:head] {
-		fmt.Fprintf(&b, "%s\n", e)
+		fmt.Fprintf(b, "%s\n", e)
 	}
-	return b.String()
 }
 
 // TestGoldenOpenLoopStream pins the conflict-heavy open-loop command
 // stream against its golden file.
 func TestGoldenOpenLoopStream(t *testing.T) {
-	got := openLoopStream()
-	path := filepath.Join("testdata", "cmdstream_openloop.golden")
+	checkGoldenFile(t, "cmdstream_openloop.golden", openLoopStream())
+}
+
+// replayStream is the replay golden workload: the port traffic of a
+// Base 128 KiB DRAM->PIM transfer, recorded, then replayed uncached on
+// a fresh Base machine with enough requests in flight to fill the
+// controller queues. The trace interleaves DRAM-region reads with
+// PIM-region writes, so the stream pins replay's issue order, its
+// backpressure retries and the per-line cacheability routing.
+func replayStream() string {
+	recs := recordTransferTrace(system.Base, 128<<10)
+	s := system.MustNew(system.DefaultConfig(system.Base))
+	pims := recordChannels(s.Mem.PIM, s.Cfg.Mem.PIM.Geometry.Channels)
+	drams, chk := observeDRAM(s)
+	cfg := trace.ReplayConfig{MaxInFlight: 256, Cacheable: false, SrcID: trace.DefaultReplayConfig().SrcID}
+	r, err := s.RunReplay(recs, cfg)
+	if err != nil {
+		panic(err)
+	}
+	sum := trace.Summarize(recs)
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "design %v replay of a recorded DRAM->PIM transfer: records=%d pim-records=%d\n",
+		system.Base, sum.Records, sum.PIMRecords)
+	fmt.Fprintf(&b, "issued=%d completed=%d retries=%d slip=%d p99=%d end=%d ps\n",
+		r.Issued, r.Completed, r.Retries, r.Slip, r.Latency.P99(), s.Eng.Now())
+	renderCounts(&b, "pim", pims)
+	renderDRAMChannels(&b, drams, chk)
+	return b.String()
+}
+
+// TestGoldenReplayStream pins the replay command stream against its
+// golden file.
+func TestGoldenReplayStream(t *testing.T) {
+	checkGoldenFile(t, "cmdstream_replay.golden", replayStream())
+}
+
+// checkGoldenFile compares got with testdata/name, or rewrites the file
+// under -update.
+func checkGoldenFile(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -255,7 +317,7 @@ func TestGoldenOpenLoopStream(t *testing.T) {
 		t.Fatalf("%v (run `go test -run Golden -update .` to create)", err)
 	}
 	if string(want) != got {
-		t.Errorf("open-loop command stream diverged from %s\n--- got ---\n%s--- want ---\n%s",
+		t.Errorf("command stream diverged from %s\n--- got ---\n%s--- want ---\n%s",
 			path, got, want)
 	}
 }

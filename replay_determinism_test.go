@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/sweep"
 	"repro/internal/system"
@@ -123,5 +124,79 @@ func TestRecordReplayRoundTripPreservesTraffic(t *testing.T) {
 	}
 	if r.Completed != uint64(sum.Records) {
 		t.Errorf("completed %d line requests, recorded %d", r.Completed, sum.Records)
+	}
+}
+
+// TestReplayIsFixedDriveOnItsOwnTimeline pins the equivalence the trace
+// package is built on: replaying a generated trace with gap g is the
+// open-loop ProcessFixed drive of the same records at MeanGap g over
+// g*n, with the same in-flight cap, cacheability and source ID. Both
+// runs must issue, move, retry and end identically, fire the same
+// engine events, and report the same service latencies.
+func TestReplayIsFixedDriveOnItsOwnTimeline(t *testing.T) {
+	const n = 2048
+	retried := false
+	for _, c := range []struct {
+		pattern   trace.Pattern
+		design    system.Design
+		gap       clock.Picos
+		inflight  int
+		cacheable bool
+	}{
+		{trace.PatternMixed, system.Base, 8 * clock.Nanosecond, 64, true},
+		{trace.PatternStream, system.PIMMMU, clock.Nanosecond, 64, true},
+		{trace.PatternZipf, system.Base, 200, 64, true},
+		{trace.PatternMixed, system.PIMMMU, clock.Nanosecond, 256, false},
+		{trace.PatternZipf, system.Base, 200, 256, false},
+	} {
+		name := fmt.Sprintf("%s/%v/gap=%dps/inflight=%d/cacheable=%v",
+			c.pattern, c.design, c.gap, c.inflight, c.cacheable)
+		gen := func(s *system.System) []trace.Record {
+			g := trace.DefaultGenConfig()
+			g.Records = n
+			g.Gap = c.gap
+			g.Base = s.Alloc(g.FootprintBytes(c.pattern))
+			return trace.MustGenerate(c.pattern, g)
+		}
+
+		rs := system.MustNew(system.DefaultConfig(c.design))
+		rcfg := trace.ReplayConfig{MaxInFlight: c.inflight, Cacheable: c.cacheable, SrcID: 5}
+		r, err := rs.RunReplay(gen(rs), rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		ds := system.MustNew(system.DefaultConfig(c.design))
+		dcfg := trace.DefaultDriverConfig()
+		dcfg.Process = trace.ProcessFixed
+		dcfg.MeanGap = c.gap
+		dcfg.Duration = c.gap * n
+		dcfg.MaxInFlight = c.inflight
+		dcfg.Cacheable = c.cacheable
+		dcfg.SrcID = rcfg.SrcID
+		l, err := ds.RunLoad(gen(ds), dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if r.Issued != l.Issued || r.Completed != l.Completed ||
+			r.BytesRead != l.BytesRead || r.BytesWritten != l.BytesWritten ||
+			r.Retries != l.Retries || r.End != l.End {
+			t.Errorf("%s: replay %+v\ndrive issued=%d completed=%d bytes=%d/%d retries=%d end=%v",
+				name, r, l.Issued, l.Completed, l.BytesRead, l.BytesWritten, l.Retries, l.End)
+		}
+		if rs.Eng.Fired() != ds.Eng.Fired() || rs.Eng.Now() != ds.Eng.Now() {
+			t.Errorf("%s: replay fired %d events ending at %v, drive %d at %v",
+				name, rs.Eng.Fired(), rs.Eng.Now(), ds.Eng.Fired(), ds.Eng.Now())
+		}
+		if r.Latency != l.Service || r.LatencySum != l.ServiceSum {
+			t.Errorf("%s: replay latency (sum %v) differs from drive service (sum %v)",
+				name, r.LatencySum, l.ServiceSum)
+		}
+		t.Logf("%s: issued=%d retries=%d slip=%v end=%v", name, r.Issued, r.Retries, r.Slip, r.End)
+		retried = retried || r.Retries > 0
+	}
+	if !retried {
+		t.Error("no case exercised backpressure retries")
 	}
 }
