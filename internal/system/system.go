@@ -317,42 +317,16 @@ func (s *System) RecordTrace() *trace.Recorder {
 // StopTrace detaches any attached trace recorder.
 func (s *System) StopTrace() { s.Mem.SetTap(nil) }
 
-// StartReplay launches a trace replay through the memory port and calls
-// onDone at completion. It does not run the engine.
-func (s *System) StartReplay(recs []trace.Record, cfg trace.ReplayConfig, onDone func(trace.Result)) error {
-	rp, err := trace.NewReplayer(s.Eng, s.Mem, recs, cfg)
-	if err != nil {
-		return err
-	}
-	rp.Start(onDone)
-	return nil
-}
-
 // RunReplay executes a trace replay to completion and returns its
 // result. Replayed runs report through the same channel/LLC statistics
 // as every other workload, so bandwidth and latency come from the same
 // counters the figures use.
 func (s *System) RunReplay(recs []trace.Record, cfg trace.ReplayConfig) (trace.Result, error) {
-	var out trace.Result
-	done := false
-	if err := s.StartReplay(recs, cfg, func(r trace.Result) { out = r; done = true }); err != nil {
+	rp, err := trace.NewReplayer(s.Eng, s.Mem, recs, cfg)
+	if err != nil {
 		return trace.Result{}, err
 	}
-	s.Eng.RunWhile(func() bool { return !done })
-	s.drain()
-	return out, nil
-}
-
-// StartLoad launches an open-loop arrival-process run through the
-// memory port and calls onDone at completion. It does not run the
-// engine.
-func (s *System) StartLoad(recs []trace.Record, cfg trace.DriverConfig, onDone func(trace.LoadResult)) error {
-	d, err := trace.NewDriver(s.Eng, s.Mem, recs, cfg)
-	if err != nil {
-		return err
-	}
-	d.Start(onDone)
-	return nil
+	return runToDone(s, rp.Start), nil
 }
 
 // RunLoad executes an open-loop run to completion and returns its
@@ -361,14 +335,22 @@ func (s *System) StartLoad(recs []trace.Record, cfg trace.DriverConfig, onDone f
 // service/total split measures what a latency SLO would see at that
 // offered load.
 func (s *System) RunLoad(recs []trace.Record, cfg trace.DriverConfig) (trace.LoadResult, error) {
-	var out trace.LoadResult
-	done := false
-	if err := s.StartLoad(recs, cfg, func(r trace.LoadResult) { out = r; done = true }); err != nil {
+	d, err := trace.NewDriver(s.Eng, s.Mem, recs, cfg)
+	if err != nil {
 		return trace.LoadResult{}, err
 	}
+	return runToDone(s, d.Start), nil
+}
+
+// runToDone starts a trace injection, runs the engine until its
+// completion callback fires, drains, and returns the reported result.
+func runToDone[R any](s *System, start func(onDone func(R))) R {
+	var out R
+	done := false
+	start(func(r R) { out = r; done = true })
 	s.Eng.RunWhile(func() bool { return !done })
 	s.drain()
-	return out, nil
+	return out
 }
 
 // drain runs remaining completion events (posted writes, refreshes in

@@ -10,11 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Process names an open-loop arrival process. Where the Replayer paces
-// issue by recorded inter-arrival times and lets backpressure slip the
-// whole timeline, a Process describes arrivals that accrue on the
-// simulated clock no matter what the memory system does — the open-loop
-// model of user-driven traffic against a latency SLO.
+// Process names an open-loop arrival process: arrivals that accrue on
+// the simulated clock no matter what the memory system does — the
+// open-loop model of user-driven traffic against a latency SLO. (A
+// replay is the same drive with the trace's own TSCs as arrivals.)
 type Process string
 
 const (
@@ -236,47 +235,13 @@ func (r LoadResult) AvgTotal() clock.Picos {
 	return r.TotalSum / clock.Picos(r.Completed)
 }
 
-// dslot is one in-flight open-loop request. Like the Replayer's slots,
-// dslots are preallocated and recycled with their completion closures
-// bound once, so steady-state driving performs no per-request
-// allocation.
-type dslot struct {
-	req     mem.Req
-	arrival clock.Picos
-	issued  clock.Picos
-}
-
 // Driver injects an open-loop arrival process through a mem.Port on the
-// simulation engine. It reuses the Replayer's slot-pool and WaitSpace
-// backpressure machinery, but where the Replayer replays a recorded
-// timeline (slipping it under backpressure), the Driver's arrivals are a
-// fixed schedule: backpressure converts directly into per-request
-// queueing delay, never into fewer or later arrivals. Addresses and
-// kinds come from the supplied records, cycled one line per arrival.
-type Driver struct {
-	eng  *sim.Engine
-	port mem.Port
-	cfg  DriverConfig
-	recs []Record
-
-	arrivals []clock.Picos
-
-	issueEv sim.Event
-	spaceFn func()
-	start   clock.Picos
-
-	ai       int // next arrival to issue
-	seen     int // arrivals observed due, for MaxQueued (monotone)
-	inFlight int
-	waiting  bool // a WaitSpace callback is registered
-	started  bool
-	finished bool
-
-	free []*dslot
-
-	res    LoadResult
-	onDone func(LoadResult)
-}
+// simulation engine. Its arrivals are a fixed schedule: backpressure
+// converts directly into per-request queueing delay, never into fewer
+// or later arrivals. Addresses and kinds come from the supplied records,
+// cycled one line per arrival. A Replayer is the same injector driven by
+// the records' own timeline.
+type Driver struct{ in injector }
 
 // NewDriver validates the configuration, materializes the arrival
 // schedule, and builds a driver bound to the engine and port. The record
@@ -294,16 +259,8 @@ func NewDriver(eng *sim.Engine, port mem.Port, recs []Record, cfg DriverConfig) 
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("trace: empty record stream")
 	}
-	d := &Driver{eng: eng, port: port, cfg: cfg, recs: recs, arrivals: arrivals}
-	d.issueEv.Init(sim.HandlerFunc(d.issue))
-	d.spaceFn = d.onSpace
-	d.free = make([]*dslot, cfg.MaxInFlight)
-	for i := range d.free {
-		s := &dslot{}
-		s.req.SrcID = cfg.SrcID
-		s.req.OnDone = func(now clock.Picos) { d.complete(s, now) }
-		d.free[i] = s
-	}
+	d := &Driver{}
+	d.in.init(eng, port, recs, arrivals, cfg.MaxInFlight, cfg.Cacheable, cfg.SrcID)
 	return d, nil
 }
 
@@ -314,127 +271,9 @@ func NewDriver(eng *sim.Engine, port mem.Port, recs []Record, cfg DriverConfig) 
 // Like the Replayer, a Driver runs exactly once — a second Start panics;
 // build a fresh Driver per run.
 func (d *Driver) Start(onDone func(LoadResult)) {
-	if d.started {
-		panic("trace: Driver.Start called twice; a Driver runs once — build a fresh one per run")
-	}
-	d.started = true
-	d.onDone = onDone
-	d.start = d.eng.Now()
-	d.res.Start = d.start
-	d.res.Arrivals = uint64(len(d.arrivals))
-	if len(d.arrivals) == 0 {
-		d.finished = true
-		d.res.End = d.start
+	d.in.begin(func() {
 		if onDone != nil {
-			onDone(d.res)
+			onDone(d.in.res)
 		}
-		return
-	}
-	d.eng.Schedule(&d.issueEv, d.start+d.arrivals[0])
-}
-
-// Snapshot reports the statistics accumulated so far without waiting for
-// completion — the view of a run whose tail the port never accepts.
-func (d *Driver) Snapshot() LoadResult { return d.res }
-
-// noteQueued samples the arrival backlog: arrivals due at now that have
-// not yet issued. The seen cursor is monotone, so the scan is O(arrivals)
-// over the whole run.
-func (d *Driver) noteQueued(now clock.Picos) {
-	for d.seen < len(d.arrivals) && d.start+d.arrivals[d.seen] <= now {
-		d.seen++
-	}
-	if q := uint64(d.seen - d.ai); q > d.res.MaxQueued {
-		d.res.MaxQueued = q
-	}
-}
-
-// issue drains due arrivals: it fires until it runs ahead of the
-// schedule (reschedule), out of in-flight slots (a completion re-kicks),
-// or into a full controller queue (WaitSpace re-kicks). Arrivals blocked
-// here keep their scheduled arrival times — the wait shows up as
-// queueing delay, not as schedule slip.
-func (d *Driver) issue(now clock.Picos) {
-	d.noteQueued(now)
-	for d.ai < len(d.arrivals) {
-		due := d.start + d.arrivals[d.ai]
-		if now < due {
-			d.eng.Schedule(&d.issueEv, due)
-			return
-		}
-		if len(d.free) == 0 {
-			return
-		}
-		s := d.free[len(d.free)-1]
-		rec := &d.recs[d.ai%len(d.recs)]
-		s.req.Addr = rec.Addr
-		if rec.Kind == KindWrite {
-			s.req.Kind = mem.Write
-		} else {
-			s.req.Kind = mem.Read
-		}
-		s.req.Cacheable = d.cfg.Cacheable && mem.SpaceOf(rec.Addr) == mem.SpaceDRAM
-		s.arrival = due
-		s.issued = now
-		if !d.port.TryEnqueue(&s.req) {
-			d.res.Retries++
-			if !d.waiting {
-				d.waiting = true
-				d.port.WaitSpace(d.spaceFn)
-			}
-			return
-		}
-		d.free = d.free[:len(d.free)-1]
-		d.inFlight++
-		d.res.Issued++
-		if s.req.Kind == mem.Write {
-			d.res.BytesWritten += mem.LineBytes
-		} else {
-			d.res.BytesRead += mem.LineBytes
-		}
-		qd := now - due
-		d.res.QueueSum += qd
-		d.res.Queue.Observe(qd)
-		d.ai++
-	}
-	d.maybeFinish(now)
-}
-
-// onSpace is the WaitSpace callback: queue space freed, resume issue.
-func (d *Driver) onSpace() {
-	d.waiting = false
-	d.issue(d.eng.Now())
-}
-
-// complete retires one request and resumes issue if it was blocked on
-// the in-flight cap.
-func (d *Driver) complete(s *dslot, now clock.Picos) {
-	d.inFlight--
-	d.res.Completed++
-	sv := now - s.issued
-	tt := now - s.arrival
-	d.res.ServiceSum += sv
-	d.res.TotalSum += tt
-	d.res.Service.Observe(sv)
-	d.res.Total.Observe(tt)
-	d.free = append(d.free, s)
-	if d.ai < len(d.arrivals) {
-		if !d.issueEv.Scheduled() && !d.waiting {
-			d.issue(now)
-		}
-		return
-	}
-	d.maybeFinish(now)
-}
-
-// maybeFinish reports the result once every arrival issued and completed.
-func (d *Driver) maybeFinish(now clock.Picos) {
-	if d.finished || d.ai < len(d.arrivals) || d.inFlight > 0 {
-		return
-	}
-	d.finished = true
-	d.res.End = now
-	if d.onDone != nil {
-		d.onDone(d.res)
-	}
+	})
 }

@@ -175,9 +175,9 @@ type Result struct {
 	// Retries counts TryEnqueue rejections (backpressure events).
 	Retries uint64
 
-	// Slip is how far issue fell behind the trace's own timeline at
-	// the end of the run: 0 means the memory system kept up with the
-	// recorded inter-arrival times.
+	// Slip is the furthest issue fell behind the trace's own timeline:
+	// the maximum queueing delay. 0 means the memory system kept up
+	// with the recorded inter-arrival times.
 	Slip clock.Picos
 }
 
@@ -203,41 +203,13 @@ func (r Result) AvgLatency() clock.Picos {
 	return r.LatencySum / clock.Picos(r.Completed)
 }
 
-// slot is one in-flight request record. Slots are preallocated and
-// recycled, and each binds its completion closure once, so steady-state
-// replay performs no per-request allocation.
-type slot struct {
-	req    mem.Req
-	issued clock.Picos
-}
-
-// Replayer injects a record stream through a mem.Port on the simulation
-// engine. Records issue at their recorded inter-arrival times; when the
-// memory system pushes back (full controller queue, in-flight cap) the
-// issue point slips later but record order is preserved, exactly like a
-// core whose load queue has filled.
-type Replayer struct {
-	eng  *sim.Engine
-	port mem.Port
-	cfg  ReplayConfig
-	recs []Record
-
-	issueEv sim.Event
-	spaceFn func()
-	start   clock.Picos
-
-	ri       int    // next record index
-	li       uint32 // next line within the current record
-	inFlight int
-	waiting  bool // a WaitSpace callback is registered
-	started  bool
-	finished bool
-
-	free []*slot
-
-	res    Result
-	onDone func(Result)
-}
+// Replayer replays a record stream through a mem.Port on the simulation
+// engine: the open-loop drive of the records on their own timeline.
+// Records fall due at their recorded TSCs; when the memory system pushes
+// back (full controller queue, in-flight cap) issue slips later but
+// record order is preserved, exactly like a core whose load queue has
+// filled. Result.Slip is the largest such queueing delay.
+type Replayer struct{ in injector }
 
 // NewReplayer validates the trace and builds a replayer bound to the
 // engine and port. The record slice is not copied; the caller must not
@@ -249,34 +221,22 @@ func NewReplayer(eng *sim.Engine, port mem.Port, recs []Record, cfg ReplayConfig
 	if err := Validate(recs); err != nil {
 		return nil, err
 	}
-	rp := &Replayer{eng: eng, port: port, cfg: cfg, recs: recs}
-	rp.issueEv.Init(sim.HandlerFunc(rp.issue))
-	rp.spaceFn = rp.onSpace
-	rp.free = make([]*slot, cfg.MaxInFlight)
-	for i := range rp.free {
-		s := &slot{}
-		s.req.SrcID = cfg.SrcID
-		s.req.OnDone = func(now clock.Picos) { rp.complete(s, now) }
-		rp.free[i] = s
-	}
+	rp := &Replayer{}
+	rp.in.init(eng, port, recs, nil, cfg.MaxInFlight, cfg.Cacheable, cfg.SrcID)
 	return rp, nil
 }
 
 // Start begins the replay; onDone runs (inside the engine) when every
 // record has issued and completed. Start does not run the engine.
 //
-// A Replayer replays exactly once: a second Start would silently resume
-// from stale cursors with accumulated counters, so it panics instead —
-// build a fresh Replayer per run.
+// A Replayer replays exactly once — a second Start panics; build a
+// fresh Replayer per run.
 func (rp *Replayer) Start(onDone func(Result)) {
-	if rp.started {
-		panic("trace: Replayer.Start called twice; a Replayer replays once — build a fresh one per run")
-	}
-	rp.started = true
-	rp.onDone = onDone
-	rp.start = rp.eng.Now()
-	rp.res.Start = rp.start
-	rp.eng.Schedule(&rp.issueEv, rp.start)
+	rp.in.begin(func() {
+		if onDone != nil {
+			onDone(rp.Snapshot())
+		}
+	})
 }
 
 // Snapshot reports the statistics accumulated so far without waiting for
@@ -286,109 +246,17 @@ func (rp *Replayer) Start(onDone func(Result)) {
 // lag as of the engine clock is folded into Slip, so a wedged replay
 // does not under-report how far issue fell behind.
 func (rp *Replayer) Snapshot() Result {
-	res := rp.res
-	if rp.started && rp.ri < len(rp.recs) {
-		if slip := rp.eng.Now() - (rp.start + rp.recs[rp.ri].TSC); slip > res.Slip {
-			res.Slip = slip
-		}
+	in := &rp.in
+	slip := in.maxLag
+	if in.started && in.next < in.positions() {
+		slip = max(slip, in.eng.Now()-in.due(in.next))
 	}
-	return res
-}
-
-// sampleSlip folds the pending record's lag behind the trace timeline
-// into Result.Slip. It runs at every stall (slot exhaustion, enqueue
-// rejection) as well as at successful enqueue, so a replay inspected
-// mid-stall — or one whose tail the port never accepts — reports how far
-// issue actually fell behind, not just the lag of the last accepted
-// record.
-func (rp *Replayer) sampleSlip(now clock.Picos, rec *Record) {
-	if slip := now - (rp.start + rec.TSC); slip > rp.res.Slip {
-		rp.res.Slip = slip
-	}
-}
-
-// issue advances the record cursor: it fires due records until it runs
-// ahead of the trace clock (reschedule), out of in-flight slots (a
-// completion re-kicks), or into a full controller queue (WaitSpace
-// re-kicks).
-func (rp *Replayer) issue(now clock.Picos) {
-	for rp.ri < len(rp.recs) {
-		rec := &rp.recs[rp.ri]
-		if due := rp.start + rec.TSC; now < due {
-			rp.eng.Schedule(&rp.issueEv, due)
-			return
-		}
-		if len(rp.free) == 0 {
-			rp.sampleSlip(now, rec)
-			return
-		}
-		s := rp.free[len(rp.free)-1]
-		addr := rec.Addr + uint64(rp.li)*mem.LineBytes
-		s.req.Addr = addr
-		if rec.Kind == KindWrite {
-			s.req.Kind = mem.Write
-		} else {
-			s.req.Kind = mem.Read
-		}
-		s.req.Cacheable = rp.cfg.Cacheable && mem.SpaceOf(addr) == mem.SpaceDRAM
-		s.issued = now
-		if !rp.port.TryEnqueue(&s.req) {
-			rp.res.Retries++
-			rp.sampleSlip(now, rec)
-			if !rp.waiting {
-				rp.waiting = true
-				rp.port.WaitSpace(rp.spaceFn)
-			}
-			return
-		}
-		rp.free = rp.free[:len(rp.free)-1]
-		rp.inFlight++
-		rp.res.Issued++
-		if s.req.Kind == mem.Write {
-			rp.res.BytesWritten += mem.LineBytes
-		} else {
-			rp.res.BytesRead += mem.LineBytes
-		}
-		rp.sampleSlip(now, rec)
-		if rp.li++; rp.li >= rec.Lines() {
-			rp.li = 0
-			rp.ri++
-		}
-	}
-	rp.maybeFinish(now)
-}
-
-// onSpace is the WaitSpace callback: queue space freed, resume issue.
-func (rp *Replayer) onSpace() {
-	rp.waiting = false
-	rp.issue(rp.eng.Now())
-}
-
-// complete retires one request and resumes issue if it was blocked on
-// the in-flight cap.
-func (rp *Replayer) complete(s *slot, now clock.Picos) {
-	rp.inFlight--
-	rp.res.Completed++
-	rp.res.LatencySum += now - s.issued
-	rp.res.Latency.Observe(now - s.issued)
-	rp.free = append(rp.free, s)
-	if rp.ri < len(rp.recs) {
-		if !rp.issueEv.Scheduled() && !rp.waiting {
-			rp.issue(now)
-		}
-		return
-	}
-	rp.maybeFinish(now)
-}
-
-// maybeFinish reports the result once everything issued and completed.
-func (rp *Replayer) maybeFinish(now clock.Picos) {
-	if rp.finished || rp.ri < len(rp.recs) || rp.inFlight > 0 {
-		return
-	}
-	rp.finished = true
-	rp.res.End = now
-	if rp.onDone != nil {
-		rp.onDone(rp.res)
+	r := &in.res
+	return Result{
+		Issued: r.Issued, Completed: r.Completed,
+		BytesRead: r.BytesRead, BytesWritten: r.BytesWritten,
+		Start: r.Start, End: r.End,
+		LatencySum: r.ServiceSum, Latency: r.Service,
+		Retries: r.Retries, Slip: slip,
 	}
 }
