@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -126,12 +127,15 @@ func Decode(r io.Reader) ([]Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: record %d truncated: %w", i, err)
 		}
-		tsc += clock.Picos(dt)
-		line += dl
-		if line < 0 {
-			return nil, fmt.Errorf("trace: record %d: negative address", i)
+		if dt > math.MaxInt64-uint64(tsc) {
+			return nil, fmt.Errorf("trace: record %d: tsc overflows", i)
 		}
-		if lines == 0 || lines > (1<<31)/mem.LineBytes {
+		tsc += clock.Picos(dt)
+		if dl > maxLine-line || dl < -line {
+			return nil, fmt.Errorf("trace: record %d: address outside [0, 2^64)", i)
+		}
+		line += dl
+		if lines > math.MaxUint32/mem.LineBytes {
 			return nil, fmt.Errorf("trace: record %d: bad footprint %d lines", i, lines)
 		}
 		recs = append(recs, Record{
@@ -141,8 +145,14 @@ func Decode(r io.Reader) ([]Record, error) {
 			Bytes: uint32(lines) * mem.LineBytes,
 		})
 	}
+	if err := Validate(recs); err != nil {
+		return nil, err
+	}
 	return recs, nil
 }
+
+// maxLine is the highest line index whose address fits in a uint64.
+const maxLine = math.MaxUint64 / mem.LineBytes
 
 // readFull reads exactly len(p) bytes from a byte reader.
 func readFull(br io.ByteReader, p []byte) error {

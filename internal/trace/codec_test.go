@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -143,19 +144,63 @@ func TestCorruptBinaryRejected(t *testing.T) {
 		// error, not attempt a gigantic upfront allocation.
 		b := []byte(Magic)
 		b = append(b, Version, 0)
-		b = appendUvarint(b, 1<<30)
+		b = binary.AppendUvarint(b, 1<<30)
 		if _, err := Decode(bytes.NewReader(b)); err == nil {
 			t.Error("huge claimed count accepted")
 		}
 	})
 }
 
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
+// binaryRecord builds a one-record binary trace from raw field values,
+// bypassing Encode's validation.
+func binaryRecord(dt uint64, kind byte, dl int64, lines uint64) []byte {
+	b := append([]byte(Magic), Version, 0)
+	b = binary.AppendUvarint(b, 1)
+	b = binary.AppendUvarint(b, dt)
+	b = append(b, kind)
+	b = binary.AppendVarint(b, dl)
+	return binary.AppendUvarint(b, lines)
+}
+
+// Decode must reject every stream Validate rejects, including those its
+// delta accumulators could wrap into a plausible-looking record: a TSC
+// past the int64 range used to decode negative, and a line delta past
+// the address space used to wrap back to a small address.
+func TestDecodeRejectsOverflow(t *testing.T) {
+	if recs, err := Decode(bytes.NewReader(binaryRecord(0, 0, 1, 1))); err != nil || recs[0].Addr != 0x40 {
+		t.Fatalf("well-formed record: %v, %v", recs, err)
 	}
-	return append(b, byte(v))
+	for name, b := range map[string][]byte{
+		"tsc":     binaryRecord(1<<63, 0, 0, 1),
+		"line":    binaryRecord(0, 0, 1<<59+1, 1),
+		"neg":     binaryRecord(0, 0, -1, 1),
+		"lines-0": binaryRecord(0, 0, 0, 0),
+		"huge":    binaryRecord(0, 0, 0, maxRecordBytes/mem.LineBytes+1),
+	} {
+		if recs, err := Decode(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: decoded %v with no error", name, recs)
+		}
+	}
+}
+
+// Encode and Decode share one footprint bound: a record Decode would
+// reject cannot be written.
+func TestFootprintBound(t *testing.T) {
+	ok := []Record{{Kind: KindRead, Bytes: maxRecordBytes}}
+	var buf bytes.Buffer
+	if err := Encode(&buf, ok); err != nil {
+		t.Fatalf("record at the bound rejected: %v", err)
+	}
+	if back, err := Decode(&buf); err != nil || !equalRecords(back, ok) {
+		t.Fatalf("record at the bound did not round-trip: %v, %v", back, err)
+	}
+	big := []Record{{Kind: KindRead, Bytes: maxRecordBytes + mem.LineBytes}}
+	if err := Encode(&bytes.Buffer{}, big); err == nil {
+		t.Error("Encode accepted a record past the footprint bound")
+	}
+	if err := Validate(big); err == nil {
+		t.Error("Validate accepted a record past the footprint bound")
+	}
 }
 
 func TestBadTextRejected(t *testing.T) {

@@ -2,9 +2,10 @@
 // format for memory traffic observed at the mem.Port boundary, a
 // versioned binary codec plus a human-readable text form, synthetic
 // trace generators modelling common application access patterns, a
-// Recorder that captures live traffic, and a Replayer that injects a
-// recorded stream back into a memory system with the original
-// inter-arrival timing and full backpressure handling.
+// Recorder that captures live traffic, and one injector that feeds a
+// record stream back into a memory system with full backpressure
+// handling — on the records' own timeline (Replayer) or on an open-loop
+// arrival schedule (Driver).
 //
 // The paper's evaluation is driven by real-application memory traffic;
 // this package is how the repository gets from synthetic harness
@@ -63,10 +64,13 @@ func (r Record) String() string {
 	return fmt.Sprintf("%12d %s 0x%010x %4d", r.TSC, r.Kind, r.Addr, r.Bytes)
 }
 
+// maxRecordBytes bounds one record's footprint.
+const maxRecordBytes = 1 << 31
+
 // Validate checks a record stream for the invariants the codec and the
 // replayer rely on: timestamps start at or after zero and never go
 // backwards, addresses are line-aligned, and footprints are positive
-// line multiples.
+// line multiples of at most maxRecordBytes.
 func Validate(recs []Record) error {
 	var prev clock.Picos
 	for i, r := range recs {
@@ -81,6 +85,9 @@ func Validate(recs []Record) error {
 		}
 		if r.Bytes == 0 || r.Bytes%mem.LineBytes != 0 {
 			return fmt.Errorf("trace: record %d: %d bytes is not a positive line multiple", i, r.Bytes)
+		}
+		if r.Bytes > maxRecordBytes {
+			return fmt.Errorf("trace: record %d: %d bytes exceeds the %d-byte footprint bound", i, r.Bytes, maxRecordBytes)
 		}
 		prev = r.TSC
 	}
