@@ -165,6 +165,7 @@ func TestErrorKinds(t *testing.T) {
 		{[]string{"replay", tr, tr}, true},
 		{[]string{"load", "-inflight", "0"}, true},
 		{[]string{"load", "-pattern", "nope"}, true},
+		{[]string{"load", "-n", "16", "-gaps", "8,0.0001"}, true},
 		{[]string{"sim", "-dir", "sideways"}, true},
 		{[]string{"run", "nope"}, true},
 		{[]string{"cmds", "-n", "-1", "-channel", "9"}, true},

@@ -247,8 +247,10 @@ func cmdLoad(args []string, w io.Writer) error {
 		dcfg.Cacheable = !*pf.noncache
 		return dcfg
 	}
-	if err := dcfgAt(gaps[0]).Validate(); err != nil {
-		return usageError{err: err}
+	for _, gap := range gaps {
+		if err := dcfgAt(gap).Validate(); err != nil {
+			return usageError{err: err}
+		}
 	}
 
 	designs := []system.Design{system.Base, system.PIMMMU}
