@@ -51,12 +51,7 @@ func commandStream(d system.Design, shards int) string {
 	cfg := system.DefaultConfig(d)
 	cfg.Shards = shards
 	s := system.MustNew(cfg)
-	chans := cfg.Mem.PIM.Geometry.Channels
-	recs := make([]*cmdRecorder, chans)
-	for i := range recs {
-		recs[i] = &cmdRecorder{counts: map[dram.Cmd]int{}}
-		s.Mem.PIM.Channel(i).Observe(recs[i])
-	}
+	recs := recordChannels(s.Mem.PIM, cfg.Mem.PIM.Geometry.Channels)
 	chk := dram.NewChecker(cfg.Mem.PIM)
 	s.Mem.PIM.Channel(0).Observe(observerPair{recs[0], chk})
 
@@ -64,21 +59,9 @@ func commandStream(d system.Design, shards int) string {
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "design %v DRAM->PIM %d bytes %d ps\n", d, res.Bytes, res.Duration)
-	for i, r := range recs {
-		fmt.Fprintf(&b, "pim[%d] n=%d ACT=%d PRE=%d RD=%d WR=%d REF=%d\n",
-			i, len(r.events),
-			r.counts[dram.CmdACT], r.counts[dram.CmdPRE],
-			r.counts[dram.CmdRD], r.counts[dram.CmdWR], r.counts[dram.CmdREF])
-	}
+	renderCounts(&b, "pim", recs)
 	fmt.Fprintf(&b, "protocol violations=%d\n", len(chk.Violations()))
-	head := goldenHead
-	if head > len(recs[0].events) {
-		head = len(recs[0].events)
-	}
-	fmt.Fprintf(&b, "-- pim[0] head (%d) --\n", head)
-	for _, e := range recs[0].events[:head] {
-		fmt.Fprintf(&b, "%s\n", e)
-	}
+	renderHead(&b, "pim[0]", recs[0])
 	return b.String()
 }
 
@@ -92,12 +75,7 @@ func contendedStream(shards int) string {
 	cfg.Shards = shards
 	s := system.MustNew(cfg)
 
-	chans := cfg.Mem.PIM.Geometry.Channels
-	pimRecs := make([]*cmdRecorder, chans)
-	for i := range pimRecs {
-		pimRecs[i] = &cmdRecorder{counts: map[dram.Cmd]int{}}
-		s.Mem.PIM.Channel(i).Observe(pimRecs[i])
-	}
+	pimRecs := recordChannels(s.Mem.PIM, cfg.Mem.PIM.Geometry.Channels)
 	dramRec := &cmdRecorder{counts: map[dram.Cmd]int{}}
 	chk := dram.NewChecker(cfg.Mem.DRAM)
 	s.Mem.DRAM.Channel(0).Observe(observerPair{dramRec, chk})
@@ -127,25 +105,10 @@ func contendedStream(shards int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "design %v contended DRAM->PIM %d bytes %d ps (%d spin + %d hog)\n",
 		system.Base, res.Bytes, res.Duration, nSpin, nHog)
-	for i, r := range pimRecs {
-		fmt.Fprintf(&b, "pim[%d] n=%d ACT=%d PRE=%d RD=%d WR=%d REF=%d\n",
-			i, len(r.events),
-			r.counts[dram.CmdACT], r.counts[dram.CmdPRE],
-			r.counts[dram.CmdRD], r.counts[dram.CmdWR], r.counts[dram.CmdREF])
-	}
-	fmt.Fprintf(&b, "dram[0] n=%d ACT=%d PRE=%d RD=%d WR=%d REF=%d\n",
-		len(dramRec.events),
-		dramRec.counts[dram.CmdACT], dramRec.counts[dram.CmdPRE],
-		dramRec.counts[dram.CmdRD], dramRec.counts[dram.CmdWR], dramRec.counts[dram.CmdREF])
+	renderCounts(&b, "pim", pimRecs)
+	renderCounts(&b, "dram", []*cmdRecorder{dramRec})
 	fmt.Fprintf(&b, "protocol violations=%d\n", len(chk.Violations()))
-	head := goldenHead
-	if head > len(dramRec.events) {
-		head = len(dramRec.events)
-	}
-	fmt.Fprintf(&b, "-- dram[0] head (%d) --\n", head)
-	for _, e := range dramRec.events[:head] {
-		fmt.Fprintf(&b, "%s\n", e)
-	}
+	renderHead(&b, "dram[0]", dramRec)
 	return b.String()
 }
 
@@ -159,22 +122,7 @@ func TestGoldenContendedStream(t *testing.T) {
 	if serial[0] != serial[1] || serial[0] != parallel[0] || serial[0] != parallel[1] {
 		t.Fatal("contended command stream not stable across reruns/worker counts")
 	}
-	path := filepath.Join("testdata", "cmdstream_contended.golden")
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(serial[0]), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run `go test -run Golden -update .` to create)", err)
-	}
-	if string(want) != serial[0] {
-		t.Errorf("contended command stream diverged from %s\n--- got ---\n%s--- want ---\n%s",
-			path, serial[0], want)
-	}
+	checkGoldenFile(t, "cmdstream_contended.golden", serial[0])
 }
 
 // openLoopArrivals is the arrival count of the conflict-heavy golden.
@@ -211,7 +159,9 @@ func openLoopStream() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "design %v open-loop mixed poisson gap=%dps arrivals=%d completed=%d retries=%d end=%d ps\n",
 		system.Base, dcfg.MeanGap, lr.Arrivals, lr.Completed, lr.Retries, s.Eng.Now())
-	renderDRAMChannels(&b, recs, chk)
+	renderCounts(&b, "dram", recs)
+	fmt.Fprintf(&b, "protocol violations=%d\n", len(chk.Violations()))
+	renderHead(&b, "dram[0]", recs[0])
 	return b.String()
 }
 
@@ -245,17 +195,11 @@ func renderCounts(b *strings.Builder, name string, recs []*cmdRecorder) {
 	}
 }
 
-// renderDRAMChannels writes every DRAM channel's command counts, the
-// checker's verdict and the head of channel 0's stream.
-func renderDRAMChannels(b *strings.Builder, recs []*cmdRecorder, chk *dram.Checker) {
-	renderCounts(b, "dram", recs)
-	fmt.Fprintf(b, "protocol violations=%d\n", len(chk.Violations()))
-	head := goldenHead
-	if head > len(recs[0].events) {
-		head = len(recs[0].events)
-	}
-	fmt.Fprintf(b, "-- dram[0] head (%d) --\n", head)
-	for _, e := range recs[0].events[:head] {
+// renderHead writes the first goldenHead commands of one channel.
+func renderHead(b *strings.Builder, name string, r *cmdRecorder) {
+	head := min(goldenHead, len(r.events))
+	fmt.Fprintf(b, "-- %s head (%d) --\n", name, head)
+	for _, e := range r.events[:head] {
 		fmt.Fprintf(b, "%s\n", e)
 	}
 }
@@ -290,7 +234,9 @@ func replayStream() string {
 	fmt.Fprintf(&b, "issued=%d completed=%d retries=%d slip=%d p99=%d end=%d ps\n",
 		r.Issued, r.Completed, r.Retries, r.Slip, r.Latency.P99(), s.Eng.Now())
 	renderCounts(&b, "pim", pims)
-	renderDRAMChannels(&b, drams, chk)
+	renderCounts(&b, "dram", drams)
+	fmt.Fprintf(&b, "protocol violations=%d\n", len(chk.Violations()))
+	renderHead(&b, "dram[0]", drams[0])
 	return b.String()
 }
 
@@ -333,7 +279,7 @@ func (m observerPair) Command(ch int, e dram.CmdEvent) {
 // goldenName maps a design to its golden file.
 func goldenName(d system.Design) string {
 	name := map[system.Design]string{system.Base: "base", system.PIMMMU: "pim-mmu"}[d]
-	return filepath.Join("testdata", "cmdstream_"+name+".golden")
+	return "cmdstream_" + name + ".golden"
 }
 
 // TestGoldenCommandStream compares each design's command stream to its
@@ -354,21 +300,6 @@ func TestGoldenCommandStream(t *testing.T) {
 		}
 	}
 	for i, d := range designs {
-		path := goldenName(d)
-		if *updateGolden {
-			if err := os.WriteFile(path, []byte(serial[i]), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("wrote %s", path)
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v: %v (run `go test -run Golden -update .` to create)", d, err)
-		}
-		if string(want) != serial[i] {
-			t.Errorf("%v: command stream diverged from %s\n--- got ---\n%s--- want ---\n%s",
-				d, path, serial[i], want)
-		}
+		checkGoldenFile(t, goldenName(d), serial[i])
 	}
 }

@@ -135,6 +135,8 @@ func Decode(r io.Reader) ([]Record, error) {
 			return nil, fmt.Errorf("trace: record %d: address outside [0, 2^64)", i)
 		}
 		line += dl
+		// Validate enforces the footprint bound; this check only keeps
+		// the conversion below from wrapping.
 		if lines > math.MaxUint32/mem.LineBytes {
 			return nil, fmt.Errorf("trace: record %d: bad footprint %d lines", i, lines)
 		}

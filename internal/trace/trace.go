@@ -70,7 +70,7 @@ const maxRecordBytes = 1 << 31
 // Validate checks a record stream for the invariants the codec and the
 // replayer rely on: timestamps start at or after zero and never go
 // backwards, addresses are line-aligned, and footprints are positive
-// line multiples of at most maxRecordBytes.
+// line multiples of at most 2 GiB.
 func Validate(recs []Record) error {
 	var prev clock.Picos
 	for i, r := range recs {
