@@ -173,7 +173,10 @@ func TestErrorKinds(t *testing.T) {
 		{[]string{"inspect", filepath.Join(dir, "missing.pmt")}, false},
 		{[]string{"replay", filepath.Join(dir, "missing.pmt")}, false},
 	} {
-		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+		// Name the case without the temporary directory so its name is
+		// the same on every run.
+		name := strings.ReplaceAll(strings.Join(c.args, " "), dir+string(filepath.Separator), "")
+		t.Run(name, func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
 					t.Fatalf("panic: %v", r)
