@@ -482,6 +482,7 @@ func replayGrid() sweep.Grid {
 func replayPlan(r *Runner, sc Scale) Plan {
 	workloads := replayWorkloads()
 	g := replayGrid()
+	rcfg := resultcache.Canonical(trace.DefaultReplayConfig())
 	jobs := make([]Job, g.Size())
 	for i := range jobs {
 		wl := workloads[g.Coord(i, 0)]
@@ -492,7 +493,7 @@ func replayPlan(r *Runner, sc Scale) Plan {
 		// the workload completely.
 		jobs[i] = r.job(baseVsMMU[g.Coord(i, 1)],
 			fmt.Sprintf("replay pattern=%s pim=%v gen=%s rcfg=%s", wl.pattern, wl.pim,
-				resultcache.Canonical(cfg), resultcache.Canonical(trace.DefaultReplayConfig())))
+				resultcache.Canonical(cfg), rcfg))
 	}
 	return Plan{Experiment: "replay", Jobs: jobs}
 }
@@ -531,16 +532,16 @@ func loadCurveGrid(sc Scale) sweep.Grid {
 func loadCurvePlan(r *Runner, sc Scale) Plan {
 	gaps := loadGaps(sc)
 	g := loadCurveGrid(sc)
+	// gcfg.Base is assigned inside the job but is a pure function of the
+	// machine (its first allocation), so the generator and driver configs
+	// identify the workload completely.
+	gcfg := resultcache.Canonical(replayGenConfig(sc))
 	jobs := make([]Job, g.Size())
 	for i := range jobs {
-		gcfg := replayGenConfig(sc)
 		dcfg := loadDriverConfig(sc, gaps[g.Coord(i, 0)])
-		// gcfg.Base is assigned inside the job but is a pure function of
-		// the machine (its first allocation), so the generator and driver
-		// configs identify the workload completely.
 		jobs[i] = r.job(baseVsMMU[g.Coord(i, 1)],
 			fmt.Sprintf("loadcurve pattern=%s gen=%s dcfg=%s", trace.PatternMixed,
-				resultcache.Canonical(gcfg), resultcache.Canonical(dcfg)))
+				gcfg, resultcache.Canonical(dcfg)))
 	}
 	return Plan{Experiment: "loadcurve", Jobs: jobs}
 }

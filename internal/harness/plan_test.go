@@ -117,3 +117,21 @@ func TestWarmCacheRendersIdentical(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPlanQuick plans every experiment at Quick scale — the work a
+// warm pimmu-serve submission does before its dedup lookup. One warm-up
+// pass fills the per-process fingerprint memo first, so the loop
+// measures the steady state a long-lived server sees.
+func BenchmarkPlanQuick(b *testing.B) {
+	r := &Runner{}
+	exps := All()
+	for _, e := range exps {
+		e.Plan(r, Quick)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, e := range exps {
+			e.Plan(r, Quick)
+		}
+	}
+}

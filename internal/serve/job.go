@@ -74,34 +74,45 @@ func (j *job) notifyLocked() {
 }
 
 // runJob executes one non-cached job: acquire a worker slot, compute
-// the experiment through the job's runner, package the structured
-// result, optionally write it back to the serve-level store, and
-// publish. Runs on its own goroutine; panics from the compute layer
-// (sweep re-raises job panics) fail the job instead of killing the
-// server.
+// the experiment through the job's runner, release the slot,
+// optionally write the result back to the serve-level store, and
+// publish. Runs on its own goroutine. The slot is free before the job
+// turns terminal, so a watcher that sees a job finish — either way —
+// can count on its capacity being back.
 func (s *Server) runJob(j *job, r *harness.Runner, e harness.Experiment, sc harness.Scale, writeBack bool) {
 	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
-	defer func() {
-		if p := recover(); p != nil {
-			s.fail(j, fmt.Sprintf("experiment panicked: %v", p))
-		}
-	}()
 	s.setState(j, api.StateRunning)
-	res, err := harness.ComputeResult(r, e, sc)
+	payload, err := computePayload(j.key, r, e, sc)
+	<-s.sem
 	if err != nil {
 		s.fail(j, err.Error())
-		return
-	}
-	payload, err := json.Marshal(api.JobResult{Schema: api.SchemaVersion, Key: j.key, Result: res})
-	if err != nil {
-		s.fail(j, fmt.Sprintf("encode result: %v", err))
 		return
 	}
 	if writeBack && s.cfg.Store != nil {
 		s.cfg.Store.Put(j.key, payload)
 	}
 	s.finish(j, payload)
+}
+
+// computePayload computes an experiment and marshals its structured
+// result as the api.JobResult served for key. A panic from the compute
+// layer (sweep re-raises job panics) becomes an error instead of
+// killing the server.
+func computePayload(key string, r *harness.Runner, e harness.Experiment, sc harness.Scale) (payload []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			payload, err = nil, fmt.Errorf("experiment panicked: %v", p)
+		}
+	}()
+	res, err := harness.ComputeResult(r, e, sc)
+	if err != nil {
+		return nil, err
+	}
+	payload, err = json.Marshal(api.JobResult{Schema: api.SchemaVersion, Key: key, Result: res})
+	if err != nil {
+		return nil, fmt.Errorf("encode result: %v", err)
+	}
+	return payload, nil
 }
 
 // setState transitions a job's lifecycle state.
@@ -129,6 +140,7 @@ func (s *Server) tick(j *job) {
 func (s *Server) finish(j *job, payload []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.endLocked(j)
 	j.payload = payload
 	j.done = j.total
 	j.state = api.StateDone
@@ -139,9 +151,19 @@ func (s *Server) finish(j *job, payload []byte) {
 func (s *Server) fail(j *job, msg string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.endLocked(j)
 	j.errMsg = msg
 	j.state = api.StateFailed
 	j.notifyLocked()
+}
+
+// endLocked releases j's admission count as it reaches a terminal
+// state; a job that is already terminal released it before. Caller
+// holds Server.mu.
+func (s *Server) endLocked(j *job) {
+	if !j.terminal() {
+		s.pending--
+	}
 }
 
 // progressCache is the sweep.Cache a job's runner computes through: it

@@ -59,10 +59,11 @@ type Server struct {
 	mux *http.ServeMux
 	sem chan struct{} // worker slots: len == running jobs
 
-	mu     sync.Mutex
-	jobs   map[string]*job // by ID
-	byKey  map[string]*job // dedup: serve key -> job (in-flight or done)
-	nextID int
+	mu      sync.Mutex
+	jobs    map[string]*job // by ID
+	byKey   map[string]*job // dedup: serve key -> job (in-flight or done)
+	pending int             // accepted jobs queued or running; store hits never count
+	nextID  int
 }
 
 // New builds a Server with cfg's bounds applied (zero values select the
@@ -211,7 +212,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	st, code, err := s.submit(a)
+	if err != nil {
+		writeErr(w, code, "%v", err)
+		return
+	}
+	writeJSON(w, code, st)
+}
 
+// submit dedupes a validated submission against in-flight and
+// completed work, admission-checks it, and starts it. It returns the
+// job's status with the HTTP code to answer: 200 for a dedup attach or
+// a store hit, 202 for a newly started job, or 429 with an error over
+// capacity.
+func (s *Server) submit(a accepted) (api.JobStatus, int, error) {
 	s.mu.Lock()
 	// Level 1: an identical job is already accepted (queued, running, or
 	// completed this process) — attach to it.
@@ -219,8 +233,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		st := j.status()
 		st.Deduped = true
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
-		return
+		return st, http.StatusOK, nil
 	}
 	// Level 2: an identical job completed in some earlier process — the
 	// store holds its full payload; serve it without simulating. Gated
@@ -232,24 +245,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			j.cached = true
 			j.done = j.total
 			j.payload = payload
+			st := j.status()
 			s.mu.Unlock()
-			writeJSON(w, http.StatusOK, j.status())
-			return
+			return st, http.StatusOK, nil
 		}
 	}
 	// Admission: bound accepted-but-unfinished jobs.
-	if pending := s.pendingLocked(); pending >= s.cfg.MaxActive+s.cfg.MaxQueued {
+	if limit := s.cfg.MaxActive + s.cfg.MaxQueued; s.pending >= limit {
+		pending := s.pending
 		s.mu.Unlock()
-		writeErr(w, http.StatusTooManyRequests,
-			"at capacity: %d jobs pending (max %d)", pending, s.cfg.MaxActive+s.cfg.MaxQueued)
-		return
+		return api.JobStatus{}, http.StatusTooManyRequests,
+			fmt.Errorf("at capacity: %d jobs pending (max %d)", pending, limit)
 	}
 	j := s.newJobLocked(a)
+	s.pending++
 	s.mu.Unlock()
 
 	a.runner.Cache = progressCache{s: s, j: j, inner: a.pointShared}
 	go s.runJob(j, a.runner, a.exp, a.sc, a.mode == resultcache.ReadWrite)
-	writeJSON(w, http.StatusAccepted, s.statusOf(j))
+	return s.statusOf(j), http.StatusAccepted, nil
 }
 
 // newJobLocked registers a fresh queued job for a. Caller holds s.mu.
@@ -267,17 +281,6 @@ func (s *Server) newJobLocked(a accepted) *job {
 	s.jobs[j.id] = j
 	s.byKey[a.key] = j
 	return j
-}
-
-// pendingLocked counts accepted-but-unfinished jobs. Caller holds s.mu.
-func (s *Server) pendingLocked() int {
-	n := 0
-	for _, j := range s.jobs {
-		if !j.terminal() {
-			n++
-		}
-	}
-	return n
 }
 
 // statusOf snapshots a job's wire status.

@@ -1,6 +1,10 @@
 package system
 
-import "repro/internal/resultcache"
+import (
+	"sync"
+
+	"repro/internal/resultcache"
+)
 
 // configSchema versions the fingerprint derivation itself; bump it when
 // the meaning of an existing field changes without its name or type
@@ -57,7 +61,53 @@ func (c Config) engineClass() string {
 // Shards and CoreLanes are masked out so that a cache warmed at -shards
 // 1 serves renders at -shards 4 or auto without re-simulating; the
 // engine class survives as its own key part.
+//
+// The digest is computed once per distinct configuration per process
+// (see fingerprints); later calls return the memoised string.
 func (c Config) Fingerprint() string {
+	k := c.memoKey()
+	fingerprints.RLock()
+	fp, ok := fingerprints.m[k]
+	fingerprints.RUnlock()
+	if ok {
+		return fp
+	}
+	fp = c.fingerprint()
+	fingerprints.Lock()
+	fingerprints.m[k] = fp
+	fingerprints.Unlock()
+	return fp
+}
+
+// fingerprint is the uncached derivation behind Fingerprint: the
+// reflective canonical walk plus the hash.
+func (c Config) fingerprint() string {
 	return resultcache.KeyOf(configSchema, c.engineClass(),
 		string(resultcache.CanonicalMasked(c, neutralFields)))
+}
+
+// fingerprints memoises Fingerprint for the life of the process, keyed
+// by the configuration value itself. Plans fingerprint the same few
+// machines over and over (every warm pimmu-serve submission re-plans its
+// experiment), and the canonical walk dominates planning.
+//
+// Keying by value is sound because every Config leaf is an integer or a
+// bool (TestConfigLeavesAreComparable): Go == on Config then agrees
+// exactly with equality of the canonical encoding, with no float ±0 or
+// NaN to alias or miss, and no slice or map to make the key unhashable.
+// The map holds only the distinct configs a process fingerprints.
+var fingerprints = struct {
+	sync.RWMutex
+	m map[Config]string
+}{m: make(map[Config]string)}
+
+// memoKey normalises the neutral fields the way the fingerprint sees
+// them — Shards to its engine class, CoreLanes away — so configs that
+// share a fingerprint also share a memo entry.
+func (c Config) memoKey() Config {
+	if c.Shards != 0 {
+		c.Shards = 1
+	}
+	c.CoreLanes = 0
+	return c
 }

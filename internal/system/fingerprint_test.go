@@ -3,6 +3,7 @@ package system
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -27,6 +28,8 @@ func TestFingerprintStable(t *testing.T) {
 // change it. This is the property the result cache's soundness rests
 // on: no result-affecting configuration change can alias into a stale
 // cache entry, and no result-neutral one can force a re-simulation.
+// Every perturbed config's memoised fingerprint must also equal a fresh
+// uncached walk: the memo may never answer for a config it did not see.
 func TestFingerprintSensitivity(t *testing.T) {
 	cfg := DefaultConfig(PIMMMU)
 	// Start from a sharded design point so the +1 perturbation of the
@@ -41,6 +44,9 @@ func TestFingerprintSensitivity(t *testing.T) {
 		got := cfg.Fingerprint()
 		if got == "" {
 			t.Errorf("perturbing %s produced an empty fingerprint", path)
+		}
+		if fresh := cfg.fingerprint(); got != fresh {
+			t.Errorf("perturbing %s: memoised fingerprint %s != uncached walk %s", path, got, fresh)
 		}
 		if neutral[path] {
 			neutralLeaves++
@@ -90,6 +96,69 @@ func TestFingerprintResultNeutralFields(t *testing.T) {
 	if plain.Fingerprint() == base {
 		t.Error("plain engine shares the sharded fingerprint; its event order differs (see Config.Shards)")
 	}
+}
+
+// TestConfigLeavesAreComparable guards the Fingerprint memo's key: the
+// memo looks configs up by Go ==, which matches equality of the
+// canonical encoding only while every leaf is an integer or a bool. A
+// float leaf would alias +0 with -0 and never hit on NaN; a slice, map
+// or func leaf would panic as a map key; a pointer or string would
+// compare by something other than the encoded content.
+func TestConfigLeavesAreComparable(t *testing.T) {
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Bool,
+			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		default:
+			t.Errorf("%s has kind %s: the Fingerprint memo keys on Config by ==, which needs integer and bool leaves only; "+
+				"give this field an integer encoding or drop the memo (fingerprints in fingerprint.go)", path, typ.Kind())
+		}
+	}
+	walk(reflect.TypeOf(Config{}), "Config")
+}
+
+// TestFingerprintConcurrent fingerprints shared and distinct configs
+// from many goroutines at once (run under -race in CI): every result
+// must equal the uncached walk of the same config.
+func TestFingerprintConcurrent(t *testing.T) {
+	const goroutines = 8
+	configs := make([]Config, 0, 2*goroutines)
+	for _, d := range Designs() {
+		configs = append(configs, DefaultConfig(d)) // shared by every goroutine
+	}
+	for g := 0; g < goroutines; g++ {
+		cfg := DefaultConfig(PIMMMU) // distinct per goroutine
+		cfg.Mem.DRAM.QueueDepth += 1000 + g
+		configs = append(configs, cfg)
+	}
+	want := make([]string, len(configs))
+	for i, cfg := range configs {
+		want[i] = cfg.fingerprint()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 4; rep++ {
+				for i := range configs {
+					k := (i + g) % len(configs)
+					if got := configs[k].Fingerprint(); got != want[k] {
+						t.Errorf("goroutine %d: config %d fingerprints %s, want %s", g, k, got, want[k])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // perturbLeaves visits every settable leaf field under v; at each leaf it
