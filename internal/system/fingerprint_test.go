@@ -102,8 +102,9 @@ func TestFingerprintResultNeutralFields(t *testing.T) {
 // memo looks configs up by Go ==, which matches equality of the
 // canonical encoding only while every leaf is an integer or a bool. A
 // float leaf would alias +0 with -0 and never hit on NaN; a slice, map
-// or func leaf would panic as a map key; a pointer or string would
-// compare by something other than the encoded content.
+// or func leaf would panic as a map key; a pointer would compare by
+// address, not by the content the encoding sees. Any other kind must be
+// argued sound here before it joins the key.
 func TestConfigLeavesAreComparable(t *testing.T) {
 	var walk func(typ reflect.Type, path string)
 	walk = func(typ reflect.Type, path string) {
