@@ -246,6 +246,72 @@ func TestGoldenReplayStream(t *testing.T) {
 	checkGoldenFile(t, "cmdstream_replay.golden", replayStream())
 }
 
+// loadCanaryArrivals is the arrival count of the open-loop result
+// golden. Smaller runs (4,096 and 16,384 arrivals) leave the results
+// unchanged when same-instant DRAM ticks reorder; 65,536 arrivals do
+// not.
+const loadCanaryArrivals = 65536
+
+// loadCanary is the tie-order canary: PIM-MMU open-loop runs of the
+// openloop benchmark's shape (2^18-line footprint, seed 1), a mixed
+// trace at a 2 ns mean gap and a zipf trace at 1 ns, with every
+// latency, backpressure and memory counter rendered. The command-stream
+// goldens pin only their heads, so a change that only moves which of two
+// same-instant events runs first can leave them intact; these results
+// move.
+func loadCanary() string {
+	var b strings.Builder
+	for _, op := range []struct {
+		p   trace.Pattern
+		gap clock.Picos
+	}{{trace.PatternMixed, 2 * clock.Nanosecond}, {trace.PatternZipf, clock.Nanosecond}} {
+		s := system.MustNew(system.DefaultConfig(system.PIMMMU))
+		gcfg := trace.DefaultGenConfig()
+		gcfg.Records = loadCanaryArrivals
+		gcfg.FootprintLines = 1 << 18
+		gcfg.Base = s.Alloc(gcfg.FootprintBytes(op.p))
+		dcfg := trace.DefaultDriverConfig()
+		dcfg.MeanGap = op.gap
+		dcfg.Duration = op.gap * loadCanaryArrivals
+		lr, err := s.RunLoad(trace.MustGenerate(op.p, gcfg), dcfg)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Fprintf(&b, "design %v open-loop %s poisson gap=%dps arrivals=%d issued=%d completed=%d end=%d ps\n",
+			system.PIMMMU, op.p, op.gap, lr.Arrivals, lr.Issued, lr.Completed, s.Eng.Now())
+		fmt.Fprintf(&b, "  rd=%d wr=%d dur=%d retries=%d max_queued=%d\n",
+			lr.BytesRead, lr.BytesWritten, lr.Duration(), lr.Retries, lr.MaxQueued)
+		for _, h := range []struct {
+			name string
+			sum  clock.Picos
+			hist trace.LatencyHist
+		}{{"queue", lr.QueueSum, lr.Queue}, {"service", lr.ServiceSum, lr.Service}, {"total", lr.TotalSum, lr.Total}} {
+			fmt.Fprintf(&b, "  %s sum=%d p50=%d p99=%d p999=%d\n",
+				h.name, h.sum, h.hist.P50(), h.hist.P99(), h.hist.P999())
+		}
+		for _, ds := range []struct {
+			name string
+			st   dram.Stats
+		}{{"dram", s.Mem.DRAM.Stats()}, {"pim", s.Mem.PIM.Stats()}} {
+			var hits uint64
+			for _, c := range ds.st.Channels {
+				hits += c.RowHits
+			}
+			fmt.Fprintf(&b, "  %s cas=%d act=%d ref=%d rowhit=%d\n",
+				ds.name, ds.st.CAS(), ds.st.Acts(), ds.st.Refs(), hits)
+		}
+		ls := s.Mem.LLC.Stats()
+		fmt.Fprintf(&b, "  llc hit=%d miss=%d wb=%d\n", ls.Hits, ls.Misses, ls.Writebacks)
+	}
+	return b.String()
+}
+
+// TestGoldenLoadResults pins the tie-order canary against its golden
+// file.
+func TestGoldenLoadResults(t *testing.T) {
+	checkGoldenFile(t, "loadresult_pim-mmu.golden", loadCanary())
+}
+
 // checkGoldenFile compares got with testdata/name, or rewrites the file
 // under -update.
 func checkGoldenFile(t *testing.T, name, got string) {
