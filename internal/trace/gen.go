@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/clock"
 	"repro/internal/mem"
@@ -84,6 +83,10 @@ func (c GenConfig) Validate() error {
 	if c.FootprintLines <= 0 {
 		return fmt.Errorf("trace: non-positive footprint %d lines", c.FootprintLines)
 	}
+	if c.FootprintLines > math.MaxInt32 {
+		// Chase links and zipf guide entries are int32 line indices.
+		return fmt.Errorf("trace: footprint %d lines exceeds %d", c.FootprintLines, math.MaxInt32)
+	}
 	if c.StrideLines <= 0 {
 		return fmt.Errorf("trace: non-positive stride %d lines", c.StrideLines)
 	}
@@ -93,7 +96,7 @@ func (c GenConfig) Validate() error {
 	if c.WritePercent < 0 || c.WritePercent > 100 {
 		return fmt.Errorf("trace: write percent %d outside [0,100]", c.WritePercent)
 	}
-	if c.ZipfTheta <= 0 || c.ZipfTheta >= 1 {
+	if !(c.ZipfTheta > 0 && c.ZipfTheta < 1) { // also rejects NaN
 		return fmt.Errorf("trace: zipf theta %g outside (0,1)", c.ZipfTheta)
 	}
 	return nil
@@ -208,21 +211,12 @@ func genMixed(cfg GenConfig) []Record {
 // distribution over the footprint: rank r is drawn with probability
 // proportional to 1/r^theta, so a small hot set dominates.
 func genZipf(cfg GenConfig) []Record {
-	n := cfg.FootprintLines
-	cum := make([]float64, n)
-	var total float64
-	for i := 0; i < n; i++ {
-		total += 1 / math.Pow(float64(i+1), cfg.ZipfTheta)
-		cum[i] = total
-	}
+	z := newZipfSampler(cfg.FootprintLines, cfg.ZipfTheta)
+	total := z.total()
 	rng := splitmix64(cfg.Seed)
 	recs := make([]Record, cfg.Records)
 	for i := range recs {
-		u := rng.float64() * total
-		rank := sort.SearchFloat64s(cum, u)
-		if rank >= n {
-			rank = n - 1
-		}
+		rank := z.rank(rng.float64() * total)
 		recs[i] = Record{
 			TSC:   clock.Picos(i) * cfg.Gap,
 			Kind:  KindRead,
@@ -231,6 +225,73 @@ func genZipf(cfg GenConfig) []Record {
 		}
 	}
 	return recs
+}
+
+// zipfSampler inverts the zipf CDF with a guide table (the cutpoint
+// method): O(footprint) to build, O(1) expected per draw. The weight
+// range [0, total] splits into one bucket per rank, and guide[b] is the
+// first rank whose cumulative weight reaches bucket b's lower edge. A
+// draw starts at its bucket's guide entry and walks to the smallest
+// rank whose cumulative weight reaches u. Each bucket holds 1/n of the
+// probability, so the expected walk is about two ranks at any skew.
+type zipfSampler struct {
+	cum   []float64 // cum[i] is the total weight of ranks 0..i
+	guide []int32   // 4 B per rank, half the CDF's own footprint
+	scale float64   // buckets per unit of weight
+}
+
+func newZipfSampler(n int, theta float64) *zipfSampler {
+	cum := make([]float64, n)
+	var total float64
+	for i := range cum {
+		total += 1 / fracPow(float64(i+1), theta)
+		cum[i] = total
+	}
+	z := &zipfSampler{cum: cum, guide: make([]int32, n), scale: float64(n) / total}
+	r := 0
+	for b := range z.guide {
+		edge := float64(b) / z.scale
+		for r < n-1 && cum[r] < edge {
+			r++
+		}
+		z.guide[b] = int32(r)
+	}
+	return z
+}
+
+// fracPow returns math.Pow(x, theta) bit for bit for x >= 1 and
+// 0 < theta < 1, without Pow's special-case dispatch, fraction split and
+// binary exponent bookkeeping. For such arguments Pow computes
+// exp(theta*log x), or, for theta above one half, exp((theta-1)*log x)
+// times x's mantissa, then scales by x's power of two. That scaling is
+// exact, so one multiply by x rounds the same way.
+func fracPow(x, theta float64) float64 {
+	switch {
+	case theta == 0.5:
+		return math.Sqrt(x)
+	case theta > 0.5:
+		return math.Exp((theta-1)*math.Log(x)) * x
+	}
+	return math.Exp(theta * math.Log(x))
+}
+
+func (z *zipfSampler) total() float64 { return z.cum[len(z.cum)-1] }
+
+// rank returns the smallest i with cum[i] >= u, the last rank if there
+// is none: exactly what a binary search of the CDF returns. Float
+// rounding in the bucket index can start the walk a bucket early or
+// late. Early costs steps; late is undone by stepping back, so the
+// rank never depends on the rounding.
+func (z *zipfSampler) rank(u float64) int {
+	cum, last := z.cum, len(z.cum)-1
+	i := int(z.guide[min(max(int(u*z.scale), 0), last)])
+	for i < last && cum[i] < u {
+		i++
+	}
+	for i > 0 && cum[i-1] >= u {
+		i--
+	}
+	return i
 }
 
 // rngState is a splitmix64 PRNG: tiny, fast, and identical on every

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/clock"
@@ -145,6 +146,9 @@ func TestGenConfigValidation(t *testing.T) {
 		"gap":       func(c *GenConfig) { c.Gap = -1 },
 		"write-pct": func(c *GenConfig) { c.WritePercent = 101 },
 		"theta":     func(c *GenConfig) { c.ZipfTheta = 1.5 },
+		"theta-nan": func(c *GenConfig) { c.ZipfTheta = math.NaN() },
+		// Wider than an int32 line index (negative on 32-bit hosts).
+		"footprint-int32": func(c *GenConfig) { c.FootprintLines = int(int64(math.MaxInt32) + 1) },
 	}
 	for name, mutate := range mutations {
 		cfg := DefaultGenConfig()
