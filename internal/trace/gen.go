@@ -229,16 +229,22 @@ func genZipf(cfg GenConfig) []Record {
 
 // zipfSampler inverts the zipf CDF with a guide table (the cutpoint
 // method): O(footprint) to build, O(1) expected per draw. The weight
-// range [0, total] splits into one bucket per rank, and guide[b] is the
-// first rank whose cumulative weight reaches bucket b's lower edge. A
-// draw starts at its bucket's guide entry and walks to the smallest
-// rank whose cumulative weight reaches u. Each bucket holds 1/n of the
-// probability, so the expected walk is about two ranks at any skew.
+// range [0, total] splits into equal buckets, one per zipfRanksPerBucket
+// ranks, and guide[b] is the first rank whose cumulative weight reaches
+// bucket b's lower edge. A draw starts at its bucket's guide entry and
+// walks to the smallest rank whose cumulative weight reaches u. Every
+// bucket holds the same share of the probability, so the expected walk
+// is about zipfRanksPerBucket+1 adjacent ranks at any skew.
 type zipfSampler struct {
 	cum   []float64 // cum[i] is the total weight of ranks 0..i
-	guide []int32   // 4 B per rank, half the CDF's own footprint
-	scale float64   // buckets per unit of weight
+	guide []int32
+	scale float64 // buckets per unit of weight
 }
+
+// zipfRanksPerBucket sizes the guide table at 1 B per footprint line, an
+// eighth of the CDF's own 8 B. More buckets draw barely faster but raise
+// the generator's peak memory.
+const zipfRanksPerBucket = 4
 
 func newZipfSampler(n int, theta float64) *zipfSampler {
 	cum := make([]float64, n)
@@ -247,7 +253,8 @@ func newZipfSampler(n int, theta float64) *zipfSampler {
 		total += 1 / fracPow(float64(i+1), theta)
 		cum[i] = total
 	}
-	z := &zipfSampler{cum: cum, guide: make([]int32, n), scale: float64(n) / total}
+	nb := max(n/zipfRanksPerBucket, 1)
+	z := &zipfSampler{cum: cum, guide: make([]int32, nb), scale: float64(nb) / total}
 	r := 0
 	for b := range z.guide {
 		edge := float64(b) / z.scale
@@ -284,7 +291,7 @@ func (z *zipfSampler) total() float64 { return z.cum[len(z.cum)-1] }
 // rank never depends on the rounding.
 func (z *zipfSampler) rank(u float64) int {
 	cum, last := z.cum, len(z.cum)-1
-	i := int(z.guide[min(max(int(u*z.scale), 0), last)])
+	i := int(z.guide[min(max(int(u*z.scale), 0), len(z.guide)-1)])
 	for i < last && cum[i] < u {
 		i++
 	}

@@ -42,7 +42,7 @@ func TestZipfRankIgnoresGuideError(t *testing.T) {
 			us := zipfProbes(z)
 			exact := z.guide
 			for _, shift := range []int{-7, -1, 1, 7} {
-				z.guide = make([]int32, n)
+				z.guide = make([]int32, len(exact))
 				for b, r := range exact {
 					z.guide[b] = int32(min(max(int(r)+shift, 0), n-1))
 				}
