@@ -35,27 +35,27 @@ test-slow:
 # One iteration of every paper-figure benchmark plus the scheduler
 # micro-benchmarks, the plain-vs-sharded engine comparisons (the
 # multi-channel posted-write stream, the spin and hit-loop contenders
-# and the open-loop driver) and the planning layer (every experiment's
-# Quick plan), captured as test2json streams for trend tracking. Captures
-# are written to a temp file and renamed only on success, so a failing
-# benchmark run cannot clobber the previous (committed) capture with a
-# partial stream. BENCH_COUNT repeats each gated benchmark; the diff
+# and the open-loop driver), the planning layer (every experiment's
+# Quick plan) and the trace generator (the openloop benchmark's mixed
+# and zipf traces), captured as test2json streams for trend tracking.
+# Captures are written to a temp file and renamed only on success, so a
+# failing benchmark run cannot clobber the previous (committed) capture
+# with a partial stream. BENCH_COUNT repeats each gated benchmark; the diff
 # tool takes the fastest run, which strips shared-runner noise (CI uses
 # BENCH_COUNT=3).
 BENCH_COUNT ?= 1
 
 bench:
 	$(GO) test -json -run '^$$' -bench=. -benchmem -benchtime=1x . > BENCH_figs.json.tmp
-	$(GO) test -json -run '^$$' -bench='Engine|Plan' -benchmem -count=$(BENCH_COUNT) ./internal/sim ./internal/dram ./internal/system ./internal/harness > BENCH_engine.json.tmp
+	$(GO) test -json -run '^$$' -bench='Engine|Plan|Generate' -benchmem -count=$(BENCH_COUNT) ./internal/sim ./internal/dram ./internal/system ./internal/harness ./internal/trace > BENCH_engine.json.tmp
 	mv BENCH_figs.json.tmp BENCH_figs.json
 	mv BENCH_engine.json.tmp BENCH_engine.json
 	@echo "wrote BENCH_figs.json and BENCH_engine.json"
 
-# Regenerate the captures and gate the engine and planning benchmarks
-# against the committed baselines: >20% ns/op regression, any
-# allocation on a baseline-allocation-free path, or a vanished
-# benchmark fails (see
-# cmd/pimmu-benchdiff). The baseline is read from git so the fresh run
+# Regenerate the captures and gate the engine, planning and generator
+# benchmarks against the committed baselines: >20% ns/op regression, any
+# allocation on a baseline-allocation-free path, or a vanished benchmark
+# fails (see cmd/pimmu-benchdiff). The baseline is read from git so the fresh run
 # cannot compare against itself.
 bench-compare:
 	git show HEAD:BENCH_engine.json > BENCH_engine.baseline.tmp

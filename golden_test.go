@@ -3,8 +3,9 @@
 // contract. Each golden file pins the per-channel command counts, the
 // protocol-check verdict, and the head of PIM channel 0's stream
 // (`pimmu cmds`'s view); any timing-model or scheduler change that
-// moves a single command shows up as a diff. Regenerate deliberately
-// with:
+// moves a single command shows up as a diff. One more golden pins
+// open-loop results rather than commands (see loadCanary). Regenerate
+// deliberately with:
 //
 //	go test -run Golden -update .
 package pimmmu_test
@@ -329,7 +330,7 @@ func checkGoldenFile(t *testing.T, name, got string) {
 		t.Fatalf("%v (run `go test -run Golden -update .` to create)", err)
 	}
 	if string(want) != got {
-		t.Errorf("command stream diverged from %s\n--- got ---\n%s--- want ---\n%s",
+		t.Errorf("output diverged from %s\n--- got ---\n%s--- want ---\n%s",
 			path, got, want)
 	}
 }

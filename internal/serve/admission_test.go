@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -107,6 +108,53 @@ func TestServeFailedJobReleasesCapacity(t *testing.T) {
 		if f := awaitTerminal(t, s, id); f.State != api.StateDone {
 			t.Fatalf("batch job ended as %+v", f)
 		}
+	}
+	checkIdle(t, s)
+}
+
+// TestServeFailedJobReleasesKey runs a job that panics on its first run
+// only. The failure must not pin its key: an identical resubmission
+// starts a new job, which succeeds and is what later submissions attach
+// to, while the failed job stays readable by its ID.
+func TestServeFailedJobReleasesKey(t *testing.T) {
+	pinVersion(t, "serve-test-retry")
+	s := New(Config{MaxActive: 1, MaxQueued: 1})
+	var runs atomic.Int32
+	flaky := func() accepted {
+		return fakeSubmission("flaky", resultcache.Off, func() {
+			if runs.Add(1) == 1 {
+				panic("first run")
+			}
+		})
+	}
+
+	first, code, err := s.submit(flaky())
+	if err != nil || code != http.StatusAccepted {
+		t.Fatalf("first submission: status %d, %v", code, err)
+	}
+	if f := awaitTerminal(t, s, first.ID); f.State != api.StateFailed {
+		t.Fatalf("first run ended as %+v", f)
+	}
+
+	retry, code, err := s.submit(flaky())
+	if err != nil || code != http.StatusAccepted || retry.ID == first.ID || retry.Deduped {
+		t.Fatalf("resubmission after a failure: status %d id %s (failed %s) deduped=%v, %v; want 202 and a new job",
+			code, retry.ID, first.ID, retry.Deduped, err)
+	}
+	if f := awaitTerminal(t, s, retry.ID); f.State != api.StateDone {
+		t.Fatalf("retried job ended as %+v", f)
+	}
+	if f := awaitTerminal(t, s, first.ID); f.State != api.StateFailed {
+		t.Fatalf("failed job now reads %+v", f)
+	}
+
+	again, code, err := s.submit(flaky())
+	if err != nil || code != http.StatusOK || again.ID != retry.ID || !again.Deduped {
+		t.Fatalf("submission after the retry: status %d id %s deduped=%v, %v; want 200 attached to %s",
+			code, again.ID, again.Deduped, err, retry.ID)
+	}
+	if n := runs.Load(); n != 2 {
+		t.Errorf("experiment ran %d times, want 2", n)
 	}
 	checkIdle(t, s)
 }

@@ -147,13 +147,18 @@ func (s *Server) finish(j *job, payload []byte) {
 	j.notifyLocked()
 }
 
-// fail marks a job failed with an error message.
+// fail marks a job failed with an error message and releases its dedup
+// key, so the next identical submission runs afresh instead of
+// attaching to the failure. The failed job stays readable by its ID.
 func (s *Server) fail(j *job, msg string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.endLocked(j)
 	j.errMsg = msg
 	j.state = api.StateFailed
+	if s.byKey[j.key] == j {
+		delete(s.byKey, j.key)
+	}
 	j.notifyLocked()
 }
 

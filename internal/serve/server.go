@@ -61,7 +61,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	jobs    map[string]*job // by ID
-	byKey   map[string]*job // dedup: serve key -> job (in-flight or done)
+	byKey   map[string]*job // dedup: serve key -> job (in-flight or done; never failed)
 	pending int             // accepted jobs queued or running; store hits never count
 	nextID  int
 }

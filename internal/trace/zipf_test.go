@@ -122,24 +122,9 @@ func TestZipfTraceMatchesBinarySearch(t *testing.T) {
 	}
 }
 
-// BenchmarkGenerate builds the openloop benchmark's traces: 262,144
-// records over a 2^18-line footprint.
-func BenchmarkGenerate(b *testing.B) {
-	cfg := DefaultGenConfig()
-	cfg.Records = 1 << 18
-	cfg.FootprintLines = 1 << 18
-	for _, p := range []Pattern{PatternMixed, PatternZipf} {
-		b.Run(string(p), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				MustGenerate(p, cfg)
-			}
-		})
-	}
-}
-
-// fracPow must be math.Pow bit for bit over every footprint rank the
-// generator weighs and every skew it accepts.
+// fracPow must be math.Pow bit for bit: over the first 2^16 ranks, random
+// ranks up to the largest footprint, and skews at both ends of (0, 1), on
+// both sides of the switch at one half, and at random.
 func TestFracPowMatchesPow(t *testing.T) {
 	thetas := append([]float64{math.SmallestNonzeroFloat64, 0.5, math.Nextafter(0.5, 0), math.Nextafter(0.5, 1),
 		math.Nextafter(1, 0)}, zipfThetas...)
@@ -163,5 +148,21 @@ func TestFracPowMatchesPow(t *testing.T) {
 				t.Fatalf("fracPow(%v, %v) = %v, math.Pow gives %v", x, theta, got, want)
 			}
 		}
+	}
+}
+
+// BenchmarkGenerate builds the openloop benchmark's traces: 262,144
+// records over a 2^18-line footprint.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := DefaultGenConfig()
+	cfg.Records = 1 << 18
+	cfg.FootprintLines = 1 << 18
+	for _, p := range []Pattern{PatternMixed, PatternZipf} {
+		b.Run(string(p), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				MustGenerate(p, cfg)
+			}
+		})
 	}
 }
