@@ -7,7 +7,11 @@
 // reruns. The fast tier keeps one representative (Fig8, in
 // determinism_test.go); this tag extends the check to the whole suite,
 // so any experiment that grows shared mutable state or
-// iteration-order dependence fails the nightly target.
+// iteration-order dependence fails the nightly target. The serial
+// render is also pinned byte for byte in testdata/render_NAME.golden;
+// regenerate deliberately with
+//
+//	go test -tags slow -run EveryExperiment -update .
 package pimmmu_test
 
 import (
@@ -49,6 +53,7 @@ func TestEveryExperimentSerialParallelIdentical(t *testing.T) {
 			if !bytes.Equal(parallel, rerun) {
 				t.Errorf("rerun differs\n--- first ---\n%s--- second ---\n%s", parallel, rerun)
 			}
+			checkGoldenFile(t, "render_"+e.Name+".golden", string(serial))
 		})
 	}
 }
