@@ -63,13 +63,14 @@ bench-compare:
 	$(GO) run ./cmd/pimmu-benchdiff BENCH_engine.baseline.tmp BENCH_engine.json; \
 		status=$$?; rm -f BENCH_engine.baseline.tmp; exit $$status
 
-# CPU- and heap-profile a representative simulation-heavy experiment
-# through the shared -cpuprofile/-memprofile Runner flags of `pimmu run`.
+# CPU- and heap-profile a representative simulation-heavy experiment on
+# the plain engine, the one every default run uses, through the shared
+# -cpuprofile/-memprofile Runner flags of `pimmu run`.
 # Inspect with `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
 # Override PROFILE_EXPERIMENT / PROFILE_FLAGS to aim the profiler
-# elsewhere.
+# elsewhere (PROFILE_FLAGS='-shards auto' profiles the sharded engine).
 PROFILE_EXPERIMENT ?= headline
-PROFILE_FLAGS ?= -shards auto
+PROFILE_FLAGS ?=
 
 profile:
 	$(GO) run ./cmd/pimmu run $(PROFILE_FLAGS) \

@@ -132,7 +132,7 @@ func BenchmarkFig13aComputeContention(b *testing.B) {
 	}{{system.Base, 16}, {system.Base, 0}, {system.PIMMMU, 16}, {system.PIMMMU, 0}}
 	var baseSlow, mmuSlow float64
 	for i := 0; i < b.N; i++ {
-		lat := sweep.Map(len(points), func(j int) float64 { return run(points[j].d, points[j].n) })
+		lat := sweep.MapN(len(points), 0, func(j int) float64 { return run(points[j].d, points[j].n) })
 		baseSlow = lat[0] / lat[1]
 		mmuSlow = lat[2] / lat[3]
 	}
@@ -162,7 +162,7 @@ func BenchmarkFig13bMemoryContention(b *testing.B) {
 			d   system.Design
 			hog bool
 		}{{system.Base, true}, {system.Base, false}, {system.PIMMMU, true}, {system.PIMMMU, false}}
-		lat := sweep.Map(len(points), func(j int) float64 { return run(points[j].d, points[j].hog) })
+		lat := sweep.MapN(len(points), 0, func(j int) float64 { return run(points[j].d, points[j].hog) })
 		baseSlow = lat[0] / lat[1]
 		mmuSlow = lat[2] / lat[3]
 	}
@@ -176,7 +176,7 @@ func BenchmarkFig14MemcpyThroughput(b *testing.B) {
 	var gain float64
 	designs := []system.Design{system.PIMMMU, system.Base}
 	for i := 0; i < b.N; i++ {
-		thr := sweep.Map(len(designs), func(j int) float64 {
+		thr := sweep.MapN(len(designs), 0, func(j int) float64 {
 			s := system.MustNew(system.DefaultConfig(designs[j]))
 			return s.RunMemcpy(4 << 20).Throughput()
 		})
@@ -191,7 +191,7 @@ func BenchmarkFig15aAblationThroughput(b *testing.B) {
 	designs := system.Designs()
 	var vals []float64
 	for i := 0; i < b.N; i++ {
-		vals = sweep.Map(len(designs), func(j int) float64 {
+		vals = sweep.MapN(len(designs), 0, func(j int) float64 {
 			return transferGBps(b, designs[j], core.DRAMToPIM, benchBytes)
 		})
 	}
@@ -206,7 +206,7 @@ func BenchmarkFig15bAblationEnergy(b *testing.B) {
 	var ratio float64
 	designs := []system.Design{system.Base, system.PIMMMU}
 	for i := 0; i < b.N; i++ {
-		joules := sweep.Map(len(designs), func(j int) float64 {
+		joules := sweep.MapN(len(designs), 0, func(j int) float64 {
 			s := system.MustNew(system.DefaultConfig(designs[j]))
 			before := s.Activity()
 			per := uint64(benchBytes) / uint64(s.Cfg.PIM.NumCores()) &^ 63
@@ -249,7 +249,7 @@ func BenchmarkHeadline(b *testing.B) {
 	var speedup float64
 	designs := []system.Design{system.Base, system.PIMMMU}
 	for i := 0; i < b.N; i++ {
-		thr := sweep.Map(len(designs), func(j int) float64 {
+		thr := sweep.MapN(len(designs), 0, func(j int) float64 {
 			return transferGBps(b, designs[j], core.DRAMToPIM, benchBytes)
 		})
 		speedup = thr[1] / thr[0]
@@ -297,7 +297,7 @@ func BenchmarkAblationIssueOrder(b *testing.B) {
 	var alg1Gain, chRRGain float64
 	points := []struct{ pimms, chRR bool }{{false, false}, {true, false}, {false, true}}
 	for i := 0; i < b.N; i++ {
-		thr := sweep.Map(len(points), func(j int) float64 {
+		thr := sweep.MapN(len(points), 0, func(j int) float64 {
 			return run(points[j].pimms, points[j].chRR)
 		})
 		alg1Gain = thr[1] / thr[0]
@@ -414,7 +414,7 @@ func BenchmarkLoadCurveTail(b *testing.B) {
 	designs := []system.Design{system.Base, system.PIMMMU}
 	var p99, p999 [2]float64
 	for i := 0; i < b.N; i++ {
-		res := sweep.Map(len(designs), func(j int) trace.LoadResult {
+		res := sweep.MapN(len(designs), 0, func(j int) trace.LoadResult {
 			s := system.MustNew(system.DefaultConfig(designs[j]))
 			g := gen
 			g.Base = s.Alloc(g.FootprintBytes(trace.PatternMixed))

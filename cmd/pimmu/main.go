@@ -207,33 +207,26 @@ func (s *session) close(err *error) {
 	}
 }
 
-// point is one job of a planned subcommand: a design point and the op
-// string naming the job's other inputs.
-type point struct {
-	design system.Design
-	op     string
-}
-
-// runPlan is the shared body of sim, replay and load. It computes one
-// job per point behind the runner's cache, under the cache-key
-// namespace name + "/v1", and hands the results to report, which
+// runPlan is the shared body of sim, replay and load. plan builds the
+// subcommand's sweep from job, which keys a design point and an op
+// string under the cache-key namespace name + "/v1"; runPlan computes
+// it behind the runner's cache and hands the results to report, which
 // returns the structured results and their text render. Under -format
 // text the render goes to w; under -format json both go out as one
 // api.ExperimentResult NDJSON line labelled name and op — the wire
 // shape pimmu-serve returns.
-func runPlan[R any](w io.Writer, f *harness.RunnerFlags, name, op string, pts []point,
-	run func(i int, j harness.Job) R, report func(rs []R) (results any, render func(io.Writer))) (err error) {
+func runPlan[P, R any](w io.Writer, f *harness.RunnerFlags, name, op string,
+	plan func(job func(d system.Design, op string) harness.Job) *harness.Sweep[P, R],
+	report func(rs []R) (results any, render func(io.Writer))) (err error) {
 	s, err := openSession(f)
 	if err != nil {
 		return err
 	}
 	defer s.close(&err)
-	jobs := make([]harness.Job, len(pts))
-	for i, p := range pts {
-		jobs[i] = s.runner.NewJob(name+"/v1", s.runner.Config(p.design), p.op)
-	}
-	rs := harness.ComputePlan(s.runner, harness.Plan{Experiment: name, Jobs: jobs}, run)
-	results, render := report(rs)
+	sw := plan(func(d system.Design, op string) harness.Job {
+		return s.runner.NewJob(name+"/v1", s.runner.Config(d), op)
+	})
+	results, render := report(sw.Compute(s.runner))
 	if s.format != "json" {
 		render(w)
 		return nil

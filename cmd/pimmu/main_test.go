@@ -166,6 +166,15 @@ func TestErrorKinds(t *testing.T) {
 		{[]string{"load", "-inflight", "0"}, true},
 		{[]string{"load", "-pattern", "nope"}, true},
 		{[]string{"load", "-n", "16", "-gaps", "8,0.0001"}, true},
+		{[]string{"load", "-gaps", "NaN"}, true},
+		{[]string{"load", "-gaps", "Inf"}, true},
+		{[]string{"load", "-gaps", "-Inf"}, true},
+		{[]string{"load", "-gaps", "1e20"}, true},
+		{[]string{"load", "-gaps", "9223372036854776"}, true},
+		{[]string{"load", "-n", "8192", "-gaps", "1e15"}, true},
+		{[]string{"gen", "-gap", "20000000000000000", "-n", "4", "-o", filepath.Join(dir, "g.pmt")}, true},
+		{[]string{"gen", "-gap", "-1", "-o", filepath.Join(dir, "g.pmt")}, true},
+		{[]string{"gen", "-gap", "9223372036854775", "-n", "4", "-o", filepath.Join(dir, "g.pmt")}, true},
 		{[]string{"sim", "-dir", "sideways"}, true},
 		{[]string{"run", "nope"}, true},
 		{[]string{"cmds", "-n", "-1", "-channel", "9"}, true},

@@ -103,13 +103,15 @@ func cmdSim(args []string, w io.Writer) error {
 		return err
 	}
 	op := fmt.Sprintf("xfer dir=%v mb=%d", dir, *mb)
-	pts := make([]point, len(designs))
-	for i, d := range designs {
-		pts[i] = point{d, op}
-	}
-	return runPlan(w, rf, "pimmu-sim", fmt.Sprintf("xfer design=%s dir=%v mb=%d", *design, dir, *mb), pts,
-		func(_ int, j harness.Job) system.TransferMeasurement {
-			return system.MustNew(j.Config).MeasureTransfer(dir, *mb)
+	return runPlan(w, rf, "pimmu-sim", fmt.Sprintf("xfer design=%s dir=%v mb=%d", *design, dir, *mb),
+		func(job func(system.Design, string) harness.Job) *harness.Sweep[system.Design, system.TransferMeasurement] {
+			sw := harness.NewSweep(len(designs), func(_ system.Design, s *system.System) system.TransferMeasurement {
+				return s.MeasureTransfer(dir, *mb)
+			})
+			for _, d := range designs {
+				sw.Add(job(d, op), d)
+			}
+			return sw
 		},
 		func(ms []system.TransferMeasurement) (any, func(io.Writer)) {
 			return ms, func(w io.Writer) {

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -70,6 +71,9 @@ func cmdGen(args []string, w io.Writer) error {
 	}
 	if *out == "" {
 		return usageError{fmt.Errorf("-o FILE is required"), fs}
+	}
+	if *gapNS < 0 || *gapNS > math.MaxInt64/int64(clock.Nanosecond) {
+		return usagef("-gap %d ns outside [0, %d]", *gapNS, math.MaxInt64/int64(clock.Nanosecond))
 	}
 	cfg := trace.DefaultGenConfig()
 	cfg.Records = *n
@@ -156,21 +160,23 @@ func cmdReplay(args []string, w io.Writer) error {
 		return fmt.Errorf("fingerprinting trace: %w", err)
 	}
 	op := fmt.Sprintf("trace=%s rcfg=%s", hex.EncodeToString(h.Sum(nil)), resultcache.Canonical(cfg))
-	pts := make([]point, len(designs))
-	for i, d := range designs {
-		pts[i] = point{d, op}
-	}
 	label := "design=all " + op
 	if *designFlag != "all" {
 		label = fmt.Sprintf("design=%v %s", designs[0], op)
 	}
-	return runPlan(w, pf.runner, "pimmu-replay", label, pts,
-		func(_ int, j harness.Job) trace.Result {
-			r, err := system.MustNew(j.Config).RunReplay(recs, cfg)
-			if err != nil {
-				panic(err)
+	return runPlan(w, pf.runner, "pimmu-replay", label,
+		func(job func(system.Design, string) harness.Job) *harness.Sweep[system.Design, trace.Result] {
+			sw := harness.NewSweep(len(designs), func(_ system.Design, s *system.System) trace.Result {
+				r, err := s.RunReplay(recs, cfg)
+				if err != nil {
+					panic(err)
+				}
+				return r
+			})
+			for _, d := range designs {
+				sw.Add(job(d, op), d)
 			}
-			return r
+			return sw
 		},
 		func(rs []trace.Result) (any, func(io.Writer)) {
 			if *designFlag != "all" {
@@ -248,35 +254,41 @@ func cmdLoad(args []string, w io.Writer) error {
 		return dcfg
 	}
 	for _, gap := range gaps {
+		if gap > math.MaxInt64/clock.Picos(*n) {
+			return usagef("%d arrivals at gap %dps overflow the picosecond clock", *n, int64(gap))
+		}
 		if err := dcfgAt(gap).Validate(); err != nil {
 			return usageError{err: err}
 		}
 	}
 
 	designs := []system.Design{system.Base, system.PIMMMU}
-	pts := make([]point, 0, len(gaps)*len(designs))
-	for _, gap := range gaps {
-		for _, d := range designs {
-			pts = append(pts, point{d, fmt.Sprintf("pattern=%s gen=%s dcfg=%s", *pattern,
-				resultcache.Canonical(gcfg), resultcache.Canonical(dcfgAt(gap)))})
-		}
-	}
-	op := fmt.Sprintf("process=%s pattern=%s n=%d slo-ns=%d gaps=%s seed=%d",
+	label := fmt.Sprintf("process=%s pattern=%s n=%d slo-ns=%d gaps=%s seed=%d",
 		*process, *pattern, *n, *sloNS, *gapsFlag, *seed)
-	return runPlan(w, pf.runner, "pimmu-load", op, pts,
-		func(i int, j harness.Job) trace.LoadResult {
-			s := system.MustNew(j.Config)
-			g := gcfg
-			g.Base = s.Alloc(g.FootprintBytes(trace.Pattern(*pattern)))
-			recs, err := trace.Generate(trace.Pattern(*pattern), g)
-			if err != nil {
-				panic(err)
+	return runPlan(w, pf.runner, "pimmu-load", label,
+		func(job func(system.Design, string) harness.Job) *harness.Sweep[trace.DriverConfig, trace.LoadResult] {
+			sw := harness.NewSweep(len(gaps)*len(designs), func(dcfg trace.DriverConfig, s *system.System) trace.LoadResult {
+				g := gcfg
+				g.Base = s.Alloc(g.FootprintBytes(trace.Pattern(*pattern)))
+				recs, err := trace.Generate(trace.Pattern(*pattern), g)
+				if err != nil {
+					panic(err)
+				}
+				r, err := s.RunLoad(recs, dcfg)
+				if err != nil {
+					panic(err)
+				}
+				return r
+			})
+			gen := resultcache.Canonical(gcfg)
+			for _, gap := range gaps {
+				dcfg := dcfgAt(gap)
+				op := fmt.Sprintf("pattern=%s gen=%s dcfg=%s", *pattern, gen, resultcache.Canonical(dcfg))
+				for _, d := range designs {
+					sw.Add(job(d, op), dcfg)
+				}
 			}
-			r, err := s.RunLoad(recs, dcfgAt(gaps[i/len(designs)]))
-			if err != nil {
-				panic(err)
-			}
-			return r
+			return sw
 		},
 		func(rs []trace.LoadResult) (any, func(io.Writer)) {
 			return rs, func(w io.Writer) {
@@ -305,15 +317,18 @@ func cmdLoad(args []string, w io.Writer) error {
 		})
 }
 
-// parseGaps parses the comma-separated -gaps axis (nanoseconds).
+// parseGaps parses the comma-separated -gaps axis (nanoseconds). Every
+// gap must be positive and, in picoseconds, below MaxInt64; the
+// comparison also rejects NaN and infinities.
 func parseGaps(s string) ([]clock.Picos, error) {
 	var gaps []clock.Picos
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 {
+		ps := v * float64(clock.Nanosecond)
+		if err != nil || !(v > 0 && ps < math.MaxInt64) {
 			return nil, fmt.Errorf("bad gap %q in -gaps", f)
 		}
-		gaps = append(gaps, clock.Picos(v*float64(clock.Nanosecond)))
+		gaps = append(gaps, clock.Picos(ps))
 	}
 	return gaps, nil
 }

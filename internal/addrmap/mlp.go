@@ -164,6 +164,3 @@ func (m *MLP) Name() string {
 func (m *MLP) String() string {
 	return fmt.Sprintf("mlp-centric(%s, hashing=%t)", m.g, m.hashing)
 }
-
-// Hashing reports whether XOR hashing is enabled.
-func (m *MLP) Hashing() bool { return m.hashing }

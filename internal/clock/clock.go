@@ -74,9 +74,6 @@ func NewDomain(freq Hz) Domain {
 	return Domain{freq: freq, period: Picos(int64(Second) / int64(freq))}
 }
 
-// Freq reports the domain frequency.
-func (d Domain) Freq() Hz { return d.freq }
-
 // Period reports the duration of one cycle, truncated to a picosecond.
 func (d Domain) Period() Picos { return d.period }
 

@@ -222,11 +222,6 @@ func (c *Channel) ID() int { return c.id }
 // Stats exposes the channel's counters.
 func (c *Channel) Stats() *ChannelStats { return c.stats }
 
-// QueueLen reports current read and write queue occupancy.
-func (c *Channel) QueueLen() (reads, writes int) {
-	return len(c.readQ), len(c.writeQ)
-}
-
 // TryEnqueue places a decoded request in the appropriate queue. It reports
 // false when that queue is full; the caller should register a WaitSpace
 // callback and retry.

@@ -138,7 +138,7 @@ func replayGenConfig(sc Scale) trace.GenConfig {
 
 // replayWorkloadGenConfig is one workload's fully tweaked generator
 // config (its Base address is assigned inside the compute job; see
-// replayPlan).
+// replaySweep).
 func replayWorkloadGenConfig(sc Scale, wl replayWorkload) trace.GenConfig {
 	cfg := replayGenConfig(sc)
 	if wl.tweak != nil {

@@ -1,5 +1,5 @@
-// Compute phase of every experiment: plan enumeration plus the jobs
-// that actually simulate. Together with runner.go this is the only
+// Every experiment's sweep: the jobs it plans and the one run that
+// simulates each of them. Together with runner.go this is the only
 // harness code allowed to import internal/system (cmd/pimmu-lint
 // enforces the boundary) — renderers consume the pure result types in
 // results.go and never see a machine.
@@ -28,21 +28,20 @@ import (
 // two-point comparisons.
 var baseVsMMU = []system.Design{system.Base, system.PIMMMU}
 
-func areaMM2(cfg core.Config) float64 {
-	return energy.PIMMMUAreaMM2(cfg.DataBufBytes, cfg.AddrBufBytes)
+// transfer is one whole-device transfer: its direction and total size.
+type transfer struct {
+	dir   core.Direction
+	bytes uint64
 }
 
-func dieFrac(cfg core.Config) float64 {
-	return energy.DieOverheadFraction(cfg.DataBufBytes, cfg.AddrBufBytes)
+// run executes the transfer on s across every PIM core.
+func (t transfer) run(s *system.System) system.XferResult {
+	return s.RunTransfer(s.TransferOp(t.dir, s.Cfg.PIM.NumCores(), s.PerCoreBytes(t.bytes)))
 }
 
 // table1: static configuration snapshot — nothing to simulate.
 
-func table1Plan(_ *Runner, _ Scale) Plan {
-	return Plan{Experiment: "table1"}
-}
-
-func table1Compute(_ *Runner, _ Scale) Table1Data {
+func table1Data() Table1Data {
 	cfg := system.DefaultConfig(system.PIMMMU)
 	cp := cfg.CPU
 	dg := cfg.Mem.DRAM.Geometry
@@ -73,17 +72,13 @@ func table1Compute(_ *Runner, _ Scale) Table1Data {
 
 // area: static Section VI-C overhead analysis.
 
-func areaPlan(_ *Runner, _ Scale) Plan {
-	return Plan{Experiment: "area"}
-}
-
-func areaCompute(_ *Runner, _ Scale) AreaData {
+func areaData() AreaData {
 	cfg := core.DefaultConfig()
 	return AreaData{
 		DataKB:  cfg.DataBufBytes >> 10,
 		AddrKB:  cfg.AddrBufBytes >> 10,
-		MM2:     areaMM2(cfg),
-		DieFrac: dieFrac(cfg),
+		MM2:     energy.PIMMMUAreaMM2(cfg.DataBufBytes, cfg.AddrBufBytes),
+		DieFrac: energy.DieOverheadFraction(cfg.DataBufBytes, cfg.AddrBufBytes),
 	}
 }
 
@@ -91,22 +86,11 @@ func areaCompute(_ *Runner, _ Scale) AreaData {
 // baseline DRAM<->PIM transfers. The two directions are independent
 // machines, so they sweep in parallel.
 
-func fig4Plan(r *Runner, sc Scale) Plan {
+func fig4Sweep(r *Runner, sc Scale) *Sweep[transfer, Fig4Section] {
 	size := fig4Size(sc)
-	jobs := make([]Job, len(bothDirections))
-	for i, dir := range bothDirections {
-		jobs[i] = r.job(system.Base,
-			fmt.Sprintf("fig4 dir=%v bytes=%d window=50us", dir, size))
-	}
-	return Plan{Experiment: "fig4", Jobs: jobs}
-}
-
-func fig4Compute(r *Runner, sc Scale) []Fig4Section {
-	size := fig4Size(sc)
-	return ComputePlan(r, fig4Plan(r, sc), func(i int, j Job) Fig4Section {
-		s := system.MustNew(j.Config)
+	sw := NewSweep(len(bothDirections), func(t transfer, s *system.System) Fig4Section {
 		pt, stop := s.SamplePower(50 * clock.Microsecond)
-		res := r.runTransfer(s, bothDirections[i], size)
+		res := t.run(s)
 		stop()
 		sec := Fig4Section{Thr: res.Throughput()}
 		n := pt.Watts.Len()
@@ -120,6 +104,11 @@ func fig4Compute(r *Runner, sc Scale) []Fig4Section {
 		}
 		return sec
 	})
+	for _, dir := range bothDirections {
+		sw.Add(r.job(system.Base, fmt.Sprintf("fig4 dir=%v bytes=%d window=50us", dir, size)),
+			transfer{dir, size})
+	}
+	return sw
 }
 
 // fig6: per-channel write-throughput breakdown — (a) the baseline's
@@ -136,29 +125,10 @@ var fig6Points = []struct {
 	{system.PIMMMU, "b: hardware fine-grained — even across channels"},
 }
 
-// fig6Config is one fig6 point's machine config: the default design
-// config with the 100 us stats window the time series is bucketed on.
-func fig6Config(r *Runner, i int) system.Config {
-	cfg := r.Config(fig6Points[i].design)
-	cfg.Mem.PIM.SeriesWindow = 100 * clock.Microsecond
-	return cfg
-}
-
-func fig6Plan(r *Runner, sc Scale) Plan {
+func fig6Sweep(r *Runner, sc Scale) *Sweep[transfer, Fig6Section] {
 	size := fig6Size(sc)
-	jobs := make([]Job, len(fig6Points))
-	for i := range fig6Points {
-		jobs[i] = r.NewJob("harness/v1", fig6Config(r, i),
-			fmt.Sprintf("fig6 bytes=%d label=%q", size, fig6Points[i].label))
-	}
-	return Plan{Experiment: "fig6", Jobs: jobs}
-}
-
-func fig6Compute(r *Runner, sc Scale) []Fig6Section {
-	size := fig6Size(sc)
-	return ComputePlan(r, fig6Plan(r, sc), func(i int, j Job) Fig6Section {
-		s := system.MustNew(j.Config)
-		r.runTransfer(s, core.DRAMToPIM, size)
+	sw := NewSweep(len(fig6Points), func(t transfer, s *system.System) Fig6Section {
+		t.run(s)
 		var series []*stats.Series
 		for _, c := range s.Mem.PIM.Stats().Channels {
 			series = append(series, c.WriteSeries)
@@ -174,6 +144,14 @@ func fig6Compute(r *Runner, sc Scale) []Fig6Section {
 		}
 		return Fig6Section{Rows: windowBuckets(series, maxLen)}
 	})
+	for _, pt := range fig6Points {
+		// The time series is bucketed on a 100 us stats window.
+		cfg := r.Config(pt.design)
+		cfg.Mem.PIM.SeriesWindow = 100 * clock.Microsecond
+		sw.Add(r.NewJob("harness/v1", cfg, fmt.Sprintf("fig6 bytes=%d label=%q", size, pt.label)),
+			transfer{core.DRAMToPIM, size})
+	}
+	return sw
 }
 
 // fig8: locality-centric vs MLP-centric DRAM bandwidth over sequential
@@ -185,30 +163,9 @@ func fig8Grid() sweep.Grid {
 	return sweep.NewGrid(len(fig8Patterns), len(baseVsMMU))
 }
 
-// fig8Stream is point i's stream config.
-func fig8Stream(g sweep.Grid, i int) xfer.StreamConfig {
-	cfg := xfer.DefaultStreamConfig()
-	cfg.StrideLines = fig8Patterns[g.Coord(i, 0)].stride
-	return cfg
-}
-
-func fig8Plan(r *Runner, sc Scale) Plan {
+func fig8Sweep(r *Runner, sc Scale) *Sweep[xfer.StreamConfig, float64] {
 	lines := fig8Lines(sc)
-	g := fig8Grid()
-	jobs := make([]Job, g.Size())
-	for i := range jobs {
-		jobs[i] = r.job(baseVsMMU[g.Coord(i, 1)],
-			fmt.Sprintf("fig8 lines=%d stream=%s", lines, resultcache.Canonical(fig8Stream(g, i))))
-	}
-	return Plan{Experiment: "fig8", Jobs: jobs}
-}
-
-func fig8Compute(r *Runner, sc Scale) []float64 {
-	lines := fig8Lines(sc)
-	g := fig8Grid()
-	return ComputePlan(r, fig8Plan(r, sc), func(i int, j Job) float64 {
-		s := system.MustNew(j.Config)
-		cfg := fig8Stream(g, i)
+	sw := NewSweep(fig8Grid().Size(), func(cfg xfer.StreamConfig, s *system.System) float64 {
 		base := s.Alloc(lines * uint64(cfg.StrideLines) * uint64(cfg.Threads) * 64)
 		var res xfer.Result
 		done := false
@@ -216,38 +173,51 @@ func fig8Compute(r *Runner, sc Scale) []float64 {
 		s.Eng.RunWhile(func() bool { return !done })
 		return res.Throughput()
 	})
+	for _, pat := range fig8Patterns {
+		cfg := xfer.DefaultStreamConfig()
+		cfg.StrideLines = pat.stride
+		op := fmt.Sprintf("fig8 lines=%d stream=%s", lines, resultcache.Canonical(cfg))
+		for _, d := range baseVsMMU {
+			sw.Add(r.job(d, op), cfg)
+		}
+	}
+	return sw
 }
 
 // fig13a/fig13b: contender-sensitivity sweeps.
 
-// contendedOp is the op string of one contendedLatency measurement; the
-// contender programs' footprints and loop shapes are code, covered by
-// the key's code-version stamp.
-func contendedOp(size uint64, n, level int) string {
-	return fmt.Sprintf("fig13 xfer bytes=%d contenders=%d level=%d", size, n, level)
+// contended is one Fig. 13 point: a DRAM->PIM transfer of size bytes
+// beside n contenders (level < 0 selects compute-bound spinners,
+// otherwise the memory intensity).
+type contended struct {
+	size     uint64
+	n, level int
 }
 
-// contendedLatency measures one DRAM->PIM transfer's latency on j's
-// machine with n contenders (level < 0 selects compute-bound spinners,
-// otherwise the memory intensity).
-func (r *Runner) contendedLatency(j Job, size uint64, n, level int) float64 {
-	s := system.MustNew(j.Config)
+// op is the point's op string; the contender programs' footprints and
+// loop shapes are code, covered by the key's code-version stamp.
+func (c contended) op() string {
+	return fmt.Sprintf("fig13 xfer bytes=%d contenders=%d level=%d", c.size, c.n, c.level)
+}
+
+// runContended measures the transfer's latency in seconds.
+func runContended(c contended, s *system.System) float64 {
 	var st *contend.Stopper
-	if n > 0 {
-		if level < 0 {
-			base := s.Alloc(uint64(n) * (16 << 10))
-			st = s.Contenders(n, func(i int, st *contend.Stopper) cpu.Program {
+	if c.n > 0 {
+		if c.level < 0 {
+			base := s.Alloc(uint64(c.n) * (16 << 10))
+			st = s.Contenders(c.n, func(i int, st *contend.Stopper) cpu.Program {
 				return contend.Spin(st, base+uint64(i)*(16<<10))
 			})
 		} else {
 			const footprint = 64 << 20
-			base := s.Alloc(uint64(n) * footprint)
-			st = s.Contenders(n, func(i int, st *contend.Stopper) cpu.Program {
-				return contend.MemoryHog(st, base+uint64(i)*footprint, footprint, contend.Intensity(level))
+			base := s.Alloc(uint64(c.n) * footprint)
+			st = s.Contenders(c.n, func(i int, st *contend.Stopper) cpu.Program {
+				return contend.MemoryHog(st, base+uint64(i)*footprint, footprint, contend.Intensity(c.level))
 			})
 		}
 	}
-	res := r.runTransfer(s, core.DRAMToPIM, size)
+	res := transfer{core.DRAMToPIM, c.size}.run(s)
 	if st != nil {
 		st.Stop()
 	}
@@ -258,23 +228,17 @@ func fig13aGrid() sweep.Grid {
 	return sweep.NewGrid(len(fig13aCounts), len(baseVsMMU))
 }
 
-func fig13aPlan(r *Runner, sc Scale) Plan {
+func fig13aSweep(r *Runner, sc Scale) *Sweep[contended, float64] {
 	size := fig13Size(sc)
-	g := fig13aGrid()
-	jobs := make([]Job, g.Size())
-	for i := range jobs {
-		jobs[i] = r.job(baseVsMMU[g.Coord(i, 1)],
-			contendedOp(size, fig13aCounts[g.Coord(i, 0)], -1))
+	sw := NewSweep(fig13aGrid().Size(), runContended)
+	for _, n := range fig13aCounts {
+		c := contended{size, n, -1}
+		op := c.op()
+		for _, d := range baseVsMMU {
+			sw.Add(r.job(d, op), c)
+		}
 	}
-	return Plan{Experiment: "fig13a", Jobs: jobs}
-}
-
-func fig13aCompute(r *Runner, sc Scale) []float64 {
-	size := fig13Size(sc)
-	g := fig13aGrid()
-	return ComputePlan(r, fig13aPlan(r, sc), func(i int, j Job) float64 {
-		return r.contendedLatency(j, size, fig13aCounts[g.Coord(i, 0)], -1)
-	})
+	return sw
 }
 
 // fig13bGrid flattens (row x design); row 0 is the uncontended
@@ -283,32 +247,20 @@ func fig13bGrid() sweep.Grid {
 	return sweep.NewGrid(1+len(contend.Levels()), len(baseVsMMU))
 }
 
-// fig13bArgs recovers point i's contender count and intensity level.
-func fig13bArgs(g sweep.Grid, i int) (n, level int) {
-	if row := g.Coord(i, 0); row > 0 {
-		return 4, int(contend.Levels()[row-1])
-	}
-	return 0, -1
-}
-
-func fig13bPlan(r *Runner, sc Scale) Plan {
+func fig13bSweep(r *Runner, sc Scale) *Sweep[contended, float64] {
 	size := fig13Size(sc)
-	g := fig13bGrid()
-	jobs := make([]Job, g.Size())
-	for i := range jobs {
-		n, level := fig13bArgs(g, i)
-		jobs[i] = r.job(baseVsMMU[g.Coord(i, 1)], contendedOp(size, n, level))
+	rows := []contended{{size, 0, -1}}
+	for _, level := range contend.Levels() {
+		rows = append(rows, contended{size, 4, int(level)})
 	}
-	return Plan{Experiment: "fig13b", Jobs: jobs}
-}
-
-func fig13bCompute(r *Runner, sc Scale) []float64 {
-	size := fig13Size(sc)
-	g := fig13bGrid()
-	return ComputePlan(r, fig13bPlan(r, sc), func(i int, j Job) float64 {
-		n, level := fig13bArgs(g, i)
-		return r.contendedLatency(j, size, n, level)
-	})
+	sw := NewSweep(fig13bGrid().Size(), runContended)
+	for _, c := range rows {
+		op := c.op()
+		for _, d := range baseVsMMU {
+			sw.Add(r.job(d, op), c)
+		}
+	}
+	return sw
 }
 
 // fig14: DRAM->DRAM memcpy throughput across memory-system
@@ -318,37 +270,27 @@ func fig14Grid() sweep.Grid {
 	return sweep.NewGrid(len(fig14Configs), len(baseVsMMU))
 }
 
-// fig14Config is point i's machine config with the geometry override
-// applied to the DRAM and PIM systems alike.
-func fig14Config(r *Runner, g sweep.Grid, i int) system.Config {
-	c := fig14Configs[g.Coord(i, 0)]
-	cfg := r.Config(baseVsMMU[g.Coord(i, 1)])
-	cfg.Mem.DRAM.Geometry.Channels = c.ch
-	cfg.Mem.DRAM.Geometry.Ranks = c.ra
-	cfg.Mem.PIM.Geometry.Channels = c.ch
-	cfg.Mem.PIM.Geometry.Ranks = c.ra
-	cfg.PIM.DRAM.Channels = c.ch
-	cfg.PIM.DRAM.Ranks = c.ra
-	return cfg
-}
-
-func fig14Plan(r *Runner, sc Scale) Plan {
+func fig14Sweep(r *Runner, sc Scale) *Sweep[uint64, float64] {
 	size := fig14Size(sc)
-	g := fig14Grid()
-	jobs := make([]Job, g.Size())
-	for i := range jobs {
-		jobs[i] = r.NewJob("harness/v1", fig14Config(r, g, i),
-			fmt.Sprintf("fig14 memcpy bytes=%d", size))
-	}
-	return Plan{Experiment: "fig14", Jobs: jobs}
-}
-
-func fig14Compute(r *Runner, sc Scale) []float64 {
-	size := fig14Size(sc)
-	return ComputePlan(r, fig14Plan(r, sc), func(i int, j Job) float64 {
-		s := system.MustNew(j.Config)
-		return s.RunMemcpy(size).Throughput()
+	op := fmt.Sprintf("fig14 memcpy bytes=%d", size)
+	sw := NewSweep(fig14Grid().Size(), func(bytes uint64, s *system.System) float64 {
+		return s.RunMemcpy(bytes).Throughput()
 	})
+	for _, c := range fig14Configs {
+		for _, d := range baseVsMMU {
+			// The geometry override applies to the DRAM and PIM systems
+			// alike.
+			cfg := r.Config(d)
+			cfg.Mem.DRAM.Geometry.Channels = c.ch
+			cfg.Mem.DRAM.Geometry.Ranks = c.ra
+			cfg.Mem.PIM.Geometry.Channels = c.ch
+			cfg.Mem.PIM.Geometry.Ranks = c.ra
+			cfg.PIM.DRAM.Channels = c.ch
+			cfg.PIM.DRAM.Ranks = c.ra
+			sw.Add(r.NewJob("harness/v1", cfg, op), size)
+		}
+	}
+	return sw
 }
 
 // fig15a/fig15b: the ablation sweeps — every (direction x size x
@@ -359,49 +301,33 @@ func fig15Grid(sc Scale) sweep.Grid {
 	return sweep.NewGrid(len(bothDirections), len(fig15Sizes(sc)), len(system.Designs()))
 }
 
-func fig15aPlan(r *Runner, sc Scale) Plan {
-	sizes := fig15Sizes(sc)
-	designs := system.Designs()
-	g := fig15Grid(sc)
-	jobs := make([]Job, g.Size())
-	for i := range jobs {
-		jobs[i] = r.job(designs[g.Coord(i, 2)],
-			fmt.Sprintf("fig15a xfer dir=%v bytes=%d", bothDirections[g.Coord(i, 0)], sizes[g.Coord(i, 1)]))
+// addTransfers adds one job per (direction x size x design) point to
+// sw, in grid order, under the op string "prefix dir=DIR bytes=SIZE".
+func addTransfers[R any](r *Runner, sw *Sweep[transfer, R], prefix string, sizes []uint64, designs []system.Design) *Sweep[transfer, R] {
+	for _, dir := range bothDirections {
+		for _, size := range sizes {
+			op := fmt.Sprintf("%s dir=%v bytes=%d", prefix, dir, size)
+			for _, d := range designs {
+				sw.Add(r.job(d, op), transfer{dir, size})
+			}
+		}
 	}
-	return Plan{Experiment: "fig15a", Jobs: jobs}
+	return sw
 }
 
-func fig15aCompute(r *Runner, sc Scale) []float64 {
-	sizes := fig15Sizes(sc)
-	g := fig15Grid(sc)
-	return ComputePlan(r, fig15aPlan(r, sc), func(i int, j Job) float64 {
-		s := system.MustNew(j.Config)
-		return r.runTransfer(s, bothDirections[g.Coord(i, 0)], sizes[g.Coord(i, 1)]).Throughput()
-	})
+func fig15aSweep(r *Runner, sc Scale) *Sweep[transfer, float64] {
+	return addTransfers(r, NewSweep(fig15Grid(sc).Size(), func(t transfer, s *system.System) float64 {
+		return t.run(s).Throughput()
+	}), "fig15a xfer", fig15Sizes(sc), system.Designs())
 }
 
-func fig15bPlan(r *Runner, sc Scale) Plan {
-	sizes := fig15Sizes(sc)
-	designs := system.Designs()
-	g := fig15Grid(sc)
-	jobs := make([]Job, g.Size())
-	for i := range jobs {
-		jobs[i] = r.job(designs[g.Coord(i, 2)],
-			fmt.Sprintf("fig15b energy dir=%v bytes=%d", bothDirections[g.Coord(i, 0)], sizes[g.Coord(i, 1)]))
-	}
-	return Plan{Experiment: "fig15b", Jobs: jobs}
-}
-
-func fig15bCompute(r *Runner, sc Scale) []Fig15bPoint {
-	sizes := fig15Sizes(sc)
-	g := fig15Grid(sc)
-	return ComputePlan(r, fig15bPlan(r, sc), func(i int, j Job) Fig15bPoint {
-		s := system.MustNew(j.Config)
+func fig15bSweep(r *Runner, sc Scale) *Sweep[transfer, Fig15bPoint] {
+	return addTransfers(r, NewSweep(fig15Grid(sc).Size(), func(t transfer, s *system.System) Fig15bPoint {
 		before := s.Activity()
-		r.runTransfer(s, bothDirections[g.Coord(i, 0)], sizes[g.Coord(i, 1)])
+		t.run(s)
 		b := s.EnergyOver(before, s.Activity())
 		return Fig15bPoint{Total: b.Total(), StaticFrac: b.Static() / b.Total()}
-	})
+	}), "fig15b energy", fig15Sizes(sc), system.Designs())
 }
 
 // fig16: end-to-end PrIM evaluation — the per-workload time breakdown
@@ -412,29 +338,21 @@ func fig16Grid() sweep.Grid {
 	return sweep.NewGrid(len(prim.Suite()), len(baseVsMMU))
 }
 
-func fig16Plan(r *Runner, sc Scale) Plan {
+func fig16Sweep(r *Runner, sc Scale) *Sweep[prim.Workload, prim.Phase] {
 	scale := fig16Scale(sc)
-	suite := prim.Suite()
-	g := fig16Grid()
-	jobs := make([]Job, g.Size())
-	for i := range jobs {
+	sw := NewSweep(fig16Grid().Size(), func(wl prim.Workload, s *system.System) prim.Phase {
+		return prim.RunEndToEnd(s, wl, scale)
+	})
+	for _, wl := range prim.Suite() {
 		// The workload's kernel shape and sizing live in code (prim.Suite),
 		// covered by the key's code-version stamp; the name and scale pin
 		// the point within the suite.
-		jobs[i] = r.job(baseVsMMU[g.Coord(i, 1)],
-			fmt.Sprintf("fig16 prim workload=%q scale=%g", suite[g.Coord(i, 0)].Name, scale))
+		op := fmt.Sprintf("fig16 prim workload=%q scale=%g", wl.Name, scale)
+		for _, d := range baseVsMMU {
+			sw.Add(r.job(d, op), wl)
+		}
 	}
-	return Plan{Experiment: "fig16", Jobs: jobs}
-}
-
-func fig16Compute(r *Runner, sc Scale) []prim.Phase {
-	scale := fig16Scale(sc)
-	suite := prim.Suite()
-	g := fig16Grid()
-	return ComputePlan(r, fig16Plan(r, sc), func(i int, j Job) prim.Phase {
-		s := system.MustNew(j.Config)
-		return prim.RunEndToEnd(s, suite[g.Coord(i, 0)], scale)
-	})
+	return sw
 }
 
 // headline: the abstract's summary numbers — average/max transfer
@@ -446,27 +364,13 @@ func headlineGrid(sc Scale) sweep.Grid {
 	return sweep.NewGrid(len(bothDirections), len(headlineSizes(sc)), len(baseVsMMU))
 }
 
-func headlinePlan(r *Runner, sc Scale) Plan {
-	sizes := headlineSizes(sc)
-	g := headlineGrid(sc)
-	jobs := make([]Job, g.Size())
-	for i := range jobs {
-		jobs[i] = r.job(baseVsMMU[g.Coord(i, 2)],
-			fmt.Sprintf("headline dir=%v bytes=%d", bothDirections[g.Coord(i, 0)], sizes[g.Coord(i, 1)]))
-	}
-	return Plan{Experiment: "headline", Jobs: jobs}
-}
-
-func headlineCompute(r *Runner, sc Scale) []HeadlinePoint {
-	sizes := headlineSizes(sc)
-	g := headlineGrid(sc)
-	return ComputePlan(r, headlinePlan(r, sc), func(i int, j Job) HeadlinePoint {
-		s := system.MustNew(j.Config)
+func headlineSweep(r *Runner, sc Scale) *Sweep[transfer, HeadlinePoint] {
+	return addTransfers(r, NewSweep(headlineGrid(sc).Size(), func(t transfer, s *system.System) HeadlinePoint {
 		a0 := s.Activity()
-		res := r.runTransfer(s, bothDirections[g.Coord(i, 0)], sizes[g.Coord(i, 1)])
+		res := t.run(s)
 		e := s.EnergyOver(a0, s.Activity())
 		return HeadlinePoint{Thr: res.Throughput(), Eff: float64(res.Bytes) / e.Total()}
-	})
+	}), "headline", headlineSizes(sc), baseVsMMU)
 }
 
 // replay: synthetic application access patterns replayed through the
@@ -479,44 +383,42 @@ func replayGrid() sweep.Grid {
 	return sweep.NewGrid(len(replayWorkloads()), len(baseVsMMU))
 }
 
-func replayPlan(r *Runner, sc Scale) Plan {
-	workloads := replayWorkloads()
-	g := replayGrid()
-	rcfg := resultcache.Canonical(trace.DefaultReplayConfig())
-	jobs := make([]Job, g.Size())
-	for i := range jobs {
-		wl := workloads[g.Coord(i, 0)]
-		cfg := replayWorkloadGenConfig(sc, wl)
-		// cfg.Base is assigned inside the job, but it is itself a pure
-		// function of the machine (the first allocation of a fresh system,
-		// or the fixed PIM base), so pim + the generator config identify
-		// the workload completely.
-		jobs[i] = r.job(baseVsMMU[g.Coord(i, 1)],
-			fmt.Sprintf("replay pattern=%s pim=%v gen=%s rcfg=%s", wl.pattern, wl.pim,
-				resultcache.Canonical(cfg), rcfg))
-	}
-	return Plan{Experiment: "replay", Jobs: jobs}
+// replayed is one replay job's workload: its pattern and region, and
+// its fully tweaked generator config (Base is assigned on the machine).
+type replayed struct {
+	pattern trace.Pattern
+	pim     bool
+	gen     trace.GenConfig
 }
 
-func replayCompute(r *Runner, sc Scale) []ReplayPoint {
-	workloads := replayWorkloads()
-	g := replayGrid()
-	return ComputePlan(r, replayPlan(r, sc), func(i int, j Job) ReplayPoint {
-		wl := workloads[g.Coord(i, 0)]
-		s := system.MustNew(j.Config)
-		cfg := replayWorkloadGenConfig(sc, wl)
-		if wl.pim {
-			cfg.Base = mem.PIMBase
+func replaySweep(r *Runner, sc Scale) *Sweep[replayed, ReplayPoint] {
+	sw := NewSweep(replayGrid().Size(), func(p replayed, s *system.System) ReplayPoint {
+		if p.pim {
+			p.gen.Base = mem.PIMBase
 		} else {
-			cfg.Base = s.Alloc(cfg.FootprintBytes(wl.pattern))
+			p.gen.Base = s.Alloc(p.gen.FootprintBytes(p.pattern))
 		}
-		recs := trace.MustGenerate(wl.pattern, cfg)
+		recs := trace.MustGenerate(p.pattern, p.gen)
 		rr, err := s.RunReplay(recs, trace.DefaultReplayConfig())
 		if err != nil {
 			panic(err)
 		}
 		return ReplayPoint{Thr: rr.Throughput(), Hist: rr.Latency}
 	})
+	rcfg := resultcache.Canonical(trace.DefaultReplayConfig())
+	for _, wl := range replayWorkloads() {
+		p := replayed{wl.pattern, wl.pim, replayWorkloadGenConfig(sc, wl)}
+		// gen.Base is assigned inside the job, but it is itself a pure
+		// function of the machine (the first allocation of a fresh system,
+		// or the fixed PIM base), so pim + the generator config identify
+		// the workload completely.
+		op := fmt.Sprintf("replay pattern=%s pim=%v gen=%s rcfg=%s", p.pattern, p.pim,
+			resultcache.Canonical(p.gen), rcfg)
+		for _, d := range baseVsMMU {
+			sw.Add(r.job(d, op), p)
+		}
+	}
+	return sw
 }
 
 // loadcurve: the open-loop latency-vs-offered-load curve for Base vs
@@ -529,35 +431,28 @@ func loadCurveGrid(sc Scale) sweep.Grid {
 	return sweep.NewGrid(len(loadGaps(sc)), len(baseVsMMU))
 }
 
-func loadCurvePlan(r *Runner, sc Scale) Plan {
-	gaps := loadGaps(sc)
-	g := loadCurveGrid(sc)
-	// gcfg.Base is assigned inside the job but is a pure function of the
-	// machine (its first allocation), so the generator and driver configs
-	// identify the workload completely.
-	gcfg := resultcache.Canonical(replayGenConfig(sc))
-	jobs := make([]Job, g.Size())
-	for i := range jobs {
-		dcfg := loadDriverConfig(sc, gaps[g.Coord(i, 0)])
-		jobs[i] = r.job(baseVsMMU[g.Coord(i, 1)],
-			fmt.Sprintf("loadcurve pattern=%s gen=%s dcfg=%s", trace.PatternMixed,
-				gcfg, resultcache.Canonical(dcfg)))
-	}
-	return Plan{Experiment: "loadcurve", Jobs: jobs}
-}
-
-func loadCurveCompute(r *Runner, sc Scale) []LoadPoint {
-	gaps := loadGaps(sc)
-	g := loadCurveGrid(sc)
-	return ComputePlan(r, loadCurvePlan(r, sc), func(i int, j Job) LoadPoint {
-		s := system.MustNew(j.Config)
+func loadCurveSweep(r *Runner, sc Scale) *Sweep[trace.DriverConfig, LoadPoint] {
+	sw := NewSweep(loadCurveGrid(sc).Size(), func(dcfg trace.DriverConfig, s *system.System) LoadPoint {
 		gcfg := replayGenConfig(sc)
 		gcfg.Base = s.Alloc(gcfg.FootprintBytes(trace.PatternMixed))
 		recs := trace.MustGenerate(trace.PatternMixed, gcfg)
-		lr, err := s.RunLoad(recs, loadDriverConfig(sc, gaps[g.Coord(i, 0)]))
+		lr, err := s.RunLoad(recs, dcfg)
 		if err != nil {
 			panic(err)
 		}
 		return LoadPoint{Thr: lr.Throughput(), Total: lr.Total, Queue: lr.Queue}
 	})
+	// gcfg.Base is assigned inside the job but is a pure function of the
+	// machine (its first allocation), so the generator and driver configs
+	// identify the workload completely.
+	gcfg := resultcache.Canonical(replayGenConfig(sc))
+	for _, gap := range loadGaps(sc) {
+		dcfg := loadDriverConfig(sc, gap)
+		op := fmt.Sprintf("loadcurve pattern=%s gen=%s dcfg=%s", trace.PatternMixed,
+			gcfg, resultcache.Canonical(dcfg))
+		for _, d := range baseVsMMU {
+			sw.Add(r.job(d, op), dcfg)
+		}
+	}
+	return sw
 }

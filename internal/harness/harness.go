@@ -1,19 +1,22 @@
 // Package harness regenerates every table and figure of the paper's
-// evaluation (Section VI). Each experiment is split into three explicit
-// phases behind one declarative type:
+// evaluation (Section VI). Each simulated experiment is declared by one
+// function that builds its Sweep — the job list and the one run that
+// simulates a job — and the three phases behind the Experiment type
+// derive from it:
 //
-//   - Plan enumerates the experiment's jobs — (config, op, cache key)
-//     triples — without simulating anything;
-//   - Compute executes the plan through the sweep layer and the result
-//     cache, returning pure gob-able results (the only phase that
-//     touches internal/system);
+//   - Plan is the sweep's jobs — (config, op, cache key) triples —
+//     enumerated without simulating anything;
+//   - Compute is the sweep's runs, executed through the sweep layer and
+//     the result cache, returning pure gob-able results (the only phase
+//     that touches internal/system);
 //   - Render writes the deterministic text artifact from results alone.
 //
-// Execution state (engine class, worker count, result cache) lives in
-// a Runner threaded explicitly through all three phases; cmd/pimmu
-// constructs one per invocation. The split makes an experiment
-// addressable data: "serve experiment X at design point Y" is a plan
-// lookup plus a compute, not a rewrite.
+// Because plan and compute read the same sweep, compute runs exactly
+// the planned jobs. Execution state (engine class, worker count, result
+// cache) lives in a Runner threaded explicitly through all three
+// phases; cmd/pimmu constructs one per invocation. The split makes an
+// experiment addressable data: "serve experiment X at design point Y"
+// is a plan lookup plus a compute, not a rewrite.
 //
 // Quick mode shrinks transfer sizes so the full suite completes in
 // minutes on a laptop; the shapes (who wins, by what factor) are the
@@ -44,9 +47,11 @@ func (s Scale) String() string {
 }
 
 // Experiment names one reproducible artifact and carries its three
-// phases. Compute's result is the value Render consumes; the typed pair
-// is wired through the exp constructor, so a registry entry cannot mix
-// a compute with a renderer of another experiment's result type.
+// phases. Every simulated experiment is declared by one function that
+// builds its Sweep; exp derives Plan and Compute from that sweep and
+// pairs Compute's result with the typed renderer, so a registry entry
+// cannot compute jobs its plan did not list, nor mix a compute with a
+// renderer of another experiment's result type.
 type Experiment struct {
 	Name  string
 	Brief string
@@ -60,17 +65,32 @@ type Experiment struct {
 	Render func(w io.Writer, sc Scale, results any)
 }
 
-// exp wires one experiment's typed compute/render pair into the
-// registry entry.
-func exp[R any](name, brief string,
-	plan func(*Runner, Scale) Plan,
-	compute func(*Runner, Scale) R,
-	render func(io.Writer, Scale, R)) Experiment {
+// exp wires one simulated experiment: its plan is the sweep's job list
+// and its compute runs exactly those jobs.
+func exp[P, R any](name, brief string,
+	build func(*Runner, Scale) *Sweep[P, R],
+	render func(io.Writer, Scale, []R)) Experiment {
+	return Experiment{
+		Name:  name,
+		Brief: brief,
+		Plan: func(r *Runner, sc Scale) Plan {
+			p := build(r, sc).Plan
+			p.Experiment = name
+			return p
+		},
+		Compute: func(r *Runner, sc Scale) any { return build(r, sc).Compute(r) },
+		Render:  func(w io.Writer, sc Scale, results any) { render(w, sc, results.([]R)) },
+	}
+}
+
+// static wires one configuration snapshot: it plans zero jobs and its
+// compute reads the default configuration without simulating.
+func static[R any](name, brief string, data func() R, render func(io.Writer, Scale, R)) Experiment {
 	return Experiment{
 		Name:    name,
 		Brief:   brief,
-		Plan:    plan,
-		Compute: func(r *Runner, sc Scale) any { return compute(r, sc) },
+		Plan:    func(*Runner, Scale) Plan { return Plan{Experiment: name} },
+		Compute: func(*Runner, Scale) any { return data() },
 		Render:  func(w io.Writer, sc Scale, results any) { render(w, sc, results.(R)) },
 	}
 }
@@ -78,20 +98,20 @@ func exp[R any](name, brief string,
 // All lists every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		exp("table1", "system configuration (Table I)", table1Plan, table1Compute, table1Render),
-		exp("fig4", "CPU utilization & power during transfers (Fig. 4)", fig4Plan, fig4Compute, fig4Render),
-		exp("fig6", "per-channel write-throughput breakdown (Fig. 6)", fig6Plan, fig6Compute, fig6Render),
-		exp("fig8", "DRAM bandwidth: locality vs MLP mapping (Fig. 8)", fig8Plan, fig8Compute, fig8Render),
-		exp("fig13a", "compute-contender sensitivity (Fig. 13a)", fig13aPlan, fig13aCompute, fig13aRender),
-		exp("fig13b", "memory-contender sensitivity (Fig. 13b)", fig13bPlan, fig13bCompute, fig13bRender),
-		exp("fig14", "DRAM->DRAM memcpy throughput (Fig. 14)", fig14Plan, fig14Compute, fig14Render),
-		exp("fig15a", "ablation: transfer throughput (Fig. 15a)", fig15aPlan, fig15aCompute, fig15aRender),
-		exp("fig15b", "ablation: energy (Fig. 15b)", fig15bPlan, fig15bCompute, fig15bRender),
-		exp("fig16", "PrIM end-to-end breakdown (Fig. 16)", fig16Plan, fig16Compute, fig16Render),
-		exp("area", "implementation overhead (Section VI-C)", areaPlan, areaCompute, areaRender),
-		exp("headline", "headline speedups (abstract numbers)", headlinePlan, headlineCompute, headlineRender),
-		exp("replay", "trace-driven workload replay (bandwidth/latency)", replayPlan, replayCompute, replayRender),
-		exp("loadcurve", "open-loop latency vs offered load (SLO knee)", loadCurvePlan, loadCurveCompute, loadCurveRender),
+		static("table1", "system configuration (Table I)", table1Data, table1Render),
+		exp("fig4", "CPU utilization & power during transfers (Fig. 4)", fig4Sweep, fig4Render),
+		exp("fig6", "per-channel write-throughput breakdown (Fig. 6)", fig6Sweep, fig6Render),
+		exp("fig8", "DRAM bandwidth: locality vs MLP mapping (Fig. 8)", fig8Sweep, fig8Render),
+		exp("fig13a", "compute-contender sensitivity (Fig. 13a)", fig13aSweep, fig13aRender),
+		exp("fig13b", "memory-contender sensitivity (Fig. 13b)", fig13bSweep, fig13bRender),
+		exp("fig14", "DRAM->DRAM memcpy throughput (Fig. 14)", fig14Sweep, fig14Render),
+		exp("fig15a", "ablation: transfer throughput (Fig. 15a)", fig15aSweep, fig15aRender),
+		exp("fig15b", "ablation: energy (Fig. 15b)", fig15bSweep, fig15bRender),
+		exp("fig16", "PrIM end-to-end breakdown (Fig. 16)", fig16Sweep, fig16Render),
+		static("area", "implementation overhead (Section VI-C)", areaData, areaRender),
+		exp("headline", "headline speedups (abstract numbers)", headlineSweep, headlineRender),
+		exp("replay", "trace-driven workload replay (bandwidth/latency)", replaySweep, replayRender),
+		exp("loadcurve", "open-loop latency vs offered load (SLO knee)", loadCurveSweep, loadCurveRender),
 	}
 }
 
@@ -143,18 +163,11 @@ func editDistance(a, b string) int {
 			if a[i-1] == b[j-1] {
 				cost = 0
 			}
-			cur[j] = min(prev[j]+1, min(cur[j-1]+1, prev[j-1]+cost))
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
 	return prev[len(b)]
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // gb formats bytes/sec.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/system"
 	"repro/internal/trace"
 )
 
@@ -139,7 +140,7 @@ func TestReplayWorkloadNamesUnique(t *testing.T) {
 }
 
 func TestPerCoreFloor(t *testing.T) {
-	s := (&Runner{}).newSystem(0)
+	s := system.MustNew((&Runner{}).Config(0))
 	if got := s.PerCoreBytes(1); got != 64 {
 		t.Errorf("PerCoreBytes(1 byte) = %d, want floor 64", got)
 	}

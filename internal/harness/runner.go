@@ -1,8 +1,8 @@
-// Runner, Job and Plan: the execution side of the plan/compute/render
-// split. This file and the compute_*.go files are the only harness
-// files allowed to import internal/system (enforced by cmd/pimmu-lint):
-// planning enumerates configs, computing simulates them, and rendering
-// never sees a machine at all.
+// Runner, Job, Plan and Sweep: the execution side of the
+// plan/compute/render split. This file and the compute*.go files are
+// the only harness files allowed to import internal/system (enforced by
+// cmd/pimmu-lint): a sweep's plan enumerates configs, its compute
+// simulates them, and rendering never sees a machine at all.
 
 package harness
 
@@ -14,7 +14,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"repro/internal/core"
 	"repro/internal/resultcache"
 	"repro/internal/sweep"
 	"repro/internal/system"
@@ -32,7 +31,7 @@ type Runner struct {
 	// separate event orders, so their results can differ (fig8, fig14).
 	Shards int
 	// Workers caps the sweep worker pool for this runner's computes
-	// (<= 0 selects the process-wide sweep default).
+	// (<= 0 selects GOMAXPROCS).
 	Workers int
 	// Cache, when non-nil, fronts every compute with the
 	// content-addressed result store: a hit is byte-identical to the
@@ -92,25 +91,36 @@ func (r *Runner) job(d system.Design, op string) Job {
 	return r.NewJob("harness/v1", r.Config(d), op)
 }
 
-// ComputePlan executes a plan through the runner's cache and worker
+// Sweep is one experiment's job list: the planned jobs, one parameter
+// value per job, and the single run that simulates a job's parameters
+// on a fresh machine built from the job's config. Plan and compute both
+// read it, so compute runs exactly the planned jobs.
+type Sweep[P, R any] struct {
+	Plan
+	params []P
+	run    func(P, *system.System) R
+}
+
+// NewSweep starts an empty sweep with room for n jobs, all run by run.
+func NewSweep[P, R any](n int, run func(P, *system.System) R) *Sweep[P, R] {
+	return &Sweep[P, R]{Plan: Plan{Jobs: make([]Job, 0, n)}, params: make([]P, 0, n), run: run}
+}
+
+// Add appends one job and the parameters its run receives.
+func (s *Sweep[P, R]) Add(j Job, p P) {
+	s.Jobs = append(s.Jobs, j)
+	s.params = append(s.params, p)
+}
+
+// Compute executes the sweep through the runner's cache and worker
 // pool: job i's result is served from the cache when a valid entry
-// exists under its key, and computed by run(i, job) otherwise. Results
-// round-trip through gob, so R must be a pure gob-able type — which is
-// also what makes it renderable without re-simulation.
-func ComputePlan[R any](r *Runner, p Plan, run func(i int, j Job) R) []R {
-	return sweep.MapCachedN(r.Cache, len(p.Jobs), r.Workers,
-		func(i int) string { return p.Jobs[i].Key },
-		func(i int) R { return run(i, p.Jobs[i]) })
-}
-
-// newSystem builds a fresh Table I machine at the given design point.
-func (r *Runner) newSystem(d system.Design) *system.System {
-	return system.MustNew(r.Config(d))
-}
-
-// runTransfer executes one whole-device transfer of totalBytes.
-func (r *Runner) runTransfer(s *system.System, dir core.Direction, totalBytes uint64) system.XferResult {
-	return s.RunTransfer(s.TransferOp(dir, s.Cfg.PIM.NumCores(), s.PerCoreBytes(totalBytes)))
+// exists under its key, and simulated otherwise. Results round-trip
+// through gob, so R must be a pure gob-able type — which is also what
+// makes it renderable without re-simulation.
+func (s *Sweep[P, R]) Compute(r *Runner) []R {
+	return sweep.MapCachedN(r.Cache, len(s.Jobs), r.Workers,
+		func(i int) string { return s.Jobs[i].Key },
+		func(i int) R { return s.run(s.params[i], system.MustNew(s.Jobs[i].Config)) })
 }
 
 // ResolveTopology parses an engine-class selection given in CLI flag

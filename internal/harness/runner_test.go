@@ -3,10 +3,45 @@ package harness
 import (
 	"flag"
 	"io"
+	"reflect"
 	"testing"
 
+	"repro/internal/resultcache"
 	"repro/internal/system"
 )
+
+// A sweep's compute runs exactly its planned jobs: job i's run gets job
+// i's parameters on a machine built from job i's config, and its result
+// is cached under job i's key, so a warm compute simulates nothing.
+func TestSweepComputesPlannedJobs(t *testing.T) {
+	resultcache.SetCodeVersion("sweep-test")
+	defer resultcache.SetCodeVersion("")
+	store, err := resultcache.Open(t.TempDir(), resultcache.ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Cache: store, Workers: 2}
+	build := func(run func(string, *system.System) string) *Sweep[string, string] {
+		sw := NewSweep(len(system.Designs()), run)
+		for _, d := range system.Designs() {
+			sw.Add(r.job(d, "sweep-test design="+d.String()), d.String())
+		}
+		return sw
+	}
+	cold := build(func(p string, s *system.System) string { return p + " on " + s.Cfg.Design.String() }).Compute(r)
+	for i, d := range system.Designs() {
+		if want := d.String() + " on " + d.String(); cold[i] != want {
+			t.Errorf("result %d = %q, want %q", i, cold[i], want)
+		}
+	}
+	warm := build(func(p string, _ *system.System) string {
+		t.Errorf("warm compute simulated %q", p)
+		return ""
+	}).Compute(r)
+	if !reflect.DeepEqual(warm, cold) {
+		t.Errorf("warm results %q, want %q", warm, cold)
+	}
+}
 
 // The shared Runner flags parse and resolve into the Runner, its result
 // store and the output format.

@@ -104,8 +104,5 @@ func (m *PageMap) Translate(addr uint64) uint64 {
 	return arena<<m.arenaShift | m.Frame(frame, arena)<<m.pageShift | off
 }
 
-// PageBytes reports the page size.
-func (m *PageMap) PageBytes() uint64 { return 1 << m.pageShift }
-
 // ArenaBytes reports the clustering window size.
 func (m *PageMap) ArenaBytes() uint64 { return 1 << m.arenaShift }

@@ -16,7 +16,7 @@
 // checksum; corrupt, truncated or wrong-version entries are rejected on
 // read and silently recomputed, mirroring internal/trace's codec
 // discipline. internal/sweep consumes the store through its Cache
-// interface (sweep.MapCached), which keeps hit-vs-miss invisible to
+// interface (sweep.MapCachedN), which keeps hit-vs-miss invisible to
 // deterministic result ordering.
 package resultcache
 

@@ -120,7 +120,7 @@ type Store struct {
 }
 
 // Open prepares a store rooted at dir. Mode Off (or an empty dir) yields
-// a nil store, which every method — and sweep.MapCached — treats as
+// a nil store, which every method — and sweep.MapCachedN — treats as
 // caching disabled. ReadWrite creates the directory; ReadOnly requires it
 // to exist only when entries are actually looked up (a missing directory
 // just misses).

@@ -175,7 +175,7 @@ func (s *Server) endLocked(j *job) {
 // delegates to the per-design-point store (which may be absent) and
 // ticks the job's progress on every point that resolves here — a cache
 // hit or a computed-and-stored result. Wrapping even a nil inner cache
-// keeps every serve job on the MapCached path, so the process-wide
+// keeps every serve job on the MapCachedN path, so the process-wide
 // single-flight table dedupes shared design points across concurrent
 // jobs regardless of cache mode.
 type progressCache struct {

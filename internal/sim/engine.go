@@ -182,9 +182,6 @@ func (e *Engine) Schedule(ev *Event, t clock.Picos) {
 	e.heap.set(ev, t, e.seq)
 }
 
-// ScheduleAfter places ev d picoseconds from now.
-func (e *Engine) ScheduleAfter(ev *Event, d clock.Picos) { e.Schedule(ev, e.now+d) }
-
 // Cancel removes ev from the queue. Canceling an unscheduled event is a
 // no-op, so components may cancel defensively.
 func (e *Engine) Cancel(ev *Event) {

@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// Cache is the result store MapCached consults: a content-addressed
+// Cache is the result store MapCachedN consults: a content-addressed
 // byte-payload cache (satisfied by *resultcache.Store). Implementations
 // must be safe for concurrent use by the worker pool and best-effort on
 // Put — a failed store must not fail the sweep. A nil Cache disables
@@ -19,37 +19,29 @@ type Cache interface {
 	Put(key string, payload []byte)
 }
 
-// MapCached is Map with a content-addressed result cache in front of the
-// jobs: index i's result is served from c when a valid entry exists under
-// key(i), and computed (then stored) otherwise. Because every job is a
-// pure function of its configuration — the determinism contract the whole
-// sweep layer rests on — a hit is byte-identical to the computation it
-// replaces, so the returned slice is indistinguishable from Map's at
-// every worker count: hit-vs-miss is invisible to deterministic ordering.
+// MapCachedN is MapN with a content-addressed result cache in front of
+// the jobs: index i's result is served from c when a valid entry exists
+// under key(i), and computed (then stored) otherwise, on a pool of
+// workers goroutines (workers <= 0 selects GOMAXPROCS). Because every
+// job is a pure function of its configuration — the determinism
+// contract the whole sweep layer rests on — a hit is byte-identical to
+// the computation it replaces, so the returned slice is
+// indistinguishable from MapN's at every worker count: hit-vs-miss is
+// invisible to deterministic ordering.
 //
 // Results round-trip through gob, so R must be a gob-encodable type whose
 // meaningful state lives in exported fields (strings, numerics, and
 // exported-field structs all qualify). A payload that fails to decode —
 // for example after R's shape changed — counts as a miss and is
 // recomputed and overwritten. key(i) is only evaluated when a cache is
-// installed; with c == nil MapCached is exactly Map.
+// installed; with c == nil MapCachedN is exactly MapN.
 //
 // Missed keys compute at most once at a time per process: duplicate keys
 // within one call share a single computation, and concurrent calls that
 // miss the same key single-flight on it — later arrivals block on the
 // first computation's published result instead of running the job again
 // (see computeShared).
-func MapCached[R any](c Cache, n int, key func(i int) string, job func(i int) R) []R {
-	return MapCachedN(c, n, 0, key, job)
-}
-
-// MapCachedN is MapCached with an explicit worker count for the
-// miss-computing pool (workers <= 0 selects the process-wide default, so
-// SetWorkers still governs callers that do not pin a count).
 func MapCachedN[R any](c Cache, n, workers int, key func(i int) string, job func(i int) R) []R {
-	if workers <= 0 {
-		workers = Workers()
-	}
 	if c == nil {
 		return MapN(n, workers, job)
 	}

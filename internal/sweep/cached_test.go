@@ -53,7 +53,7 @@ func TestMapCachedColdThenWarm(t *testing.T) {
 		return result{Index: i, Thr: float64(i) * 1.5, Label: fmt.Sprintf("r%d", i)}
 	}
 	const n = 9
-	cold := MapCached(c, n, key, job)
+	cold := MapCachedN(c, n, 0, key, job)
 	if len(calls) != n {
 		t.Fatalf("cold run computed %d jobs, want %d", len(calls), n)
 	}
@@ -61,7 +61,7 @@ func TestMapCachedColdThenWarm(t *testing.T) {
 		t.Fatalf("cold run stored %d entries, want %d", c.puts, n)
 	}
 	calls = nil
-	warm := MapCached(c, n, key, func(i int) result {
+	warm := MapCachedN(c, n, 0, key, func(i int) result {
 		t.Errorf("warm run recomputed job %d", i)
 		return result{}
 	})
@@ -78,7 +78,7 @@ func TestMapCachedColdThenWarm(t *testing.T) {
 func TestMapCachedPartialHits(t *testing.T) {
 	c := newMapCache()
 	key := func(i int) string { return fmt.Sprintf("k%d", i) }
-	full := MapCached(c, 6, key, func(i int) int { return i * i })
+	full := MapCachedN(c, 6, 0, key, func(i int) int { return i * i })
 	// Drop half the entries; only those recompute.
 	c.mu.Lock()
 	delete(c.entries, "k1")
@@ -86,7 +86,7 @@ func TestMapCachedPartialHits(t *testing.T) {
 	c.mu.Unlock()
 	var recomputed []int
 	var mu sync.Mutex
-	again := MapCached(c, 6, key, func(i int) int {
+	again := MapCachedN(c, 6, 0, key, func(i int) int {
 		mu.Lock()
 		recomputed = append(recomputed, i)
 		mu.Unlock()
@@ -104,12 +104,12 @@ func TestMapCachedRejectsUndecodablePayload(t *testing.T) {
 	c := newMapCache()
 	key := func(i int) string { return "k" }
 	c.Put("k", []byte("not a gob payload"))
-	got := MapCached(c, 1, key, func(i int) result { return result{Index: 42} })
+	got := MapCachedN(c, 1, 0, key, func(i int) result { return result{Index: 42} })
 	if got[0].Index != 42 {
 		t.Fatalf("corrupt payload served: %+v", got[0])
 	}
 	// The recompute overwrote the bad entry with a decodable one.
-	warm := MapCached(c, 1, key, func(i int) result {
+	warm := MapCachedN(c, 1, 0, key, func(i int) result {
 		t.Error("repaired entry missed")
 		return result{}
 	})
@@ -120,7 +120,7 @@ func TestMapCachedRejectsUndecodablePayload(t *testing.T) {
 
 func TestMapCachedNilCacheIsMap(t *testing.T) {
 	keyCalls := 0
-	got := MapCached[int](nil, 4, func(i int) string { keyCalls++; return "" }, func(i int) int { return i + 1 })
+	got := MapCachedN[int](nil, 4, 0, func(i int) string { keyCalls++; return "" }, func(i int) int { return i + 1 })
 	if !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
 		t.Fatalf("nil-cache result %v", got)
 	}
@@ -133,23 +133,21 @@ func TestMapCachedOrderingAcrossWorkers(t *testing.T) {
 	// Mixed hits and misses must land in index order at every worker
 	// count, exactly like Map.
 	for _, workers := range []int{1, 2, 8} {
-		SetWorkers(workers)
 		c := newMapCache()
 		key := func(i int) string { return fmt.Sprintf("w%d", i) }
-		MapCached(c, 16, key, func(i int) int { return i })
+		MapCachedN(c, 16, workers, key, func(i int) int { return i })
 		c.mu.Lock()
 		for i := 0; i < 16; i += 3 {
 			delete(c.entries, key(i))
 		}
 		c.mu.Unlock()
-		got := MapCached(c, 16, key, func(i int) int { return i })
+		got := MapCachedN(c, 16, workers, key, func(i int) int { return i })
 		for i, v := range got {
 			if v != i {
 				t.Fatalf("workers=%d: index %d holds %d", workers, i, v)
 			}
 		}
 	}
-	SetWorkers(0)
 }
 
 func TestMapCachedDuplicateKeysComputeOnce(t *testing.T) {
@@ -180,7 +178,7 @@ func TestMapCachedDuplicateKeysComputeOnce(t *testing.T) {
 }
 
 func TestMapCachedConcurrentCallsSingleFlight(t *testing.T) {
-	// Two concurrent MapCached calls missing the same key must cost one
+	// Two concurrent MapCachedN calls missing the same key must cost one
 	// compute: the second call blocks on the first's in-flight result.
 	// The handshake is deterministic — the leader registers its flight
 	// before running the job (so once the job has signalled `started`,
@@ -196,7 +194,7 @@ func TestMapCachedConcurrentCallsSingleFlight(t *testing.T) {
 	key := func(i int) string { return "contended" }
 	first := make(chan []result)
 	go func() {
-		first <- MapCached(c, 1, key, func(i int) result {
+		first <- MapCachedN(c, 1, 0, key, func(i int) result {
 			computes.Add(1)
 			close(started)
 			<-release
@@ -206,7 +204,7 @@ func TestMapCachedConcurrentCallsSingleFlight(t *testing.T) {
 	<-started
 	second := make(chan []result)
 	go func() {
-		second <- MapCached(c, 1, key, func(i int) result {
+		second <- MapCachedN(c, 1, 0, key, func(i int) result {
 			computes.Add(1) // must never run
 			return result{}
 		})
@@ -302,8 +300,8 @@ func TestMapCachedFloatBitExact(t *testing.T) {
 	c := newMapCache()
 	vals := []float64{0.1, 1.0 / 3.0, 2.2250738585072014e-308, 6.9}
 	key := func(i int) string { return fmt.Sprintf("f%d", i) }
-	cold := MapCached(c, len(vals), key, func(i int) float64 { return vals[i] })
-	warm := MapCached(c, len(vals), key, func(i int) float64 {
+	cold := MapCachedN(c, len(vals), 0, key, func(i int) float64 { return vals[i] })
+	warm := MapCachedN(c, len(vals), 0, key, func(i int) float64 {
 		t.Errorf("job %d recomputed", i)
 		return 0
 	})

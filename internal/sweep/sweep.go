@@ -4,15 +4,14 @@
 // A sweep job builds its own system.System (or any other self-contained
 // state), runs it, and returns a result; because every simulated machine
 // is single-threaded and fully deterministic, running jobs concurrently
-// cannot change any result — only wall-clock time. Map therefore returns
-// exactly the slice a serial loop would have produced, byte for byte,
-// regardless of the worker count. Experiments that print tables render
-// from the ordered slice, so quick/full harness output is identical in
-// serial and parallel runs.
+// cannot change any result — only wall-clock time. MapN therefore
+// returns exactly the slice a serial loop would have produced, byte for
+// byte, regardless of the worker count. Experiments that print tables
+// render from the ordered slice, so quick/full harness output is
+// identical in serial and parallel runs.
 //
-// The default worker count is GOMAXPROCS; SetWorkers (or the CLIs'
-// -workers flag) overrides it process-wide, with 1 forcing the serial
-// path for determinism audits.
+// Every call names its worker count: <= 0 selects GOMAXPROCS, and 1
+// forces the serial path for determinism audits.
 package sweep
 
 import (
@@ -52,31 +51,9 @@ func (p *JobPanic) Unwrap() error {
 	return nil
 }
 
-// workerOverride is the process-wide worker count; <= 0 selects
-// GOMAXPROCS.
-var workerOverride atomic.Int64
-
-// SetWorkers overrides the default worker count for subsequent sweeps.
-// n <= 0 restores the GOMAXPROCS default. It is intended for CLI flags
-// and test setup, not for concurrent reconfiguration mid-sweep.
-func SetWorkers(n int) { workerOverride.Store(int64(n)) }
-
-// Workers reports the worker count sweeps currently use.
-func Workers() int {
-	if n := int(workerOverride.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Map runs job(i) for every i in [0, n) across the default worker count
-// and returns the results in index order.
-func Map[R any](n int, job func(i int) R) []R {
-	return MapN(n, Workers(), job)
-}
-
-// MapN is Map with an explicit worker count (workers <= 0 selects
-// GOMAXPROCS). Jobs must be independent: each builds its own state and
+// MapN runs job(i) for every i in [0, n) across workers goroutines
+// (workers <= 0 selects GOMAXPROCS) and returns the results in index
+// order. Jobs must be independent: each builds its own state and
 // touches no shared mutables. A panicking job does not crash the process
 // from a worker goroutine; the lowest-index panic is re-raised on the
 // caller once all workers have stopped, wrapped in a *JobPanic that

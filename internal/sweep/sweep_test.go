@@ -52,8 +52,8 @@ func TestMapRunsEveryJobExactlyOnce(t *testing.T) {
 }
 
 func TestMapZeroJobs(t *testing.T) {
-	if got := Map(0, func(int) int { t.Fatal("job ran"); return 0 }); len(got) != 0 {
-		t.Fatalf("Map(0) returned %d results", len(got))
+	if got := MapN(0, 0, func(int) int { t.Fatal("job ran"); return 0 }); len(got) != 0 {
+		t.Fatalf("MapN(0) returned %d results", len(got))
 	}
 }
 
@@ -132,18 +132,6 @@ func TestMapPanicPreservesTypedValue(t *testing.T) {
 		}
 		return i
 	})
-}
-
-func TestSetWorkers(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(3)
-	if Workers() != 3 {
-		t.Errorf("Workers() = %d after SetWorkers(3)", Workers())
-	}
-	SetWorkers(0)
-	if Workers() <= 0 {
-		t.Errorf("Workers() = %d with default", Workers())
-	}
 }
 
 func TestGrid(t *testing.T) {

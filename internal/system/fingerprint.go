@@ -22,7 +22,7 @@ const configSchema = "system.Config/v2"
 // because they are result-neutral: CoreLanes is ignored, and every
 // non-zero Shards value selects the same sharded engine. Worker counts
 // never appear here because they are not Config fields at all —
-// parallelism level (harness.Runner.Workers, sweep.SetWorkers) lives
+// parallelism level (harness.Runner.Workers) lives
 // outside the simulated machine's configuration.
 //
 // Shards is masked but not ignored: the plain engine (Shards == 0) and

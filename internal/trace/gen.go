@@ -93,6 +93,10 @@ func (c GenConfig) Validate() error {
 	if c.Gap < 0 {
 		return fmt.Errorf("trace: negative inter-arrival gap %v", c.Gap)
 	}
+	if c.Gap > 0 && int64(c.Records-1) > math.MaxInt64/int64(c.Gap) {
+		// The last record's TSC, (Records-1)*Gap, must not wrap.
+		return fmt.Errorf("trace: %d records at gap %dps overflow the picosecond clock", c.Records, int64(c.Gap))
+	}
 	if c.WritePercent < 0 || c.WritePercent > 100 {
 		return fmt.Errorf("trace: write percent %d outside [0,100]", c.WritePercent)
 	}

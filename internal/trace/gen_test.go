@@ -144,9 +144,11 @@ func TestGenConfigValidation(t *testing.T) {
 		"footprint": func(c *GenConfig) { c.FootprintLines = 0 },
 		"stride":    func(c *GenConfig) { c.StrideLines = -1 },
 		"gap":       func(c *GenConfig) { c.Gap = -1 },
-		"write-pct": func(c *GenConfig) { c.WritePercent = 101 },
-		"theta":     func(c *GenConfig) { c.ZipfTheta = 1.5 },
-		"theta-nan": func(c *GenConfig) { c.ZipfTheta = math.NaN() },
+		// The last record's TSC would wrap past MaxInt64 picoseconds.
+		"gap-overflow": func(c *GenConfig) { c.Gap = clock.Picos(math.MaxInt64/int64(c.Records-1) + 1) },
+		"write-pct":    func(c *GenConfig) { c.WritePercent = 101 },
+		"theta":        func(c *GenConfig) { c.ZipfTheta = 1.5 },
+		"theta-nan":    func(c *GenConfig) { c.ZipfTheta = math.NaN() },
 		// Wider than an int32 line index (negative on 32-bit hosts).
 		"footprint-int32": func(c *GenConfig) { c.FootprintLines = int(int64(math.MaxInt32) + 1) },
 	}
