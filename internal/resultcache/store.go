@@ -300,11 +300,17 @@ func decodeEntry(data []byte, wantKey, wantCodeVersion string) ([]byte, error) {
 	return payload, nil
 }
 
-// readLenPrefixed consumes one uvarint-length-prefixed field.
+// readLenPrefixed consumes one uvarint-length-prefixed field. The
+// length must be minimally encoded, as encodeEntry writes it, so an
+// accepted entry has exactly one encoding.
 func readLenPrefixed(data []byte, what string) (field, rest []byte, err error) {
 	n, used := binary.Uvarint(data)
 	if used <= 0 {
 		return nil, nil, fmt.Errorf("resultcache: %s length truncated", what)
+	}
+	var canon [binary.MaxVarintLen64]byte
+	if binary.PutUvarint(canon[:], n) != used {
+		return nil, nil, fmt.Errorf("resultcache: %s length not minimally encoded", what)
 	}
 	data = data[used:]
 	if n > uint64(len(data)) {

@@ -49,7 +49,13 @@ func postJob(t *testing.T, ts *httptest.Server, req api.JobRequest) (api.JobStat
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	return postBody(t, ts, string(body))
+}
+
+// postBody is postJob for a raw request body.
+func postBody(t *testing.T, ts *httptest.Server, body string) (api.JobStatus, int, string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,24 +137,33 @@ func TestServeExperimentList(t *testing.T) {
 
 func TestServeRejectsBadRequests(t *testing.T) {
 	ts := startServer(t, Config{})
+	table1 := `{"schema":"` + api.SchemaVersion + `","experiment":"table1"}`
 	cases := []struct {
 		name string
 		req  api.JobRequest
+		raw  string // when set, the body sent in place of req
 		want string // substring of the error body
 	}{
-		{"schema mismatch", api.JobRequest{Schema: "pimmu-serve/v0", Experiment: "fig8"}, api.SchemaVersion},
-		{"schema missing", api.JobRequest{Experiment: "fig8"}, api.SchemaVersion},
-		{"unknown experiment near miss", api.JobRequest{Schema: api.SchemaVersion, Experiment: "headlin"},
+		{name: "trailing garbage", raw: table1 + " trailing garbage", want: "trailing data"},
+		{name: "second value", raw: table1 + `{"schema":"x"}`, want: "trailing data"},
+		{"schema mismatch", api.JobRequest{Schema: "pimmu-serve/v0", Experiment: "fig8"}, "", api.SchemaVersion},
+		{"schema missing", api.JobRequest{Experiment: "fig8"}, "", api.SchemaVersion},
+		{"unknown experiment near miss", api.JobRequest{Schema: api.SchemaVersion, Experiment: "headlin"}, "",
 			`did you mean \"headline\"?`},
-		{"bad scale", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Scale: "huge"}, "unknown scale"},
-		{"bad shards", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Shards: "many"}, "shards"},
-		{"negative shards", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Shards: "-2"}, "shard count"},
-		{"bad cache mode", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Cache: "maybe"}, "cache mode"},
-		{"negative workers", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Workers: -1}, "workers"},
+		{"bad scale", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Scale: "huge"}, "", "unknown scale"},
+		{"bad shards", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Shards: "many"}, "", "shards"},
+		{"negative shards", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Shards: "-2"}, "", "shard count"},
+		{"bad cache mode", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Cache: "maybe"}, "", "cache mode"},
+		{"negative workers", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Workers: -1}, "", "workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, code, body := postJob(t, ts, tc.req)
+			raw := tc.raw
+			if raw == "" {
+				b, _ := json.Marshal(tc.req)
+				raw = string(b)
+			}
+			_, code, body := postBody(t, ts, raw)
 			if code != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400\n%s", code, body)
 			}

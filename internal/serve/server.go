@@ -24,7 +24,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -202,8 +204,8 @@ func (s *Server) pointCache(mode resultcache.Mode) sweep.Cache {
 // dedup attach or a store hit (the work already exists), 202 for a
 // newly started job, 400 for invalid requests, 429 over capacity.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req api.JobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
@@ -218,6 +220,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, code, st)
+}
+
+// decodeJobRequest reads a request body holding exactly one JSON
+// value. Unknown fields are ignored (clients may still send retired
+// ones); anything after the value is an error.
+func decodeJobRequest(body io.Reader) (api.JobRequest, error) {
+	var req api.JobRequest
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, errors.New("trailing data after the request object")
+	}
+	return req, nil
 }
 
 // submit dedupes a validated submission against in-flight and

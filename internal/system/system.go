@@ -263,26 +263,23 @@ func (r XferResult) Throughput() float64 {
 	return float64(r.Bytes) / r.Duration.Seconds()
 }
 
-// StartTransfer launches op on the configured design's machinery and
-// calls onDone at completion. It does not run the engine.
-func (s *System) StartTransfer(op core.Op, onDone func(XferResult)) {
-	start := s.Eng.Now()
-	if s.Cfg.Design.UsesDCE() {
-		s.DCE.Transfer(op, func(r core.Result) {
-			onDone(XferResult{Design: s.Cfg.Design, Dir: op.Dir, Bytes: r.Bytes, Duration: r.Duration()})
-		})
-		return
-	}
-	xfer.RunBaseline(s.CPU, s.Cfg.PIM, op, s.Cfg.Baseline, func(r xfer.Result) {
-		onDone(XferResult{Design: s.Cfg.Design, Dir: op.Dir, Bytes: r.Bytes, Duration: s.Eng.Now() - start})
-	})
-}
-
-// RunTransfer executes op to completion and returns its result.
+// RunTransfer executes op on the configured design's machinery to
+// completion and returns its result.
 func (s *System) RunTransfer(op core.Op) XferResult {
 	var res XferResult
 	done := false
-	s.StartTransfer(op, func(r XferResult) { res = r; done = true })
+	start := s.Eng.Now()
+	if s.Cfg.Design.UsesDCE() {
+		s.DCE.Transfer(op, func(r core.Result) {
+			res = XferResult{Design: s.Cfg.Design, Dir: op.Dir, Bytes: r.Bytes, Duration: r.Duration()}
+			done = true
+		})
+	} else {
+		xfer.RunBaseline(s.CPU, s.Cfg.PIM, op, s.Cfg.Baseline, func(r xfer.Result) {
+			res = XferResult{Design: s.Cfg.Design, Dir: op.Dir, Bytes: r.Bytes, Duration: s.Eng.Now() - start}
+			done = true
+		})
+	}
 	s.Eng.RunWhile(func() bool { return !done })
 	s.drain()
 	return res
