@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/clock"
-	"repro/internal/contend"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/memsys"
 	"repro/internal/system"
 	"repro/internal/xfer"
@@ -55,14 +53,9 @@ func TestAblationXORHash(t *testing.T) {
 	thr := func(mapping memsys.MappingMode) float64 {
 		cfg := system.DefaultConfig(system.PIMMMU)
 		cfg.Mem.Mapping = mapping
-		s := system.MustNew(cfg)
 		stream := xfer.DefaultStreamConfig()
 		stream.StrideLines = 128
-		var res xfer.Result
-		done := false
-		xfer.RunStream(s.CPU, s.Alloc(1<<28), 1<<11, stream, func(r xfer.Result) { res, done = r, true })
-		s.Eng.RunWhile(func() bool { return !done })
-		return res.Throughput()
+		return system.MustNew(cfg).RunStream(stream, 1<<11).Throughput()
 	}
 	if gain := thr(memsys.MapHetMap) / thr(memsys.MapHetMapNoHash); gain <= 1 {
 		t.Errorf("XOR hash gain %.2fx on a row-sized stride, want > 1", gain)
@@ -77,10 +70,7 @@ func TestAblationOSQuantum(t *testing.T) {
 		cfg := system.DefaultConfig(system.Base)
 		cfg.CPU.Quantum = q
 		s := system.MustNew(cfg)
-		base := s.Alloc(8 * (16 << 10))
-		s.Contenders(8, func(j int, st *contend.Stopper) cpu.Program {
-			return contend.Spin(st, base+uint64(j)*(16<<10))
-		})
+		s.SpinContenders(8)
 		d := transfer2MiB(s).Duration
 		if d <= prev {
 			t.Errorf("quantum %v: transfer %v, not longer than at the shorter quantum (%v)", q, d, prev)

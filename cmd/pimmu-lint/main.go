@@ -8,6 +8,12 @@
 //     warm-cache-equals-cold-compute contract the tier-1 suite checks
 //     byte for byte.
 //
+//   - internal/harness: never imports repro/internal/sim or
+//     repro/internal/cpu. The harness reaches machines only through
+//     system's run-to-completion operations (RunTransfer, RunStream,
+//     the contender helpers), so it never drives an engine or spawns a
+//     thread itself.
+//
 //   - internal/serve: never imports repro/internal/system. The server
 //     reaches simulation only through the harness Runner, so every
 //     serving path inherits the plan/compute/render split and its
@@ -73,6 +79,12 @@ var rules = []rule{
 		allowed: func(name string) bool { return false },
 		banned:  func(p string) bool { return strings.HasPrefix(p, repoImportPrefix) },
 		explain: "internal/serve/api is the pure wire contract: no repro/ imports at all",
+	},
+	{
+		dir:     "internal/harness",
+		allowed: func(name string) bool { return strings.HasSuffix(name, "_test.go") },
+		banned:  func(p string) bool { return p == "repro/internal/sim" || p == "repro/internal/cpu" },
+		explain: "internal/harness reaches machines only through " + systemImport + ", never repro/internal/sim or repro/internal/cpu",
 	},
 }
 

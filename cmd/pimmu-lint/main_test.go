@@ -71,6 +71,23 @@ func TestHarnessViolationDetected(t *testing.T) {
 	}
 }
 
+func TestHarnessEngineViolationDetected(t *testing.T) {
+	r := rules[3]
+	r.dir = writeFiles(t, map[string]string{
+		"compute.go":      "package harness\n\nimport _ \"repro/internal/sim\"\n",
+		"runner.go":       "package harness\n\nimport _ \"repro/internal/cpu\"\n",
+		"axes.go":         "package harness\n\nimport _ \"repro/internal/system\"\n",
+		"harness_test.go": "package harness\n\nimport _ \"repro/internal/sim\"\n",
+	})
+	bad, err := violations(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bad) != 2 || !strings.Contains(bad[0], "compute.go") || !strings.Contains(bad[1], "runner.go") {
+		t.Fatalf("violations = %v, want the compute.go and runner.go ones", bad)
+	}
+}
+
 func TestServeViolationDetected(t *testing.T) {
 	r := rules[1]
 	r.dir = writeFiles(t, map[string]string{

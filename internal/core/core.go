@@ -30,7 +30,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/clock"
 	"repro/internal/mem"
@@ -182,26 +181,6 @@ func (o Op) Validate(g pim.Geometry) error {
 	return nil
 }
 
-// Result reports a completed transfer.
-type Result struct {
-	Dir   Direction
-	Start clock.Picos // transfer offload began (before driver launch)
-	End   clock.Picos // interrupt delivered
-	Bytes uint64
-}
-
-// Duration is the wall-clock transfer time including driver overheads.
-func (r Result) Duration() clock.Picos { return r.End - r.Start }
-
-// Throughput is bytes per second.
-func (r Result) Throughput() float64 {
-	d := r.Duration()
-	if d <= 0 {
-		return 0
-	}
-	return float64(r.Bytes) / d.Seconds()
-}
-
 // phase names the DCE's sequential transfer stages; one standing event
 // walks them, so driver launch, batch reloads, and the completion
 // interrupt never allocate.
@@ -221,8 +200,7 @@ const (
 // transfers, so there is at most one).
 type transferState struct {
 	op       Op
-	start    clock.Picos
-	onDone   func(Result)
+	onDone   func()
 	from     int // next undispatched descriptor index
 	batchCap int
 }
@@ -296,10 +274,11 @@ func (e *Engine) Geometry() pim.Geometry { return e.geom }
 func (e *Engine) Busy() bool { return e.busy }
 
 // Transfer offloads op to the DCE. onDone runs when the completion
-// interrupt is delivered. The engine serializes transfers; calling
+// interrupt is delivered, so the transfer's span includes the driver's
+// launch and interrupt costs. The engine serializes transfers; calling
 // Transfer while busy is a programming error in the (single-threaded)
 // runtime and panics, as does an invalid op.
-func (e *Engine) Transfer(op Op, onDone func(Result)) {
+func (e *Engine) Transfer(op Op, onDone func()) {
 	if e.busy {
 		panic("core: DCE transfer while busy")
 	}
@@ -309,7 +288,6 @@ func (e *Engine) Transfer(op Op, onDone func(Result)) {
 	e.busy = true
 	e.cur = transferState{
 		op:       op,
-		start:    e.eng.Now(),
 		onDone:   onDone,
 		batchCap: e.cfg.AddrBufBytes / e.cfg.AddrEntryBytes,
 	}
@@ -318,7 +296,7 @@ func (e *Engine) Transfer(op Op, onDone func(Result)) {
 }
 
 // onPhase advances the transfer's sequential stages.
-func (e *Engine) onPhase(now clock.Picos) {
+func (e *Engine) onPhase(clock.Picos) {
 	switch e.phase {
 	case phaseLaunch, phaseReload:
 		e.startBatch()
@@ -329,7 +307,7 @@ func (e *Engine) onPhase(now clock.Picos) {
 		e.busy = false
 		e.TransfersDone++
 		e.BytesMoved += st.op.Bytes()
-		st.onDone(Result{Dir: st.op.Dir, Start: st.start, End: now, Bytes: st.op.Bytes()})
+		st.onDone()
 	default:
 		panic("core: phase event while idle")
 	}
@@ -362,40 +340,18 @@ func (e *Engine) batchDone() {
 // streams derives the two stream sets for cores[from:to]: the DRAM-side
 // per-core streams and the PIM-side per-bank streams.
 func (e *Engine) streams(op Op, from, to int) (coreSide, bankSide []pimms.Stream) {
-	type bankAgg struct {
-		core  int // representative (lowest-lane) core
-		bytes uint64
-	}
-	banks := map[int]*bankAgg{}
 	for i := from; i < to; i++ {
-		c := op.Cores[i]
 		coreSide = append(coreSide, pimms.Stream{
-			Core: c, Base: op.DRAMAddrs[i], Bytes: op.BytesPerCore,
+			Core: op.Cores[i], Base: op.DRAMAddrs[i], Bytes: op.BytesPerCore,
 		})
-		bl := e.geom.BankLinear(c)
-		a := banks[bl]
-		if a == nil {
-			a = &bankAgg{core: c}
-			banks[bl] = a
-		}
-		if e.geom.Loc(c).Lane < e.geom.Loc(a.core).Lane {
-			a.core = c
-		}
-		a.bytes += op.BytesPerCore
 	}
-	ids := make([]int, 0, len(banks))
-	for bl := range banks {
-		ids = append(ids, bl)
-	}
-	sort.Ints(ids)
-	for _, bl := range ids {
-		a := banks[bl]
+	for _, b := range e.geom.Banks(op.Cores[from:to]) {
 		// Round partial-lane banks up to whole lines: the hardware writes
 		// full bursts regardless of how many lanes carry live data.
-		bytes := (a.bytes + mem.LineBytes - 1) &^ uint64(mem.LineBytes-1)
+		bytes := (uint64(len(b.Members))*op.BytesPerCore + mem.LineBytes - 1) &^ uint64(mem.LineBytes-1)
 		bankSide = append(bankSide, pimms.Stream{
-			Core:  a.core,
-			Base:  e.geom.BankLineAddr(a.core, op.MRAMOffset),
+			Core:  b.Rep,
+			Base:  e.geom.BankLineAddr(b.Rep, op.MRAMOffset),
 			Bytes: bytes,
 		})
 	}

@@ -43,22 +43,33 @@ func (r *rig) op(dir Direction, n int, bytesPerCore uint64) Op {
 	return op
 }
 
+// transfer runs op to completion and returns its span, timed on the
+// simulated clock when the completion callback fires.
+func (r *rig) transfer(t *testing.T, op Op) clock.Picos {
+	t.Helper()
+	begin := r.eng.Now()
+	end := clock.Picos(-1)
+	r.dce.Transfer(op, func() { end = r.eng.Now() })
+	r.eng.Run()
+	if end < 0 {
+		t.Fatal("transfer never completed")
+	}
+	return end - begin
+}
+
+// throughput is bytes per second over d.
+func throughput(bytes uint64, d clock.Picos) float64 { return float64(bytes) / d.Seconds() }
+
 func TestTransferCompletesAndCountsBytes(t *testing.T) {
 	r := newRig(t, memsys.MapHetMap, DefaultConfig())
-	op := r.op(DRAMToPIM, 32, 4096)
-	var res Result
-	r.dce.Transfer(op, func(rr Result) { res = rr })
-	r.eng.Run()
-	if res.Bytes != 32*4096 {
-		t.Fatalf("result bytes = %d, want %d", res.Bytes, 32*4096)
-	}
+	span := r.transfer(t, r.op(DRAMToPIM, 32, 4096))
 	if got := r.sys.PIM.Stats().BytesWritten(); got != 32*4096 {
 		t.Errorf("PIM bytes written = %d, want %d", got, 32*4096)
 	}
 	if got := r.sys.DRAM.Stats().BytesRead(); got != 32*4096 {
 		t.Errorf("DRAM bytes read = %d, want %d", got, 32*4096)
 	}
-	if res.Duration() <= r.dce.Config().DriverLaunch {
+	if span <= r.dce.Config().DriverLaunch {
 		t.Error("duration does not include transfer time")
 	}
 	if r.dce.TransfersDone != 1 || r.dce.BytesMoved != 32*4096 {
@@ -68,13 +79,7 @@ func TestTransferCompletesAndCountsBytes(t *testing.T) {
 
 func TestReverseDirection(t *testing.T) {
 	r := newRig(t, memsys.MapHetMap, DefaultConfig())
-	op := r.op(PIMToDRAM, 32, 4096)
-	var res Result
-	r.dce.Transfer(op, func(rr Result) { res = rr })
-	r.eng.Run()
-	if res.Bytes != 32*4096 {
-		t.Fatalf("result bytes = %d", res.Bytes)
-	}
+	r.transfer(t, r.op(PIMToDRAM, 32, 4096))
 	if got := r.sys.PIM.Stats().BytesRead(); got != 32*4096 {
 		t.Errorf("PIM bytes read = %d, want %d", got, 32*4096)
 	}
@@ -88,9 +93,7 @@ func TestReverseDirection(t *testing.T) {
 func TestPIMMSSpreadsChannelsAndSustainsBandwidth(t *testing.T) {
 	r := newRig(t, memsys.MapHetMap, DefaultConfig())
 	op := r.op(DRAMToPIM, r.geom.NumCores(), 64<<10) // 8 MB total
-	var res Result
-	r.dce.Transfer(op, func(rr Result) { res = rr })
-	r.eng.Run()
+	thr := throughput(op.Bytes(), r.transfer(t, op))
 	st := r.sys.PIM.Stats()
 	per := make([]float64, len(st.Channels))
 	for i, c := range st.Channels {
@@ -103,7 +106,7 @@ func TestPIMMSSpreadsChannelsAndSustainsBandwidth(t *testing.T) {
 		}
 	}
 	// 2 channels of DDR4-2400 = 38.4 GB/s peak; PIM-MS should exceed 60%.
-	if gbps := res.Throughput() / 1e9; gbps < 0.6*38.4 {
+	if gbps := thr / 1e9; gbps < 0.6*38.4 {
 		t.Errorf("PIM-MS throughput = %.1f GB/s, want > %.1f", gbps, 0.6*38.4)
 	}
 }
@@ -116,10 +119,7 @@ func TestVanillaDMAIsMuchSlower(t *testing.T) {
 		cfg.UsePIMMS = usePIMMS
 		r := newRig(t, memsys.MapHetMap, cfg)
 		op := r.op(DRAMToPIM, r.geom.NumCores(), 16<<10)
-		var res Result
-		r.dce.Transfer(op, func(rr Result) { res = rr })
-		r.eng.Run()
-		return res.Throughput()
+		return throughput(op.Bytes(), r.transfer(t, op))
 	}
 	with := run(true)
 	without := run(false)
@@ -133,12 +133,9 @@ func TestBatchingBeyondAddressBuffer(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AddrBufBytes = 32 * cfg.AddrEntryBytes // room for only 32 descriptors
 	r := newRig(t, memsys.MapHetMap, cfg)
-	op := r.op(DRAMToPIM, 128, 1024) // 128 descriptors => 4 batches
-	var res Result
-	r.dce.Transfer(op, func(rr Result) { res = rr })
-	r.eng.Run()
-	if res.Bytes != 128*1024 {
-		t.Fatalf("batched transfer moved %d bytes, want %d", res.Bytes, 128*1024)
+	r.transfer(t, r.op(DRAMToPIM, 128, 1024)) // 128 descriptors => 4 batches
+	if r.dce.BytesMoved != 128*1024 {
+		t.Fatalf("batched transfer moved %d bytes, want %d", r.dce.BytesMoved, 128*1024)
 	}
 	if got := r.sys.PIM.Stats().BytesWritten(); got != 128*1024 {
 		t.Errorf("PIM bytes = %d, want %d", got, 128*1024)
@@ -147,13 +144,13 @@ func TestBatchingBeyondAddressBuffer(t *testing.T) {
 
 func TestBusyPanics(t *testing.T) {
 	r := newRig(t, memsys.MapHetMap, DefaultConfig())
-	r.dce.Transfer(r.op(DRAMToPIM, 4, 1024), func(Result) {})
+	r.dce.Transfer(r.op(DRAMToPIM, 4, 1024), func() {})
 	defer func() {
 		if recover() == nil {
 			t.Error("second Transfer while busy did not panic")
 		}
 	}()
-	r.dce.Transfer(r.op(DRAMToPIM, 4, 1024), func(Result) {})
+	r.dce.Transfer(r.op(DRAMToPIM, 4, 1024), func() {})
 }
 
 func TestEmptyOpPanics(t *testing.T) {
@@ -163,7 +160,7 @@ func TestEmptyOpPanics(t *testing.T) {
 			t.Error("empty op did not panic")
 		}
 	}()
-	r.dce.Transfer(Op{Dir: DRAMToPIM, BytesPerCore: 64}, func(Result) {})
+	r.dce.Transfer(Op{Dir: DRAMToPIM, BytesPerCore: 64}, func() {})
 }
 
 func TestBackToBackTransfers(t *testing.T) {
@@ -174,7 +171,7 @@ func TestBackToBackTransfers(t *testing.T) {
 		if i >= 3 {
 			return
 		}
-		r.dce.Transfer(r.op(DRAMToPIM, 16, 2048), func(Result) {
+		r.dce.Transfer(r.op(DRAMToPIM, 16, 2048), func() {
 			done++
 			run(i + 1)
 		})
@@ -192,12 +189,10 @@ func TestBackToBackTransfers(t *testing.T) {
 func TestDriverOverheadsIncluded(t *testing.T) {
 	cfg := DefaultConfig()
 	r := newRig(t, memsys.MapHetMap, cfg)
-	var res Result
-	r.dce.Transfer(r.op(DRAMToPIM, 1, 64), func(rr Result) { res = rr })
-	r.eng.Run()
+	span := r.transfer(t, r.op(DRAMToPIM, 1, 64))
 	min := cfg.DriverLaunch + cfg.DriverInterrupt
-	if res.Duration() < min {
-		t.Errorf("tiny transfer duration %v below driver floor %v", res.Duration(), min)
+	if span < min {
+		t.Errorf("tiny transfer duration %v below driver floor %v", span, min)
 	}
 }
 
@@ -223,16 +218,6 @@ func TestDirectionString(t *testing.T) {
 	}
 }
 
-func TestResultThroughput(t *testing.T) {
-	r := Result{Start: 0, End: clock.Second, Bytes: 1 << 30}
-	if got := r.Throughput(); got != float64(1<<30) {
-		t.Errorf("Throughput = %v, want %v", got, float64(1<<30))
-	}
-	if (Result{}).Throughput() != 0 {
-		t.Error("zero-duration throughput not 0")
-	}
-}
-
 func TestChannelRROrderBetweenSequentialAndPIMMS(t *testing.T) {
 	run := func(usePIMMS, chRR bool) float64 {
 		cfg := DefaultConfig()
@@ -241,10 +226,7 @@ func TestChannelRROrderBetweenSequentialAndPIMMS(t *testing.T) {
 		cfg.DMAWindow = cfg.DataBufBytes / 64
 		r := newRig(t, memsys.MapHetMap, cfg)
 		op := r.op(DRAMToPIM, r.geom.NumCores(), 8<<10)
-		var res Result
-		r.dce.Transfer(op, func(x Result) { res = x })
-		r.eng.Run()
-		return res.Throughput()
+		return throughput(op.Bytes(), r.transfer(t, op))
 	}
 	seq := run(false, false)
 	chrr := run(false, true)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/contend"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/energy"
 	"repro/internal/mem"
 	"repro/internal/prim"
@@ -166,12 +165,7 @@ func fig8Grid() sweep.Grid {
 func fig8Sweep(r *Runner, sc Scale) *Sweep[xfer.StreamConfig, float64] {
 	lines := fig8Lines(sc)
 	sw := NewSweep(fig8Grid().Size(), func(cfg xfer.StreamConfig, s *system.System) float64 {
-		base := s.Alloc(lines * uint64(cfg.StrideLines) * uint64(cfg.Threads) * 64)
-		var res xfer.Result
-		done := false
-		xfer.RunStream(s.CPU, base, lines, cfg, func(r xfer.Result) { res = r; done = true })
-		s.Eng.RunWhile(func() bool { return !done })
-		return res.Throughput()
+		return s.RunStream(cfg, lines).Throughput()
 	})
 	for _, pat := range fig8Patterns {
 		cfg := xfer.DefaultStreamConfig()
@@ -203,24 +197,13 @@ func (c contended) op() string {
 // runContended measures the transfer's latency in seconds.
 func runContended(c contended, s *system.System) float64 {
 	var st *contend.Stopper
-	if c.n > 0 {
-		if c.level < 0 {
-			base := s.Alloc(uint64(c.n) * (16 << 10))
-			st = s.Contenders(c.n, func(i int, st *contend.Stopper) cpu.Program {
-				return contend.Spin(st, base+uint64(i)*(16<<10))
-			})
-		} else {
-			const footprint = 64 << 20
-			base := s.Alloc(uint64(c.n) * footprint)
-			st = s.Contenders(c.n, func(i int, st *contend.Stopper) cpu.Program {
-				return contend.MemoryHog(st, base+uint64(i)*footprint, footprint, contend.Intensity(c.level))
-			})
-		}
+	if c.level < 0 {
+		st = s.SpinContenders(c.n)
+	} else {
+		st = s.HogContenders(c.n, contend.Intensity(c.level))
 	}
 	res := transfer{core.DRAMToPIM, c.size}.run(s)
-	if st != nil {
-		st.Stop()
-	}
+	st.Stop()
 	return res.Duration.Seconds()
 }
 

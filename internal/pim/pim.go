@@ -124,6 +124,38 @@ func (g Geometry) BankLinear(coreID int) int {
 	return l.Channel*g.DRAM.BanksPerChannel() + g.BankCoreID(l.Rank, l.BankGroup, l.Bank)
 }
 
+// Bank is one PIM bank's share of a transfer's core list.
+type Bank struct {
+	// Rep is the member on the lowest lane; its BankLineAddr is the
+	// bank's address.
+	Rep int
+	// Members are the positions in the core list of the cores this bank
+	// hosts, in list order: member k's data is PIM-side line k of each
+	// line group.
+	Members []int
+}
+
+// Banks groups cores by PIM bank, in bank-linear order. Bank-linear IDs
+// are channel-major, so both the software transfer and the DCE walk
+// channel 0's banks first.
+func (g Geometry) Banks(cores []int) []Bank {
+	byBank := make([]Bank, g.DRAM.TotalBanks())
+	for i, c := range cores {
+		b := &byBank[g.BankLinear(c)]
+		if len(b.Members) == 0 || g.Loc(c).Lane < g.Loc(b.Rep).Lane {
+			b.Rep = c
+		}
+		b.Members = append(b.Members, i)
+	}
+	banks := byBank[:0]
+	for _, b := range byBank {
+		if len(b.Members) > 0 {
+			banks = append(banks, b)
+		}
+	}
+	return banks
+}
+
 // BankBase is the physical address of the first byte of a core's bank in
 // the PIM region.
 func (g Geometry) BankBase(coreID int) uint64 {

@@ -2,6 +2,7 @@ package pim
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -263,5 +264,26 @@ func TestSmallGeometry(t *testing.T) {
 	}
 	if g.NumCores() != 16 {
 		t.Errorf("NumCores = %d, want 16", g.NumCores())
+	}
+}
+
+// Banks groups a shuffled, partial core list: banks come out in
+// bank-linear order, each represented by its lowest-lane member, with
+// members kept in list order (their PIM-side line order) even when that
+// is not lane order. Bank 5 hosts only lanes 1-3, bank 40 lanes 1-2.
+func TestBanksGroupsByBank(t *testing.T) {
+	g := DefaultGeometry()
+	core := func(bank, lane int) int { return bank*g.LanesPerBank + lane }
+	cores := []int{
+		core(40, 2), core(5, 3), core(0, 2), core(5, 1), core(0, 0),
+		core(40, 1), core(0, 3), core(5, 2), core(0, 1),
+	}
+	want := []Bank{
+		{Rep: core(0, 0), Members: []int{2, 4, 6, 8}},
+		{Rep: core(5, 1), Members: []int{1, 3, 7}},
+		{Rep: core(40, 1), Members: []int{0, 5}},
+	}
+	if got := g.Banks(cores); !reflect.DeepEqual(got, want) {
+		t.Errorf("Banks = %+v, want %+v", got, want)
 	}
 }

@@ -2,8 +2,8 @@
 // CPU, LLC, DRAM and PIM device sets behind the HetMap, the PIM device,
 // and the PIM-MMU engine — and provides the experiment-level operations
 // the evaluation and the public API are built from: software (baseline)
-// transfers, DCE transfers, memcpy, co-located contenders, and
-// energy/power accounting.
+// transfers, DCE transfers, memcpy and read streams, co-located
+// contenders, and energy/power accounting.
 package system
 
 import (
@@ -157,6 +157,10 @@ func (c Config) Validate() error {
 	if err := c.PIM.Validate(); err != nil {
 		return err
 	}
+	if c.PIM.DRAM != c.Mem.PIM.Geometry {
+		return fmt.Errorf("system: PIM device geometry %+v disagrees with the PIM channels' %+v",
+			c.PIM.DRAM, c.Mem.PIM.Geometry)
+	}
 	if err := c.DCE.Validate(); err != nil {
 		return err
 	}
@@ -266,22 +270,14 @@ func (r XferResult) Throughput() float64 {
 // RunTransfer executes op on the configured design's machinery to
 // completion and returns its result.
 func (s *System) RunTransfer(op core.Op) XferResult {
-	var res XferResult
-	done := false
-	start := s.Eng.Now()
-	if s.Cfg.Design.UsesDCE() {
-		s.DCE.Transfer(op, func(r core.Result) {
-			res = XferResult{Design: s.Cfg.Design, Dir: op.Dir, Bytes: r.Bytes, Duration: r.Duration()}
-			done = true
-		})
-	} else {
-		xfer.RunBaseline(s.CPU, s.Cfg.PIM, op, s.Cfg.Baseline, func(r xfer.Result) {
-			res = XferResult{Design: s.Cfg.Design, Dir: op.Dir, Bytes: r.Bytes, Duration: s.Eng.Now() - start}
-			done = true
-		})
-	}
-	s.Eng.RunWhile(func() bool { return !done })
-	s.drain()
+	res := s.measure(op.Bytes(), func(onDone func()) {
+		if s.Cfg.Design.UsesDCE() {
+			s.DCE.Transfer(op, onDone)
+		} else {
+			xfer.RunBaseline(s.CPU, s.Cfg.PIM, op, s.Cfg.Baseline, onDone)
+		}
+	})
+	res.Dir = op.Dir
 	return res
 }
 
@@ -289,15 +285,29 @@ func (s *System) RunTransfer(op core.Op) XferResult {
 func (s *System) RunMemcpy(bytes uint64) XferResult {
 	src := s.Alloc(bytes)
 	dst := s.Alloc(bytes)
-	var out XferResult
-	done := false
-	xfer.RunMemcpy(s.CPU, src, dst, bytes, s.Cfg.Memcpy, func(r xfer.Result) {
-		out = XferResult{Design: s.Cfg.Design, Bytes: r.Bytes, Duration: r.Duration()}
-		done = true
+	return s.measure(bytes, func(onDone func()) {
+		xfer.RunMemcpy(s.CPU, src, dst, bytes, s.Cfg.Memcpy, onDone)
 	})
-	s.Eng.RunWhile(func() bool { return !done })
-	s.drain()
-	return out
+}
+
+// RunStream executes the Fig. 8 read stream over a fresh buffer, each of
+// cfg.Threads threads loading linesPerThread lines.
+func (s *System) RunStream(cfg xfer.StreamConfig, linesPerThread uint64) XferResult {
+	lines := uint64(cfg.Threads) * linesPerThread
+	base := s.Alloc(lines * uint64(cfg.StrideLines) * mem.LineBytes)
+	return s.measure(lines*mem.LineBytes, func(onDone func()) {
+		xfer.RunStream(s.CPU, base, linesPerThread, cfg, onDone)
+	})
+}
+
+// measure runs a software or DCE copy that start launches to completion
+// and reports bytes over its span on the simulated clock.
+func (s *System) measure(bytes uint64, start func(onDone func())) XferResult {
+	begin := s.Eng.Now()
+	end := runToDone(s, func(done func(clock.Picos)) {
+		start(func() { done(s.Eng.Now()) })
+	})
+	return XferResult{Design: s.Cfg.Design, Bytes: bytes, Duration: end - begin}
 }
 
 // RecordTrace attaches a fresh trace recorder at the memory-port
@@ -339,8 +349,9 @@ func (s *System) RunLoad(recs []trace.Record, cfg trace.DriverConfig) (trace.Loa
 	return runToDone(s, d.Start), nil
 }
 
-// runToDone starts a trace injection, runs the engine until its
-// completion callback fires, drains, and returns the reported result.
+// runToDone is the one run-to-completion path: it starts a job (a trace
+// injection or a copy), runs the engine until the job's completion
+// callback fires, drains, and returns the reported result.
 func runToDone[R any](s *System, start func(onDone func(R))) R {
 	var out R
 	done := false
@@ -370,6 +381,26 @@ func (s *System) Contenders(n int, mk func(i int, st *contend.Stopper) cpu.Progr
 		s.CPU.Spawn(fmt.Sprintf("contender-%d", i), mk(i, st), nil)
 	}
 	return st
+}
+
+// SpinContenders launches n compute-bound contenders (Fig. 13a), each
+// spinning over its own 16 KiB working set.
+func (s *System) SpinContenders(n int) *contend.Stopper {
+	const wset = 16 << 10
+	base := s.Alloc(uint64(n) * wset)
+	return s.Contenders(n, func(i int, st *contend.Stopper) cpu.Program {
+		return contend.Spin(st, base+uint64(i)*wset)
+	})
+}
+
+// HogContenders launches n memory-bound contenders at the given intensity
+// (Fig. 13b), each streaming over its own 64 MiB footprint.
+func (s *System) HogContenders(n int, level contend.Intensity) *contend.Stopper {
+	const footprint = 64 << 20
+	base := s.Alloc(uint64(n) * footprint)
+	return s.Contenders(n, func(i int, st *contend.Stopper) cpu.Program {
+		return contend.MemoryHog(st, base+uint64(i)*footprint, footprint, level)
+	})
 }
 
 // Activity snapshots cumulative counters for energy accounting.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/memsys"
 	"repro/internal/trace"
+	"repro/internal/xfer"
 )
 
 // smallCfg shrinks the machine for fast tests.
@@ -124,6 +125,33 @@ func TestRunMemcpy(t *testing.T) {
 	}
 }
 
+func TestRunStream(t *testing.T) {
+	s := MustNew(smallCfg(PIMMMU))
+	cfg := xfer.DefaultStreamConfig()
+	cfg.StrideLines = 2
+	res := s.RunStream(cfg, 512)
+	want := uint64(cfg.Threads) * 512 * 64
+	if res.Bytes != want || res.Throughput() <= 0 {
+		t.Errorf("stream result %+v, want %d bytes", res, want)
+	}
+	if got := s.Mem.DRAM.Stats().BytesRead(); got != want {
+		t.Errorf("stream read %d DRAM bytes, want %d", got, want)
+	}
+	if got := s.Alloc(64); got != want*2 {
+		t.Errorf("next allocation at %d, want %d past the strided buffer", got, want*2)
+	}
+}
+
+func TestXferResultThroughput(t *testing.T) {
+	r := XferResult{Bytes: 1 << 30, Duration: clock.Second}
+	if got := r.Throughput(); got != float64(1<<30) {
+		t.Errorf("Throughput = %v, want %v", got, float64(1<<30))
+	}
+	if (XferResult{Bytes: 64}).Throughput() != 0 {
+		t.Error("zero-duration throughput not 0")
+	}
+}
+
 func TestActivityAccumulates(t *testing.T) {
 	s := MustNew(smallCfg(Base))
 	a0 := s.Activity()
@@ -199,6 +227,26 @@ func TestContendersRunAndStop(t *testing.T) {
 	}
 }
 
+// The Fig. 13 contenders claim their working sets from the bump
+// allocator in launch order: 16 KiB per spinner, 64 MiB per hog.
+func TestContenderHelpers(t *testing.T) {
+	s := MustNew(smallCfg(Base))
+	spin := s.SpinContenders(2)
+	hog := s.HogContenders(1, contend.High)
+	if got := s.Alloc(64); got != 2*(16<<10)+(64<<20) {
+		t.Errorf("next allocation at %d, want %d", got, 2*(16<<10)+(64<<20))
+	}
+	if s.CPU.Runnable() != 3 {
+		t.Errorf("Runnable = %d, want 3", s.CPU.Runnable())
+	}
+	spin.Stop()
+	hog.Stop()
+	s.Eng.Run()
+	if s.CPU.Runnable() != 0 {
+		t.Errorf("contenders alive after stop: %d", s.CPU.Runnable())
+	}
+}
+
 func TestInvalidConfigRejected(t *testing.T) {
 	cfg := DefaultConfig(PIMMMU)
 	cfg.CPU.Cores = 0
@@ -209,6 +257,13 @@ func TestInvalidConfigRejected(t *testing.T) {
 	cfg.Mem.DRAM.Geometry.Channels = 3
 	if _, err := New(cfg); err == nil {
 		t.Error("3 channels accepted")
+	}
+	// The PIM device's geometry must be the PIM channels' geometry: a
+	// device wider than its channels addresses banks no channel serves.
+	cfg = DefaultConfig(PIMMMU)
+	cfg.Mem.PIM.Geometry.Channels = 2
+	if err := cfg.Validate(); err == nil {
+		t.Error("PIM device geometry disagreeing with the PIM channels accepted")
 	}
 }
 

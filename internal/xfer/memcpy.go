@@ -33,61 +33,10 @@ func (c MemcpyConfig) Validate() error {
 	return nil
 }
 
-// memcpyProg streams [src, src+bytes) to [dst, dst+bytes).
-type memcpyProg struct {
-	cfg   MemcpyConfig
-	src   uint64
-	dst   uint64
-	bytes uint64
-
-	off   uint64
-	phase int
-	i     int
-}
-
-// Next implements cpu.Program.
-func (p *memcpyProg) Next() (cpu.Op, bool) {
-	for {
-		if p.off >= p.bytes {
-			return cpu.Op{}, false
-		}
-		group := uint64(p.cfg.GroupLines * mem.LineBytes)
-		if p.bytes-p.off < group {
-			group = p.bytes - p.off
-		}
-		lines := int(group / mem.LineBytes)
-		switch p.phase {
-		case 0: // loads
-			if p.i < lines {
-				a := p.src + p.off + uint64(p.i*mem.LineBytes)
-				p.i++
-				return cpu.Op{Kind: cpu.OpLoad, Addr: a}, true
-			}
-			p.phase = 1
-		case 1:
-			p.phase = 2
-			return cpu.Op{Kind: cpu.OpBarrier}, true
-		case 2:
-			p.phase = 3
-			p.i = 0
-			return cpu.Op{Kind: cpu.OpCompute, Cycles: p.cfg.LoopOverheadCycles}, true
-		case 3: // non-temporal stores
-			if p.i < lines {
-				a := p.dst + p.off + uint64(p.i*mem.LineBytes)
-				p.i++
-				return cpu.Op{Kind: cpu.OpStore, Addr: a, NC: true}, true
-			}
-			p.i = 0
-			p.phase = 0
-			p.off += group
-		}
-	}
-}
-
 // RunMemcpy launches the multi-threaded copy of bytes from src to dst and
-// invokes onDone when the last worker exits. The range is split into
+// calls onDone when the last worker exits. The range is split into
 // contiguous per-thread slices, exactly like a parallel memcpy.
-func RunMemcpy(c *cpu.CPU, src, dst, bytes uint64, cfg MemcpyConfig, onDone func(Result)) {
+func RunMemcpy(c *cpu.CPU, src, dst, bytes uint64, cfg MemcpyConfig, onDone func()) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -95,27 +44,17 @@ func RunMemcpy(c *cpu.CPU, src, dst, bytes uint64, cfg MemcpyConfig, onDone func
 		panic(fmt.Sprintf("xfer: memcpy size %d not a positive multiple of %d", bytes, mem.LineBytes))
 	}
 	lines := bytes / mem.LineBytes
-	n := uint64(cfg.Threads)
-	if n > lines {
-		n = lines
-	}
-	start := c.Now()
-	remaining := int(n)
-	perThread := lines / n
-	extra := lines % n
+	srcs := make([]source, min(uint64(cfg.Threads), lines))
+	n := uint64(len(srcs))
 	off := uint64(0)
-	for t := uint64(0); t < n; t++ {
-		sz := perThread
-		if t < extra {
+	for t := range srcs {
+		sz := lines / n
+		if uint64(t) < lines%n {
 			sz++
 		}
-		p := &memcpyProg{cfg: cfg, src: src + off, dst: dst + off, bytes: sz * mem.LineBytes}
+		srcs[t] = &lineSource{src: src + off, dst: dst + off, stride: mem.LineBytes, lines: sz,
+			per: uint64(cfg.GroupLines), cycles: cfg.LoopOverheadCycles, copies: true}
 		off += sz * mem.LineBytes
-		c.Spawn(fmt.Sprintf("memcpy-%d", t), p, func() {
-			remaining--
-			if remaining == 0 && onDone != nil {
-				onDone(Result{Start: start, End: c.Now(), Bytes: bytes})
-			}
-		})
 	}
+	launch(c, "memcpy", srcs, onDone)
 }

@@ -31,66 +31,22 @@ func (c StreamConfig) Validate() error {
 	return nil
 }
 
-// streamProg issues count strided loads from base.
-type streamProg struct {
-	cfg   StreamConfig
-	base  uint64
-	count uint64
-
-	done  uint64
-	i     int
-	phase int
-}
-
-// Next implements cpu.Program.
-func (p *streamProg) Next() (cpu.Op, bool) {
-	for {
-		if p.done >= p.count {
-			return cpu.Op{}, false
-		}
-		left := p.count - p.done
-		group := uint64(p.cfg.GroupLines)
-		if left < group {
-			group = left
-		}
-		switch p.phase {
-		case 0:
-			if uint64(p.i) < group {
-				a := p.base + (p.done+uint64(p.i))*uint64(p.cfg.StrideLines)*mem.LineBytes
-				p.i++
-				return cpu.Op{Kind: cpu.OpLoad, Addr: a}, true
-			}
-			p.phase = 1
-		case 1:
-			p.phase = 0
-			p.done += group
-			p.i = 0
-			return cpu.Op{Kind: cpu.OpBarrier}, true
-		}
-	}
-}
-
-// RunStream launches the read-only microbenchmark: each thread loads
-// linesPerThread lines with the configured stride from its own slice of
-// the address space starting at base.
-func RunStream(c *cpu.CPU, base uint64, linesPerThread uint64, cfg StreamConfig, onDone func(Result)) {
+// RunStream launches the read-only microbenchmark and calls onDone when
+// the last worker exits: each thread loads linesPerThread lines with the
+// configured stride from its own slice of the address space starting at
+// base.
+func RunStream(c *cpu.CPU, base uint64, linesPerThread uint64, cfg StreamConfig, onDone func()) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if linesPerThread == 0 {
 		panic("xfer: zero-length stream")
 	}
-	start := c.Now()
-	remaining := cfg.Threads
-	span := linesPerThread * uint64(cfg.StrideLines) * mem.LineBytes
-	for t := 0; t < cfg.Threads; t++ {
-		p := &streamProg{cfg: cfg, base: base + uint64(t)*span, count: linesPerThread}
-		c.Spawn(fmt.Sprintf("stream-%d", t), p, func() {
-			remaining--
-			if remaining == 0 && onDone != nil {
-				bytes := uint64(cfg.Threads) * linesPerThread * mem.LineBytes
-				onDone(Result{Start: start, End: c.Now(), Bytes: bytes})
-			}
-		})
+	stride := uint64(cfg.StrideLines) * mem.LineBytes
+	srcs := make([]source, cfg.Threads)
+	for t := range srcs {
+		srcs[t] = &lineSource{src: base + uint64(t)*linesPerThread*stride, stride: stride,
+			lines: linesPerThread, per: uint64(cfg.GroupLines)}
 	}
+	launch(c, "stream", srcs, onDone)
 }

@@ -10,14 +10,8 @@ func TestStreamMovesAllBytes(t *testing.T) {
 	r := newRig(memsys.MapHetMap)
 	cfg := DefaultStreamConfig()
 	const lines = 4096
-	var res Result
-	done := false
-	RunStream(r.cpu, 0, lines, cfg, func(x Result) { res = x; done = true })
-	r.eng.RunWhile(func() bool { return !done })
+	r.span(t, func(onDone func()) { RunStream(r.cpu, 0, lines, cfg, onDone) })
 	want := uint64(cfg.Threads * lines * 64)
-	if res.Bytes != want {
-		t.Fatalf("stream bytes = %d, want %d", res.Bytes, want)
-	}
 	if got := r.sys.DRAM.Stats().BytesRead(); got != want {
 		t.Errorf("DRAM read %d bytes, want %d", got, want)
 	}
@@ -25,9 +19,7 @@ func TestStreamMovesAllBytes(t *testing.T) {
 
 func TestStreamIsReadOnly(t *testing.T) {
 	r := newRig(memsys.MapHetMap)
-	done := false
-	RunStream(r.cpu, 0, 512, DefaultStreamConfig(), func(Result) { done = true })
-	r.eng.RunWhile(func() bool { return !done })
+	r.span(t, func(onDone func()) { RunStream(r.cpu, 0, 512, DefaultStreamConfig(), onDone) })
 	if got := r.sys.DRAM.Stats().BytesWritten(); got != 0 {
 		t.Errorf("read-only stream wrote %d bytes", got)
 	}
@@ -40,12 +32,9 @@ func TestStreamStride(t *testing.T) {
 	cfg := DefaultStreamConfig()
 	cfg.Threads = 1
 	cfg.StrideLines = 4
-	done := false
-	var res Result
-	RunStream(r.cpu, 0, 256, cfg, func(x Result) { res = x; done = true })
-	r.eng.RunWhile(func() bool { return !done })
-	if res.Bytes != 256*64 {
-		t.Errorf("strided stream bytes = %d", res.Bytes)
+	r.span(t, func(onDone func()) { RunStream(r.cpu, 0, 256, cfg, onDone) })
+	if got := r.sys.DRAM.Stats().BytesRead(); got != 256*64 {
+		t.Errorf("strided stream read %d bytes, want %d", got, 256*64)
 	}
 }
 
@@ -54,11 +43,10 @@ func TestStreamStride(t *testing.T) {
 func TestStreamMappingSensitivity(t *testing.T) {
 	run := func(mode memsys.MappingMode) float64 {
 		r := newRig(mode)
-		done := false
-		var res Result
-		RunStream(r.cpu, 0, 8192, DefaultStreamConfig(), func(x Result) { res = x; done = true })
-		r.eng.RunWhile(func() bool { return !done })
-		return res.Throughput()
+		cfg := DefaultStreamConfig()
+		return throughput(uint64(cfg.Threads)*8192*64, r.span(t, func(onDone func()) {
+			RunStream(r.cpu, 0, 8192, cfg, onDone)
+		}))
 	}
 	loc := run(memsys.MapLocalityBoth)
 	mlp := run(memsys.MapHetMap)

@@ -1,18 +1,17 @@
 // Package xfer implements the software data-transfer paths of the paper:
 // the baseline multi-threaded dpu_push_xfer engine that UPMEM's runtime
 // library uses for DRAM<->PIM copies (Section II-C), and the AVX-512
-// multi-threaded DRAM->DRAM memcpy microbenchmark (Section V). Both run
-// as thread programs on the internal/cpu model, so their throughput is
-// shaped by exactly the effects the paper root-causes: limited per-core
-// outstanding requests, OS round-robin scheduling, thread herding across
-// channels, and the three-stage read -> transpose -> write pipeline.
+// multi-threaded DRAM->DRAM memcpy and read-stream microbenchmarks
+// (Section V, Fig. 8). All three run one copy loop as thread programs on
+// the internal/cpu model, so their throughput is shaped by exactly the
+// effects the paper root-causes: limited per-core outstanding requests,
+// OS round-robin scheduling, thread herding across channels, and the
+// three-stage read -> transpose -> write pipeline.
 package xfer
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/mem"
@@ -20,23 +19,108 @@ import (
 	"repro/internal/transpose"
 )
 
-// Result reports a completed software transfer.
-type Result struct {
-	Start clock.Picos
-	End   clock.Picos
-	Bytes uint64
+// group is one iteration of the copy loop: loads lines read, a barrier
+// waiting for them, cycles of compute, then stores lines written.
+type group struct {
+	loads, stores int
+	cycles        int64
 }
 
-// Duration is the wall-clock time of the transfer.
-func (r Result) Duration() clock.Picos { return r.End - r.Start }
+// source supplies one thread's line groups. next advances to the next
+// group; load and store give line i of the current group.
+type source interface {
+	next() (group, bool)
+	load(i int) cpu.Op
+	store(i int) cpu.Op
+}
 
-// Throughput is bytes per second.
-func (r Result) Throughput() float64 {
-	d := r.Duration()
-	if d <= 0 {
-		return 0
+// loop is the copy loop every software transfer thread runs: per group,
+// the loads in line order, a barrier, the compute, then the stores. The
+// stores drain asynchronously through the WC buffers, so the next group's
+// loads overlap them, as the out-of-order core would.
+type loop struct {
+	src source
+	g   group
+	k   int // next step within the group
+	end int // steps in the group
+}
+
+// Next implements cpu.Program.
+func (p *loop) Next() (cpu.Op, bool) {
+	for {
+		if p.k == p.end {
+			g, ok := p.src.next()
+			if !ok {
+				return cpu.Op{}, false
+			}
+			p.g, p.k, p.end = g, 0, g.loads+2+g.stores
+		}
+		k := p.k
+		p.k++
+		switch {
+		case k < p.g.loads:
+			return p.src.load(k), true
+		case k == p.g.loads:
+			return cpu.Op{Kind: cpu.OpBarrier}, true
+		case k == p.g.loads+1:
+			if p.g.cycles > 0 {
+				return cpu.Op{Kind: cpu.OpCompute, Cycles: p.g.cycles}, true
+			}
+		default:
+			return p.src.store(k - p.g.loads - 2), true
+		}
 	}
-	return float64(r.Bytes) / d.Seconds()
+}
+
+// launch spawns one thread per source, named name-0, name-1, ... in
+// order, and calls onDone when the last one exits.
+func launch(c *cpu.CPU, name string, srcs []source, onDone func()) {
+	left := len(srcs)
+	for t, src := range srcs {
+		c.Spawn(fmt.Sprintf("%s-%d", name, t), &loop{src: src}, func() {
+			left--
+			if left == 0 && onDone != nil {
+				onDone()
+			}
+		})
+	}
+}
+
+// lineSource walks lines lines spaced stride bytes apart from src, per
+// lines to a group. When copies is set it stores each group's lines to
+// the same offsets from dst with non-temporal stores.
+type lineSource struct {
+	src, dst uint64
+	stride   uint64
+	lines    uint64 // lines not yet grouped
+	per      uint64
+	cycles   int64
+	copies   bool
+
+	off uint64 // byte offset of the current group's first line
+	n   uint64 // lines in the current group
+}
+
+func (s *lineSource) next() (group, bool) {
+	s.off += s.n * s.stride
+	s.n = min(s.per, s.lines)
+	if s.n == 0 {
+		return group{}, false
+	}
+	s.lines -= s.n
+	g := group{loads: int(s.n), cycles: s.cycles}
+	if s.copies {
+		g.stores = g.loads
+	}
+	return g, true
+}
+
+func (s *lineSource) load(i int) cpu.Op {
+	return cpu.Op{Kind: cpu.OpLoad, Addr: s.src + s.off + uint64(i)*s.stride}
+}
+
+func (s *lineSource) store(i int) cpu.Op {
+	return cpu.Op{Kind: cpu.OpStore, Addr: s.dst + s.off + uint64(i)*s.stride, NC: true}
 }
 
 // BaselineConfig parameterizes the software transfer engine.
@@ -71,174 +155,87 @@ func (c BaselineConfig) Validate() error {
 	return nil
 }
 
-// bankJob is one thread work unit: a PIM bank together with the DRAM-side
-// arrays of the cores (lanes) it hosts. The runtime works bank-at-a-time
-// because the chips of a DIMM split every burst across lanes: one 64-byte
-// PIM line carries LaneBytes for each lane, so the transpose gathers all
-// lanes of a bank into whole bursts (Fig. 3).
-type bankJob struct {
-	bankLinear int
-	rep        int // representative core (lowest lane)
-	srcs       []uint64
-	mramOff    uint64
-	bytesPer   uint64
-}
-
-// buildJobs groups an op's cores into bank jobs sorted by bank-linear ID.
-// Bank-linear IDs are channel-major, which is what produces the thread
-// herding of Fig. 6(a): every thread's early jobs live in channel 0.
-func buildJobs(g pim.Geometry, op core.Op) []bankJob {
-	byBank := map[int]*bankJob{}
-	for i, c := range op.Cores {
-		bl := g.BankLinear(c)
-		j := byBank[bl]
-		if j == nil {
-			j = &bankJob{bankLinear: bl, rep: c, mramOff: op.MRAMOffset, bytesPer: op.BytesPerCore}
-			byBank[bl] = j
-		}
-		if g.Loc(c).Lane < g.Loc(j.rep).Lane {
-			j.rep = c
-		}
-		j.srcs = append(j.srcs, op.DRAMAddrs[i])
-	}
-	jobs := make([]bankJob, 0, len(byBank))
-	for _, j := range byBank {
-		jobs = append(jobs, *j)
-	}
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].bankLinear < jobs[b].bankLinear })
-	return jobs
-}
-
-// baselineProg is one transfer thread's instruction stream: for each
-// assigned bank, for each line group, read one line per lane from the
-// DRAM side, wait, transpose, and write the gathered lines to the PIM
-// side (or the reverse for PIM->DRAM).
-type baselineProg struct {
+// bankSource is one baseline thread's work: banks first, first+step, ...
+// of the op, each walked one line group at a time. The runtime works
+// bank-at-a-time because the chips of a DIMM split every burst across
+// lanes: one 64-byte PIM line carries LaneBytes for each lane, so a group
+// reads one line per lane and the transpose gathers them into whole
+// bursts (Fig. 3).
+type bankSource struct {
 	g      pim.Geometry
-	dir    core.Direction
+	op     *core.Op
 	cfg    BaselineConfig
-	jobs   []bankJob
-	jobIdx int
-	group  uint64 // current line group within the job
-	groups uint64 // groups in current job
-	phase  int    // 0: issue reads, 1: barrier, 2: compute, 3: issue writes
-	lane   int
+	banks  []pim.Bank
+	first  int
+	step   int
+	groups uint64 // line groups per bank
+
+	k       uint64 // groups started
+	bank    *pim.Bank
+	line    uint64 // current group within the bank
+	pimBase uint64 // the bank's first line of the transfer
 }
 
-func newBaselineProg(g pim.Geometry, dir core.Direction, cfg BaselineConfig, jobs []bankJob) *baselineProg {
-	p := &baselineProg{g: g, dir: dir, cfg: cfg, jobs: jobs}
-	p.enterJob()
-	return p
-}
-
-func (p *baselineProg) enterJob() {
-	if p.jobIdx < len(p.jobs) {
-		j := p.jobs[p.jobIdx]
-		p.groups = j.bytesPer / mem.LineBytes
-		p.group = 0
-		p.phase = 0
-		p.lane = 0
+func (s *bankSource) next() (group, bool) {
+	b := s.first + int(s.k/s.groups)*s.step
+	if b >= len(s.banks) {
+		return group{}, false
 	}
+	s.bank, s.line = &s.banks[b], s.k%s.groups
+	s.k++
+	s.pimBase = s.g.BankLineAddr(s.bank.Rep, s.op.MRAMOffset)
+	lanes := len(s.bank.Members)
+	return group{
+		loads:  lanes,
+		stores: lanes,
+		cycles: s.cfg.TransposeCycles*int64(lanes) + s.cfg.LoopOverheadCycles,
+	}, true
 }
 
-// dramAddr is the DRAM-side line address for the current group and lane.
-func (p *baselineProg) dramAddr(j bankJob) uint64 {
-	return j.srcs[p.lane] + p.group*mem.LineBytes
+// dramAddr is lane i's DRAM-side line of the current group.
+func (s *bankSource) dramAddr(i int) uint64 {
+	return s.op.DRAMAddrs[s.bank.Members[i]] + s.line*mem.LineBytes
 }
 
-// pimAddr is the PIM-side line address: line group g of the bank spans
-// lanes lines [g*L, (g+1)*L).
-func (p *baselineProg) pimAddr(j bankJob) uint64 {
-	lines := p.group*uint64(len(j.srcs)) + uint64(p.lane)
-	return p.g.BankLineAddr(j.rep, j.mramOff) + lines*mem.LineBytes
+// pimAddr is lane i's PIM-side line: line group g of the bank spans
+// lines [g*L, (g+1)*L).
+func (s *bankSource) pimAddr(i int) uint64 {
+	return s.pimBase + (s.line*uint64(len(s.bank.Members))+uint64(i))*mem.LineBytes
 }
 
-// Next implements cpu.Program.
-func (p *baselineProg) Next() (cpu.Op, bool) {
-	for {
-		if p.jobIdx >= len(p.jobs) {
-			return cpu.Op{}, false
-		}
-		j := p.jobs[p.jobIdx]
-		lanes := len(j.srcs)
-		switch p.phase {
-		case 0: // read one line per lane
-			if p.lane < lanes {
-				var addr uint64
-				nc := false
-				if p.dir == core.DRAMToPIM {
-					addr = p.dramAddr(j)
-				} else {
-					addr = p.pimAddr(j)
-					nc = true
-				}
-				p.lane++
-				return cpu.Op{Kind: cpu.OpLoad, Addr: addr, NC: nc}, true
-			}
-			p.phase = 1
-		case 1: // wait for the group's reads
-			p.phase = 2
-			return cpu.Op{Kind: cpu.OpBarrier}, true
-		case 2: // software transpose of the group
-			p.phase = 3
-			p.lane = 0
-			cycles := p.cfg.TransposeCycles*int64(lanes) + p.cfg.LoopOverheadCycles
-			return cpu.Op{Kind: cpu.OpCompute, Cycles: cycles}, true
-		case 3: // write one line per lane
-			if p.lane < lanes {
-				var addr uint64
-				nc := true // AVX streaming stores in both directions
-				if p.dir == core.DRAMToPIM {
-					addr = p.pimAddr(j)
-				} else {
-					addr = p.dramAddr(j)
-				}
-				p.lane++
-				return cpu.Op{Kind: cpu.OpStore, Addr: addr, NC: nc}, true
-			}
-			// Next group (stores drain asynchronously through the WC
-			// buffers; the next group's loads overlap them, as the
-			// out-of-order core would).
-			p.lane = 0
-			p.group++
-			p.phase = 0
-			if p.group >= p.groups {
-				p.jobIdx++
-				p.enterJob()
-			}
-		}
+func (s *bankSource) load(i int) cpu.Op {
+	if s.op.Dir == core.DRAMToPIM {
+		return cpu.Op{Kind: cpu.OpLoad, Addr: s.dramAddr(i)}
 	}
+	return cpu.Op{Kind: cpu.OpLoad, Addr: s.pimAddr(i), NC: true}
 }
 
-// RunBaseline launches the multi-threaded software transfer and invokes
-// onDone when the last worker thread exits. Threads are assigned bank
-// jobs round-robin (thread i takes banks i, i+T, ...), matching the
-// UPMEM runtime's work division.
-func RunBaseline(c *cpu.CPU, g pim.Geometry, op core.Op, cfg BaselineConfig, onDone func(Result)) {
+// store is an AVX streaming store in both directions.
+func (s *bankSource) store(i int) cpu.Op {
+	addr := s.dramAddr(i)
+	if s.op.Dir == core.DRAMToPIM {
+		addr = s.pimAddr(i)
+	}
+	return cpu.Op{Kind: cpu.OpStore, Addr: addr, NC: true}
+}
+
+// RunBaseline launches the multi-threaded software transfer and calls
+// onDone when the last worker thread exits. Thread i takes banks i, i+T,
+// ... in bank-linear order, matching the UPMEM runtime's work division;
+// because bank-linear IDs are channel-major, every thread's early banks
+// live in channel 0 (the thread herding of Fig. 6(a)).
+func RunBaseline(c *cpu.CPU, g pim.Geometry, op core.Op, cfg BaselineConfig, onDone func()) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if err := op.Validate(g); err != nil {
 		panic(err)
 	}
-	jobs := buildJobs(g, op)
-	nThreads := cfg.Threads
-	if nThreads > len(jobs) {
-		nThreads = len(jobs)
+	banks := g.Banks(op.Cores)
+	srcs := make([]source, min(cfg.Threads, len(banks)))
+	for t := range srcs {
+		srcs[t] = &bankSource{g: g, op: &op, cfg: cfg, banks: banks, first: t, step: cfg.Threads,
+			groups: op.BytesPerCore / mem.LineBytes}
 	}
-	start := c.Now()
-	remaining := nThreads
-	for t := 0; t < nThreads; t++ {
-		var mine []bankJob
-		for i := t; i < len(jobs); i += cfg.Threads {
-			mine = append(mine, jobs[i])
-		}
-		prog := newBaselineProg(g, op.Dir, cfg, mine)
-		c.Spawn(fmt.Sprintf("xfer-%d", t), prog, func() {
-			remaining--
-			if remaining == 0 && onDone != nil {
-				onDone(Result{Start: start, End: c.Now(), Bytes: op.Bytes()})
-			}
-		})
-	}
+	launch(c, "xfer", srcs, onDone)
 }

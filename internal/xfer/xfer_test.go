@@ -3,8 +3,10 @@ package xfer
 import (
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/mem"
 	"repro/internal/memsys"
 	"repro/internal/pim"
 	"repro/internal/sim"
@@ -44,15 +46,28 @@ func (r *rig) op(dir core.Direction, bytesPerCore uint64) core.Op {
 	return op
 }
 
+// span runs the copy that start launches to completion and returns its
+// duration, timed on the simulated clock when the completion callback
+// fires.
+func (r *rig) span(t *testing.T, start func(onDone func())) clock.Picos {
+	t.Helper()
+	begin := r.eng.Now()
+	end := clock.Picos(-1)
+	start(func() { end = r.eng.Now() })
+	r.eng.Run()
+	if end < 0 {
+		t.Fatal("copy never completed")
+	}
+	return end - begin
+}
+
+// throughput is bytes per second over d.
+func throughput(bytes uint64, d clock.Picos) float64 { return float64(bytes) / d.Seconds() }
+
 func TestBaselineMovesAllBytes(t *testing.T) {
 	r := newRig(memsys.MapLocalityBoth)
 	op := r.op(core.DRAMToPIM, 8<<10) // 4 MB total
-	var res Result
-	RunBaseline(r.cpu, r.geom, op, DefaultBaselineConfig(), func(x Result) { res = x })
-	r.eng.Run()
-	if res.Bytes != op.Bytes() {
-		t.Fatalf("moved %d bytes, want %d", res.Bytes, op.Bytes())
-	}
+	r.span(t, func(onDone func()) { RunBaseline(r.cpu, r.geom, op, DefaultBaselineConfig(), onDone) })
 	if got := r.sys.PIM.Stats().BytesWritten(); got != op.Bytes() {
 		t.Errorf("PIM writes = %d, want %d", got, op.Bytes())
 	}
@@ -64,12 +79,7 @@ func TestBaselineMovesAllBytes(t *testing.T) {
 func TestBaselineReverseDirection(t *testing.T) {
 	r := newRig(memsys.MapLocalityBoth)
 	op := r.op(core.PIMToDRAM, 8<<10)
-	var res Result
-	RunBaseline(r.cpu, r.geom, op, DefaultBaselineConfig(), func(x Result) { res = x })
-	r.eng.Run()
-	if res.Bytes != op.Bytes() {
-		t.Fatalf("moved %d bytes, want %d", res.Bytes, op.Bytes())
-	}
+	r.span(t, func(onDone func()) { RunBaseline(r.cpu, r.geom, op, DefaultBaselineConfig(), onDone) })
 	if got := r.sys.PIM.Stats().BytesRead(); got != op.Bytes() {
 		t.Errorf("PIM reads = %d, want %d", got, op.Bytes())
 	}
@@ -85,10 +95,10 @@ func TestBaselineReverseDirection(t *testing.T) {
 func TestBaselineUtilizationIsPoor(t *testing.T) {
 	r := newRig(memsys.MapLocalityBoth)
 	op := r.op(core.DRAMToPIM, 32<<10) // 16 MB
-	var res Result
-	RunBaseline(r.cpu, r.geom, op, DefaultBaselineConfig(), func(x Result) { res = x })
-	r.eng.Run()
-	frac := res.Throughput() / r.sys.PIM.PeakBandwidth()
+	thr := throughput(op.Bytes(), r.span(t, func(onDone func()) {
+		RunBaseline(r.cpu, r.geom, op, DefaultBaselineConfig(), onDone)
+	}))
+	frac := thr / r.sys.PIM.PeakBandwidth()
 	if frac > 0.30 {
 		t.Errorf("baseline PIM utilization = %.1f%%, expected well below 30%% (paper: 15.5%%)",
 			frac*100)
@@ -96,7 +106,7 @@ func TestBaselineUtilizationIsPoor(t *testing.T) {
 	if frac < 0.05 {
 		t.Errorf("baseline PIM utilization = %.1f%%, implausibly low", frac*100)
 	}
-	t.Logf("baseline DRAM->PIM: %.2f GB/s (%.1f%% of PIM peak)", res.Throughput()/1e9, frac*100)
+	t.Logf("baseline DRAM->PIM: %.2f GB/s (%.1f%% of PIM peak)", thr/1e9, frac*100)
 }
 
 // Thread herding (Fig. 6a): with channel-major bank IDs and round-robin
@@ -106,7 +116,7 @@ func TestBaselineHerdsOnOneChannelAtATime(t *testing.T) {
 	r := newRig(memsys.MapLocalityBoth)
 	op := r.op(core.DRAMToPIM, 16<<10)
 	done := false
-	RunBaseline(r.cpu, r.geom, op, DefaultBaselineConfig(), func(Result) { done = true })
+	RunBaseline(r.cpu, r.geom, op, DefaultBaselineConfig(), func() { done = true })
 	// Run only the first quarter of the transfer and look at where PIM
 	// writes went.
 	for !done && r.sys.PIM.Stats().BytesWritten() < op.Bytes()/4 {
@@ -128,19 +138,16 @@ func TestBaselineHerdsOnOneChannelAtATime(t *testing.T) {
 func TestPIMMMUSpeedupOverBaseline(t *testing.T) {
 	const perCore = 32 << 10 // 16 MB total
 	rb := newRig(memsys.MapLocalityBoth)
-	var base Result
-	RunBaseline(rb.cpu, rb.geom, rb.op(core.DRAMToPIM, perCore), DefaultBaselineConfig(),
-		func(x Result) { base = x })
-	rb.eng.Run()
+	op := rb.op(core.DRAMToPIM, perCore)
+	base := throughput(op.Bytes(), rb.span(t, func(onDone func()) {
+		RunBaseline(rb.cpu, rb.geom, op, DefaultBaselineConfig(), onDone)
+	}))
 
 	rm := newRig(memsys.MapHetMap)
-	var mmu core.Result
-	rm.dce.Transfer(rm.op(core.DRAMToPIM, perCore), func(x core.Result) { mmu = x })
-	rm.eng.Run()
+	mmu := throughput(op.Bytes(), rm.span(t, func(onDone func()) { rm.dce.Transfer(op, onDone) }))
 
-	speedup := mmu.Throughput() / base.Throughput()
-	t.Logf("baseline %.2f GB/s, PIM-MMU %.2f GB/s, speedup %.2fx",
-		base.Throughput()/1e9, mmu.Throughput()/1e9, speedup)
+	speedup := mmu / base
+	t.Logf("baseline %.2f GB/s, PIM-MMU %.2f GB/s, speedup %.2fx", base/1e9, mmu/1e9, speedup)
 	if speedup < 2.5 || speedup > 9.0 {
 		t.Errorf("PIM-MMU speedup = %.2fx, want within the paper's envelope (avg 4.1x, max 6.9x)", speedup)
 	}
@@ -149,12 +156,7 @@ func TestPIMMMUSpeedupOverBaseline(t *testing.T) {
 func TestMemcpyMovesAllBytes(t *testing.T) {
 	r := newRig(memsys.MapLocalityBoth)
 	const n = 4 << 20
-	var res Result
-	RunMemcpy(r.cpu, 0, 1<<30, n, DefaultMemcpyConfig(), func(x Result) { res = x })
-	r.eng.Run()
-	if res.Bytes != n {
-		t.Fatalf("memcpy moved %d bytes, want %d", res.Bytes, n)
-	}
+	r.span(t, func(onDone func()) { RunMemcpy(r.cpu, 0, 1<<30, n, DefaultMemcpyConfig(), onDone) })
 	st := r.sys.DRAM.Stats()
 	if st.BytesRead() < n || st.BytesWritten() < n {
 		t.Errorf("DRAM traffic r/w = %d/%d, want >= %d each", st.BytesRead(), st.BytesWritten(), n)
@@ -166,10 +168,9 @@ func TestMemcpyMovesAllBytes(t *testing.T) {
 func TestMemcpyMappingSensitivity(t *testing.T) {
 	run := func(mode memsys.MappingMode) float64 {
 		r := newRig(mode)
-		var res Result
-		RunMemcpy(r.cpu, 0, 1<<30, 8<<20, DefaultMemcpyConfig(), func(x Result) { res = x })
-		r.eng.Run()
-		return res.Throughput()
+		return throughput(8<<20, r.span(t, func(onDone func()) {
+			RunMemcpy(r.cpu, 0, 1<<30, 8<<20, DefaultMemcpyConfig(), onDone)
+		}))
 	}
 	locality := run(memsys.MapLocalityBoth)
 	mlp := run(memsys.MapHetMap)
@@ -205,8 +206,18 @@ func TestMemcpyOddSizePanics(t *testing.T) {
 	RunMemcpy(r.cpu, 0, 1<<30, 100, DefaultMemcpyConfig(), nil)
 }
 
-func TestResultHelpers(t *testing.T) {
-	if (Result{}).Throughput() != 0 {
-		t.Error("empty result throughput != 0")
+// The copy loop's per-op path allocates nothing, for either source.
+func TestLoopAllocatesNothing(t *testing.T) {
+	g := pim.DefaultGeometry()
+	op := (&rig{geom: g}).op(core.DRAMToPIM, 1<<10)
+	for _, src := range []source{
+		&bankSource{g: g, op: &op, cfg: DefaultBaselineConfig(), banks: g.Banks(op.Cores), step: 1,
+			groups: op.BytesPerCore / mem.LineBytes},
+		&lineSource{stride: mem.LineBytes, lines: 1 << 20, per: 8, cycles: 8, copies: true},
+	} {
+		p := &loop{src: src}
+		if n := testing.AllocsPerRun(1000, func() { p.Next() }); n != 0 {
+			t.Errorf("%T: %v allocations per op", src, n)
+		}
 	}
 }

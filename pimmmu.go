@@ -26,8 +26,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/contend"
-	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/energy"
 	"repro/internal/mem"
 	"repro/internal/system"
@@ -189,55 +187,28 @@ func (s *System) Malloc(n int) *Buffer {
 	return &Buffer{Addr: s.inner.Alloc(uint64(n)), Data: make([]byte, n)}
 }
 
-// transferOp validates and assembles the internal op. Core i's slice of
-// the buffer is Data[i*bytesPerCore : (i+1)*bytesPerCore].
-func (s *System) transferOp(dir core.Direction, b *Buffer, cores []int, bytesPerCore, mramOff uint64) (core.Op, error) {
-	if b == nil {
-		return core.Op{}, fmt.Errorf("pimmmu: nil buffer")
-	}
-	if uint64(len(b.Data)) < uint64(len(cores))*bytesPerCore {
-		return core.Op{}, fmt.Errorf("pimmmu: buffer holds %d bytes, transfer needs %d",
-			len(b.Data), uint64(len(cores))*bytesPerCore)
-	}
-	op := core.Op{Dir: dir, BytesPerCore: bytesPerCore, MRAMOffset: mramOff}
+// bindSlices binds core i to Data[i*bytesPerCore : (i+1)*bytesPerCore].
+func (s *System) bindSlices(b *Buffer, cores []int, bytesPerCore uint64) *XferBuilder {
+	x := s.PrepareXfer()
 	for i, c := range cores {
-		op.Cores = append(op.Cores, c)
-		op.DRAMAddrs = append(op.DRAMAddrs, b.Addr+uint64(i)*bytesPerCore)
+		x.Bind(c, b, uint64(i)*bytesPerCore)
 	}
-	if err := op.Validate(s.inner.Cfg.PIM); err != nil {
-		return core.Op{}, err
-	}
-	return op, nil
+	return x
 }
 
 // ToPIM copies bytesPerCore bytes from the buffer to each listed core's
 // MRAM at mramOff — the dpu_push_xfer / pim_mmu_transfer operation of
-// Fig. 10. The copy is functional (MRAM contents update) and timed.
+// Fig. 10. Core i's slice of the buffer is
+// Data[i*bytesPerCore : (i+1)*bytesPerCore]. The copy is functional
+// (MRAM contents update) and timed.
 func (s *System) ToPIM(b *Buffer, cores []int, bytesPerCore, mramOff uint64) (Result, error) {
-	op, err := s.transferOp(core.DRAMToPIM, b, cores, bytesPerCore, mramOff)
-	if err != nil {
-		return Result{}, err
-	}
-	for i, c := range cores {
-		s.inner.Device.WriteMRAM(c, mramOff, b.Data[uint64(i)*bytesPerCore:uint64(i+1)*bytesPerCore])
-	}
-	r := s.inner.RunTransfer(op)
-	return resultOf(r.Bytes, r.Duration), nil
+	return s.bindSlices(b, cores, bytesPerCore).PushToPIM(bytesPerCore, mramOff)
 }
 
 // FromPIM copies bytesPerCore bytes from each listed core's MRAM at
-// mramOff back into the buffer.
+// mramOff back into the buffer, sliced as for ToPIM.
 func (s *System) FromPIM(b *Buffer, cores []int, bytesPerCore, mramOff uint64) (Result, error) {
-	op, err := s.transferOp(core.PIMToDRAM, b, cores, bytesPerCore, mramOff)
-	if err != nil {
-		return Result{}, err
-	}
-	for i, c := range cores {
-		copy(b.Data[uint64(i)*bytesPerCore:uint64(i+1)*bytesPerCore],
-			s.inner.Device.ReadMRAM(c, mramOff, int(bytesPerCore)))
-	}
-	r := s.inner.RunTransfer(op)
-	return resultOf(r.Bytes, r.Duration), nil
+	return s.bindSlices(b, cores, bytesPerCore).PushFromPIM(bytesPerCore, mramOff)
 }
 
 // MRAM returns n bytes of a core's MRAM at off — what a DPU kernel would
@@ -270,11 +241,7 @@ func (s *System) Memcpy(bytes uint64) Result {
 // CompeteCompute launches n compute-bound (spin-lock-like) contender
 // threads (Fig. 13a). Call the returned stop function to retire them.
 func (s *System) CompeteCompute(n int) (stop func()) {
-	base := s.inner.Alloc(uint64(n) * (16 << 10))
-	st := s.inner.Contenders(n, func(i int, st *contend.Stopper) cpu.Program {
-		return contend.Spin(st, base+uint64(i)*(16<<10))
-	})
-	return st.Stop
+	return s.inner.SpinContenders(n).Stop
 }
 
 // Intensity levels for CompeteMemory.
@@ -301,12 +268,7 @@ func (s *System) CompeteMemory(n int, intensity string) (stop func(), err error)
 	default:
 		return nil, fmt.Errorf("pimmmu: unknown intensity %q", intensity)
 	}
-	const footprint = 64 << 20
-	base := s.inner.Alloc(uint64(n) * footprint)
-	st := s.inner.Contenders(n, func(i int, st *contend.Stopper) cpu.Program {
-		return contend.MemoryHog(st, base+uint64(i)*footprint, footprint, level)
-	})
-	return st.Stop, nil
+	return s.inner.HogContenders(n, level).Stop, nil
 }
 
 // EnergyReport summarizes energy since the system was created.

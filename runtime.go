@@ -9,8 +9,9 @@ import (
 // XferBuilder is the staged transfer API mirroring UPMEM's
 // dpu_prepare_xfer / dpu_push_xfer pattern (paper Fig. 10a): each core is
 // first bound to its host-buffer slice, then the whole set is pushed in
-// one call. Unlike the flat ToPIM/FromPIM helpers, the builder allows an
-// arbitrary core subset with per-core buffer placement:
+// one call. ToPIM/FromPIM are this builder with core i bound to the i-th
+// consecutive slice of one buffer; binding directly allows per-core
+// buffer placement:
 //
 //	x := sys.PrepareXfer()
 //	for i, c := range myCores {
