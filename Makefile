@@ -45,22 +45,37 @@ test-slow:
 # repeats each gated benchmark; the diff tool takes the fastest run,
 # which strips shared-runner noise (CI uses BENCH_COUNT=3).
 BENCH_COUNT ?= 1
+BENCH_PKGS = ./internal/sim ./internal/dram ./internal/system ./internal/harness ./internal/trace
+BENCH_RUN = $(GO) test -json -run '^$$' -bench='Engine|Plan|Generate' -benchmem
 
 bench:
-	$(GO) test -json -run '^$$' -bench='Engine|Plan|Generate' -benchmem -count=$(BENCH_COUNT) ./internal/sim ./internal/dram ./internal/system ./internal/harness ./internal/trace > BENCH_engine.json.tmp
+	$(BENCH_RUN) -count=$(BENCH_COUNT) $(BENCH_PKGS) > BENCH_engine.json.tmp
 	mv BENCH_engine.json.tmp BENCH_engine.json
 	@echo "wrote BENCH_engine.json"
 
 # Regenerate the capture and gate the engine, planning and generator
-# benchmarks against the committed baselines: >20% ns/op regression, any
-# allocation on a baseline-allocation-free path, or a vanished benchmark
-# fails (see cmd/pimmu-benchdiff). The baseline is read from git so the fresh run
-# cannot compare against itself.
+# benchmarks against HEAD measured on this host: >20% ns/op regression,
+# any allocation on a baseline-allocation-free path, or a vanished
+# benchmark fails (see cmd/pimmu-benchdiff). HEAD is checked out in a
+# temporary git worktree outside the repository, which is removed
+# afterwards. The two sides run package by package, alternating, for
+# BENCH_COUNT rounds, so load drift on a shared host hits both alike;
+# the diff keeps each benchmark's fastest run. Rounds default to 5 here
+# because on a shared host single captures of the same code spread by
+# more than the 20% bound. The working tree's capture lands in
+# BENCH_engine.json. The CI bench job does the same against HEAD^.
+bench-compare: BENCH_COUNT = 5
 bench-compare:
-	git show HEAD:BENCH_engine.json > BENCH_engine.baseline.tmp
-	$(MAKE) bench || { rm -f BENCH_engine.baseline.tmp; exit 1; }
-	$(GO) run ./cmd/pimmu-benchdiff BENCH_engine.baseline.tmp BENCH_engine.json; \
-		status=$$?; rm -f BENCH_engine.baseline.tmp; exit $$status
+	@base=$$(mktemp -d) || exit 1; \
+	trap 'git worktree remove --force "$$base/head"; rm -rf "$$base"' EXIT; \
+	git worktree add --detach -q "$$base/head" HEAD || exit 1; \
+	for i in $$(seq $(BENCH_COUNT)); do for p in $(BENCH_PKGS); do \
+		echo "bench-compare: round $$i, $$p"; \
+		(cd "$$base/head" && $(BENCH_RUN) $$p) >> "$$base/head.json" || exit 1; \
+		$(BENCH_RUN) $$p >> "$$base/work.json" || exit 1; \
+	done; done; \
+	cp "$$base/work.json" BENCH_engine.json && echo "wrote BENCH_engine.json"; \
+	$(GO) run ./cmd/pimmu-benchdiff "$$base/head.json" BENCH_engine.json
 
 # CPU- and heap-profile a representative simulation-heavy experiment on
 # the plain engine, the one every default run uses, through the shared

@@ -19,8 +19,8 @@
 // wired through as `make bench BENCH_COUNT=N`), the minimum ns/op run
 // is kept: min-over-N is the standard way to strip scheduler and
 // frequency noise from a shared runner, and both sides of the diff get
-// the same treatment. CI runs this as `make bench-compare` against the
-// committed baselines.
+// the same treatment. `make bench-compare` runs this against HEAD and
+// the CI bench job against HEAD^, both captured on the same host.
 //
 // Usage:
 //

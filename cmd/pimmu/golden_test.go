@@ -31,6 +31,7 @@ var cliCases = []struct {
 	{"map_stream", []string{"map", "-stream", "4"}},
 	{"cmds", []string{"cmds", "-kb", "64", "-n", "4"}},
 	{"prim_va", []string{"prim", "VA"}},
+	{"prim_list", []string{"prim", "-list"}},
 	{"gen", []string{"gen", "-n", "64", "-o", "g.pmt"}},
 	{"inspect", []string{"inspect", "-n", "2", "g.pmt"}},
 	{"replay_all", []string{"replay", "-design", "all", "g.pmt"}},

@@ -107,9 +107,6 @@ func (h *HetMap) Region(name string) Region {
 	panic(fmt.Sprintf("addrmap: unknown region %q", name))
 }
 
-// Regions returns the regions sorted by base address.
-func (h *HetMap) Regions() []Region { return h.regions }
-
 func (h *HetMap) String() string {
 	s := "HetMap{"
 	for i, r := range h.regions {

@@ -148,9 +148,6 @@ type Thread struct {
 	MemOps uint64
 }
 
-// Outstanding reports the thread's in-flight memory operations.
-func (t *Thread) Outstanding() int { return t.totalOut }
-
 // Done reports whether the program finished.
 func (t *Thread) Done() bool { return t.done }
 

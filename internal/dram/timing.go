@@ -141,6 +141,3 @@ func (t Timing) Domain() clock.Domain { return clock.NewDomain(t.Clock) }
 func (t Timing) PeakChannelBandwidth() float64 {
 	return 64 * float64(t.Clock) / float64(t.BL)
 }
-
-// ReadLatency is the idle-bank read latency (ACT+CAS+burst) in cycles.
-func (t Timing) ReadLatency() int { return t.RCD + t.CL + t.BL }

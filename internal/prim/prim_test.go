@@ -2,25 +2,11 @@ package prim
 
 import (
 	"testing"
-	"testing/quick"
 
+	"repro/internal/clock"
+	"repro/internal/pim"
 	"repro/internal/system"
 )
-
-// Every workload's DPU-partitioned kernel must match its host reference
-// for a range of core counts, including awkward ones.
-func TestAllKernelsMatchHostReference(t *testing.T) {
-	for _, w := range Suite() {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			for _, cores := range []int{1, 2, 3, 16, 61, 512} {
-				if err := w.Verify(cores, 0xC0FFEE); err != nil {
-					t.Errorf("cores=%d: %v", cores, err)
-				}
-			}
-		})
-	}
-}
 
 func TestSuiteShape(t *testing.T) {
 	ws := Suite()
@@ -96,114 +82,6 @@ func TestKernelCyclesModel(t *testing.T) {
 	}
 }
 
-// Scan decompositions: both SSA and RSS must equal the sequential scan
-// for arbitrary inputs (property test).
-func TestScanDecompositionsProperty(t *testing.T) {
-	f := func(raw []int16, coresRaw uint8) bool {
-		x := make([]int64, len(raw))
-		for i, v := range raw {
-			x[i] = int64(v)
-		}
-		cores := int(coresRaw%31) + 1
-		want := ScanHost(x)
-		ssa := ScanSSADPU(x, cores)
-		rss := ScanRSSDPU(x, cores)
-		if len(x) == 0 {
-			return len(ssa) == 0 && len(rss) == 0
-		}
-		for i := range want {
-			if ssa[i] != want[i] || rss[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// SEL and UNI must be invariant to the core count (property test).
-func TestSelUniCoreCountInvariance(t *testing.T) {
-	f := func(seed uint64, c1, c2 uint8) bool {
-		x := Int64s(seed, 500, 16)
-		n1, n2 := int(c1%63)+1, int(c2%63)+1
-		s1, s2 := SELDPU(x, 3, n1), SELDPU(x, 3, n2)
-		if len(s1) != len(s2) {
-			return false
-		}
-		for i := range s1 {
-			if s1[i] != s2[i] {
-				return false
-			}
-		}
-		u1, u2 := UNIDPU(x, n1), UNIDPU(x, n2)
-		if len(u1) != len(u2) {
-			return false
-		}
-		for i := range u1 {
-			if u1[i] != u2[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TRNS applied twice is the identity (property, via the kernel itself).
-func TestTransposeInvolution(t *testing.T) {
-	f := func(seed uint64) bool {
-		const rows, cols = 24, 40
-		m := Int32s(seed, rows*cols, 1<<30)
-		tr := TRNSDPU(m, rows, cols, 7)
-		back := TRNSDPU(tr, cols, rows, 5)
-		for i := range m {
-			if back[i] != m[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// RED equals SCAN's last element plus the last input (cross-kernel
-// consistency).
-func TestRedScanConsistency(t *testing.T) {
-	x := Int64s(7, 1000, 1<<20)
-	total := REDHost(x)
-	scan := ScanHost(x)
-	if got := scan[len(scan)-1] + x[len(x)-1]; got != total {
-		t.Errorf("scan/red inconsistency: %d vs %d", got, total)
-	}
-}
-
-// BFS levels must satisfy the triangle property: adjacent vertices'
-// levels differ by at most 1 (when both reached).
-func TestBFSLevelInvariant(t *testing.T) {
-	g := RandomGraph(3, 4096, 3)
-	level := BFSDPU(g, 0, 64)
-	for v := 0; v < g.N; v++ {
-		if level[v] < 0 {
-			continue
-		}
-		for i := g.RowPtr[v]; i < g.RowPtr[v+1]; i++ {
-			u := g.Adj[i]
-			if level[u] < 0 {
-				t.Fatalf("reached vertex %d has unreached neighbour %d", v, u)
-			}
-			if level[u] > level[v]+1 {
-				t.Fatalf("level jump: %d(level %d) -> %d(level %d)", v, level[v], u, level[u])
-			}
-		}
-	}
-}
-
 // End-to-end smoke: a scaled-down VA run must produce a sane breakdown on
 // both designs, with PIM-MMU shrinking only the transfer phases.
 func TestRunEndToEndVA(t *testing.T) {
@@ -242,6 +120,21 @@ func TestRunEndToEndTSMarginal(t *testing.T) {
 	t.Logf("TS: base in=%v k=%v out=%v | mmu in=%v k=%v out=%v", pb.In, pb.Kernel, pb.Out, pm.In, pm.Kernel, pm.Out)
 	if speedup > 1.10 {
 		t.Errorf("TS speedup = %.3fx; should be marginal (kernel-bound)", speedup)
+	}
+}
+
+// The kernel phase is the scaled analytic cycle budget at the DPU clock,
+// the same on both designs.
+func TestRunEndToEndKernelAtDPUClock(t *testing.T) {
+	w, _ := ByName("VA")
+	const scale = 1.0 / 256
+	for _, d := range []system.Design{system.Base, system.PIMMMU} {
+		s := system.MustNew(system.DefaultConfig(d))
+		ph := RunEndToEnd(s, w, scale)
+		kc := int64(float64(w.KernelCycles(s.Cfg.PIM.NumCores())) * scale)
+		if want := clock.NewDomain(pim.DPUClock).Duration(kc); ph.Kernel != want {
+			t.Errorf("%v: kernel = %v, want %d cycles at the DPU clock = %v", d, ph.Kernel, kc, want)
+		}
 	}
 }
 

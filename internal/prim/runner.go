@@ -55,7 +55,7 @@ func RunEndToEnd(sys *system.System, w Workload, scale float64) Phase {
 	// Kernel: all DPUs run in lockstep; wall time is the cycle budget at
 	// the DPU clock, scaled with the problem size.
 	kc := int64(float64(w.KernelCycles(cores)) * scale)
-	ph.Kernel = clock.NewDomain(350_000_000).Duration(kc)
+	ph.Kernel = sys.Device.KernelTime(kc)
 	sys.Eng.RunUntil(sys.Eng.Now() + ph.Kernel)
 
 	rOut := sys.RunTransfer(sys.TransferOp(core.PIMToDRAM, cores, outBytes))

@@ -2,15 +2,12 @@ package prim
 
 import (
 	"fmt"
-	"reflect"
-	"sort"
 
-	"repro/internal/clock"
 	"repro/internal/pim"
 )
 
-// Workload is one PrIM benchmark's timing descriptor plus its functional
-// verification hook.
+// Workload is one PrIM benchmark's timing descriptor: its transfer
+// volumes and the baseline transfer share its kernel time is derived from.
 type Workload struct {
 	// Name is the PrIM short name (Fig. 16's x-axis).
 	Name string
@@ -23,9 +20,6 @@ type Workload struct {
 	// the paper reports (avg 63.7%, max 99.7%); the DPU kernel-time model
 	// is calibrated from it.
 	BaselineTransferFraction float64
-	// Verify runs the DPU-partitioned kernel against the host reference
-	// on a deterministic input and reports any mismatch.
-	Verify func(cores int, seed uint64) error
 }
 
 // nominalBaselineBW is the measured baseline DRAM<->PIM throughput used
@@ -44,11 +38,6 @@ func (w Workload) KernelCycles(cores int) int64 {
 	return int64(tkSecs * float64(pim.DPUClock))
 }
 
-// KernelTime converts KernelCycles to wall time at the DPU clock.
-func (w Workload) KernelTime(cores int) clock.Picos {
-	return clock.NewDomain(pim.DPUClock).Duration(w.KernelCycles(cores))
-}
-
 // Validate reports descriptor errors.
 func (w Workload) Validate() error {
 	if w.Name == "" {
@@ -59,16 +48,6 @@ func (w Workload) Validate() error {
 	}
 	if w.BaselineTransferFraction <= 0 || w.BaselineTransferFraction > 0.999 {
 		return fmt.Errorf("prim: %s: transfer fraction %f out of (0, 0.999]", w.Name, w.BaselineTransferFraction)
-	}
-	if w.Verify == nil {
-		return fmt.Errorf("prim: %s: missing Verify", w.Name)
-	}
-	return nil
-}
-
-func check(name string, got, want interface{}) error {
-	if !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("%s: %w", name, errMismatch)
 	}
 	return nil
 }
@@ -81,154 +60,22 @@ func Suite() []Workload {
 	const mb = 1 << 20
 	const kb = 1 << 10
 	return []Workload{
-		{
-			Name: "BFS", InBytesPerCore: 1 * mb, OutBytesPerCore: 64 * kb,
-			BaselineTransferFraction: 0.45,
-			Verify: func(cores int, seed uint64) error {
-				g := RandomGraph(seed, 2048, 4)
-				return check("BFS", BFSDPU(g, 0, cores), BFSHost(g, 0))
-			},
-		},
-		{
-			Name: "BS", InBytesPerCore: 1 * mb, OutBytesPerCore: 256 * kb,
-			BaselineTransferFraction: 0.95,
-			Verify: func(cores int, seed uint64) error {
-				hay := Int64s(seed, 4096, 1<<20)
-				sortInt64s(hay)
-				q := Int64s(seed+1, 1024, 1<<20)
-				return check("BS", BSDPU(hay, q, cores), BSHost(hay, q))
-			},
-		},
-		{
-			Name: "GEMV", InBytesPerCore: 1 * mb, OutBytesPerCore: 8 * kb,
-			BaselineTransferFraction: 0.50,
-			Verify: func(cores int, seed uint64) error {
-				const rows, cols = 96, 64
-				m := Int32s(seed, rows*cols, 1000)
-				v := Int32s(seed+1, cols, 1000)
-				return check("GEMV", GEMVDPU(m, rows, cols, v, cores), GEMVHost(m, rows, cols, v))
-			},
-		},
-		{
-			Name: "HST-L", InBytesPerCore: 1 * mb, OutBytesPerCore: 32 * kb,
-			BaselineTransferFraction: 0.45,
-			Verify: func(cores int, seed uint64) error {
-				x := Int32s(seed, 1<<14, 1<<30)
-				return check("HST-L", HSTDPU(x, 4096, cores), HSTHost(x, 4096))
-			},
-		},
-		{
-			Name: "HST-S", InBytesPerCore: 1 * mb, OutBytesPerCore: 2 * kb,
-			BaselineTransferFraction: 0.45,
-			Verify: func(cores int, seed uint64) error {
-				x := Int32s(seed, 1<<14, 1<<30)
-				return check("HST-S", HSTDPU(x, 256, cores), HSTHost(x, 256))
-			},
-		},
-		{
-			Name: "MLP", InBytesPerCore: 1 * mb, OutBytesPerCore: 32 * kb,
-			BaselineTransferFraction: 0.60,
-			Verify: func(cores int, seed uint64) error {
-				dims := []int{64, 96, 48, 16}
-				var layers [][]int32
-				for l := 0; l+1 < len(dims); l++ {
-					layers = append(layers, Int32s(seed+uint64(l), dims[l+1]*dims[l], 128))
-				}
-				in := Int32s(seed+9, dims[0], 256)
-				return check("MLP", MLPDPU(in, layers, dims, cores), MLPHost(in, layers, dims))
-			},
-		},
-		{
-			Name: "NW", InBytesPerCore: 128 * kb, OutBytesPerCore: 128 * kb,
-			BaselineTransferFraction: 0.25,
-			Verify: func(cores int, seed uint64) error {
-				a := bytesFrom(Int32s(seed, 257, 4))
-				b := bytesFrom(Int32s(seed+1, 301, 4))
-				got, want := NWDPU(a, b, cores), NWHost(a, b)
-				if got != want {
-					return fmt.Errorf("NW: got %d want %d: %w", got, want, errMismatch)
-				}
-				return nil
-			},
-		},
-		{
-			Name: "RED", InBytesPerCore: 1 * mb, OutBytesPerCore: 64,
-			BaselineTransferFraction: 0.55,
-			Verify: func(cores int, seed uint64) error {
-				x := Int64s(seed, 1<<14, 1<<30)
-				if REDDPU(x, cores) != REDHost(x) {
-					return fmt.Errorf("RED: %w", errMismatch)
-				}
-				return nil
-			},
-		},
-		{
-			Name: "SCAN-RSS", InBytesPerCore: 1 * mb, OutBytesPerCore: 1 * mb,
-			BaselineTransferFraction: 0.75,
-			Verify: func(cores int, seed uint64) error {
-				x := Int64s(seed, 1<<14, 1<<20)
-				return check("SCAN-RSS", ScanRSSDPU(x, cores), ScanHost(x))
-			},
-		},
-		{
-			Name: "SCAN-SSA", InBytesPerCore: 1 * mb, OutBytesPerCore: 1 * mb,
-			BaselineTransferFraction: 0.75,
-			Verify: func(cores int, seed uint64) error {
-				x := Int64s(seed, 1<<14, 1<<20)
-				return check("SCAN-SSA", ScanSSADPU(x, cores), ScanHost(x))
-			},
-		},
-		{
-			Name: "SEL", InBytesPerCore: 1 * mb, OutBytesPerCore: 512 * kb,
-			BaselineTransferFraction: 0.80,
-			Verify: func(cores int, seed uint64) error {
-				x := Int64s(seed, 1<<14, 1<<20)
-				return check("SEL", SELDPU(x, 3, cores), SELHost(x, 3))
-			},
-		},
-		{
-			Name: "SpMV", InBytesPerCore: 1 * mb, OutBytesPerCore: 16 * kb,
-			BaselineTransferFraction: 0.55,
-			Verify: func(cores int, seed uint64) error {
-				a := RandomCSR(seed, 512, 512, 8)
-				v := Int32s(seed+1, 512, 1000)
-				return check("SpMV", SpMVDPU(a, v, cores), SpMVHost(a, v))
-			},
-		},
-		{
-			Name: "TRNS", InBytesPerCore: 1 * mb, OutBytesPerCore: 1 * mb,
-			BaselineTransferFraction: 0.90,
-			Verify: func(cores int, seed uint64) error {
-				const rows, cols = 96, 64
-				m := Int32s(seed, rows*cols, 1<<30)
-				return check("TRNS", TRNSDPU(m, rows, cols, cores), TRNSHost(m, rows, cols))
-			},
-		},
-		{
-			Name: "TS", InBytesPerCore: 1 * mb, OutBytesPerCore: 64 * kb,
-			BaselineTransferFraction: 0.003,
-			Verify: func(cores int, seed uint64) error {
-				x := Int32s(seed, 256, 64)
-				return check("TS", TSDPU(x, 8, cores), TSHost(x, 8))
-			},
-		},
-		{
-			Name: "UNI", InBytesPerCore: 1 * mb, OutBytesPerCore: 512 * kb,
-			BaselineTransferFraction: 0.70,
-			Verify: func(cores int, seed uint64) error {
-				x := Int64s(seed, 1<<14, 8) // small alphabet => duplicates
-				return check("UNI", UNIDPU(x, cores), UNIHost(x))
-			},
-		},
-		{
-			Name: "VA", InBytesPerCore: 1 * mb, OutBytesPerCore: 512 * kb,
-			BaselineTransferFraction: 0.70,
-			Verify: func(cores int, seed uint64) error {
-				a := Int32s(seed, 1<<14, 1<<20)
-				b := Int32s(seed+1, 1<<14, 1<<20)
-				return check("VA", VADPU(a, b, cores), VAHost(a, b))
-			},
-		},
+		{"BFS", 1 * mb, 64 * kb, 0.45},
+		{"BS", 1 * mb, 256 * kb, 0.95},
+		{"GEMV", 1 * mb, 8 * kb, 0.50},
+		{"HST-L", 1 * mb, 32 * kb, 0.45},
+		{"HST-S", 1 * mb, 2 * kb, 0.45},
+		{"MLP", 1 * mb, 32 * kb, 0.60},
+		{"NW", 128 * kb, 128 * kb, 0.25},
+		{"RED", 1 * mb, 64, 0.55},
+		{"SCAN-RSS", 1 * mb, 1 * mb, 0.75},
+		{"SCAN-SSA", 1 * mb, 1 * mb, 0.75},
+		{"SEL", 1 * mb, 512 * kb, 0.80},
+		{"SpMV", 1 * mb, 16 * kb, 0.55},
+		{"TRNS", 1 * mb, 1 * mb, 0.90},
+		{"TS", 1 * mb, 64 * kb, 0.003},
+		{"UNI", 1 * mb, 512 * kb, 0.70},
+		{"VA", 1 * mb, 512 * kb, 0.70},
 	}
 }
 
@@ -240,16 +87,4 @@ func ByName(name string) (Workload, bool) {
 		}
 	}
 	return Workload{}, false
-}
-
-func sortInt64s(x []int64) {
-	sort.Slice(x, func(i, j int) bool { return x[i] < x[j] })
-}
-
-func bytesFrom(x []int32) []byte {
-	out := make([]byte, len(x))
-	for i, v := range x {
-		out[i] = byte(v)
-	}
-	return out
 }

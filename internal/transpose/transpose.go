@@ -1,5 +1,5 @@
-// Package transpose implements the data preprocessing required by chip
-// interleaving in UPMEM-style PIM DIMMs (paper Fig. 3).
+// Package transpose holds the cost models of the data preprocessing that
+// chip interleaving in UPMEM-style PIM DIMMs requires (paper Fig. 3).
 //
 // A DIMM built from x8 chips splits every 64-bit data word one byte per
 // chip. A bank-level PIM core lives inside a single chip, so without help
@@ -7,67 +7,13 @@
 // transposes each 64-byte block — viewed as an 8x8 byte matrix of 8 words
 // by 8 byte lanes — before the copy, so that each chip (byte lane) receives
 // one complete original word. The same transform is applied on the way
-// back. PIM-MMU moves this transform from AVX software into the DCE's
-// preprocessing unit; both use the functions in this package, which makes
-// the data path functionally testable end to end.
+// back. The simulator moves no real bytes through the transform; it charges
+// its cost: SWCostCyclesPerBlock on the baseline's AVX software loop and
+// HWUnit's pipeline in the DCE's preprocessing unit, where PIM-MMU moves it.
 package transpose
-
-import "fmt"
 
 // BlockBytes is the transpose granularity: 8 words x 8 byte lanes.
 const BlockBytes = 64
-
-// WordBytes is the width of one data word (one row of the matrix).
-const WordBytes = 8
-
-// Block transposes one 64-byte block in place: out[lane*8+word] =
-// in[word*8+lane]. Applying it twice restores the original block.
-func Block(b *[BlockBytes]byte) {
-	for w := 0; w < WordBytes; w++ {
-		for l := w + 1; l < WordBytes; l++ {
-			b[w*WordBytes+l], b[l*WordBytes+w] = b[l*WordBytes+w], b[w*WordBytes+l]
-		}
-	}
-}
-
-// Buffer transposes every 64-byte block of buf in place. The length must
-// be a multiple of BlockBytes; a ragged buffer is a programming error in
-// the transfer path and panics.
-func Buffer(buf []byte) {
-	if len(buf)%BlockBytes != 0 {
-		panic(fmt.Sprintf("transpose: buffer length %d not a multiple of %d", len(buf), BlockBytes))
-	}
-	for off := 0; off < len(buf); off += BlockBytes {
-		var blk [BlockBytes]byte
-		copy(blk[:], buf[off:off+BlockBytes])
-		Block(&blk)
-		copy(buf[off:off+BlockBytes], blk[:])
-	}
-}
-
-// Lane extracts byte lane l (0..7) of a 64-byte burst: byte l of each of
-// the 8 beats — the bytes chip l physically receives. For a transposed
-// block this equals original word l.
-func Lane(b []byte, l int) [WordBytes]byte {
-	if len(b) < BlockBytes {
-		panic("transpose: short block")
-	}
-	var out [WordBytes]byte
-	for w := 0; w < WordBytes; w++ {
-		out[w] = b[w*WordBytes+l]
-	}
-	return out
-}
-
-// Word extracts original word w (0..7) of an untransposed block.
-func Word(b []byte, w int) [WordBytes]byte {
-	if len(b) < BlockBytes {
-		panic("transpose: short block")
-	}
-	var out [WordBytes]byte
-	copy(out[:], b[w*WordBytes:(w+1)*WordBytes])
-	return out
-}
 
 // HWUnit models the DCE's hardware preprocessing unit (Section IV-C): a
 // pipelined transpose engine. Throughput is one 64-byte block per engine
@@ -95,7 +41,8 @@ func (u HWUnit) Cycles(blocks int64) int64 {
 	return u.PipelineDepth + (blocks+u.BlocksPerCycle-1)/u.BlocksPerCycle
 }
 
-// SWCost models the AVX-512 software transpose cost in CPU cycles per
-// 64-byte block, measured from shuffle-based 8x8 byte transposes on
-// Skylake-class cores (roughly 8 shuffle uops plus loads/stores per block).
+// SWCostCyclesPerBlock models the AVX-512 software transpose cost in CPU
+// cycles per 64-byte block, measured from shuffle-based 8x8 byte
+// transposes on Skylake-class cores (roughly 8 shuffle uops plus
+// loads/stores per block).
 const SWCostCyclesPerBlock = 6

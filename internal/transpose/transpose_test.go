@@ -1,101 +1,6 @@
 package transpose
 
-import (
-	"bytes"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
-
-func TestBlockTransposesMatrix(t *testing.T) {
-	var b [BlockBytes]byte
-	for i := range b {
-		b[i] = byte(i)
-	}
-	Block(&b)
-	for w := 0; w < WordBytes; w++ {
-		for l := 0; l < WordBytes; l++ {
-			want := byte(l*WordBytes + w)
-			if got := b[w*WordBytes+l]; got != want {
-				t.Fatalf("b[%d][%d] = %d, want %d", w, l, got, want)
-			}
-		}
-	}
-}
-
-// Transpose is an involution: applying it twice restores the block.
-func TestBlockInvolution(t *testing.T) {
-	f := func(in [BlockBytes]byte) bool {
-		b := in
-		Block(&b)
-		Block(&b)
-		return b == in
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// The defining property (paper Fig. 3): after the transpose, byte lane L
-// of the block holds exactly the original word L, so the chip on lane L
-// receives a complete data word.
-func TestLaneReceivesWholeWord(t *testing.T) {
-	f := func(in [BlockBytes]byte) bool {
-		b := in
-		Block(&b)
-		for l := 0; l < WordBytes; l++ {
-			if Lane(b[:], l) != Word(in[:], l) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBufferMultiBlock(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	buf := make([]byte, 8*BlockBytes)
-	rng.Read(buf)
-	orig := append([]byte(nil), buf...)
-	Buffer(buf)
-	if bytes.Equal(buf, orig) {
-		t.Error("Buffer did not change data")
-	}
-	// Each block is independently transposed.
-	for blk := 0; blk < 8; blk++ {
-		var b [BlockBytes]byte
-		copy(b[:], orig[blk*BlockBytes:])
-		Block(&b)
-		if !bytes.Equal(buf[blk*BlockBytes:(blk+1)*BlockBytes], b[:]) {
-			t.Fatalf("block %d mismatch", blk)
-		}
-	}
-	Buffer(buf)
-	if !bytes.Equal(buf, orig) {
-		t.Error("double Buffer did not restore data")
-	}
-}
-
-func TestBufferRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ragged buffer did not panic")
-		}
-	}()
-	Buffer(make([]byte, 65))
-}
-
-func TestLaneShortBlockPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("short block did not panic")
-		}
-	}()
-	Lane(make([]byte, 10), 0)
-}
+import "testing"
 
 func TestHWUnitCycles(t *testing.T) {
 	u := DefaultHWUnit()
