@@ -13,10 +13,13 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Static checks: go vet plus the import layering rules — the harness
-# compute-phase rule, serve's no-internal/system rule, and serve/api's
-# purity rule; see cmd/pimmu-lint.
+# Static checks: go vet (also over the slow-tagged test files, so a
+# change that breaks their build fails here rather than in the nightly
+# tier) plus the import layering rules — the harness compute-phase rule,
+# serve's no-internal/system rule, and serve/api's purity rule; see
+# cmd/pimmu-lint.
 lint: vet
+	$(GO) vet -tags slow ./...
 	$(GO) run ./cmd/pimmu-lint
 
 build:

@@ -222,7 +222,7 @@ func replayStream() string {
 	s := system.MustNew(system.DefaultConfig(system.Base))
 	pims := recordChannels(s.Mem.PIM, s.Cfg.Mem.PIM.Geometry.Channels)
 	drams, chk := observeDRAM(s)
-	cfg := trace.ReplayConfig{MaxInFlight: 256, Cacheable: false, SrcID: trace.DefaultReplayConfig().SrcID}
+	cfg := trace.ReplayConfig{MaxInFlight: 256, Cacheable: false}
 	r, err := s.RunReplay(recs, cfg)
 	if err != nil {
 		panic(err)

@@ -40,9 +40,6 @@ import (
 	"repro/internal/transpose"
 )
 
-// SrcID tags all DCE-issued requests in per-source byte accounting.
-const SrcID = 1 << 20
-
 // Direction of a transfer.
 type Direction int
 
@@ -162,6 +159,9 @@ func (o Op) Validate(g pim.Geometry) error {
 	if o.MRAMOffset%mem.LineBytes != 0 {
 		return fmt.Errorf("core: MRAMOffset=0x%x not line aligned", o.MRAMOffset)
 	}
+	if mram := g.MRAMBytes(); o.MRAMOffset > mram || o.BytesPerCore > mram-o.MRAMOffset {
+		return fmt.Errorf("core: transfer exceeds MRAM capacity")
+	}
 	seen := make(map[int]bool, len(o.Cores))
 	for i, c := range o.Cores {
 		if c < 0 || c >= g.NumCores() {
@@ -173,9 +173,6 @@ func (o Op) Validate(g pim.Geometry) error {
 		seen[c] = true
 		if o.DRAMAddrs[i]%mem.LineBytes != 0 {
 			return fmt.Errorf("core: DRAM address 0x%x not line aligned", o.DRAMAddrs[i])
-		}
-		if o.MRAMOffset+o.BytesPerCore > g.MRAMBytes() {
-			return fmt.Errorf("core: transfer exceeds MRAM capacity")
 		}
 	}
 	return nil
@@ -579,7 +576,6 @@ func (b *batchRun) issue(g pimms.Granule, kind mem.Kind, read bool) bool {
 	dr.req.Addr = g.Addr
 	dr.req.Kind = kind
 	dr.req.Cacheable = false
-	dr.req.SrcID = SrcID
 	if b.e.sys.TryEnqueue(&dr.req) {
 		return true
 	}

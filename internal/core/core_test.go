@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/addrmap"
@@ -209,6 +210,30 @@ func TestConfigValidate(t *testing.T) {
 	bad.DMAWindow = 0
 	if bad.Validate() == nil {
 		t.Error("DMAWindow=0 accepted")
+	}
+}
+
+// The MRAM capacity check must hold for values near 2^64, where
+// MRAMOffset+BytesPerCore wraps.
+func TestOpValidateMRAMRange(t *testing.T) {
+	g := pim.DefaultGeometry()
+	mram := g.MRAMBytes()
+	const top = math.MaxUint64 &^ 63 // the highest line-aligned value
+	for _, tc := range []struct {
+		off, n uint64
+		legal  bool
+	}{
+		{0, 64, true},
+		{mram - 64, 64, true},
+		{mram, 64, false},
+		{mram - 64, 128, false},
+		{top, 64, false},
+		{64, top, false},
+	} {
+		op := Op{Cores: []int{0}, DRAMAddrs: []uint64{0}, BytesPerCore: tc.n, MRAMOffset: tc.off}
+		if err := op.Validate(g); (err == nil) != tc.legal {
+			t.Errorf("%d bytes at MRAM 0x%x: err=%v, want legal=%v", tc.n, tc.off, err, tc.legal)
+		}
 	}
 }
 

@@ -412,7 +412,6 @@ func (core *Core) advance(now clock.Picos) {
 			*req = mem.Req{
 				Addr:      mem.LineAlign(op.Addr),
 				Cacheable: !op.NC,
-				SrcID:     t.ID,
 			}
 			if op.Kind == OpStore {
 				req.Kind = mem.Write

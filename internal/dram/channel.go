@@ -27,8 +27,8 @@ type Config struct {
 	// examines per cycle, modelling the finite pick window of a real
 	// scheduler CAM.
 	ScanWindow int
-	// SeriesWindow, when positive, enables per-channel bandwidth time
-	// series with the given bucket width.
+	// SeriesWindow, when positive, enables the per-channel write
+	// bandwidth time series with the given bucket width.
 	SeriesWindow clock.Picos
 }
 
@@ -240,7 +240,6 @@ func (c *Channel) TryEnqueue(r *mem.Req, loc addrmap.Loc) bool {
 		// serially replaying them.
 		c.catchUpRefresh(c.dom.Cycles(c.sched.Now()))
 	}
-	r.Enqueued = c.sched.Now()
 	*q = append(*q, c.newPending(r, loc))
 	c.kick()
 	return true

@@ -4,7 +4,10 @@ import "fmt"
 
 // Checker is a DDR4 protocol verifier: attached as an Observer, it
 // validates every issued command against the JEDEC timing constraints and
-// bank-state rules, independently of the scheduler's own bookkeeping.
+// bank-state rules, independently of the scheduler's own bookkeeping:
+// bank state, tRCD/tRAS/tRP/tRC, tRRD_S and tFAW, tRTP and tWR,
+// tCCD_S/tCCD_L, data-bus overlap with the tRTRS bubble on a rank switch
+// or a read->write turnaround, and tWTR_S/tWTR_L.
 // It is the simulator's safety net — the property tests drive random
 // traffic through a channel with a checker attached and assert zero
 // violations.
@@ -38,10 +41,9 @@ type checkerBank struct {
 type checkerRank struct {
 	acts        []int64 // history of ACT cycles for tFAW / tRRD
 	lastCASBG   []int64 // per bank group, for tCCD_L
-	lastWrite   int64
-	haveWrite   bool
-	refUntil    int64 // busy with refresh until this cycle
-	lastRefDone int64
+	lastWriteBG []int64 // per bank group WR CAS cycle, for tWTR_L
+	lastWrite   int64   // WR CAS cycle in any bank group, for tWTR_S
+	refUntil    int64   // busy with refresh until this cycle
 }
 
 // NewChecker builds a checker for one channel of the given config.
@@ -54,8 +56,10 @@ func NewChecker(cfg Config) *Checker {
 	c.rank = make([]checkerRank, cfg.Geometry.Ranks)
 	for r := range c.rank {
 		c.rank[r].lastCASBG = make([]int64, cfg.Geometry.BankGroups)
+		c.rank[r].lastWriteBG = make([]int64, cfg.Geometry.BankGroups)
 		for i := range c.rank[r].lastCASBG {
 			c.rank[r].lastCASBG[i] = -1 << 40
+			c.rank[r].lastWriteBG[i] = -1 << 40
 		}
 		c.rank[r].lastWrite = -1 << 40
 		c.rank[r].refUntil = -1 << 40
@@ -158,25 +162,35 @@ func (c *Checker) Command(_ int, e CmdEvent) {
 			c.fail(e, "tCCD_S violated: last CAS at %d", c.lastCASCycle)
 		}
 		// Data-bus occupancy: two bursts may not overlap. Burst start for
-		// RD is CAS+CL, for WR is CAS+CWL; both last BL cycles.
+		// RD is CAS+CL, for WR is CAS+CWL; both last BL cycles. A rank
+		// switch or a read->write turnaround also needs a tRTRS bubble
+		// between the bursts.
 		if c.haveCAS {
 			prevStart := c.lastCASCycle + int64(t.CL)
 			if c.lastCASKind == CmdWR {
 				prevStart = c.lastCASCycle + int64(t.CWL)
 			}
+			prevEnd := prevStart + int64(t.BL)
 			curStart := e.Cycle + int64(t.CL)
 			if e.Cmd == CmdWR {
 				curStart = e.Cycle + int64(t.CWL)
 			}
-			if curStart < prevStart+int64(t.BL) {
-				c.fail(e, "data bus overlap: previous burst [%d,%d)", prevStart, prevStart+int64(t.BL))
+			switch {
+			case curStart < prevEnd:
+				c.fail(e, "data bus overlap: previous burst [%d,%d)", prevStart, prevEnd)
+			case (e.Rank != c.lastCASRank || c.lastCASKind == CmdRD && e.Cmd == CmdWR) &&
+				curStart < prevEnd+int64(t.RTRS):
+				c.fail(e, "tRTRS violated: previous burst ends at %d", prevEnd)
 			}
 		}
-		// tWTR: a RD after a WR burst in the same rank.
-		if e.Cmd == CmdRD && r.haveWrite {
-			wrBurstEnd := r.lastWrite + int64(t.CWL+t.BL)
-			if e.Cycle < wrBurstEnd+int64(t.WTRS) {
-				c.fail(e, "tWTR_S violated: WR at %d", r.lastWrite)
+		// tWTR: a RD after a WR burst in the same rank, longer within
+		// the WR's bank group.
+		if e.Cmd == CmdRD {
+			if wr := r.lastWrite; e.Cycle < wr+int64(t.CWL+t.BL+t.WTRS) {
+				c.fail(e, "tWTR_S violated: WR at %d", wr)
+			}
+			if wr := r.lastWriteBG[e.BankGrp]; e.Cycle < wr+int64(t.CWL+t.BL+t.WTRL) {
+				c.fail(e, "tWTR_L violated: WR in bg at %d", wr)
 			}
 		}
 		r.lastCASBG[e.BankGrp] = e.Cycle
@@ -185,7 +199,7 @@ func (c *Checker) Command(_ int, e CmdEvent) {
 		if e.Cmd == CmdWR {
 			b.lastWrite = e.Cycle
 			r.lastWrite = e.Cycle
-			r.haveWrite = true
+			r.lastWriteBG[e.BankGrp] = e.Cycle
 		} else {
 			b.lastRead = e.Cycle
 		}
@@ -201,6 +215,5 @@ func (c *Checker) Command(_ int, e CmdEvent) {
 			c.fail(e, "REF during refresh (until %d)", r.refUntil)
 		}
 		r.refUntil = e.Cycle + int64(c.t.RFC)
-		r.lastRefDone = r.refUntil
 	}
 }

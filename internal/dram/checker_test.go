@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/addrmap"
@@ -99,66 +100,88 @@ func TestCheckerDetectsViolations(t *testing.T) {
 	cases := []struct {
 		name   string
 		events []CmdEvent
+		rule   string // a violation must name it
 	}{
 		{"CAS to closed bank", []CmdEvent{
 			{Cycle: 0, Cmd: CmdRD, Row: 0},
-		}},
+		}, "CAS to closed bank"},
 		{"tRCD", []CmdEvent{
 			{Cycle: 0, Cmd: CmdACT, Row: 5},
 			{Cycle: int64(tm.RCD) - 1, Cmd: CmdRD, Row: 5},
-		}},
+		}, "tRCD violated"},
 		{"wrong row", []CmdEvent{
 			{Cycle: 0, Cmd: CmdACT, Row: 5},
 			{Cycle: 100, Cmd: CmdRD, Row: 6},
-		}},
+		}, "but open row is"},
 		{"tRAS", []CmdEvent{
 			{Cycle: 0, Cmd: CmdACT, Row: 5},
 			{Cycle: int64(tm.RAS) - 1, Cmd: CmdPRE},
-		}},
+		}, "tRAS violated"},
 		{"tRP", []CmdEvent{
 			{Cycle: 0, Cmd: CmdACT, Row: 5},
 			{Cycle: 100, Cmd: CmdPRE},
 			{Cycle: 100 + int64(tm.RP) - 1, Cmd: CmdACT, Row: 6},
-		}},
+		}, "tRP violated"},
 		{"tCCD_L", []CmdEvent{
 			{Cycle: 0, Cmd: CmdACT, Row: 5},
 			{Cycle: 100, Cmd: CmdRD, Row: 5},
 			{Cycle: 100 + int64(tm.CCDL) - 1, Cmd: CmdRD, Row: 5, Col: 1},
-		}},
+		}, "tCCD_L violated"},
 		{"double ACT", []CmdEvent{
 			{Cycle: 0, Cmd: CmdACT, Row: 5},
 			{Cycle: 1000, Cmd: CmdACT, Row: 6},
-		}},
+		}, "ACT to open bank"},
 		{"tFAW", []CmdEvent{
 			{Cycle: 0, Cmd: CmdACT, Bank: 0, Row: 1},
 			{Cycle: int64(tm.RRDS), Cmd: CmdACT, Bank: 1, Row: 1},
 			{Cycle: 2 * int64(tm.RRDS), Cmd: CmdACT, Bank: 2, Row: 1},
 			{Cycle: 3 * int64(tm.RRDS), Cmd: CmdACT, Bank: 3, Row: 1},
 			{Cycle: int64(tm.FAW) - 1, Cmd: CmdACT, BankGrp: 1, Row: 1},
-		}},
+		}, "tFAW violated"},
 		{"REF with open bank", []CmdEvent{
 			{Cycle: 0, Cmd: CmdACT, Row: 5},
 			{Cycle: 1000, Cmd: CmdREF, Bank: -1, BankGrp: -1},
-		}},
+		}, "REF with open bank"},
 		{"tWTR", []CmdEvent{
 			{Cycle: 0, Cmd: CmdACT, Row: 5},
 			{Cycle: 100, Cmd: CmdWR, Row: 5},
 			{Cycle: 100 + int64(tm.CCDL), Cmd: CmdRD, Row: 5, Col: 1},
-		}},
+		}, "tWTR_S violated"},
+		// Past tWTR_S but inside tWTR_L: the RD is in the WR's bank group.
+		{"tWTR_L same bank group", []CmdEvent{
+			{Cycle: 0, Cmd: CmdACT, Row: 5},
+			{Cycle: 100, Cmd: CmdWR, Row: 5},
+			{Cycle: 100 + int64(tm.CWL+tm.BL+tm.WTRS), Cmd: CmdRD, Row: 5, Col: 1},
+		}, "tWTR_L violated"},
+		// Back-to-back read bursts on two ranks, with no switch bubble.
+		{"tRTRS rank switch", []CmdEvent{
+			{Cycle: 0, Cmd: CmdACT, Rank: 0, Row: 5},
+			{Cycle: 0, Cmd: CmdACT, Rank: 1, Row: 5},
+			{Cycle: 100, Cmd: CmdRD, Rank: 0, Row: 5},
+			{Cycle: 100 + int64(tm.BL), Cmd: CmdRD, Rank: 1, Row: 5},
+		}, "tRTRS violated"},
+		// A write burst starting as the read burst ends, in one rank.
+		{"tRTRS read to write", []CmdEvent{
+			{Cycle: 0, Cmd: CmdACT, BankGrp: 0, Row: 5},
+			{Cycle: int64(tm.RRDS), Cmd: CmdACT, BankGrp: 1, Row: 5},
+			{Cycle: 100, Cmd: CmdRD, BankGrp: 0, Row: 5},
+			{Cycle: 100 + int64(tm.CL-tm.CWL+tm.BL), Cmd: CmdWR, BankGrp: 1, Row: 5},
+		}, "tRTRS violated"},
 	}
 	for _, tc := range cases {
 		chk := NewChecker(cfg)
 		for _, e := range tc.events {
 			chk.Command(0, e)
 		}
-		if len(chk.Violations()) == 0 {
-			t.Errorf("%s: checker missed the violation", tc.name)
+		if v := chk.Violations(); !strings.Contains(strings.Join(v, "\n"), tc.rule) {
+			t.Errorf("%s: checker missed the violation: no %q among %v", tc.name, tc.rule, v)
 		}
 	}
 }
 
 // A legal hand-built sequence must produce no violations (no false
-// positives).
+// positives). The rank-1 column commands sit exactly on the tRTRS and
+// tWTR_L bounds.
 func TestCheckerAcceptsLegalSequence(t *testing.T) {
 	cfg := smallConfig()
 	tm := cfg.Timing
@@ -166,12 +189,19 @@ func TestCheckerAcceptsLegalSequence(t *testing.T) {
 	act := int64(0)
 	rd1 := act + int64(tm.RCD)
 	rd2 := rd1 + int64(tm.CCDL)
-	pre := rd2 + int64(tm.RTP) + int64(tm.RAS) // comfortably past tRAS
+	rd3 := rd2 + int64(tm.BL+tm.RTRS)             // rank switch
+	wr := rd3 + int64(tm.CL-tm.CWL+tm.BL+tm.RTRS) // read -> write
+	rd4 := wr + int64(tm.CWL+tm.BL+tm.WTRL)       // write -> read, same bg
+	pre := rd2 + int64(tm.RTP) + int64(tm.RAS)    // comfortably past tRAS
 	act2 := pre + int64(tm.RP)
 	for _, e := range []CmdEvent{
 		{Cycle: act, Cmd: CmdACT, Row: 3},
+		{Cycle: act, Cmd: CmdACT, Rank: 1, Row: 3},
 		{Cycle: rd1, Cmd: CmdRD, Row: 3, Col: 0},
 		{Cycle: rd2, Cmd: CmdRD, Row: 3, Col: 1},
+		{Cycle: rd3, Cmd: CmdRD, Rank: 1, Row: 3},
+		{Cycle: wr, Cmd: CmdWR, Rank: 1, Row: 3, Col: 1},
+		{Cycle: rd4, Cmd: CmdRD, Rank: 1, Row: 3, Col: 2},
 		{Cycle: pre, Cmd: CmdPRE},
 		{Cycle: act2, Cmd: CmdACT, Row: 9},
 	} {

@@ -412,7 +412,7 @@ func TestWriteDrainServesBothKinds(t *testing.T) {
 	}
 }
 
-// Series stats: enabling SeriesWindow must bucket completed bytes.
+// Series stats: enabling SeriesWindow must bucket completed write bytes.
 func TestBandwidthSeries(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
@@ -420,11 +420,11 @@ func TestBandwidthSeries(t *testing.T) {
 	ds := MustNew(eng, cfg, "dram")
 	dr := &driver{eng: eng, ch: ds.Channel(0)}
 	const n = 3000
-	dr.issueAll(seqLocs(n, true), mem.Read)
+	dr.issueAll(seqLocs(n, true), mem.Write)
 	eng.Run()
-	s := ds.Channel(0).Stats().ReadSeries
+	s := ds.Channel(0).Stats().WriteSeries
 	if s == nil {
-		t.Fatal("ReadSeries not enabled")
+		t.Fatal("WriteSeries not enabled")
 	}
 	if s.Total() != float64(n*64) {
 		t.Errorf("series total = %.0f, want %d", s.Total(), n*64)

@@ -373,16 +373,12 @@ func (cp *completion) OnEvent(now clock.Picos) {
 	c.freeComp = cp
 	if req.Kind == mem.Read {
 		c.stats.BytesRead += mem.LineBytes
-		if c.stats.ReadSeries != nil {
-			c.stats.ReadSeries.Add(now, mem.LineBytes)
-		}
 	} else {
 		c.stats.BytesWritten += mem.LineBytes
 		if c.stats.WriteSeries != nil {
 			c.stats.WriteSeries.Add(now, mem.LineBytes)
 		}
 	}
-	c.stats.BytesBySrc[req.SrcID] += mem.LineBytes
 	if req.OnDone != nil {
 		req.OnDone(now)
 	}

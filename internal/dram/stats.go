@@ -6,9 +6,9 @@ import (
 )
 
 // ChannelStats accumulates per-channel counters. Command counts feed the
-// energy model; byte counts and the optional time series feed the
-// bandwidth plots (Fig. 6, Fig. 14); row-buffer counters validate the
-// scheduler.
+// energy model; byte counts feed the bandwidth results and the optional
+// write series the per-channel breakdown of Fig. 6; row-buffer and
+// queue-full counters validate the scheduler.
 type ChannelStats struct {
 	Reads  uint64 // RD commands issued
 	Writes uint64 // WR commands issued
@@ -25,19 +25,14 @@ type ChannelStats struct {
 
 	QueueFull uint64 // TryEnqueue rejections
 
-	// ReadSeries and WriteSeries, when enabled, bucket completed bytes
-	// by time window.
-	ReadSeries  *stats.Series
+	// WriteSeries, when enabled, buckets completed write bytes by time
+	// window.
 	WriteSeries *stats.Series
-
-	// BytesBySrc splits completed bytes by the requester's SrcID.
-	BytesBySrc map[int]uint64
 }
 
 func newChannelStats(window clock.Picos) *ChannelStats {
-	s := &ChannelStats{BytesBySrc: make(map[int]uint64)}
+	s := &ChannelStats{}
 	if window > 0 {
-		s.ReadSeries = stats.NewSeries(window)
 		s.WriteSeries = stats.NewSeries(window)
 	}
 	return s

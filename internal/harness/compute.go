@@ -132,14 +132,9 @@ func fig6Sweep(r *Runner, sc Scale) *Sweep[transfer, Fig6Section] {
 		for _, c := range s.Mem.PIM.Stats().Channels {
 			series = append(series, c.WriteSeries)
 		}
-		// Size rows from MaxIndex, not Len: a channel served late in a
-		// coarse-grained copy has no window-0 sample, so its buckets live
-		// beyond the Len() prefix (Bucket still reaches them).
 		maxLen := 0
 		for _, sr := range series {
-			if n := int(sr.MaxIndex()) + 1; n > maxLen {
-				maxLen = n
-			}
+			maxLen = max(maxLen, sr.Len())
 		}
 		return Fig6Section{Rows: windowBuckets(series, maxLen)}
 	})

@@ -68,7 +68,8 @@ func (k Kind) String() string {
 
 // Req is one line-sized memory request. Requests are created by an agent,
 // enqueued at a channel controller, and completed by invoking OnDone once
-// the data burst finishes on the bus.
+// the data burst finishes on the bus. A request carries only what routing
+// and completion need: its address, kind, cacheability and callback.
 type Req struct {
 	// Addr is the line-aligned physical address.
 	Addr uint64
@@ -77,15 +78,8 @@ type Req struct {
 	// Cacheable requests may be served by the LLC; non-cacheable requests
 	// (all PIM-space traffic) always reach the memory controller.
 	Cacheable bool
-	// Enqueued is when the request entered the controller queue; the
-	// controller sets it.
-	Enqueued clock.Picos
 	// OnDone, if non-nil, runs when the request's data transfer completes.
 	OnDone func(now clock.Picos)
-
-	// SrcID tags the requesting agent for per-agent statistics
-	// (e.g. distinguishing transfer traffic from contender traffic).
-	SrcID int
 }
 
 func (r *Req) String() string {

@@ -287,7 +287,6 @@ func (s *System) TryEnqueue(r *mem.Req) bool {
 		Kind:      mem.Read,
 		Cacheable: true,
 		OnDone:    r.OnDone,
-		SrcID:     r.SrcID,
 	}
 	if !ch.TryEnqueue(fill, loc) {
 		s.spareFill = fill
@@ -297,7 +296,7 @@ func (s *System) TryEnqueue(r *mem.Req) bool {
 	s.accepted(r)
 	res := s.LLC.Access(r.Addr, r.Kind == mem.Write)
 	if res.HasWriteback {
-		s.issueWriteback(res.Writeback, r.SrcID)
+		s.issueWriteback(res.Writeback)
 	}
 	return true
 }
@@ -324,10 +323,10 @@ func (s *System) fireHits(now clock.Picos) {
 
 // issueWriteback sends an evicted dirty line to DRAM, retrying until the
 // target queue accepts it. Writebacks are posted: nothing waits on them.
-func (s *System) issueWriteback(addr uint64, srcID int) {
+func (s *System) issueWriteback(addr uint64) {
 	region, loc := s.Het.Decode(s.physical(addr))
 	ch := s.channelFor(region.Space, loc)
-	wb := &mem.Req{Addr: addr, Kind: mem.Write, Cacheable: true, SrcID: srcID}
+	wb := &mem.Req{Addr: addr, Kind: mem.Write, Cacheable: true}
 	var try func()
 	try = func() {
 		if !ch.TryEnqueue(wb, loc) {

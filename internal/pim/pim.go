@@ -222,8 +222,8 @@ func (d *Device) checkRange(coreID int, offset, length uint64) {
 	if coreID < 0 || coreID >= d.geom.NumCores() {
 		panic(fmt.Sprintf("pim: core ID %d out of range", coreID))
 	}
-	if offset+length > d.geom.MRAMBytes() {
-		panic(fmt.Sprintf("pim: MRAM access [0x%x, 0x%x) out of bounds", offset, offset+length))
+	if mram := d.geom.MRAMBytes(); offset > mram || length > mram-offset {
+		panic(fmt.Sprintf("pim: MRAM access of 0x%x bytes at 0x%x out of bounds", length, offset))
 	}
 }
 

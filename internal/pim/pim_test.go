@@ -2,6 +2,7 @@ package pim
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -212,6 +213,40 @@ func TestDeviceMRAMBounds(t *testing.T) {
 		}
 	}()
 	d.WriteMRAM(0, d.Geometry().MRAMBytes()-4, make([]byte, 8))
+}
+
+// The MRAM range check must hold for offsets near 2^64, where
+// offset+length wraps, on both reads and writes.
+func TestDeviceMRAMRangeOverflow(t *testing.T) {
+	d := NewDevice(smallGeometry())
+	mram := d.Geometry().MRAMBytes()
+	for _, tc := range []struct {
+		off   uint64
+		n     int
+		legal bool
+	}{
+		{0, 2, true},
+		{mram - 2, 2, true},
+		{mram, 0, true},
+		{mram - 1, 2, false},
+		{mram + 1, 0, false},
+		{math.MaxUint64, 2, false},
+		{math.MaxUint64 - 1, 2, false},
+	} {
+		for _, access := range []func(){
+			func() { d.WriteMRAM(0, tc.off, make([]byte, tc.n)) },
+			func() { d.ReadMRAM(0, tc.off, tc.n) },
+		} {
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				access()
+				return
+			}()
+			if panicked == tc.legal {
+				t.Errorf("%d bytes at 0x%x: panicked=%v, want %v", tc.n, tc.off, panicked, !tc.legal)
+			}
+		}
+	}
 }
 
 // Writes spanning chunk boundaries must round-trip, and untouched bytes

@@ -1,7 +1,7 @@
 // Package stats provides the small statistics primitives shared by the
 // simulator and the benchmark harness: time-bucketed series (for the
-// per-channel bandwidth breakdowns of Fig. 4 and Fig. 6), counters, and
-// aggregate helpers.
+// power trace of Fig. 4 and the per-channel write breakdown of Fig. 6),
+// aggregate helpers, and a fixed-width text table.
 package stats
 
 import (
@@ -13,37 +13,14 @@ import (
 )
 
 // Series accumulates a value over fixed-width time windows. It backs the
-// paper's time-resolved plots (active-core fraction, per-channel write
-// throughput).
-//
-// Storage is segmented: each segment is one contiguous run of buckets,
-// kept sorted and non-overlapping. A sample extends its segment (filling
-// at most maxDenseGap zero buckets, the cadence slack of a live sampler)
-// or starts a new one, so memory stays proportional to the windows
-// actually touched — a single far-future timestamp in a replayed trace
-// used to append O(t/window) zero buckets and could OOM a long replay;
-// now it just opens a one-bucket segment. Segments that grow into each
-// other merge, so a stray folds in if sampling later catches up to it.
-// Buckets/Len expose the prefix segment starting at index 0 (what
-// renderers iterate); everything else stays addressable through
-// Bucket/MaxIndex, and aggregation walks segments in order, keeping
-// totals bit-deterministic.
+// paper's time-resolved plots (power and active-core fraction, per-channel
+// write throughput). Buckets are stored densely from window 0, so a
+// sample at time t grows the series to t/window+1 buckets; both producers
+// sample a fresh machine over one bounded run.
 type Series struct {
 	window clock.Picos
-	segs   []seg
+	vals   []float64
 }
-
-// seg is one contiguous run of buckets starting at absolute index start.
-type seg struct {
-	start int64
-	vals  []float64
-}
-
-func (g *seg) end() int64 { return g.start + int64(len(g.vals)) }
-
-// maxDenseGap bounds how many zero buckets one Add may fill to keep a
-// sample in an existing segment before a new segment is opened instead.
-const maxDenseGap = 256
 
 // NewSeries creates a series with the given bucket width.
 func NewSeries(window clock.Picos) *Series {
@@ -53,138 +30,37 @@ func NewSeries(window clock.Picos) *Series {
 	return &Series{window: window}
 }
 
-// Window reports the bucket width.
-func (s *Series) Window() clock.Picos { return s.window }
-
-// seekSeg returns the index of the last segment with start <= i, or -1.
-func (s *Series) seekSeg(i int64) int {
-	lo, hi := 0, len(s.segs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.segs[mid].start <= i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
-}
-
 // Add accumulates v into the bucket containing time t.
 func (s *Series) Add(t clock.Picos, v float64) {
 	if t < 0 {
 		panic("stats: negative time")
 	}
-	i := int64(t / s.window)
-	k := s.seekSeg(i)
-	if k >= 0 {
-		g := &s.segs[k]
-		if i < g.end() {
-			g.vals[i-g.start] += v
-			return
-		}
-		if i < g.end()+maxDenseGap {
-			// Within sampler slack of the segment's end: extend it.
-			for g.end() <= i {
-				g.vals = append(g.vals, 0)
-			}
-			g.vals[i-g.start] += v
-			s.mergeForward(k)
-			return
-		}
+	i := int(t / s.window)
+	for len(s.vals) <= i {
+		s.vals = append(s.vals, 0)
 	}
-	// Far from any existing run: open a fresh segment.
-	k++
-	s.segs = append(s.segs, seg{})
-	copy(s.segs[k+1:], s.segs[k:])
-	s.segs[k] = seg{start: i, vals: []float64{v}}
-	s.mergeForward(k)
-}
-
-// mergeForward folds segments k+1... into k while they touch or overlap.
-func (s *Series) mergeForward(k int) {
-	g := &s.segs[k]
-	n := k + 1
-	for n < len(s.segs) && s.segs[n].start <= g.end() {
-		next := s.segs[n]
-		off := next.start - g.start
-		for g.end() < next.end() {
-			g.vals = append(g.vals, 0)
-		}
-		for j, v := range next.vals {
-			g.vals[off+int64(j)] += v
-		}
-		n++
-	}
-	if n > k+1 {
-		s.segs = append(s.segs[:k+1], s.segs[n:]...)
-	}
-}
-
-// Buckets returns the contiguous bucket run starting at index 0; the
-// caller must not mutate. Samples beyond the first idle gap larger than
-// maxDenseGap windows live in later segments, reachable via Bucket and
-// MaxIndex.
-func (s *Series) Buckets() []float64 {
-	if len(s.segs) == 0 || s.segs[0].start != 0 {
-		return nil
-	}
-	return s.segs[0].vals
+	s.vals[i] += v
 }
 
 // Bucket returns bucket i, or 0 when it was never touched.
 func (s *Series) Bucket(i int) float64 {
-	k := s.seekSeg(int64(i))
-	if k < 0 {
+	if i < 0 || i >= len(s.vals) {
 		return 0
 	}
-	if g := &s.segs[k]; int64(i) < g.end() {
-		return g.vals[int64(i)-g.start]
-	}
-	return 0
+	return s.vals[i]
 }
 
-// Len reports the length of the contiguous prefix starting at index 0 —
-// the region Len/Bucket rendering loops iterate.
-func (s *Series) Len() int {
-	return len(s.Buckets())
-}
+// Len reports the number of buckets: one past the highest window touched.
+func (s *Series) Len() int { return len(s.vals) }
 
-// MaxIndex reports the highest bucket index ever touched (possibly in a
-// later segment), or -1 for an empty series.
-func (s *Series) MaxIndex() int64 {
-	if len(s.segs) == 0 {
-		return -1
-	}
-	return s.segs[len(s.segs)-1].end() - 1
-}
-
-// SparseLen reports how many buckets live beyond the prefix segment.
-func (s *Series) SparseLen() int {
-	n := 0
-	for k := range s.segs {
-		if k > 0 || s.segs[k].start != 0 {
-			n += len(s.segs[k].vals)
-		}
-	}
-	return n
-}
-
-// Total sums all buckets. Segments are walked in index order, so the
-// floating-point sum is bit-deterministic across reruns.
+// Total sums all buckets in index order, so the floating-point sum is
+// bit-deterministic across reruns.
 func (s *Series) Total() float64 {
 	var t float64
-	for k := range s.segs {
-		for _, v := range s.segs[k].vals {
-			t += v
-		}
+	for _, v := range s.vals {
+		t += v
 	}
 	return t
-}
-
-// Rate converts bucket i's accumulation into a per-second rate.
-func (s *Series) Rate(i int) float64 {
-	return s.Bucket(i) / s.window.Seconds()
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.

@@ -58,8 +58,6 @@ type DriverConfig struct {
 	MaxInFlight int
 	// Cacheable routes DRAM-region requests through the LLC.
 	Cacheable bool
-	// SrcID tags driven requests for per-agent channel statistics.
-	SrcID int
 }
 
 // DefaultDriverConfig models a moderate Poisson stream: one line per
@@ -75,7 +73,6 @@ func DefaultDriverConfig() DriverConfig {
 		Seed:        1,
 		MaxInFlight: 64,
 		Cacheable:   true,
-		SrcID:       9,
 	}
 }
 
@@ -211,14 +208,6 @@ func (r LoadResult) Throughput() float64 {
 	return float64(r.Bytes()) / r.Duration().Seconds()
 }
 
-// AvgQueue is the mean arrival-to-issue delay.
-func (r LoadResult) AvgQueue() clock.Picos {
-	if r.Issued == 0 {
-		return 0
-	}
-	return r.QueueSum / clock.Picos(r.Issued)
-}
-
 // AvgService is the mean issue-to-completion latency.
 func (r LoadResult) AvgService() clock.Picos {
 	if r.Completed == 0 {
@@ -260,7 +249,7 @@ func NewDriver(eng *sim.Engine, port mem.Port, recs []Record, cfg DriverConfig) 
 		return nil, fmt.Errorf("trace: empty record stream")
 	}
 	d := &Driver{}
-	d.in.init(eng, port, recs, arrivals, cfg.MaxInFlight, cfg.Cacheable, cfg.SrcID)
+	d.in.init(eng, port, recs, arrivals, cfg.MaxInFlight, cfg.Cacheable)
 	return d, nil
 }
 

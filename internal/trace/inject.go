@@ -63,14 +63,13 @@ type injector struct {
 // init binds the injector to its engine, port and records and
 // preallocates MaxInFlight slots.
 func (in *injector) init(eng *sim.Engine, port mem.Port, recs []Record, arrivals []clock.Picos,
-	maxInFlight int, cacheable bool, srcID int) {
+	maxInFlight int, cacheable bool) {
 	*in = injector{eng: eng, port: port, recs: recs, arrivals: arrivals, cacheable: cacheable}
 	in.issueEv.Init(sim.HandlerFunc(in.issue))
 	in.spaceFn = in.onSpace
 	in.free = make([]*slot, maxInFlight)
 	for i := range in.free {
 		s := &slot{}
-		s.req.SrcID = srcID
 		s.req.OnDone = func(now clock.Picos) { in.complete(s, now) }
 		in.free[i] = s
 	}

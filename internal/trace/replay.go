@@ -20,15 +20,13 @@ type ReplayConfig struct {
 	// traffic would be; PIM-region records are always non-cacheable,
 	// matching the machine's routing rules.
 	Cacheable bool
-	// SrcID tags replayed requests for per-agent channel statistics.
-	SrcID int
 }
 
 // DefaultReplayConfig models a reasonably aggressive agent: enough
 // memory-level parallelism to saturate a channel, cacheable DRAM
 // traffic.
 func DefaultReplayConfig() ReplayConfig {
-	return ReplayConfig{MaxInFlight: 64, Cacheable: true, SrcID: 7}
+	return ReplayConfig{MaxInFlight: 64, Cacheable: true}
 }
 
 // Validate reports configuration errors.
@@ -222,7 +220,7 @@ func NewReplayer(eng *sim.Engine, port mem.Port, recs []Record, cfg ReplayConfig
 		return nil, err
 	}
 	rp := &Replayer{}
-	rp.in.init(eng, port, recs, nil, cfg.MaxInFlight, cfg.Cacheable, cfg.SrcID)
+	rp.in.init(eng, port, recs, nil, cfg.MaxInFlight, cfg.Cacheable)
 	return rp, nil
 }
 

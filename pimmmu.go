@@ -344,9 +344,5 @@ func (s *System) Stats() MemStats {
 	return st
 }
 
-// Internal exposes the underlying machine for the in-repo benchmark
-// harness; external users should not rely on it.
-func (s *System) Internal() *system.System { return s.inner }
-
 // LineBytes is the transfer granularity (one cache line / DDR4 burst).
 const LineBytes = mem.LineBytes

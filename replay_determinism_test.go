@@ -160,7 +160,7 @@ func TestReplayIsFixedDriveOnItsOwnTimeline(t *testing.T) {
 		}
 
 		rs := system.MustNew(system.DefaultConfig(c.design))
-		rcfg := trace.ReplayConfig{MaxInFlight: c.inflight, Cacheable: c.cacheable, SrcID: 5}
+		rcfg := trace.ReplayConfig{MaxInFlight: c.inflight, Cacheable: c.cacheable}
 		r, err := rs.RunReplay(gen(rs), rcfg)
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +173,6 @@ func TestReplayIsFixedDriveOnItsOwnTimeline(t *testing.T) {
 		dcfg.Duration = c.gap * n
 		dcfg.MaxInFlight = c.inflight
 		dcfg.Cacheable = c.cacheable
-		dcfg.SrcID = rcfg.SrcID
 		l, err := ds.RunLoad(gen(ds), dcfg)
 		if err != nil {
 			t.Fatal(err)

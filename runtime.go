@@ -55,9 +55,9 @@ func (x *XferBuilder) build(dir core.Direction, bytesPerCore, mramOff uint64) (c
 		if b == nil {
 			return core.Op{}, fmt.Errorf("pimmmu: core %d bound to nil buffer", c)
 		}
-		if x.offsets[i]+bytesPerCore > uint64(len(b.Data)) {
-			return core.Op{}, fmt.Errorf("pimmmu: core %d slice [%d, %d) beyond buffer of %d bytes",
-				c, x.offsets[i], x.offsets[i]+bytesPerCore, len(b.Data))
+		if n, off := uint64(len(b.Data)), x.offsets[i]; off > n || bytesPerCore > n-off {
+			return core.Op{}, fmt.Errorf("pimmmu: core %d slice of %d bytes at %d beyond buffer of %d bytes",
+				c, bytesPerCore, off, n)
 		}
 		op.Cores = append(op.Cores, c)
 		op.DRAMAddrs = append(op.DRAMAddrs, b.Addr+x.offsets[i])

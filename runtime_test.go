@@ -2,6 +2,7 @@ package pimmmu_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	pimmmu "repro"
@@ -63,6 +64,29 @@ func TestXferBuilderErrors(t *testing.T) {
 	z := s.PrepareXfer().Bind(0, buf, 0).Bind(0, buf, 0)
 	if _, err := z.PushToPIM(64, 0); err == nil {
 		t.Error("duplicate core accepted")
+	}
+}
+
+// The slice and MRAM bounds must hold for offsets near 2^64, where
+// offset+length wraps.
+func TestXferBuilderRanges(t *testing.T) {
+	const top = math.MaxUint64 - 63 // offset+64 wraps to 0
+	for _, tc := range []struct {
+		name            string
+		bufOff, mramOff uint64
+		legal           bool
+	}{
+		{"in range", 64, 0, true},
+		{"slice past buffer end", 128, 0, false},
+		{"slice offset wraps", top, 0, false},
+		{"MRAM offset wraps", 0, top, false},
+	} {
+		s := pimmmu.MustNew(small(pimmmu.PIMMMU))
+		buf := s.Malloc(128)
+		_, err := s.PrepareXfer().Bind(0, buf, tc.bufOff).PushToPIM(64, tc.mramOff)
+		if (err == nil) != tc.legal {
+			t.Errorf("%s: err=%v, want legal=%v", tc.name, err, tc.legal)
+		}
 	}
 }
 
