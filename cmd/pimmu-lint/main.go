@@ -24,6 +24,11 @@
 //     distributed-sweep workers can all speak it without dragging in
 //     the simulator.
 //
+//   - internal/trace: imports nothing from this repository except
+//     repro/internal/clock, repro/internal/mem and repro/internal/sim.
+//     The Driver reaches a memory system only through mem.Port, so a
+//     trace replays the same way on any machine behind that port.
+//
 // Usage:
 //
 //	pimmu-lint [DIR]
@@ -85,6 +90,15 @@ var rules = []rule{
 		allowed: func(name string) bool { return strings.HasSuffix(name, "_test.go") },
 		banned:  func(p string) bool { return p == "repro/internal/sim" || p == "repro/internal/cpu" },
 		explain: "internal/harness reaches machines only through " + systemImport + ", never repro/internal/sim or repro/internal/cpu",
+	},
+	{
+		dir:     "internal/trace",
+		allowed: func(name string) bool { return strings.HasSuffix(name, "_test.go") },
+		banned: func(p string) bool {
+			return strings.HasPrefix(p, repoImportPrefix) &&
+				p != "repro/internal/clock" && p != "repro/internal/mem" && p != "repro/internal/sim"
+		},
+		explain: "internal/trace reaches a memory system only through mem.Port: no repro/ imports beyond clock, mem and sim",
 	},
 }
 

@@ -121,3 +121,20 @@ func TestAPIPurityViolationDetected(t *testing.T) {
 		t.Fatalf("violations = %v, want the api.go and api_test.go ones", bad)
 	}
 }
+
+func TestTraceViolationDetected(t *testing.T) {
+	r := rules[4]
+	r.dir = writeFiles(t, map[string]string{
+		"inject.go":      "package trace\n\nimport (\n\t_ \"repro/internal/mem\"\n\t_ \"repro/internal/sim\"\n)\n",
+		"driver.go":      "package trace\n\nimport _ \"repro/internal/memsys\"\n",
+		"trace.go":       "package trace\n\nimport _ \"repro/internal/clock\"\n",
+		"replay_test.go": "package trace\n\nimport _ \"repro/internal/system\"\n",
+	})
+	bad, err := violations(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bad) != 1 || !strings.Contains(bad[0], "driver.go") {
+		t.Fatalf("violations = %v, want exactly the driver.go one", bad)
+	}
+}

@@ -34,6 +34,7 @@ var cliCases = []struct {
 	{"prim_list", []string{"prim", "-list"}},
 	{"gen", []string{"gen", "-n", "64", "-o", "g.pmt"}},
 	{"inspect", []string{"inspect", "-n", "2", "g.pmt"}},
+	{"replay_pim-mmu", []string{"replay", "-design", "pim-mmu", "g.pmt"}},
 	{"replay_all", []string{"replay", "-design", "all", "g.pmt"}},
 	{"replay_all_json", []string{"replay", "-design", "all", "-format", "json", "g.pmt"}},
 	{"load", []string{"load", "-gaps", "8,2", "-n", "512"}},

@@ -165,6 +165,7 @@ func TestErrorKinds(t *testing.T) {
 		{[]string{"replay", tr, tr}, true},
 		{[]string{"load", "-inflight", "0"}, true},
 		{[]string{"load", "-pattern", "nope"}, true},
+		{[]string{"load", "-process", "replay"}, true},
 		{[]string{"load", "-n", "16", "-gaps", "8,0.0001"}, true},
 		{[]string{"load", "-gaps", "NaN"}, true},
 		{[]string{"load", "-gaps", "Inf"}, true},

@@ -145,9 +145,7 @@ func cmdReplay(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg := trace.DefaultReplayConfig()
-	cfg.MaxInFlight = *pf.inflight
-	cfg.Cacheable = !*pf.noncache
+	cfg := trace.DriverConfig{Process: trace.ProcessReplay, MaxInFlight: *pf.inflight, Cacheable: !*pf.noncache}
 	if err := cfg.Validate(); err != nil {
 		return usageError{err: err}
 	}
@@ -165,9 +163,9 @@ func cmdReplay(args []string, w io.Writer) error {
 		label = fmt.Sprintf("design=%v %s", designs[0], op)
 	}
 	return runPlan(w, pf.runner, "pimmu-replay", label,
-		func(job func(system.Design, string) harness.Job) *harness.Sweep[system.Design, trace.Result] {
-			sw := harness.NewSweep(len(designs), func(_ system.Design, s *system.System) trace.Result {
-				r, err := s.RunReplay(recs, cfg)
+		func(job func(system.Design, string) harness.Job) *harness.Sweep[system.Design, trace.LoadResult] {
+			sw := harness.NewSweep(len(designs), func(_ system.Design, s *system.System) trace.LoadResult {
+				r, err := s.RunLoad(recs, cfg)
 				if err != nil {
 					panic(err)
 				}
@@ -178,7 +176,7 @@ func cmdReplay(args []string, w io.Writer) error {
 			}
 			return sw
 		},
-		func(rs []trace.Result) (any, func(io.Writer)) {
+		func(rs []trace.LoadResult) (any, func(io.Writer)) {
 			if *designFlag != "all" {
 				return rs[0], func(w io.Writer) { renderReplay(w, designs[0], len(recs), rs[0]) }
 			}
@@ -189,9 +187,9 @@ func cmdReplay(args []string, w io.Writer) error {
 				for i, d := range designs {
 					r := rs[i]
 					fmt.Fprintf(w, "%-12v %12.2f %12.0f %18s %12d %12v\n",
-						d, r.Throughput()/1e9, r.AvgLatency().Nanoseconds(),
+						d, r.Throughput()/1e9, r.AvgService().Nanoseconds(),
 						fmt.Sprintf("%.0f/%.0f/%.0f",
-							r.Latency.P50().Nanoseconds(), r.Latency.P95().Nanoseconds(), r.Latency.P99().Nanoseconds()),
+							r.Service.P50().Nanoseconds(), r.Service.P95().Nanoseconds(), r.Service.P99().Nanoseconds()),
 						r.Retries, r.Slip)
 				}
 			}
@@ -199,14 +197,14 @@ func cmdReplay(args []string, w io.Writer) error {
 }
 
 // renderReplay prints the detailed report of one design's replay.
-func renderReplay(w io.Writer, design system.Design, records int, r trace.Result) {
+func renderReplay(w io.Writer, design system.Design, records int, r trace.LoadResult) {
 	fmt.Fprintf(w, "design     %v\n", design)
 	fmt.Fprintf(w, "records    %d (%d line requests)\n", records, r.Issued)
 	fmt.Fprintf(w, "bytes      %d read, %d written\n", r.BytesRead, r.BytesWritten)
 	fmt.Fprintf(w, "duration   %v\n", r.Duration())
 	fmt.Fprintf(w, "throughput %.2f GB/s\n", r.Throughput()/1e9)
 	fmt.Fprintf(w, "latency    %v avg, p50 <= %v, p95 <= %v, p99 <= %v\n",
-		r.AvgLatency(), r.Latency.P50(), r.Latency.P95(), r.Latency.P99())
+		r.AvgService(), r.Service.P50(), r.Service.P95(), r.Service.P99())
 	fmt.Fprintf(w, "pressure   %d retries, %v max slip behind the trace clock\n", r.Retries, r.Slip)
 }
 
@@ -237,6 +235,9 @@ func cmdLoad(args []string, w io.Writer) error {
 	}
 	if !slices.Contains(trace.Patterns(), trace.Pattern(*pattern)) {
 		return usagef("unknown pattern %q", *pattern)
+	}
+	if trace.Process(*process) == trace.ProcessReplay {
+		return usagef("-process replay needs a trace; use pimmu replay FILE")
 	}
 	slo := clock.Picos(*sloNS) * clock.Nanosecond
 

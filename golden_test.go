@@ -222,8 +222,8 @@ func replayStream() string {
 	s := system.MustNew(system.DefaultConfig(system.Base))
 	pims := recordChannels(s.Mem.PIM, s.Cfg.Mem.PIM.Geometry.Channels)
 	drams, chk := observeDRAM(s)
-	cfg := trace.ReplayConfig{MaxInFlight: 256, Cacheable: false}
-	r, err := s.RunReplay(recs, cfg)
+	cfg := trace.DriverConfig{Process: trace.ProcessReplay, MaxInFlight: 256}
+	r, err := s.RunLoad(recs, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -233,7 +233,7 @@ func replayStream() string {
 	fmt.Fprintf(&b, "design %v replay of a recorded DRAM->PIM transfer: records=%d pim-records=%d\n",
 		system.Base, sum.Records, sum.PIMRecords)
 	fmt.Fprintf(&b, "issued=%d completed=%d retries=%d slip=%d p99=%d end=%d ps\n",
-		r.Issued, r.Completed, r.Retries, r.Slip, r.Latency.P99(), s.Eng.Now())
+		r.Issued, r.Completed, r.Retries, r.Slip, r.Service.P99(), s.Eng.Now())
 	renderCounts(&b, "pim", pims)
 	renderCounts(&b, "dram", drams)
 	fmt.Fprintf(&b, "protocol violations=%d\n", len(chk.Violations()))

@@ -28,7 +28,7 @@ func (c *Channel) tryIssue(cyc int64) (bool, int64) {
 			if cyc >= r.refreshUntil {
 				r.refreshing = false
 			} else {
-				wake = min64(wake, r.refreshUntil)
+				wake = min(wake, r.refreshUntil)
 				continue
 			}
 		}
@@ -44,7 +44,7 @@ func (c *Channel) tryIssue(cyc int64) (bool, int64) {
 						c.issuePREBank(r, b)
 						return true, 0
 					}
-					wake = min64(wake, b.nextPRE)
+					wake = min(wake, b.nextPRE)
 				}
 				continue
 			}
@@ -52,7 +52,7 @@ func (c *Channel) tryIssue(cyc int64) (bool, int64) {
 			r.refreshUntil = cyc + int64(t.RFC)
 			r.refreshDue += int64(t.REFI)
 			for i := range r.banks {
-				r.banks[i].nextACT = max64(r.banks[i].nextACT, r.refreshUntil)
+				r.banks[i].nextACT = max(r.banks[i].nextACT, r.refreshUntil)
 			}
 			c.stats.Refs++
 			c.emit(CmdEvent{Cycle: cyc, Cmd: CmdREF, Rank: c.rankIndex(r),
@@ -62,7 +62,7 @@ func (c *Channel) tryIssue(cyc int64) (bool, int64) {
 		// Stay awake for the next refresh only while there is state to
 		// manage; fully idle closed ranks fast-forward in tick().
 		if len(c.readQ)+len(c.writeQ) > 0 || !r.allClosed() {
-			wake = min64(wake, r.refreshDue)
+			wake = min(wake, r.refreshDue)
 		}
 	}
 
@@ -70,7 +70,7 @@ func (c *Channel) tryIssue(cyc int64) (bool, int64) {
 	if issued {
 		return true, 0
 	}
-	return false, min64(wake, w)
+	return false, min(wake, w)
 }
 
 // serveQueues picks the serving direction under the write-drain policy
@@ -100,7 +100,7 @@ func (c *Channel) serveQueues(cyc int64) (bool, int64) {
 	if issued {
 		return true, 0
 	}
-	return false, min64(wake, w)
+	return false, min(wake, w)
 }
 
 // tryQueue attempts to issue one command on behalf of the given queue,
@@ -135,7 +135,7 @@ func (c *Channel) tryQueue(q []*pending, cyc int64) (bool, int64) {
 				c.issueCAS(p, cyc)
 				return true, 0
 			}
-			wake = min64(wake, ready)
+			wake = min(wake, ready)
 			continue
 		}
 		if prep != nil {
@@ -156,7 +156,7 @@ func (c *Channel) tryQueue(q []*pending, cyc int64) (bool, int64) {
 			prep = p
 			continue
 		}
-		wake = min64(wake, ready)
+		wake = min(wake, ready)
 	}
 	switch {
 	case prep == nil:
@@ -203,10 +203,10 @@ func (c *Channel) markRowHits() {
 func (c *Channel) earliestACT(p *pending) int64 {
 	t := &c.cfg.Timing
 	r, b := p.rank, p.bank
-	ready := max64(b.nextACT, r.nextACT)
-	ready = max64(ready, r.nextACTbg[p.loc.BankGroup])
+	ready := max(b.nextACT, r.nextACT)
+	ready = max(ready, r.nextACTbg[p.loc.BankGroup])
 	// tFAW: the fifth ACT must wait for the oldest of the last four.
-	ready = max64(ready, r.faw[r.fawIdx]+int64(t.FAW))
+	ready = max(ready, r.faw[r.fawIdx]+int64(t.FAW))
 	return ready
 }
 
@@ -217,14 +217,14 @@ func (c *Channel) earliestCAS(p *pending) int64 {
 	var ready int64
 	if p.req.Kind == mem.Read {
 		ready = b.nextRD
-		ready = max64(ready, r.nextRD)                    // tWTR_S
-		ready = max64(ready, r.nextRDbg[p.loc.BankGroup]) // tWTR_L
+		ready = max(ready, r.nextRD)                    // tWTR_S
+		ready = max(ready, r.nextRDbg[p.loc.BankGroup]) // tWTR_L
 	} else {
 		ready = b.nextWR
 	}
-	ready = max64(ready, r.nextCASbg[p.loc.BankGroup]) // tCCD_L
-	ready = max64(ready, c.nextCAS)                    // tCCD_S
-	ready = max64(ready, c.busReady(p.req.Kind, p.loc.Rank))
+	ready = max(ready, r.nextCASbg[p.loc.BankGroup]) // tCCD_L
+	ready = max(ready, c.nextCAS)                    // tCCD_S
+	ready = max(ready, c.busReady(p.req.Kind, p.loc.Rank))
 	return ready
 }
 
@@ -272,8 +272,8 @@ func (c *Channel) issueACT(p *pending, cyc int64) {
 	b.nextWR = cyc + int64(t.RCD)
 	b.nextPRE = cyc + int64(t.RAS)
 	b.nextACT = cyc + int64(t.RC)
-	r.nextACT = max64(r.nextACT, cyc+int64(t.RRDS))
-	r.nextACTbg[p.loc.BankGroup] = max64(r.nextACTbg[p.loc.BankGroup], cyc+int64(t.RRDL))
+	r.nextACT = max(r.nextACT, cyc+int64(t.RRDS))
+	r.nextACTbg[p.loc.BankGroup] = max(r.nextACTbg[p.loc.BankGroup], cyc+int64(t.RRDL))
 	r.faw[r.fawIdx] = cyc
 	r.fawIdx = (r.fawIdx + 1) % len(r.faw)
 	p.activated = true
@@ -290,7 +290,7 @@ func (c *Channel) issuePREBank(r *rankState, b *bankState) {
 			BankGrp: bg, Bank: bk, Row: -1, Col: -1})
 	}
 	b.row = -1
-	b.nextACT = max64(b.nextACT, cyc+int64(t.RP))
+	b.nextACT = max(b.nextACT, cyc+int64(t.RP))
 	c.stats.Pres++
 }
 
@@ -307,16 +307,16 @@ func (c *Channel) issueCAS(p *pending, cyc int64) {
 	var doneCycle int64
 	if p.req.Kind == mem.Read {
 		c.emitCAS(p, cyc, CmdRD)
-		b.nextPRE = max64(b.nextPRE, cyc+int64(t.RTP))
+		b.nextPRE = max(b.nextPRE, cyc+int64(t.RTP))
 		doneCycle = cyc + int64(t.CL+t.BL)
 		c.stats.Reads++
 		c.removeFrom(&c.readQ, p)
 	} else {
 		c.emitCAS(p, cyc, CmdWR)
 		burstEnd := cyc + int64(t.CWL+t.BL)
-		b.nextPRE = max64(b.nextPRE, burstEnd+int64(t.WR))
-		r.nextRD = max64(r.nextRD, burstEnd+int64(t.WTRS))
-		r.nextRDbg[p.loc.BankGroup] = max64(r.nextRDbg[p.loc.BankGroup], burstEnd+int64(t.WTRL))
+		b.nextPRE = max(b.nextPRE, burstEnd+int64(t.WR))
+		r.nextRD = max(r.nextRD, burstEnd+int64(t.WTRS))
+		r.nextRDbg[p.loc.BankGroup] = max(r.nextRDbg[p.loc.BankGroup], burstEnd+int64(t.WTRL))
 		doneCycle = burstEnd
 		c.stats.Writes++
 		c.removeFrom(&c.writeQ, p)
@@ -392,20 +392,6 @@ func (c *Channel) removeFrom(q *[]*pending, p *pending) {
 		}
 	}
 	panic("dram: request not in queue")
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Idle reports whether the channel has no queued or in-flight work.

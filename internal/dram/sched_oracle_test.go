@@ -42,7 +42,7 @@ func (c *Channel) twoPassTryQueue(q []*pending, cyc int64, cov *oracleCoverage) 
 			c.issueCAS(p, cyc)
 			return true, 0
 		}
-		wake = min64(wake, ready)
+		wake = min(wake, ready)
 	}
 
 	// Pass 2: oldest request per bank, prepare its row.
@@ -67,20 +67,20 @@ func (c *Channel) twoPassTryQueue(q []*pending, cyc int64, cov *oracleCoverage) 
 				c.issueACT(p, cyc)
 				return true, 0
 			}
-			wake = min64(wake, ready)
+			wake = min(wake, ready)
 			continue
 		}
 		if c.twoPassHasRowHitFor(p.loc, b.row) {
 			cov.guarded++
 			continue
 		}
-		ready := max64(b.nextPRE, 0)
+		ready := max(b.nextPRE, 0)
 		if ready <= cyc {
 			p.conflict = true
 			c.issuePREBank(r, b)
 			return true, 0
 		}
-		wake = min64(wake, ready)
+		wake = min(wake, ready)
 	}
 	return false, wake
 }
@@ -121,7 +121,7 @@ func (c *Channel) twoPassServeQueues(cyc int64, cov *oracleCoverage) (bool, int6
 	} else if issued, w2 := c.twoPassTryQueue(secondary, cyc, cov); issued {
 		return true, 0
 	} else {
-		return false, min64(w, w2)
+		return false, min(w, w2)
 	}
 }
 

@@ -369,6 +369,10 @@ type replayed struct {
 	gen     trace.GenConfig
 }
 
+// replayDriverConfig replays with enough memory-level parallelism to
+// saturate a channel, cacheable DRAM traffic.
+var replayDriverConfig = trace.DriverConfig{Process: trace.ProcessReplay, MaxInFlight: 64, Cacheable: true}
+
 func replaySweep(r *Runner, sc Scale) *Sweep[replayed, ReplayPoint] {
 	sw := NewSweep(replayGrid().Size(), func(p replayed, s *system.System) ReplayPoint {
 		if p.pim {
@@ -377,13 +381,13 @@ func replaySweep(r *Runner, sc Scale) *Sweep[replayed, ReplayPoint] {
 			p.gen.Base = s.Alloc(p.gen.FootprintBytes(p.pattern))
 		}
 		recs := trace.MustGenerate(p.pattern, p.gen)
-		rr, err := s.RunReplay(recs, trace.DefaultReplayConfig())
+		lr, err := s.RunLoad(recs, replayDriverConfig)
 		if err != nil {
 			panic(err)
 		}
-		return ReplayPoint{Thr: rr.Throughput(), Hist: rr.Latency}
+		return ReplayPoint{Thr: lr.Throughput(), Hist: lr.Service}
 	})
-	rcfg := resultcache.Canonical(trace.DefaultReplayConfig())
+	rcfg := resultcache.Canonical(replayDriverConfig)
 	for _, wl := range replayWorkloads() {
 		p := replayed{wl.pattern, wl.pim, replayWorkloadGenConfig(sc, wl)}
 		// gen.Base is assigned inside the job, but it is itself a pure

@@ -27,7 +27,7 @@ type PageMap struct {
 	seed       uint64
 }
 
-// DefaultArenaBytes is the allocation-clustering window: 2 GiB, roughly
+// DefaultArenaBytes is the allocation-clustering window: 4 GiB, roughly
 // the contiguity a freshly booted buddy allocator provides.
 const DefaultArenaBytes = 4 << 30
 

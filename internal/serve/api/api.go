@@ -63,8 +63,11 @@ type JobRequest struct {
 	// default).
 	Workers int `json:"workers,omitempty"`
 	// Cache is the result-cache mode for this job: "rw" (default),
-	// "ro", or "off". Serve-level dedup of identical submissions happens
-	// regardless; this only controls the per-design-point store.
+	// "ro", or "off". Attaching to an identical job already accepted by
+	// this process happens in every mode. The mode gates both stores:
+	// "off" skips the completed-result store and the per-design-point
+	// store, "ro" reads both and writes neither, and only "rw" writes
+	// results back.
 	Cache string `json:"cache,omitempty"`
 }
 

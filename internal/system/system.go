@@ -14,7 +14,6 @@ import (
 	"repro/internal/contend"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/dram"
 	"repro/internal/energy"
 	"repro/internal/mem"
 	"repro/internal/memsys"
@@ -313,8 +312,8 @@ func (s *System) measure(bytes uint64, start func(onDone func())) XferResult {
 // RecordTrace attaches a fresh trace recorder at the memory-port
 // boundary: every subsequently accepted request (CPU, DCE and contender
 // traffic alike) is captured as one trace record. StopTrace detaches
-// it; the recorder's Records are then ready for trace.Encode or
-// RunReplay.
+// it; the recorder's Records are then ready for trace.Encode or a
+// trace.ProcessReplay RunLoad.
 func (s *System) RecordTrace() *trace.Recorder {
 	rec := trace.NewRecorder()
 	s.Mem.SetTap(rec.Tap)
@@ -324,23 +323,13 @@ func (s *System) RecordTrace() *trace.Recorder {
 // StopTrace detaches any attached trace recorder.
 func (s *System) StopTrace() { s.Mem.SetTap(nil) }
 
-// RunReplay executes a trace replay to completion and returns its
-// result. Replayed runs report through the same channel/LLC statistics
-// as every other workload, so bandwidth and latency come from the same
-// counters the figures use.
-func (s *System) RunReplay(recs []trace.Record, cfg trace.ReplayConfig) (trace.Result, error) {
-	rp, err := trace.NewReplayer(s.Eng, s.Mem, recs, cfg)
-	if err != nil {
-		return trace.Result{}, err
-	}
-	return runToDone(s, rp.Start), nil
-}
-
-// RunLoad executes an open-loop run to completion and returns its
-// result: arrivals accrue on the simulated clock at the configured rate
-// regardless of memory-system backpressure, so the result's queue/
-// service/total split measures what a latency SLO would see at that
-// offered load.
+// RunLoad injects recs through the memory port to completion and
+// returns the result. Under trace.ProcessReplay each record falls due at
+// its own TSC; under an open-loop process arrivals accrue on the
+// simulated clock at the configured rate regardless of memory-system
+// backpressure, so the result's queue/service/total split measures what
+// a latency SLO would see at that offered load. Injected runs report
+// through the same channel/LLC statistics as every other workload.
 func (s *System) RunLoad(recs []trace.Record, cfg trace.DriverConfig) (trace.LoadResult, error) {
 	d, err := trace.NewDriver(s.Eng, s.Mem, recs, cfg)
 	if err != nil {
@@ -474,14 +463,3 @@ func (s *System) SamplePower(window clock.Picos) (trace *PowerTrace, stop func()
 
 // Samples reports how many windows the trace recorded.
 func (t *PowerTrace) Samples() int { return t.samples }
-
-// ServerConfig models the paper's characterization server (Section V):
-// conventional DIMMs at DDR4-3200 alongside UPMEM DIMMs at DDR4-2400 —
-// the asymmetric-speed-grade deployment commercial PIM requires. (The
-// real server has 3+3 channels; binary addressing keeps ours at 4+4,
-// which only scales the aggregate bandwidth.)
-func ServerConfig(d Design) Config {
-	cfg := DefaultConfig(d)
-	cfg.Mem.DRAM.Timing = dram.DDR43200()
-	return cfg
-}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/contend"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/dram"
 	"repro/internal/memsys"
 	"repro/internal/trace"
 	"repro/internal/xfer"
@@ -322,19 +323,20 @@ func TestRecordTraceCapturesTransfer(t *testing.T) {
 
 // Replayed runs must report through the same counters as native
 // transfers and reject invalid inputs.
-func TestRunReplay(t *testing.T) {
+func TestRunLoadReplay(t *testing.T) {
 	s := MustNew(smallCfg(PIMMMU))
 	cfg := trace.DefaultGenConfig()
 	cfg.Records = 1024
 	cfg.FootprintLines = 4096
 	cfg.Base = s.Alloc(cfg.FootprintBytes(trace.PatternMixed))
 	recs := trace.MustGenerate(trace.PatternMixed, cfg)
+	rcfg := trace.DriverConfig{Process: trace.ProcessReplay, MaxInFlight: 64, Cacheable: true}
 	a0 := s.Activity()
-	r, err := s.RunReplay(recs, trace.DefaultReplayConfig())
+	r, err := s.RunLoad(recs, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Completed != 1024 || r.Throughput() <= 0 {
+	if r.Arrivals != 1024 || r.Completed != 1024 || r.Throughput() <= 0 {
 		t.Errorf("degenerate replay result %+v", r)
 	}
 	d := s.Activity().Sub(a0)
@@ -345,11 +347,11 @@ func TestRunReplay(t *testing.T) {
 		t.Error("replay consumed CPU core time; injection bypasses the cores")
 	}
 
-	if _, err := s.RunReplay(recs, trace.ReplayConfig{MaxInFlight: 0}); err == nil {
+	if _, err := s.RunLoad(recs, trace.DriverConfig{Process: trace.ProcessReplay}); err == nil {
 		t.Error("invalid replay config accepted")
 	}
 	bad := []trace.Record{{TSC: 0, Kind: trace.KindRead, Addr: 7, Bytes: 64}}
-	if _, err := s.RunReplay(bad, trace.DefaultReplayConfig()); err == nil {
+	if _, err := s.RunLoad(bad, rcfg); err == nil {
 		t.Error("invalid trace accepted")
 	}
 }
@@ -398,8 +400,13 @@ func TestRunLoad(t *testing.T) {
 	}
 }
 
+// TestServerConfigAsymmetricGrades models the paper's characterization
+// server (Section V): conventional DIMMs at DDR4-3200 alongside UPMEM
+// DIMMs at DDR4-2400, the asymmetric-speed-grade deployment commercial
+// PIM requires.
 func TestServerConfigAsymmetricGrades(t *testing.T) {
-	cfg := ServerConfig(PIMMMU)
+	cfg := smallCfg(PIMMMU)
+	cfg.Mem.DRAM.Timing = dram.DDR43200()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -408,22 +415,12 @@ func TestServerConfigAsymmetricGrades(t *testing.T) {
 	}
 	// The faster DRAM grade must speed up the DRAM-bound read half of a
 	// DCE transfer relative to the symmetric config.
-	sym := MustNew(smallCfgFrom(DefaultConfig(PIMMMU)))
-	asym := MustNew(smallCfgFrom(ServerConfig(PIMMMU)))
+	sym := MustNew(smallCfg(PIMMMU))
+	asym := MustNew(cfg)
 	rs := sym.RunTransfer(sym.TransferOp(core.DRAMToPIM, 32, 16<<10))
 	ra := asym.RunTransfer(asym.TransferOp(core.DRAMToPIM, 32, 16<<10))
 	if ra.Throughput() < rs.Throughput()*0.95 {
 		t.Errorf("DDR4-3200 DRAM made the transfer slower: %.1f vs %.1f GB/s",
 			ra.Throughput()/1e9, rs.Throughput()/1e9)
 	}
-}
-
-func smallCfgFrom(cfg Config) Config {
-	cfg.Mem.DRAM.Geometry.Channels = 2
-	cfg.Mem.DRAM.Geometry.Ranks = 1
-	cfg.Mem.PIM.Geometry.Channels = 2
-	cfg.Mem.PIM.Geometry.Ranks = 1
-	cfg.PIM.DRAM.Channels = 2
-	cfg.PIM.DRAM.Ranks = 1
-	return cfg
 }

@@ -7,16 +7,19 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/mem"
-	"repro/internal/sim"
 )
 
-// Process names an open-loop arrival process: arrivals that accrue on
-// the simulated clock no matter what the memory system does — the
-// open-loop model of user-driven traffic against a latency SLO. (A
-// replay is the same drive with the trace's own TSCs as arrivals.)
+// Process names how a Driver's line requests fall due. Under
+// ProcessReplay each record falls due at its own TSC, all of its lines
+// together. The others are open-loop arrival processes: arrivals that
+// accrue on the simulated clock no matter what the memory system does —
+// the open-loop model of user-driven traffic against a latency SLO.
 type Process string
 
 const (
+	// ProcessReplay issues each record at its recorded TSC; MeanGap,
+	// Duration and the burst and seed fields are ignored.
+	ProcessReplay Process = "replay"
 	// ProcessFixed arrives at exactly one request per MeanGap.
 	ProcessFixed Process = "fixed"
 	// ProcessPoisson draws exponential inter-arrival gaps with mean
@@ -28,14 +31,14 @@ const (
 	ProcessBurst Process = "burst"
 )
 
-// Processes lists every arrival process in a stable order.
+// Processes lists every open-loop arrival process in a stable order.
 func Processes() []Process {
 	return []Process{ProcessFixed, ProcessPoisson, ProcessBurst}
 }
 
-// DriverConfig parameterizes an open-loop load driver.
+// DriverConfig parameterizes a Driver.
 type DriverConfig struct {
-	// Process selects the arrival process.
+	// Process selects how requests fall due.
 	Process Process
 	// MeanGap is the mean inter-arrival time; offered load is one line
 	// request (mem.LineBytes) per MeanGap.
@@ -52,17 +55,20 @@ type DriverConfig struct {
 	// Seed drives the Poisson process's deterministic PRNG.
 	Seed uint64
 
-	// MaxInFlight caps outstanding requests, exactly as in ReplayConfig;
-	// arrivals beyond the cap queue at the driver and accrue queueing
-	// delay.
+	// MaxInFlight caps outstanding requests, modelling the MSHR/queue
+	// capacity of the injecting agent. Issue stalls at the cap and
+	// resumes on the next completion; requests due meanwhile queue at
+	// the driver and accrue queueing delay.
 	MaxInFlight int
-	// Cacheable routes DRAM-region requests through the LLC.
+	// Cacheable routes DRAM-region requests through the LLC, as CPU
+	// traffic would be; PIM-region requests are always non-cacheable,
+	// matching the machine's routing rules.
 	Cacheable bool
 }
 
 // DefaultDriverConfig models a moderate Poisson stream: one line per
-// 8 ns offered (8 GB/s) over 64 us, with the Replayer's default agent
-// aggressiveness.
+// 8 ns offered (8 GB/s) over 64 us, from an agent with enough
+// memory-level parallelism to saturate a channel.
 func DefaultDriverConfig() DriverConfig {
 	return DriverConfig{
 		Process:     ProcessPoisson,
@@ -78,7 +84,12 @@ func DefaultDriverConfig() DriverConfig {
 
 // Validate reports configuration errors.
 func (c DriverConfig) Validate() error {
+	if c.MaxInFlight <= 0 {
+		return fmt.Errorf("trace: non-positive MaxInFlight %d", c.MaxInFlight)
+	}
 	switch c.Process {
+	case ProcessReplay:
+		return nil
 	case ProcessFixed, ProcessPoisson:
 	case ProcessBurst:
 		if c.OnTime <= 0 {
@@ -96,9 +107,6 @@ func (c DriverConfig) Validate() error {
 	if c.Duration <= 0 {
 		return fmt.Errorf("trace: non-positive duration %v", c.Duration)
 	}
-	if c.MaxInFlight <= 0 {
-		return fmt.Errorf("trace: non-positive MaxInFlight %d", c.MaxInFlight)
-	}
 	return nil
 }
 
@@ -112,8 +120,10 @@ func (c DriverConfig) OfferedLoad() float64 {
 // process, relative to the driver's start. The schedule is a pure
 // function of the config — this is the open-loop invariant: the memory
 // system cannot throttle, delay, or drop an arrival, only make it wait.
+// It is nil under ProcessReplay, whose records fall due at their own
+// TSCs.
 func ArrivalSchedule(cfg DriverConfig) ([]clock.Picos, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil || cfg.Process == ProcessReplay {
 		return nil, err
 	}
 	arr := make([]clock.Picos, 0, int(cfg.Duration/cfg.MeanGap)+1)
@@ -159,11 +169,13 @@ func expGap(rng *rngState, mean clock.Picos) clock.Picos {
 	return g
 }
 
-// LoadResult aggregates one open-loop run. Every counter is a
-// deterministic function of (trace, machine configuration, driver
-// configuration) and the whole struct compares with ==.
+// LoadResult aggregates one Driver run, a replay or an open-loop drive.
+// Every counter is a deterministic function of (trace, machine
+// configuration, driver configuration) and the whole struct compares
+// with ==. Arrivals == Issued == Completed holds for every completed
+// run.
 type LoadResult struct {
-	Arrivals  uint64 // scheduled arrivals (fixed by config, never throttled)
+	Arrivals  uint64 // line requests due: the schedule's arrivals or the trace's lines, never throttled
 	Issued    uint64 // requests handed to the port
 	Completed uint64 // requests completed
 
@@ -192,6 +204,11 @@ type LoadResult struct {
 	// opportunity: arrivals due but not yet issued. Under saturation it
 	// grows without bound — the open-loop signature.
 	MaxQueued uint64
+
+	// Slip is the furthest issue fell behind a due time: the largest
+	// issue - due delay, sampled at issue and at every stall. 0 means
+	// the memory system kept up with the arrivals.
+	Slip clock.Picos
 }
 
 // Duration is the wall-clock span of the run.
@@ -222,47 +239,4 @@ func (r LoadResult) AvgTotal() clock.Picos {
 		return 0
 	}
 	return r.TotalSum / clock.Picos(r.Completed)
-}
-
-// Driver injects an open-loop arrival process through a mem.Port on the
-// simulation engine. Its arrivals are a fixed schedule: backpressure
-// converts directly into per-request queueing delay, never into fewer
-// or later arrivals. Addresses and kinds come from the supplied records,
-// cycled one line per arrival. A Replayer is the same injector driven by
-// the records' own timeline.
-type Driver struct{ in injector }
-
-// NewDriver validates the configuration, materializes the arrival
-// schedule, and builds a driver bound to the engine and port. The record
-// slice supplies addresses and kinds (cycled when arrivals outnumber
-// records) and is not copied; the caller must not mutate it during the
-// run.
-func NewDriver(eng *sim.Engine, port mem.Port, recs []Record, cfg DriverConfig) (*Driver, error) {
-	arrivals, err := ArrivalSchedule(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := Validate(recs); err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("trace: empty record stream")
-	}
-	d := &Driver{}
-	d.in.init(eng, port, recs, arrivals, cfg.MaxInFlight, cfg.Cacheable)
-	return d, nil
-}
-
-// Start begins the run; onDone runs (inside the engine) when every
-// scheduled arrival has issued and completed. Start does not run the
-// engine.
-//
-// Like the Replayer, a Driver runs exactly once — a second Start panics;
-// build a fresh Driver per run.
-func (d *Driver) Start(onDone func(LoadResult)) {
-	d.in.begin(func() {
-		if onDone != nil {
-			onDone(d.in.res)
-		}
-	})
 }

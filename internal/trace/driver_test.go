@@ -63,6 +63,14 @@ func TestDriverConfigValidate(t *testing.T) {
 	if err := DefaultDriverConfig().Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}
+	// A replay's arrivals are its records' TSCs: it needs no gap or
+	// duration, only an in-flight cap.
+	if err := (DriverConfig{Process: ProcessReplay}).Validate(); err == nil {
+		t.Error("replay with MaxInFlight=0 accepted")
+	}
+	if arr, err := ArrivalSchedule(replayConfig()); err != nil || arr != nil {
+		t.Errorf("replay schedule = %v, %v; want nil, nil", arr, err)
+	}
 }
 
 // TestArrivalScheduleShapes pins the analytic arrival counts: fixed
@@ -246,6 +254,9 @@ func TestDriverQueueServiceSplit(t *testing.T) {
 		t.Errorf("saturated run reported no pressure: retries=%d maxQueued=%d",
 			res.Retries, res.MaxQueued)
 	}
+	if want := (n - 1) * (lat - gap); res.Slip != want {
+		t.Errorf("Slip = %v, want the last request's queue delay %v", res.Slip, want)
+	}
 }
 
 // TestDriverMD1QueueingDelay checks the driver's queueing-delay
@@ -295,23 +306,28 @@ func TestDriverDeterministic(t *testing.T) {
 	}
 }
 
-// TestDriverStartTwicePanics pins the same run-once contract the
-// Replayer has.
+// TestDriverStartTwicePanics pins the run-once contract, for a replay
+// and an open loop alike: a second Start panics instead of silently
+// resuming from stale cursors with accumulated counters.
 func TestDriverStartTwicePanics(t *testing.T) {
-	eng := sim.New()
-	port := newFakePort(eng, clock.Nanosecond, 4)
-	d, err := NewDriver(eng, port, streamRecs(1), testDriverConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Start(nil)
-	eng.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("second Start did not panic")
+	for _, cfg := range []DriverConfig{replayConfig(), testDriverConfig()} {
+		eng := sim.New()
+		port := newFakePort(eng, clock.Nanosecond, 4)
+		d, err := NewDriver(eng, port, streamRecs(1), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	d.Start(nil)
+		d.Start(nil)
+		eng.Run()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: second Start did not panic", cfg.Process)
+				}
+			}()
+			d.Start(nil)
+		}()
+	}
 }
 
 func TestDriverRejectsBadInput(t *testing.T) {

@@ -2,15 +2,15 @@
 // format for memory traffic observed at the mem.Port boundary, a
 // versioned binary codec plus a human-readable text form, synthetic
 // trace generators modelling common application access patterns, a
-// Recorder that captures live traffic, and one injector that feeds a
-// record stream back into a memory system with full backpressure
-// handling — on the records' own timeline (Replayer) or on an open-loop
-// arrival schedule (Driver).
+// Recorder that captures live traffic, and one injector, the Driver,
+// that feeds a record stream back into a memory system with full
+// backpressure handling — on the records' own timeline (ProcessReplay)
+// or on an open-loop arrival schedule.
 //
 // The paper's evaluation is driven by real-application memory traffic;
 // this package is how the repository gets from synthetic harness
 // transfers to arbitrary recorded workloads. Everything here is
-// deterministic: generators are seeded, the replayer runs on the
+// deterministic: generators are seeded, the Driver runs on the
 // single-threaded simulation engine, and replaying the same trace on
 // the same configuration produces bit-identical statistics on every
 // run and at every sweep worker count.
@@ -68,7 +68,7 @@ func (r Record) String() string {
 const maxRecordBytes = 1 << 31
 
 // Validate checks a record stream for the invariants the codec and the
-// replayer rely on: timestamps start at or after zero and never go
+// Driver rely on: timestamps start at or after zero and never go
 // backwards, addresses are line-aligned, and footprints are positive
 // line multiples of at most 2 GiB.
 func Validate(recs []Record) error {

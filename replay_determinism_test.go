@@ -1,4 +1,4 @@
-// Replay determinism: a trace replayed through trace.Replayer must
+// Replay determinism: a trace replayed through trace.Driver must
 // produce bit-identical statistics on every rerun and at every sweep
 // worker count — the acceptance contract of the trace subsystem. The
 // checks cover both synthetic traces and a trace recorded live at the
@@ -18,21 +18,24 @@ import (
 )
 
 // replayFingerprint renders everything observable about one replay run.
-func replayFingerprint(s *system.System, r trace.Result) string {
+func replayFingerprint(s *system.System, r trace.LoadResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "issued=%d completed=%d br=%d bw=%d start=%d end=%d latsum=%d retries=%d slip=%d fired=%d now=%d\n",
 		r.Issued, r.Completed, r.BytesRead, r.BytesWritten,
-		r.Start, r.End, r.LatencySum, r.Retries, r.Slip,
+		r.Start, r.End, r.ServiceSum, r.Retries, r.Slip,
 		s.Eng.Fired(), s.Eng.Now())
 	machineFingerprint(&b, s)
 	return b.String()
 }
 
+// replayCfg replays with 64 requests in flight, cacheable.
+var replayCfg = trace.DriverConfig{Process: trace.ProcessReplay, MaxInFlight: 64, Cacheable: true}
+
 // replayJob replays recs on a fresh machine of the given design and
 // fingerprints the run.
 func replayJob(d system.Design, recs []trace.Record) string {
 	s := system.MustNew(system.DefaultConfig(d))
-	r, err := s.RunReplay(recs, trace.DefaultReplayConfig())
+	r, err := s.RunLoad(recs, replayCfg)
 	if err != nil {
 		panic(err)
 	}
@@ -114,7 +117,7 @@ func TestRecordReplayRoundTripPreservesTraffic(t *testing.T) {
 	recs := recordTransferTrace(system.PIMMMU, 64<<10)
 	sum := trace.Summarize(recs)
 	s := system.MustNew(system.DefaultConfig(system.PIMMMU))
-	r, err := s.RunReplay(recs, trace.DefaultReplayConfig())
+	r, err := s.RunLoad(recs, replayCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +133,9 @@ func TestRecordReplayRoundTripPreservesTraffic(t *testing.T) {
 // TestReplayIsFixedDriveOnItsOwnTimeline pins the equivalence the trace
 // package is built on: replaying a generated trace with gap g is the
 // open-loop ProcessFixed drive of the same records at MeanGap g over
-// g*n, with the same in-flight cap, cacheability and source ID. Both
-// runs must issue, move, retry and end identically, fire the same
-// engine events, and report the same service latencies.
+// g*n, with the same in-flight cap and cacheability. Both runs must
+// report the same LoadResult field for field and fire the same engine
+// events.
 func TestReplayIsFixedDriveOnItsOwnTimeline(t *testing.T) {
 	const n = 2048
 	retried := false
@@ -160,8 +163,8 @@ func TestReplayIsFixedDriveOnItsOwnTimeline(t *testing.T) {
 		}
 
 		rs := system.MustNew(system.DefaultConfig(c.design))
-		rcfg := trace.ReplayConfig{MaxInFlight: c.inflight, Cacheable: c.cacheable}
-		r, err := rs.RunReplay(gen(rs), rcfg)
+		rcfg := trace.DriverConfig{Process: trace.ProcessReplay, MaxInFlight: c.inflight, Cacheable: c.cacheable}
+		r, err := rs.RunLoad(gen(rs), rcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,19 +181,15 @@ func TestReplayIsFixedDriveOnItsOwnTimeline(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		if r.Issued != l.Issued || r.Completed != l.Completed ||
-			r.BytesRead != l.BytesRead || r.BytesWritten != l.BytesWritten ||
-			r.Retries != l.Retries || r.End != l.End {
-			t.Errorf("%s: replay %+v\ndrive issued=%d completed=%d bytes=%d/%d retries=%d end=%v",
-				name, r, l.Issued, l.Completed, l.BytesRead, l.BytesWritten, l.Retries, l.End)
+		if r != l {
+			t.Errorf("%s: replay and drive results differ\nreplay issued=%d completed=%d bytes=%d/%d retries=%d slip=%v end=%v"+
+				"\ndrive  issued=%d completed=%d bytes=%d/%d retries=%d slip=%v end=%v", name,
+				r.Issued, r.Completed, r.BytesRead, r.BytesWritten, r.Retries, r.Slip, r.End,
+				l.Issued, l.Completed, l.BytesRead, l.BytesWritten, l.Retries, l.Slip, l.End)
 		}
 		if rs.Eng.Fired() != ds.Eng.Fired() || rs.Eng.Now() != ds.Eng.Now() {
 			t.Errorf("%s: replay fired %d events ending at %v, drive %d at %v",
 				name, rs.Eng.Fired(), rs.Eng.Now(), ds.Eng.Fired(), ds.Eng.Now())
-		}
-		if r.Latency != l.Service || r.LatencySum != l.ServiceSum {
-			t.Errorf("%s: replay latency (sum %v) differs from drive service (sum %v)",
-				name, r.LatencySum, l.ServiceSum)
 		}
 		t.Logf("%s: issued=%d retries=%d slip=%v end=%v", name, r.Issued, r.Retries, r.Slip, r.End)
 		retried = retried || r.Retries > 0

@@ -53,14 +53,14 @@ func TestContendedStreamLaneTopologyIdentical(t *testing.T) {
 }
 
 // TestShardedReplayResultIdentical replays one synthetic trace on both
-// engines and requires the full trace.Result — counts,
+// engines and requires the full trace.LoadResult — counts,
 // bytes, timestamps, latency sum and histogram, backpressure metrics — to
 // match field for field.
 func TestShardedReplayResultIdentical(t *testing.T) {
 	gen := trace.DefaultGenConfig()
 	gen.Records = 1 << 11
 	gen.FootprintLines = 1 << 14
-	results := make([]trace.Result, len(laneTopos))
+	results := make([]trace.LoadResult, len(laneTopos))
 	for i, lt := range laneTopos {
 		cfg := system.DefaultConfig(system.PIMMMU)
 		cfg.Shards = lt
@@ -68,7 +68,7 @@ func TestShardedReplayResultIdentical(t *testing.T) {
 		g := gen
 		g.Base = s.Alloc(g.FootprintBytes(trace.PatternMixed))
 		recs := trace.MustGenerate(trace.PatternMixed, g)
-		r, err := s.RunReplay(recs, trace.DefaultReplayConfig())
+		r, err := s.RunLoad(recs, replayCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestShardedReplayResultIdentical(t *testing.T) {
 	}
 	for i, lt := range laneTopos[1:] {
 		if !reflect.DeepEqual(results[i+1], results[0]) {
-			t.Errorf("trace.Result diverged at shards=%d:\nplain: %+v\nsharded: %+v",
+			t.Errorf("trace.LoadResult diverged at shards=%d:\nplain: %+v\nsharded: %+v",
 				lt, results[0], results[i+1])
 		}
 	}
@@ -171,12 +171,12 @@ func TestShardedPIMRegionReplay(t *testing.T) {
 	gen.Base = mem.PIMBase
 	gen.WritePercent = 100
 	recs := trace.MustGenerate(trace.PatternMixed, gen)
-	var want trace.Result
+	var want trace.LoadResult
 	for i, shards := range laneTopos {
 		cfg := system.DefaultConfig(system.Base)
 		cfg.Shards = shards
 		s := system.MustNew(cfg)
-		r, err := s.RunReplay(recs, trace.DefaultReplayConfig())
+		r, err := s.RunLoad(recs, replayCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
