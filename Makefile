@@ -80,12 +80,11 @@ bench-compare:
 	cp "$$base/work.json" BENCH_engine.json && echo "wrote BENCH_engine.json"; \
 	$(GO) run ./cmd/pimmu-benchdiff "$$base/head.json" BENCH_engine.json
 
-# CPU- and heap-profile a representative simulation-heavy experiment on
-# the plain engine, the one every default run uses, through the shared
-# -cpuprofile/-memprofile Runner flags of `pimmu run`.
+# CPU- and heap-profile a representative simulation-heavy experiment
+# through the shared -cpuprofile/-memprofile Runner flags of `pimmu run`.
 # Inspect with `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
 # Override PROFILE_EXPERIMENT / PROFILE_FLAGS to aim the profiler
-# elsewhere (PROFILE_FLAGS='-shards auto' profiles the sharded engine).
+# elsewhere (PROFILE_FLAGS='-workers 1' profiles the serial sweep).
 PROFILE_EXPERIMENT ?= headline
 PROFILE_FLAGS ?=
 

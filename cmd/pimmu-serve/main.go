@@ -25,9 +25,9 @@
 // unbounded queue. -workers sets the default per-job sweep parallelism
 // (requests may override it). -cache-dir/-cache back the server with
 // the same content-addressed store the CLIs use: completed serve jobs
-// are stored whole (keyed by engine class, not shard count, so a result
-// computed at -shards 1 serves -shards 4) and per-design-point results
-// are shared with any CLI warming the same directory.
+// are stored whole (keyed without the worker count, so a result
+// computed at one -workers value serves any other) and per-design-point
+// results are shared with any CLI warming the same directory.
 //
 // -smoke EXPERIMENT boots the server on an ephemeral loopback port,
 // drives one quick job through the real HTTP surface — submit, stream

@@ -46,14 +46,12 @@ func commands() []command {
 	}
 }
 
-const runnerFlagsUsage = "runner flags: [-format text|json] [-workers N] [-shards N|auto] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE]"
-
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage:")
 	for _, c := range commands() {
 		fmt.Fprintf(os.Stderr, "  pimmu %-8s %s\n", c.name, c.synopsis)
 	}
-	fmt.Fprintln(os.Stderr, runnerFlagsUsage)
+	fmt.Fprintln(os.Stderr, "runner flags: [-format text|json] [-workers N] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE]")
 }
 
 func main() {
@@ -224,7 +222,7 @@ func runPlan[P, R any](w io.Writer, f *harness.RunnerFlags, name, op string,
 	}
 	defer s.close(&err)
 	sw := plan(func(d system.Design, op string) harness.Job {
-		return s.runner.NewJob(name+"/v1", s.runner.Config(d), op)
+		return s.runner.NewJob(name+"/v1", system.DefaultConfig(d), op)
 	})
 	results, render := report(sw.Compute(s.runner))
 	if s.format != "json" {

@@ -58,7 +58,7 @@ func TestSubcommandFlags(t *testing.T) {
 
 // run, sim and replay parse their own flags next to the Runner flags
 // and resolve the Runner ones before planning: a good line runs with
-// its own flags in effect, and a bad -shards is a usage error.
+// its own flags in effect, and a bad -format is a usage error.
 func TestFlagsParseAndResolve(t *testing.T) {
 	dir := t.TempDir()
 	tr := filepath.Join(dir, "t.pmt")
@@ -72,11 +72,11 @@ func TestFlagsParseAndResolve(t *testing.T) {
 		want []string // substrings of stdout that show the own flags took effect
 	}{
 		{"sim", []string{"-design", "base", "-mb", "4", "-dir", "from",
-			"-workers", "1", "-shards", "2", "-cache-dir", cacheDir},
+			"-workers", "1", "-cache-dir", cacheDir},
 			[]string{"design      Base\n", "direction   PIM->DRAM\n", "bytes       4194304 "}},
-		{"run", []string{"-full", "-workers", "2", "-shards", "auto", "-cache", "off", "table1"},
+		{"run", []string{"-full", "-workers", "2", "-cache", "off", "table1"},
 			[]string{"(full mode)"}},
-		{"replay", []string{"-inflight", "32", "-noncacheable", "-shards", "1", "-cache", "off", tr},
+		{"replay", []string{"-inflight", "32", "-noncacheable", "-cache", "off", tr},
 			[]string{"design     Base+D+H+P\n", "records    16384 "}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -96,7 +96,7 @@ func TestFlagsParseAndResolve(t *testing.T) {
 			if def, err := runCommand(t, append([]string{c.name}, pos...)...); err != nil || string(def) == string(out) {
 				t.Errorf("the flags changed nothing: default output %v", err)
 			}
-			bad := append([]string{c.name, "-shards", "many"}, pos...)
+			bad := append([]string{c.name, "-format", "xml"}, pos...)
 			var ue usageError
 			if _, err := runCommand(t, bad...); !errors.As(err, &ue) {
 				t.Errorf("%v: err = %v, want a usage error", bad, err)
@@ -173,10 +173,15 @@ func TestErrorKinds(t *testing.T) {
 		{[]string{"load", "-gaps", "1e20"}, true},
 		{[]string{"load", "-gaps", "9223372036854776"}, true},
 		{[]string{"load", "-n", "8192", "-gaps", "1e15"}, true},
+		{[]string{"load", "-n", "1000000000000000", "-gaps", "0.001"}, true},
 		{[]string{"gen", "-gap", "20000000000000000", "-n", "4", "-o", filepath.Join(dir, "g.pmt")}, true},
 		{[]string{"gen", "-gap", "-1", "-o", filepath.Join(dir, "g.pmt")}, true},
 		{[]string{"gen", "-gap", "9223372036854775", "-n", "4", "-o", filepath.Join(dir, "g.pmt")}, true},
 		{[]string{"sim", "-dir", "sideways"}, true},
+		{[]string{"run", "-shards", "1", "fig8"}, true},
+		{[]string{"sim", "-shards", "1"}, true},
+		{[]string{"replay", "-shards", "1", tr}, true},
+		{[]string{"load", "-shards", "1"}, true},
 		{[]string{"run", "nope"}, true},
 		{[]string{"cmds", "-n", "-1", "-channel", "9"}, true},
 		{[]string{"cache-gc"}, true},

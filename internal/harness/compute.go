@@ -140,7 +140,7 @@ func fig6Sweep(r *Runner, sc Scale) *Sweep[transfer, Fig6Section] {
 	})
 	for _, pt := range fig6Points {
 		// The time series is bucketed on a 100 us stats window.
-		cfg := r.Config(pt.design)
+		cfg := system.DefaultConfig(pt.design)
 		cfg.Mem.PIM.SeriesWindow = 100 * clock.Microsecond
 		sw.Add(r.NewJob("harness/v1", cfg, fmt.Sprintf("fig6 bytes=%d label=%q", size, pt.label)),
 			transfer{core.DRAMToPIM, size})
@@ -258,7 +258,7 @@ func fig14Sweep(r *Runner, sc Scale) *Sweep[uint64, float64] {
 		for _, d := range baseVsMMU {
 			// The geometry override applies to the DRAM and PIM systems
 			// alike.
-			cfg := r.Config(d)
+			cfg := system.DefaultConfig(d)
 			cfg.Mem.DRAM.Geometry.Channels = c.ch
 			cfg.Mem.DRAM.Geometry.Ranks = c.ra
 			cfg.Mem.PIM.Geometry.Channels = c.ch

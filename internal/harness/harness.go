@@ -12,11 +12,12 @@
 //   - Render writes the deterministic text artifact from results alone.
 //
 // Because plan and compute read the same sweep, compute runs exactly
-// the planned jobs. Execution state (engine class, worker count, result
-// cache) lives in a Runner threaded explicitly through all three
-// phases; cmd/pimmu constructs one per invocation. The split makes an
-// experiment addressable data: "serve experiment X at design point Y"
-// is a plan lookup plus a compute, not a rewrite.
+// the planned jobs. Execution state (worker count, result cache) lives
+// in a Runner threaded explicitly through all three phases; cmd/pimmu
+// constructs one per invocation. Every job's machine runs on the plain
+// event engine. The split makes an experiment addressable data: "serve
+// experiment X at design point Y" is a plan lookup plus a compute, not
+// a rewrite.
 //
 // Quick mode shrinks transfer sizes so the full suite completes in
 // minutes on a laptop; the shapes (who wins, by what factor) are the

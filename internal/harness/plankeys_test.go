@@ -19,20 +19,18 @@ var update = flag.Bool("update", false, "rewrite testdata/plan_keys.golden with 
 //	go test ./internal/harness -run PlanKeysGolden -update
 var planKeysGolden = filepath.Join("..", "..", "testdata", "plan_keys.golden")
 
-// renderPlanKeys lists every experiment's plan keys at both scales and
-// both engine classes under a fixed code-version stamp, one
-// "experiment scale shards index key" line per job.
+// renderPlanKeys lists every experiment's plan keys at both scales
+// under a fixed code-version stamp, one "experiment scale index key"
+// line per job.
 func renderPlanKeys() string {
 	resultcache.SetCodeVersion("plan-test")
 	defer resultcache.SetCodeVersion("")
 	var b strings.Builder
-	for _, shards := range []int{0, 1} {
-		r := &Runner{Shards: shards}
-		for _, sc := range []Scale{Quick, Full} {
-			for _, e := range All() {
-				for i, j := range e.Plan(r, sc).Jobs {
-					fmt.Fprintf(&b, "%s %v shards=%d %d %s\n", e.Name, sc, shards, i, j.Key)
-				}
+	r := &Runner{}
+	for _, sc := range []Scale{Quick, Full} {
+		for _, e := range All() {
+			for i, j := range e.Plan(r, sc).Jobs {
+				fmt.Fprintf(&b, "%s %v %d %s\n", e.Name, sc, i, j.Key)
 			}
 		}
 	}

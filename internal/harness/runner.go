@@ -20,16 +20,11 @@ import (
 )
 
 // Runner carries every knob that used to live in package-global setters:
-// the engine class applied to each simulated machine, the sweep worker
-// count and the result cache fronting compute. The CLIs construct one
-// Runner per invocation and thread it through all three experiment
-// phases; tests build their own.
+// the sweep worker count and the result cache fronting compute. The
+// CLIs construct one Runner per invocation and thread it through all
+// three experiment phases; tests build their own. Every machine a
+// harness job builds runs on the plain event engine.
 type Runner struct {
-	// Shards selects the event-engine class of every machine built (the
-	// CLIs' -shards flag): 0 is the plain engine, any other value —
-	// system.Auto included — the sharded engine. The two classes are
-	// separate event orders, so their results can differ (fig8, fig14).
-	Shards int
 	// Workers caps the sweep worker pool for this runner's computes
 	// (<= 0 selects GOMAXPROCS).
 	Workers int
@@ -66,14 +61,6 @@ func (r *Runner) Run(e Experiment, w io.Writer, sc Scale) {
 	e.Render(w, sc, e.Compute(r, sc))
 }
 
-// Config is the Table I configuration at the given design point with
-// the runner's engine class applied.
-func (r *Runner) Config(d system.Design) system.Config {
-	cfg := system.DefaultConfig(d)
-	cfg.Shards = r.Shards
-	return cfg
-}
-
 // NewJob builds one plan job from an explicit configuration: the key
 // binds keyPrefix (a versioned namespace such as "harness/v1"), the
 // code-version stamp, the config fingerprint, and op.
@@ -88,7 +75,7 @@ func (r *Runner) NewJob(keyPrefix string, cfg system.Config, op string) Job {
 // job is NewJob at a default-config design point under the harness
 // namespace — the common case for experiment plans.
 func (r *Runner) job(d system.Design, op string) Job {
-	return r.NewJob("harness/v1", r.Config(d), op)
+	return r.NewJob("harness/v1", system.DefaultConfig(d), op)
 }
 
 // Sweep is one experiment's job list: the planned jobs, one parameter
@@ -123,57 +110,48 @@ func (s *Sweep[P, R]) Compute(r *Runner) []R {
 		func(i int) R { return s.run(s.params[i], system.MustNew(s.Jobs[i].Config)) })
 }
 
-// ResolveTopology parses an engine-class selection given in CLI flag
-// syntax (a count or "auto"; empty selects the plain engine) into a
-// Runner.Shards value. It exists so callers outside the compute layer —
-// the serve front end in particular — can resolve it without importing
-// internal/system. coreLanes is ignored; cl is always 0 and warns nil.
+// ResolveTopology parses an engine-class selection in flag syntax (a
+// count or "auto"; empty selects the plain engine) into a
+// system.Config.Shards value. The end-to-end benchmark under bench/ is
+// its only caller: no harness experiment, CLI or serve request picks an
+// engine class. coreLanes is ignored; cl is always 0 and warns nil.
 func ResolveTopology(shards, coreLanes string) (sh, cl int, warns []string, err error) {
 	if shards == "" {
 		shards = "0"
 	}
-	if sh, err = parseShards(shards); err != nil {
+	if sh, err = system.ParseLaneFlag(shards); err != nil {
+		return 0, 0, nil, fmt.Errorf("shards: %w", err)
+	}
+	cfg := system.DefaultConfig(system.PIMMMU)
+	cfg.Shards = sh
+	if err = cfg.Validate(); err != nil {
 		return 0, 0, nil, fmt.Errorf("shards: %w", err)
 	}
 	return sh, 0, nil, nil
-}
-
-// parseShards parses and validates one -shards value.
-func parseShards(s string) (int, error) {
-	n, err := system.ParseLaneFlag(s)
-	if err != nil {
-		return 0, err
-	}
-	cfg := system.DefaultConfig(system.PIMMMU)
-	cfg.Shards = n
-	return n, cfg.Validate()
 }
 
 // RunnerFlagNames is the canonical shared flag set RegisterRunnerFlags
 // registers; cmd/pimmu's flag test asserts that exactly the subcommands
 // taking Runner flags accept these names.
 func RunnerFlagNames() []string {
-	return []string{"workers", "shards",
-		"cache-dir", "cache", "cpuprofile", "memprofile", "format"}
+	return []string{"workers", "cache-dir", "cache", "cpuprofile", "memprofile", "format"}
 }
 
 // RunnerFlags holds the parsed-but-unresolved shared CLI flags; call
 // Runner after FlagSet.Parse to resolve them.
 type RunnerFlags struct {
 	workers                *int
-	shards                 *string
 	cacheDir, cacheMode    *string
 	cpuProfile, memProfile *string
 	format                 *string
 }
 
-// RegisterRunnerFlags registers the engine-class, worker, result-cache,
-// profiling and output-format flags shared by the pimmu run, sim,
-// replay and load subcommands on fs.
+// RegisterRunnerFlags registers the worker, result-cache, profiling
+// and output-format flags shared by the pimmu run, sim, replay and load
+// subcommands on fs.
 func RegisterRunnerFlags(fs *flag.FlagSet) *RunnerFlags {
 	f := &RunnerFlags{}
 	f.workers = fs.Int("workers", 0, "parallel simulations per sweep (0 = all cores, 1 = serial)")
-	f.shards = fs.String("shards", "0", "event-engine class per machine: 0 = plain engine, any other count or auto = sharded engine (the two can differ in results, e.g. fig8, fig14)")
 	f.cacheDir = fs.String("cache-dir", "", "result-cache directory (empty = caching off)")
 	f.cacheMode = fs.String("cache", "rw", "result-cache mode: off, rw, or ro")
 	f.cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
@@ -239,15 +217,11 @@ func (f *RunnerFlags) StartProfiles() (stop func() error, err error) {
 // Runner resolves the parsed flags into a Runner and its backing store
 // (nil when caching is off). On error the Runner is nil.
 func (f *RunnerFlags) Runner() (*Runner, *resultcache.Store, error) {
-	sh, err := parseShards(*f.shards)
-	if err != nil {
-		return nil, nil, fmt.Errorf("-shards: %w", err)
-	}
 	store, err := resultcache.OpenFlags(*f.cacheDir, *f.cacheMode)
 	if err != nil {
 		return nil, nil, err
 	}
-	r := &Runner{Shards: sh, Workers: *f.workers}
+	r := &Runner{Workers: *f.workers}
 	if store != nil {
 		// A nil *Store must not become a non-nil sweep.Cache interface.
 		r.Cache = store

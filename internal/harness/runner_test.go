@@ -49,15 +49,14 @@ func TestRunnerFlagsParseAndResolve(t *testing.T) {
 	cacheDir := t.TempDir()
 	for _, c := range []struct {
 		args             []string
-		workers, shards  int
+		workers          int
 		store            bool
 		format           string
 		runnerErr, fmErr bool
 	}{
 		{args: nil, format: "text"},
-		{args: []string{"-workers", "1", "-shards", "2", "-cache-dir", cacheDir}, workers: 1, shards: 2, store: true, format: "text"},
-		{args: []string{"-workers", "2", "-shards", "auto", "-cache", "off", "-cache-dir", cacheDir, "-format", "json"}, workers: 2, shards: system.Auto, format: "json"},
-		{args: []string{"-shards", "many"}, runnerErr: true, format: "text"},
+		{args: []string{"-workers", "1", "-cache-dir", cacheDir}, workers: 1, store: true, format: "text"},
+		{args: []string{"-workers", "2", "-cache", "off", "-cache-dir", cacheDir, "-format", "json"}, workers: 2, format: "json"},
 		{args: []string{"-cache", "sometimes", "-cache-dir", cacheDir}, runnerErr: true, format: "text"},
 		{args: []string{"-format", "xml"}, fmErr: true},
 	} {
@@ -81,8 +80,8 @@ func TestRunnerFlagsParseAndResolve(t *testing.T) {
 		if (store != nil) != c.store || (r.Cache != nil) != c.store {
 			t.Errorf("%v: store %v, cache %v, want store: %v", c.args, store, r.Cache, c.store)
 		}
-		if r.Workers != c.workers || r.Shards != c.shards {
-			t.Errorf("%v: runner %+v, want workers %d shards %d", c.args, r, c.workers, c.shards)
+		if r.Workers != c.workers {
+			t.Errorf("%v: runner %+v, want workers %d", c.args, r, c.workers)
 		}
 	}
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)

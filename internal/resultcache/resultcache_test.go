@@ -295,55 +295,6 @@ func TestCanonical(t *testing.T) {
 	Canonical(struct{ M map[string]int }{})
 }
 
-func TestCanonicalMasked(t *testing.T) {
-	type inner struct {
-		N int
-		S string
-	}
-	type cfg struct {
-		A  int
-		In inner
-		B  int
-	}
-	v := cfg{A: 1, In: inner{N: 2, S: "x"}, B: 3}
-
-	// A nil mask is plain Canonical.
-	if string(CanonicalMasked(v, nil)) != string(Canonical(v)) {
-		t.Fatal("nil mask diverged from Canonical")
-	}
-
-	// Masking a leaf removes exactly that line; two values differing
-	// only there now encode identically.
-	mask := Mask{"B": true}
-	a := string(CanonicalMasked(v, mask))
-	if strings.Contains(a, "B=") {
-		t.Fatalf("masked leaf still encoded:\n%s", a)
-	}
-	if !strings.Contains(a, "A=1") || !strings.Contains(a, "In.N=2") {
-		t.Fatalf("mask pruned unrelated fields:\n%s", a)
-	}
-	mut := v
-	mut.B = 99
-	if string(CanonicalMasked(mut, mask)) != a {
-		t.Fatal("values differing only in a masked field encode differently")
-	}
-
-	// Masking an interior field prunes its whole subtree.
-	sub := string(CanonicalMasked(v, Mask{"In": true}))
-	if strings.Contains(sub, "In.") {
-		t.Fatalf("masked subtree still encoded:\n%s", sub)
-	}
-
-	// A mask path that matches nothing is a soundness bug (a renamed
-	// field would silently re-enter the key): it must panic.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("stale mask path did not panic")
-		}
-	}()
-	CanonicalMasked(v, Mask{"Gone": true})
-}
-
 func TestCodeVersionOverrides(t *testing.T) {
 	pin(t, "explicit")
 	if got := CodeVersion(); got != "explicit" {

@@ -45,20 +45,14 @@ const (
 )
 
 // JobRequest is the body of POST /v1/jobs: one experiment render at one
-// scale on an explicit engine class and cache mode. Zero values select
-// the server's defaults (quick scale, plain engine, rw cache), mirroring
-// the CLI flag defaults.
+// scale and cache mode. Zero values select the server's defaults (quick
+// scale, rw cache), mirroring the CLI flag defaults. Unknown fields,
+// such as the retired "shards" and "core_lanes", are ignored.
 type JobRequest struct {
 	Schema     string `json:"schema"`
 	Experiment string `json:"experiment"`
 	// Scale is "quick" (default) or "full".
 	Scale string `json:"scale,omitempty"`
-	// Shards takes the CLI flag syntax: a count or "auto". "0" (the
-	// default) selects the plain engine, any other value the sharded
-	// engine. The two engine classes are separate event orders, so
-	// results can differ between them (fig8, fig14); within a class they
-	// are byte-identical.
-	Shards string `json:"shards,omitempty"`
 	// Workers caps the sweep worker pool for this job (0 = server
 	// default).
 	Workers int `json:"workers,omitempty"`

@@ -151,8 +151,6 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		{"unknown experiment near miss", api.JobRequest{Schema: api.SchemaVersion, Experiment: "headlin"}, "",
 			`did you mean \"headline\"?`},
 		{"bad scale", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Scale: "huge"}, "", "unknown scale"},
-		{"bad shards", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Shards: "many"}, "", "shards"},
-		{"negative shards", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Shards: "-2"}, "", "shard count"},
 		{"bad cache mode", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Cache: "maybe"}, "", "cache mode"},
 		{"negative workers", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Workers: -1}, "", "workers"},
 	}
@@ -182,7 +180,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 // still send the retired core_lanes field: the decoder ignores it.
 func TestServeIgnoresRetiredCoreLanes(t *testing.T) {
 	ts := startServer(t, Config{})
-	body := `{"schema":"` + api.SchemaVersion + `","experiment":"table1","shards":"auto","core_lanes":"2"}`
+	body := `{"schema":"` + api.SchemaVersion + `","experiment":"table1","core_lanes":"2"}`
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -190,6 +188,38 @@ func TestServeIgnoresRetiredCoreLanes(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want the job accepted", resp.StatusCode)
+	}
+}
+
+// TestServeIgnoresRetiredShards pins compatibility with clients that
+// still send the retired shards field: any value, even one that never
+// named an engine class, is accepted and ignored, and the submission
+// keys exactly as the same body without it.
+func TestServeIgnoresRetiredShards(t *testing.T) {
+	ts := startServer(t, Config{})
+	_, code, body := postBody(t, ts, `{"schema":"`+api.SchemaVersion+`","experiment":"table1","shards":"many"}`)
+	if code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("status %d, want the job accepted\n%s", code, body)
+	}
+	s := New(Config{})
+	key := func(raw string) string {
+		t.Helper()
+		req, err := decodeJobRequest(strings.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := s.validate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.key
+	}
+	plain := `{"schema":"` + api.SchemaVersion + `","experiment":"fig8"}`
+	for _, shards := range []string{`"many"`, `"4"`, `"auto"`, `-2`} {
+		retired := `{"schema":"` + api.SchemaVersion + `","experiment":"fig8","shards":` + shards + `}`
+		if key(retired) != key(plain) {
+			t.Errorf("shards %s moved the serve key", shards)
+		}
 	}
 }
 
@@ -279,9 +309,9 @@ func TestServeStaticExperiment(t *testing.T) {
 // TestServeDedupAndTopologyIdentity is the acceptance test: a cold
 // submit simulates once; concurrent identical submissions share that
 // one job; warm resubmits — including from a fresh server process at a
-// different shard count in the same engine class — serve the stored
+// different worker count — serve the stored
 // payload with zero additional simulations; and a cold recompute at
-// that shard count yields byte-identical response bodies.
+// that worker count yields byte-identical response bodies.
 func TestServeDedupAndTopologyIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed; skipped in -short")
@@ -289,7 +319,7 @@ func TestServeDedupAndTopologyIdentity(t *testing.T) {
 	pinVersion(t, "serve-test-dedup")
 	store := openStore(t, t.TempDir())
 	ts := startServer(t, Config{Store: store, MaxActive: 2})
-	req := api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Scale: "quick", Shards: "1"}
+	req := api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Scale: "quick", Workers: 1}
 
 	// Two concurrent identical submissions: exactly one creates the job,
 	// the other attaches to it (whichever order the server serializes
@@ -352,18 +382,17 @@ func TestServeDedupAndTopologyIdentity(t *testing.T) {
 	}
 
 	// Warm resubmit from a fresh server process sharing the store, at a
-	// different shard count and worker count: the serve key carries only
-	// the engine class, so the stored payload serves without simulating.
+	// different worker count: the serve key carries no worker count, so
+	// the stored payload serves without simulating.
 	ts2 := startServer(t, Config{Store: store})
 	req2 := req
-	req2.Shards = "4"
 	req2.Workers = 2
 	st2, code, body := postJob(t, ts2, req2)
 	if code != http.StatusOK {
-		t.Fatalf("cross-shard warm submit status %d: %s", code, body)
+		t.Fatalf("cross-worker warm submit status %d: %s", code, body)
 	}
 	if !st2.Cached || st2.State != api.StateDone {
-		t.Fatalf("cross-shard warm submit not served from store: %+v", st2)
+		t.Fatalf("cross-worker warm submit not served from store: %+v", st2)
 	}
 	warmBody := fetchResult(t, ts2, st2.ID)
 	if !bytes.Equal(cold, warmBody) {
@@ -373,20 +402,20 @@ func TestServeDedupAndTopologyIdentity(t *testing.T) {
 		t.Fatalf("warm serving wrote %d new entries", got-coldStores)
 	}
 
-	// Cold recompute at a different shard count (fresh store, so nothing
+	// Cold recompute at a different worker count (fresh store, so nothing
 	// can be served): the response body must be byte-identical — the
 	// determinism contract, visible at the API boundary.
 	ts3 := startServer(t, Config{Store: openStore(t, t.TempDir())})
 	st3, code, body := postJob(t, ts3, req2)
 	if code != http.StatusAccepted {
-		t.Fatalf("cold cross-shard submit status %d: %s", code, body)
+		t.Fatalf("cold cross-worker submit status %d: %s", code, body)
 	}
 	if f := waitDone(t, ts3, st3.ID); f.State != api.StateDone {
-		t.Fatalf("cross-shard job failed: %+v", f)
+		t.Fatalf("cross-worker job failed: %+v", f)
 	}
 	recomputed := fetchResult(t, ts3, st3.ID)
 	if !bytes.Equal(cold, recomputed) {
-		t.Fatalf("recomputed body at shards=4 differs from shards=1 body:\n%s\n%s",
+		t.Fatalf("recomputed body at workers=2 differs from workers=1 body:\n%s\n%s",
 			cold, recomputed)
 	}
 }
@@ -441,7 +470,7 @@ func TestServeAdmissionControl(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	first, code, body := postJob(t, ts, api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Shards: "1"})
+	first, code, body := postJob(t, ts, api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8"})
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit status %d: %s", code, body)
 	}
@@ -472,7 +501,7 @@ func TestServeEventsStreamProgress(t *testing.T) {
 	}
 	pinVersion(t, "serve-test-events")
 	ts := startServer(t, Config{Store: openStore(t, t.TempDir())})
-	st, code, body := postJob(t, ts, api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Shards: "1"})
+	st, code, body := postJob(t, ts, api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8"})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d: %s", code, body)
 	}

@@ -30,8 +30,10 @@
 //
 // The plain engine orders same-instant events by insertion alone, so the
 // two engine classes can break ties differently on some workloads (fig8,
-// fig14, a Fig. 13 contended transfer). Both orders are deterministic;
-// the result cache keys them apart (system.Config.Shards).
+// fig14, a Fig. 13 contended transfer). Both orders are deterministic.
+// Only a non-zero system.Config.Shards selects this engine: no harness
+// experiment, CLI flag or serve request does, and the end-to-end
+// benchmark's contention workload is its one user outside tests.
 package sim
 
 import (

@@ -93,18 +93,19 @@ type Config struct {
 	// sim.NewSharded). The two classes are separate event orders: they
 	// can break same-instant ties differently, so results can differ
 	// between them (fig8, fig14, a Fig. 13 contended transfer).
-	// Within a class the value is irrelevant.
+	// Within a class the value is irrelevant to results. Harness jobs,
+	// the CLIs and the server always build the plain engine.
 	Shards int
 	// CoreLanes is accepted for compatibility and ignored.
 	CoreLanes int
 }
 
-// Auto is the "auto" CLI spelling of Config.Shards; it selects the
+// Auto is the "auto" flag spelling of Config.Shards; it selects the
 // sharded engine.
 const Auto = -1
 
-// ParseLaneFlag parses one -shards CLI value: "auto" selects Auto;
-// anything else must be an integer count.
+// ParseLaneFlag parses one Config.Shards value in flag syntax: "auto"
+// selects Auto; anything else must be an integer count.
 func ParseLaneFlag(s string) (int, error) {
 	if s == "auto" {
 		return Auto, nil

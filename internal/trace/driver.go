@@ -82,6 +82,12 @@ func DefaultDriverConfig() DriverConfig {
 	}
 }
 
+// MaxArrivals bounds an open-loop schedule's expected arrival count,
+// Duration/MeanGap: ArrivalSchedule materializes every arrival up
+// front, so an unbounded count would exhaust memory (or overflow the
+// slice capacity) instead of failing validation.
+const MaxArrivals = 1 << 26
+
 // Validate reports configuration errors.
 func (c DriverConfig) Validate() error {
 	if c.MaxInFlight <= 0 {
@@ -106,6 +112,9 @@ func (c DriverConfig) Validate() error {
 	}
 	if c.Duration <= 0 {
 		return fmt.Errorf("trace: non-positive duration %v", c.Duration)
+	}
+	if n := c.Duration / c.MeanGap; n > MaxArrivals {
+		return fmt.Errorf("trace: %d expected arrivals (duration %v / mean gap %v) exceed %d", int64(n), c.Duration, c.MeanGap, MaxArrivals)
 	}
 	return nil
 }

@@ -54,11 +54,21 @@ func TestDriverConfigValidate(t *testing.T) {
 		{Process: ProcessFixed, MeanGap: 1, Duration: 1, MaxInFlight: 0},
 		{Process: ProcessBurst, MeanGap: 1, Duration: 1, MaxInFlight: 1, OnTime: 0, OffTime: 1},
 		{Process: ProcessBurst, MeanGap: 1, Duration: 1, MaxInFlight: 1, OnTime: 1, OffTime: -1},
+		{Process: ProcessFixed, MeanGap: 1, Duration: 1 << 50, MaxInFlight: 1},
+		{Process: ProcessPoisson, MeanGap: 3, Duration: 3 * (MaxArrivals + 1), MaxInFlight: 1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+		// The schedule reports the same error instead of panicking on an
+		// out-of-range allocation.
+		if arr, err := ArrivalSchedule(cfg); err == nil || arr != nil {
+			t.Errorf("config %d: ArrivalSchedule = %d arrivals, %v; want an error", i, len(arr), err)
+		}
+	}
+	if err := (DriverConfig{Process: ProcessFixed, MeanGap: 3, Duration: 3 * MaxArrivals, MaxInFlight: 1}).Validate(); err != nil {
+		t.Errorf("config at the arrival bound rejected: %v", err)
 	}
 	if err := DefaultDriverConfig().Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
