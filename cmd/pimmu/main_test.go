@@ -177,6 +177,7 @@ func TestErrorKinds(t *testing.T) {
 		{[]string{"gen", "-gap", "20000000000000000", "-n", "4", "-o", filepath.Join(dir, "g.pmt")}, true},
 		{[]string{"gen", "-gap", "-1", "-o", filepath.Join(dir, "g.pmt")}, true},
 		{[]string{"gen", "-gap", "9223372036854775", "-n", "4", "-o", filepath.Join(dir, "g.pmt")}, true},
+		{[]string{"gen", "-n", "1000000000000000000", "-gap", "0", "-o", filepath.Join(dir, "g.pmt")}, true},
 		{[]string{"sim", "-dir", "sideways"}, true},
 		{[]string{"run", "-shards", "1", "fig8"}, true},
 		{[]string{"sim", "-shards", "1"}, true},

@@ -83,7 +83,8 @@ func DefaultDriverConfig() DriverConfig {
 }
 
 // MaxArrivals bounds an open-loop schedule's expected arrival count,
-// Duration/MeanGap: ArrivalSchedule materializes every arrival up
+// Duration/MeanGap, and a generated trace's record count:
+// ArrivalSchedule and Generate materialize every arrival or record up
 // front, so an unbounded count would exhaust memory (or overflow the
 // slice capacity) instead of failing validation.
 const MaxArrivals = 1 << 26

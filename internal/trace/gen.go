@@ -3,6 +3,8 @@ package trace
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"repro/internal/clock"
 	"repro/internal/mem"
@@ -76,6 +78,10 @@ func DefaultGenConfig() GenConfig {
 func (c GenConfig) Validate() error {
 	if c.Records <= 0 {
 		return fmt.Errorf("trace: non-positive record count %d", c.Records)
+	}
+	if c.Records > MaxArrivals {
+		// Generate materializes every record up front.
+		return fmt.Errorf("trace: %d records exceed %d", c.Records, MaxArrivals)
 	}
 	if c.Base%mem.LineBytes != 0 {
 		return fmt.Errorf("trace: base address 0x%x not line-aligned", c.Base)
@@ -191,44 +197,101 @@ func genChase(cfg GenConfig) []Record {
 }
 
 // genMixed emits uniform-random accesses over the footprint with the
-// configured store share.
+// configured store share. Record i takes draws 2i and 2i+1 of the seed's
+// stream, so chunks fill independently.
 func genMixed(cfg GenConfig) []Record {
-	rng := splitmix64(cfg.Seed)
 	recs := make([]Record, cfg.Records)
-	for i := range recs {
+	fillChunked(len(recs), chunkArgs{cfg: cfg, recs: recs}, fillMixed)
+	return recs
+}
+
+func fillMixed(a chunkArgs, lo, hi int) {
+	cfg := a.cfg
+	rng := splitmix64(cfg.Seed)
+	rng.skip(2 * uint64(lo))
+	recs := a.recs[lo:hi]
+	for j := range recs {
 		line := rng.next() % uint64(cfg.FootprintLines)
 		kind := KindRead
 		if int(rng.next()%100) < cfg.WritePercent {
 			kind = KindWrite
 		}
-		recs[i] = Record{
-			TSC:   clock.Picos(i) * cfg.Gap,
+		recs[j] = Record{
+			TSC:   clock.Picos(lo+j) * cfg.Gap,
 			Kind:  kind,
 			Addr:  cfg.Base + line*mem.LineBytes,
 			Bytes: mem.LineBytes,
 		}
 	}
-	return recs
 }
 
 // genZipf emits reads whose line index follows a zipf(theta)
 // distribution over the footprint: rank r is drawn with probability
-// proportional to 1/r^theta, so a small hot set dominates.
+// proportional to 1/r^theta, so a small hot set dominates. Record i
+// takes draw i of the seed's stream.
 func genZipf(cfg GenConfig) []Record {
-	z := newZipfSampler(cfg.FootprintLines, cfg.ZipfTheta)
+	z := sharedZipfSampler(cfg.FootprintLines, cfg.ZipfTheta)
+	recs := make([]Record, cfg.Records)
+	fillChunked(len(recs), chunkArgs{cfg: cfg, recs: recs, z: z}, fillZipf)
+	return recs
+}
+
+// zipfBatch is how many draws fillZipf resolves together, in three
+// passes: draw and load the guide entries, load the CDF at each start,
+// then walk. Once the simulation between two traces has evicted the
+// tables, a draw's loads miss the cache; a batch's loads are
+// independent, so their misses overlap instead of each stalling the
+// walk that needs it.
+const zipfBatch = 32
+
+func fillZipf(a chunkArgs, lo, hi int) {
+	cfg, z := a.cfg, a.z
 	total := z.total()
 	rng := splitmix64(cfg.Seed)
-	recs := make([]Record, cfg.Records)
-	for i := range recs {
-		rank := z.rank(rng.float64() * total)
-		recs[i] = Record{
-			TSC:   clock.Picos(i) * cfg.Gap,
-			Kind:  KindRead,
-			Addr:  cfg.Base + uint64(rank)*mem.LineBytes,
-			Bytes: mem.LineBytes,
+	rng.skip(uint64(lo))
+	var us, cs [zipfBatch]float64
+	var at [zipfBatch]int
+	for b := lo; b < hi; b += zipfBatch {
+		recs := a.recs[b:min(b+zipfBatch, hi)]
+		for j := range recs {
+			us[j] = rng.float64() * total
+			at[j] = z.start(us[j])
+		}
+		for j := range recs {
+			cs[j] = z.cum[at[j]]
+		}
+		for j := range recs {
+			rank := z.walk(at[j], cs[j], us[j])
+			recs[j] = Record{
+				TSC:   clock.Picos(b+j) * cfg.Gap,
+				Kind:  KindRead,
+				Addr:  cfg.Base + uint64(rank)*mem.LineBytes,
+				Bytes: mem.LineBytes,
+			}
 		}
 	}
-	return recs
+}
+
+// zipfMemo keeps the last zipf sampler built. Its CDF costs a Log and an
+// Exp per footprint line, several times the cost of drawing a trace of
+// that length from it, and a sweep draws every zipf trace from the same
+// (footprint, theta). Callers build under mu, so concurrent generators
+// of one config build it once; a built sampler is read-only, so they
+// share it without further locking.
+var zipfMemo struct {
+	mu    sync.Mutex
+	n     int
+	theta float64
+	z     *zipfSampler
+}
+
+func sharedZipfSampler(n int, theta float64) *zipfSampler {
+	zipfMemo.mu.Lock()
+	defer zipfMemo.mu.Unlock()
+	if zipfMemo.z == nil || zipfMemo.n != n || zipfMemo.theta != theta {
+		zipfMemo.n, zipfMemo.theta, zipfMemo.z = n, theta, newZipfSampler(n, theta)
+	}
+	return zipfMemo.z
 }
 
 // zipfSampler inverts the zipf CDF with a guide table (the cutpoint
@@ -246,15 +309,18 @@ type zipfSampler struct {
 }
 
 // zipfRanksPerBucket sizes the guide table at 1 B per footprint line, an
-// eighth of the CDF's own 8 B. More buckets draw barely faster but raise
-// the generator's peak memory.
+// eighth of the CDF's own 8 B. More buckets draw barely faster but grow
+// the memory the memoized sampler holds.
 const zipfRanksPerBucket = 4
 
+// newZipfSampler computes the per-rank weights in chunks and sums them
+// serially, so every cumulative weight rounds as in one serial pass.
 func newZipfSampler(n int, theta float64) *zipfSampler {
 	cum := make([]float64, n)
+	fillChunked(n, chunkArgs{cfg: GenConfig{ZipfTheta: theta}, weights: cum}, fillZipfWeights)
 	var total float64
-	for i := range cum {
-		total += 1 / fracPow(float64(i+1), theta)
+	for i, w := range cum {
+		total += w
 		cum[i] = total
 	}
 	nb := max(n/zipfRanksPerBucket, 1)
@@ -268,6 +334,13 @@ func newZipfSampler(n int, theta float64) *zipfSampler {
 		z.guide[b] = int32(r)
 	}
 	return z
+}
+
+func fillZipfWeights(a chunkArgs, lo, hi int) {
+	theta, w := a.cfg.ZipfTheta, a.weights[lo:hi]
+	for j := range w {
+		w[j] = 1 / fracPow(float64(lo+j+1), theta)
+	}
 }
 
 // fracPow returns math.Pow(x, theta) bit for bit for x >= 1 and
@@ -288,16 +361,23 @@ func fracPow(x, theta float64) float64 {
 
 func (z *zipfSampler) total() float64 { return z.cum[len(z.cum)-1] }
 
-// rank returns the smallest i with cum[i] >= u, the last rank if there
-// is none: exactly what a binary search of the CDF returns. Float
+// start returns the rank a draw of u walks from: its bucket's guide
+// entry.
+func (z *zipfSampler) start(u float64) int {
+	return int(z.guide[min(max(int(u*z.scale), 0), len(z.guide)-1)])
+}
+
+// walk steps from start rank i, whose cumulative weight is c, to the
+// smallest rank whose cumulative weight reaches u, the last rank if
+// there is none: exactly what a binary search of the CDF returns. Float
 // rounding in the bucket index can start the walk a bucket early or
 // late. Early costs steps; late is undone by stepping back, so the
 // rank never depends on the rounding.
-func (z *zipfSampler) rank(u float64) int {
+func (z *zipfSampler) walk(i int, c, u float64) int {
 	cum, last := z.cum, len(z.cum)-1
-	i := int(z.guide[min(max(int(u*z.scale), 0), len(z.guide)-1)])
-	for i < last && cum[i] < u {
+	for i < last && c < u {
 		i++
+		c = cum[i]
 	}
 	for i > 0 && cum[i-1] >= u {
 		i--
@@ -314,15 +394,88 @@ func splitmix64(seed uint64) *rngState {
 	return &r
 }
 
+// splitmixGamma is the state increment of one draw.
+const splitmixGamma = 0x9e3779b97f4a7c15
+
 func (r *rngState) next() uint64 {
-	*r += 0x9e3779b97f4a7c15
+	*r += splitmixGamma
 	z := uint64(*r)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
+// skip advances r past k draws: each draw adds splitmixGamma to the
+// state, so k draws add k times it, modulo 2^64.
+func (r *rngState) skip(k uint64) {
+	*r += rngState(k * splitmixGamma)
+}
+
 // float64 returns a uniform value in [0, 1).
 func (r *rngState) float64() float64 {
 	return float64(r.next()>>11) / (1 << 53)
+}
+
+// chunkMin is the fill length below which fillChunked stays serial:
+// handing chunks to workers costs microseconds, about what 16K records
+// take to fill.
+const chunkMin = 1 << 14
+
+// chunkArgs carries a fill's inputs by value, so handing a chunk to a
+// worker allocates nothing.
+type chunkArgs struct {
+	cfg     GenConfig
+	recs    []Record
+	z       *zipfSampler
+	weights []float64
+}
+
+type chunkJob struct {
+	fill   func(a chunkArgs, lo, hi int)
+	args   chunkArgs
+	lo, hi int
+}
+
+// fanout is the process's pool of fill workers, grown to GOMAXPROCS-1 on
+// demand. The fill holding mu owns every worker; a fill that finds mu
+// held runs serially, as the cores are already busy with the other one.
+// The workers are long-lived because a goroutine started per chunk
+// allocates its closure, and the generator benches gate allocs/op.
+var fanout struct {
+	mu      sync.Mutex
+	jobs    chan chunkJob
+	done    sync.WaitGroup
+	workers int
+}
+
+// fillChunked runs fill over [0, n) in GOMAXPROCS contiguous chunks,
+// the first on the calling goroutine. A fill writes only its own chunk
+// and derives everything else from its index range, so the result does
+// not depend on the chunk count.
+func fillChunked(n int, a chunkArgs, fill func(a chunkArgs, lo, hi int)) {
+	w := runtime.GOMAXPROCS(0)
+	if n < chunkMin || w < 2 || !fanout.mu.TryLock() {
+		fill(a, 0, n)
+		return
+	}
+	defer fanout.mu.Unlock()
+	if fanout.jobs == nil {
+		fanout.jobs = make(chan chunkJob)
+	}
+	for ; fanout.workers < w-1; fanout.workers++ {
+		go fillWorker(fanout.jobs)
+	}
+	fanout.done.Add(w - 1)
+	for c := 1; c < w; c++ {
+		fanout.jobs <- chunkJob{fill, a, c * n / w, (c + 1) * n / w}
+	}
+	fill(a, 0, n/w)
+	fanout.done.Wait()
+}
+
+func fillWorker(jobs <-chan chunkJob) {
+	for j := range jobs {
+		j.fill(j.args, j.lo, j.hi)
+		fanout.done.Done()
+	}
 }

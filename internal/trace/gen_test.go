@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/clock"
@@ -147,8 +150,11 @@ func TestGenConfigValidation(t *testing.T) {
 		// The last record's TSC would wrap past MaxInt64 picoseconds.
 		"gap-overflow": func(c *GenConfig) { c.Gap = clock.Picos(math.MaxInt64/int64(c.Records-1) + 1) },
 		"write-pct":    func(c *GenConfig) { c.WritePercent = 101 },
-		"theta":        func(c *GenConfig) { c.ZipfTheta = 1.5 },
-		"theta-nan":    func(c *GenConfig) { c.ZipfTheta = math.NaN() },
+		// More records than Generate materializes, at a gap that cannot
+		// overflow.
+		"records-max": func(c *GenConfig) { c.Records, c.Gap = MaxArrivals+1, 0 },
+		"theta":       func(c *GenConfig) { c.ZipfTheta = 1.5 },
+		"theta-nan":   func(c *GenConfig) { c.ZipfTheta = math.NaN() },
 		// Wider than an int32 line index (negative on 32-bit hosts).
 		"footprint-int32": func(c *GenConfig) { c.FootprintLines = int(int64(math.MaxInt32) + 1) },
 	}
@@ -177,5 +183,184 @@ func TestFootprintBytes(t *testing.T) {
 	}
 	if got := cfg.FootprintBytes(PatternZipf); got != uint64(cfg.FootprintLines)*mem.LineBytes {
 		t.Errorf("zipf footprint = %d", got)
+	}
+}
+
+// genMixedSerial and genZipfSerial are the generators as one serial pass
+// over the seed's stream, with the zipf CDF built by serialZipfSampler:
+// the reference a chunked fill must reproduce byte for byte.
+func genMixedSerial(cfg GenConfig) []Record {
+	rng := splitmix64(cfg.Seed)
+	recs := make([]Record, cfg.Records)
+	for i := range recs {
+		line := rng.next() % uint64(cfg.FootprintLines)
+		kind := KindRead
+		if int(rng.next()%100) < cfg.WritePercent {
+			kind = KindWrite
+		}
+		recs[i] = Record{
+			TSC:   clock.Picos(i) * cfg.Gap,
+			Kind:  kind,
+			Addr:  cfg.Base + line*mem.LineBytes,
+			Bytes: mem.LineBytes,
+		}
+	}
+	return recs
+}
+
+func genZipfSerial(cfg GenConfig) []Record {
+	z := serialZipfSampler(cfg.FootprintLines, cfg.ZipfTheta)
+	total := z.total()
+	rng := splitmix64(cfg.Seed)
+	recs := make([]Record, cfg.Records)
+	for i := range recs {
+		rank := z.rank(rng.float64() * total)
+		recs[i] = Record{
+			TSC:   clock.Picos(i) * cfg.Gap,
+			Kind:  KindRead,
+			Addr:  cfg.Base + uint64(rank)*mem.LineBytes,
+			Bytes: mem.LineBytes,
+		}
+	}
+	return recs
+}
+
+func serialZipfSampler(n int, theta float64) *zipfSampler {
+	cum := make([]float64, n)
+	var total float64
+	for i := range cum {
+		total += 1 / fracPow(float64(i+1), theta)
+		cum[i] = total
+	}
+	nb := max(n/zipfRanksPerBucket, 1)
+	z := &zipfSampler{cum: cum, guide: make([]int32, nb), scale: float64(nb) / total}
+	r := 0
+	for b := range z.guide {
+		edge := float64(b) / z.scale
+		for r < n-1 && cum[r] < edge {
+			r++
+		}
+		z.guide[b] = int32(r)
+	}
+	return z
+}
+
+// equalSamplers reports whether two samplers hold bit-identical tables.
+func equalSamplers(a, b *zipfSampler) bool {
+	if len(a.cum) != len(b.cum) || len(a.guide) != len(b.guide) || a.scale != b.scale {
+		return false
+	}
+	for i := range a.cum {
+		if math.Float64bits(a.cum[i]) != math.Float64bits(b.cum[i]) {
+			return false
+		}
+	}
+	for i := range a.guide {
+		if a.guide[i] != b.guide[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// withGOMAXPROCS runs f at each worker count and restores the old one.
+func withGOMAXPROCS(t *testing.T, procs []int, f func(t *testing.T)) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, p := range procs {
+		runtime.GOMAXPROCS(p)
+		t.Run(fmt.Sprintf("procs=%d", p), f)
+	}
+}
+
+// Mixed and zipf traces, and the zipf CDF, must be byte for byte the
+// serial pass's at any worker count, on both sides of the chunking
+// threshold and at sizes no worker count divides.
+func TestChunkedGenerationMatchesSerial(t *testing.T) {
+	sizes := []int{1, 7, chunkMin - 1, chunkMin, chunkMin + 1, 3*chunkMin + 5}
+	footprints := []int{1000, chunkMin + 3}
+	withGOMAXPROCS(t, []int{1, 2, 7}, func(t *testing.T) {
+		for _, n := range footprints {
+			if !equalSamplers(newZipfSampler(n, 0.8), serialZipfSampler(n, 0.8)) {
+				t.Errorf("footprint %d: zipf CDF differs from the serial build", n)
+			}
+		}
+		for _, seed := range []uint64{1, 2, 0xdeadbeef} {
+			for _, records := range sizes {
+				cfg := testGenConfig()
+				cfg.Seed, cfg.Records = seed, records
+				cfg.FootprintLines = footprints[records%len(footprints)]
+				if !equalRecords(MustGenerate(PatternMixed, cfg), genMixedSerial(cfg)) {
+					t.Errorf("mixed seed=%#x records=%d: differs from the serial pass", seed, records)
+				}
+				if !equalRecords(MustGenerate(PatternZipf, cfg), genZipfSerial(cfg)) {
+					t.Errorf("zipf seed=%#x records=%d: differs from the serial pass", seed, records)
+				}
+			}
+		}
+	})
+}
+
+// Skipping k draws must land where k calls to next do.
+func TestRNGSkipMatchesDraws(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 0xdeadbeef, math.MaxUint64} {
+		for _, k := range []uint64{0, 1, 2, 3, 1000, 1 << 20} {
+			drawn := splitmix64(seed)
+			for range k {
+				drawn.next()
+			}
+			skipped := splitmix64(seed)
+			skipped.skip(k)
+			if *skipped != *drawn {
+				t.Errorf("seed %#x: skip(%d) reached state %#x, %d draws reach %#x", seed, k, uint64(*skipped), k, uint64(*drawn))
+			}
+			if a, b := skipped.next(), drawn.next(); a != b {
+				t.Errorf("seed %#x: draw after skip(%d) = %#x, want %#x", seed, k, a, b)
+			}
+		}
+	}
+}
+
+// The memoized CDF must never serve a table built for another footprint
+// or skew: interleaved configs each match a trace drawn from a fresh
+// sampler. Concurrent generators of both configs, which race to build
+// and replace the memo, must all get those same traces.
+func TestZipfMemo(t *testing.T) {
+	base := testGenConfig()
+	base.Records = chunkMin + 1
+	cfgs := []GenConfig{base, base, base}
+	cfgs[1].ZipfTheta = 0.5
+	cfgs[2].FootprintLines = 2 * base.FootprintLines
+	want := make([][]Record, len(cfgs))
+	for i, cfg := range cfgs {
+		want[i] = genZipfSerial(cfg)
+	}
+	for round := range 3 {
+		for i, cfg := range cfgs {
+			if !equalRecords(MustGenerate(PatternZipf, cfg), want[i]) {
+				t.Errorf("round %d config %d: trace differs from a fresh sampler's", round, i)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8*2*len(cfgs))
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range 2 {
+				for k := range cfgs {
+					i := (g + k) % len(cfgs)
+					if !equalRecords(MustGenerate(PatternZipf, cfgs[i]), want[i]) {
+						errs <- fmt.Sprintf("goroutine %d round %d config %d: trace differs", g, round, i)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

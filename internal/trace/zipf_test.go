@@ -9,6 +9,13 @@ import (
 	"repro/internal/mem"
 )
 
+// rank is one draw of the generator's batched fill: the smallest rank
+// whose cumulative weight reaches u.
+func (z *zipfSampler) rank(u float64) int {
+	i := z.start(u)
+	return z.walk(i, z.cum[i], u)
+}
+
 // searchRank is the zipf sampler's oracle: the binary search of the CDF
 // the generator used before the guide table, clamped to the last rank.
 func searchRank(cum []float64, u float64) int {
@@ -152,7 +159,9 @@ func TestFracPowMatchesPow(t *testing.T) {
 }
 
 // BenchmarkGenerate builds the openloop benchmark's traces: 262,144
-// records over a 2^18-line footprint.
+// records over a 2^18-line footprint. After the first iteration the zipf
+// row draws from the memoized CDF; BenchmarkGenerateZipfCDF measures
+// the build.
 func BenchmarkGenerate(b *testing.B) {
 	cfg := DefaultGenConfig()
 	cfg.Records = 1 << 18
@@ -164,5 +173,14 @@ func BenchmarkGenerate(b *testing.B) {
 				MustGenerate(p, cfg)
 			}
 		})
+	}
+}
+
+// BenchmarkGenerateZipfCDF builds the openloop benchmark's zipf CDF, a
+// fresh one per iteration: the cost the memo saves.
+func BenchmarkGenerateZipfCDF(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		newZipfSampler(1<<18, 0.8)
 	}
 }
