@@ -8,18 +8,25 @@
 // determinism_test.go); this tag extends the check to the whole suite,
 // so any experiment that grows shared mutable state or
 // iteration-order dependence fails the nightly target. The serial
-// render is also pinned byte for byte in testdata/render_NAME.golden;
-// regenerate deliberately with
+// render is also pinned byte for byte in testdata/render_NAME.golden,
+// and headline's whole `pimmu run headline -format json` line (its
+// results are what the serve benchmark digests) in
+// testdata/result_headline_json.golden; regenerate deliberately with
 //
 //	go test -tags slow -run EveryExperiment -update .
 package pimmmu_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/harness"
 )
+
+// jsonGoldens names the experiments whose structured result is pinned
+// too, as the NDJSON line `pimmu run NAME -format json` prints.
+var jsonGoldens = map[string]bool{"headline": true}
 
 // staticExperiments render configuration tables without running a
 // simulation; there is nothing to sweep.
@@ -40,7 +47,11 @@ func TestEveryExperimentSerialParallelIdentical(t *testing.T) {
 		}
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			serial := renderRunner(e, 1)
+			res, err := harness.ComputeResult(&harness.Runner{Workers: 1}, e, harness.Quick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial := []byte(res.Text)
 			parallel := renderRunner(e, 8)
 			rerun := renderRunner(e, 8)
 			if len(serial) == 0 {
@@ -54,6 +65,13 @@ func TestEveryExperimentSerialParallelIdentical(t *testing.T) {
 				t.Errorf("rerun differs\n--- first ---\n%s--- second ---\n%s", parallel, rerun)
 			}
 			checkGoldenFile(t, "render_"+e.Name+".golden", string(serial))
+			if jsonGoldens[e.Name] {
+				var line bytes.Buffer
+				if err := json.NewEncoder(&line).Encode(res); err != nil {
+					t.Fatal(err)
+				}
+				checkGoldenFile(t, "result_"+e.Name+"_json.golden", line.String())
+			}
 		})
 	}
 }
