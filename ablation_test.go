@@ -15,7 +15,7 @@ import (
 
 // transfer2MiB runs one 2 MiB DRAM->PIM transfer across every PIM core.
 func transfer2MiB(s *system.System) system.XferResult {
-	return s.RunTransfer(s.TransferOp(core.DRAMToPIM, s.Cfg.PIM.NumCores(), s.PerCoreBytes(2<<20)))
+	return s.MeasureTransfer(core.DRAMToPIM, 2<<20).Res
 }
 
 // Algorithm 1 beats channel round-robin alone, which beats sequential

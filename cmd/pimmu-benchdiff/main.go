@@ -22,6 +22,11 @@
 // the same treatment. `make bench-compare` runs this against HEAD and
 // the CI bench job against HEAD^, both captured on the same host.
 //
+// When only ns/op gates failed, the report ends with a "rerun: PKG ..."
+// line naming the packages holding those rows, which `make
+// bench-compare` measures for more rounds before gating again;
+// re-measuring cannot clear an allocation or vanished-row failure.
+//
 // Usage:
 //
 //	pimmu-benchdiff [-max-regress-pct P] [-max-alloc-regress-pct P] old.json new.json
@@ -32,8 +37,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,7 +65,11 @@ func main() {
 	if len(oldRes) == 0 {
 		fatal(fmt.Errorf("baseline %s contains no benchmark results", flag.Arg(0)))
 	}
-	if failed := compare(oldRes, newRes, *maxRegress, *maxAllocRegress); failed {
+	failed, rerun := compare(oldRes, newRes, *maxRegress, *maxAllocRegress)
+	if len(rerun) > 0 {
+		fmt.Println("rerun:", strings.Join(rerun, " "))
+	}
+	if failed {
 		os.Exit(1)
 	}
 }
@@ -170,16 +181,18 @@ func parseMetrics(s string) (result, bool) {
 }
 
 // compare prints one line per baseline benchmark and reports whether any
-// gate failed.
-func compare(oldRes, newRes map[string]result, maxRegressPct, maxAllocRegressPct float64) bool {
+// gate failed, and when only ns/op gates failed, the packages holding
+// those rows.
+func compare(oldRes, newRes map[string]result, maxRegressPct, maxAllocRegressPct float64) (failed bool, rerun []string) {
 	names := make([]string, 0, len(oldRes))
 	for name := range oldRes {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	failed := false
+	slow := map[string]bool{} // packages of rows that failed on ns/op
+	hard := false             // a failure that re-measuring cannot clear
 	fail := func(format string, args ...any) {
-		failed = true
+		hard = true
 		fmt.Printf("FAIL: "+format+"\n", args...)
 	}
 	for _, name := range names {
@@ -193,7 +206,8 @@ func compare(oldRes, newRes map[string]result, maxRegressPct, maxAllocRegressPct
 		fmt.Printf("%-70s %12.4g -> %12.4g ns/op (%+.1f%%)  %g -> %g allocs/op\n",
 			name, o.NsPerOp, n.NsPerOp, 100*(ratio-1), o.AllocsPerOp, n.AllocsPerOp)
 		if maxRegressPct > 0 && ratio > 1+maxRegressPct/100 {
-			fail("%s: ns/op regressed %.1f%% (limit %.0f%%)", name, 100*(ratio-1), maxRegressPct)
+			slow[name[:max(strings.Index(name, "/Benchmark"), 0)]] = true
+			fmt.Printf("FAIL: %s: ns/op regressed %.1f%% (limit %.0f%%)\n", name, 100*(ratio-1), maxRegressPct)
 		}
 		if o.HasAllocs && n.HasAllocs {
 			if o.AllocsPerOp == 0 && n.AllocsPerOp > 0 {
@@ -205,10 +219,13 @@ func compare(oldRes, newRes map[string]result, maxRegressPct, maxAllocRegressPct
 			}
 		}
 	}
-	if failed {
-		fmt.Println("benchmark gate: FAILED")
-	} else {
+	if !hard && len(slow) == 0 {
 		fmt.Printf("benchmark gate: ok (%d benchmarks within limits)\n", len(names))
+		return false, nil
 	}
-	return failed
+	fmt.Println("benchmark gate: FAILED")
+	if hard || slow[""] {
+		return true, nil
+	}
+	return true, slices.Sorted(maps.Keys(slow))
 }

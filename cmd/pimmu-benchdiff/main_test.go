@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -101,7 +102,7 @@ func TestCompareGates(t *testing.T) {
 		}, true},
 	}
 	for _, tc := range cases {
-		if got := compare(base, tc.niu, 20, 10); got != tc.fail {
+		if got, _ := compare(base, tc.niu, 20, 10); got != tc.fail {
 			t.Errorf("%s: compare failed=%v, want %v", tc.name, got, tc.fail)
 		}
 	}
@@ -111,7 +112,50 @@ func TestCompareGates(t *testing.T) {
 		"p/BenchmarkZeroAlloc": {NsPerOp: 100, AllocsPerOp: 0, HasAllocs: true},
 		"p/BenchmarkSetup":     {NsPerOp: 99999, AllocsPerOp: 100, HasAllocs: true},
 	}
-	if compare(base, slow, 0, 10) {
+	if failed, _ := compare(base, slow, 0, 10); failed {
 		t.Error("disabled time gate still failed on slowdown")
+	}
+}
+
+func TestCompareNamesRerunPackages(t *testing.T) {
+	base := map[string]result{
+		"a/BenchmarkX/sub": {NsPerOp: 10, AllocsPerOp: 0, HasAllocs: true},
+		"a/BenchmarkY":     {NsPerOp: 10, AllocsPerOp: 0, HasAllocs: true},
+		"b/c/BenchmarkZ":   {NsPerOp: 10, AllocsPerOp: 5, HasAllocs: true},
+		"d/BenchmarkW":     {NsPerOp: 10},
+	}
+	slower := func(ns, allocs float64) result { return result{NsPerOp: ns, AllocsPerOp: allocs, HasAllocs: true} }
+	cases := []struct {
+		name  string
+		niu   map[string]result
+		rerun []string
+	}{
+		{"pass", base, nil},
+		// Only ns/op failures: name each package holding one, once.
+		{"time only", map[string]result{
+			"a/BenchmarkX/sub": slower(13, 0),
+			"a/BenchmarkY":     slower(14, 0),
+			"b/c/BenchmarkZ":   slower(15, 5),
+			"d/BenchmarkW":     base["d/BenchmarkW"],
+		}, []string{"a", "b/c"}},
+		// Re-measuring cannot clear an allocation failure.
+		{"time and alloc", map[string]result{
+			"a/BenchmarkX/sub": slower(13, 0),
+			"a/BenchmarkY":     base["a/BenchmarkY"],
+			"b/c/BenchmarkZ":   slower(10, 9),
+			"d/BenchmarkW":     base["d/BenchmarkW"],
+		}, nil},
+		// Nor a vanished row.
+		{"time and vanished", map[string]result{
+			"a/BenchmarkX/sub": slower(13, 0),
+			"a/BenchmarkY":     base["a/BenchmarkY"],
+			"b/c/BenchmarkZ":   base["b/c/BenchmarkZ"],
+		}, nil},
+	}
+	for _, tc := range cases {
+		failed, rerun := compare(base, tc.niu, 20, 10)
+		if failed != (tc.name != "pass") || !slices.Equal(rerun, tc.rerun) {
+			t.Errorf("%s: failed=%v rerun=%q, want rerun %q", tc.name, failed, rerun, tc.rerun)
+		}
 	}
 }

@@ -39,8 +39,21 @@ func cmdPrim(args []string, w io.Writer) error {
 		return usagef("unknown workload %q (try -list)", fs.Arg(0))
 	}
 
-	for _, d := range []system.Design{system.Base, system.PIMMMU} {
-		ph := prim.RunEndToEnd(system.MustNew(system.DefaultConfig(d)), wl, *scale)
+	designs := []system.Design{system.Base, system.PIMMMU}
+	runs := make([]prim.Scaled, len(designs))
+	for i, d := range designs {
+		cfg := system.DefaultConfig(d)
+		r, err := wl.Scale(*scale, cfg.PIM.NumCores())
+		if err != nil {
+			return usageError{err, fs}
+		}
+		if err := checkTransfers(cfg, r.InBytes, r.OutBytes); err != nil {
+			return usagef("-scale %v: %v", *scale, err)
+		}
+		runs[i] = r
+	}
+	for i, d := range designs {
+		ph := prim.RunEndToEnd(system.MustNew(system.DefaultConfig(d)), runs[i])
 		fmt.Fprintf(w, "%-12v in %10v | kernel %10v | out %10v | total %10v (transfer %4.1f%%)\n",
 			d, ph.In, ph.Kernel, ph.Out, ph.Total(), 100*ph.TransferFraction())
 	}
@@ -128,10 +141,14 @@ func cmdCmds(args []string, w io.Writer) error {
 	if *channel < 0 || *channel >= setCfg.Geometry.Channels {
 		return usagef("channel %d out of range", *channel)
 	}
+	bytes, err := transferSize("kb", *kb, 10, design)
+	if err != nil {
+		return err
+	}
 
 	rec := &cmdRecorder{Checker: dram.NewChecker(setCfg), counts: map[dram.Cmd]int{}}
 	set.Channel(*channel).Observe(rec)
-	res := s.RunTransfer(s.TransferOp(core.DRAMToPIM, s.Cfg.PIM.NumCores(), s.PerCoreBytes(*kb<<10)))
+	res := s.MeasureTransfer(core.DRAMToPIM, bytes).Res
 
 	fmt.Fprintf(w, "design %v, %v, %d KiB total, %.2f GB/s\n",
 		design, core.DRAMToPIM, res.Bytes>>10, res.Throughput()/1e9)

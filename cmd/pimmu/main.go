@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -145,6 +146,42 @@ func parseDir(s string) (core.Direction, error) {
 		return core.PIMToDRAM, nil
 	}
 	return 0, usagef("unknown direction %q", s)
+}
+
+// transferSize converts a size flag's value n, in units of 1<<shift
+// bytes, to the total size of a whole-device transfer. A size of zero,
+// one the unit shift overflows, or one checkTransfers rejects on a fresh
+// machine of any design in designs is a usage error.
+func transferSize(flag string, n uint64, shift uint, designs ...system.Design) (uint64, error) {
+	if n == 0 || n > math.MaxUint64>>shift {
+		return 0, usagef("-%s %d: want a size in [1, %d]", flag, n, uint64(math.MaxUint64)>>shift)
+	}
+	for _, d := range designs {
+		cfg := system.DefaultConfig(d)
+		if err := checkTransfers(cfg, cfg.PerCoreBytes(n<<shift)); err != nil {
+			return 0, usagef("-%s %d: %v", flag, n, err)
+		}
+	}
+	return n << shift, nil
+}
+
+// checkTransfers reports why whole-device transfers of perCore bytes to
+// or from each PIM core cannot run one after another on a fresh machine
+// of cfg: a share above a PIM core's MRAM, or source buffers that
+// together pass the end of the DRAM region.
+func checkTransfers(cfg system.Config, perCore ...uint64) error {
+	mram, dram := cfg.PIM.MRAMBytes(), cfg.Mem.DRAM.Geometry.TotalBytes()
+	var buf uint64
+	for _, b := range perCore {
+		if b > mram {
+			return fmt.Errorf("%d B per PIM core exceeds its %d B of MRAM", b, mram)
+		}
+		buf += b * uint64(cfg.PIM.NumCores())
+	}
+	if buf > dram {
+		return fmt.Errorf("%d B of source buffers exceed the %d B DRAM region", buf, dram)
+	}
+	return nil
 }
 
 // printHeadTail lists the first and the last n items of xs, one per

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -179,6 +180,14 @@ func TestErrorKinds(t *testing.T) {
 		{[]string{"gen", "-gap", "9223372036854775", "-n", "4", "-o", filepath.Join(dir, "g.pmt")}, true},
 		{[]string{"gen", "-n", "1000000000000000000", "-gap", "0", "-o", filepath.Join(dir, "g.pmt")}, true},
 		{[]string{"sim", "-dir", "sideways"}, true},
+		{[]string{"sim", "-mb", "1000000", "-design", "base"}, true},
+		{[]string{"sim", "-mb", "17592186044416", "-design", "base"}, true},
+		{[]string{"sim", "-mb", "0"}, true},
+		{[]string{"record", "-kb", "100000000", "-o", filepath.Join(dir, "r.pmt")}, true},
+		{[]string{"cmds", "-kb", "0"}, true},
+		{[]string{"prim", "-scale", "NaN", "VA"}, true},
+		{[]string{"prim", "-scale", "1e6", "VA"}, true},
+		{[]string{"prim", "-scale", "-1", "VA"}, true},
 		{[]string{"run", "-shards", "1", "fig8"}, true},
 		{[]string{"sim", "-shards", "1"}, true},
 		{[]string{"replay", "-shards", "1", tr}, true},
@@ -204,5 +213,34 @@ func TestErrorKinds(t *testing.T) {
 				t.Errorf("err = %v (%T), want usage error: %v", err, err, c.usage)
 			}
 		})
+	}
+}
+
+// fig15a, fig15b and headline plan one job per transfer, so once fig15a
+// has filled a cache directory headline simulates nothing, and still
+// prints what an uncached run prints.
+func TestRunSharesTransfersAcrossExperiments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	dir := t.TempDir()
+	if _, err := runCommand(t, "run", "-cache-dir", dir, "fig15a"); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := runCommand(t, "run", "-cache-dir", dir, "headline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := runCommand(t, "run", "headline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	footer := regexp.MustCompile(`(?m)^---- headline done in \S+(; cache: (\d+) hits, (\d+) misses .*)? ----\n`)
+	m := footer.FindSubmatch(warm)
+	if m == nil || string(m[2]) != "12" || string(m[3]) != "0" {
+		t.Errorf("warm headline footer %q, want 12 hits and 0 misses", m)
+	}
+	if w, c := footer.ReplaceAll(warm, nil), footer.ReplaceAll(cold, nil); string(w) != string(c) {
+		t.Errorf("headline from fig15a's cache differs from an uncached run:\n%s\nwant\n%s", w, c)
 	}
 }

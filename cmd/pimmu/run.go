@@ -102,11 +102,15 @@ func cmdSim(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	bytes, err := transferSize("mb", *mb, 20, designs...)
+	if err != nil {
+		return err
+	}
 	op := fmt.Sprintf("xfer dir=%v mb=%d", dir, *mb)
 	return runPlan(w, rf, "pimmu-sim", fmt.Sprintf("xfer design=%s dir=%v mb=%d", *design, dir, *mb),
 		func(job func(system.Design, string) harness.Job) *harness.Sweep[system.Design, system.TransferMeasurement] {
 			sw := harness.NewSweep(len(designs), func(_ system.Design, s *system.System) system.TransferMeasurement {
-				return s.MeasureTransfer(dir, *mb)
+				return s.MeasureTransfer(dir, bytes)
 			})
 			for _, d := range designs {
 				sw.Add(job(d, op), d)

@@ -42,10 +42,14 @@ func cmdRecord(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	bytes, err := transferSize("kb", *kb, 10, design)
+	if err != nil {
+		return err
+	}
 
 	s := system.MustNew(system.DefaultConfig(design))
 	rec := s.RecordTrace()
-	res := s.RunTransfer(s.TransferOp(dir, s.Cfg.PIM.NumCores(), s.PerCoreBytes(*kb<<10)))
+	res := s.MeasureTransfer(dir, bytes).Res
 	s.StopTrace()
 
 	if err := trace.WriteFile(*out, rec.Records(), *text); err != nil {

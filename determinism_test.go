@@ -48,11 +48,7 @@ func machineFingerprint(b *strings.Builder, s *system.System) {
 // runOnce builds a fresh machine and runs one transfer.
 func runOnce(d system.Design, dir core.Direction, totalBytes uint64) string {
 	s := system.MustNew(system.DefaultConfig(d))
-	per := totalBytes / uint64(s.Cfg.PIM.NumCores()) &^ 63
-	if per < 64 {
-		per = 64
-	}
-	r := s.RunTransfer(s.TransferOp(dir, s.Cfg.PIM.NumCores(), per))
+	r := s.MeasureTransfer(dir, totalBytes).Res
 	return fingerprint(s, r)
 }
 

@@ -56,7 +56,7 @@ func commandStream(d system.Design, shards int) string {
 	chk := dram.NewChecker(cfg.Mem.PIM)
 	s.Mem.PIM.Channel(0).Observe(observerPair{recs[0], chk})
 
-	res := s.RunTransfer(s.TransferOp(core.DRAMToPIM, s.Cfg.PIM.NumCores(), s.PerCoreBytes(128<<10)))
+	res := s.MeasureTransfer(core.DRAMToPIM, 128<<10).Res
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "design %v DRAM->PIM %d bytes %d ps\n", d, res.Bytes, res.Duration)
@@ -100,7 +100,7 @@ func contendedStream(shards int) string {
 			contend.MemoryHog(st, base, hogFoot, contend.Medium), nil)
 	}
 
-	res := s.RunTransfer(s.TransferOp(core.DRAMToPIM, s.Cfg.PIM.NumCores(), s.PerCoreBytes(128<<10)))
+	res := s.MeasureTransfer(core.DRAMToPIM, 128<<10).Res
 	st.Stop()
 
 	var b strings.Builder

@@ -74,7 +74,7 @@ var fig14Configs = []struct {
 	{"4C-16R", 4, 4},
 }
 
-// fig15Sizes is the ablation size axis.
+// fig15Sizes is the transfer-size axis of the ablation and of headline.
 func fig15Sizes(sc Scale) []uint64 {
 	if sc == Full {
 		return []uint64{1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20}
@@ -88,15 +88,6 @@ func fig16Scale(sc Scale) float64 {
 		return 1.0
 	}
 	return 1.0 / 64
-}
-
-// headlineSizes is the headline experiment's transfer-size axis.
-func headlineSizes(sc Scale) []uint64 {
-	sizes := []uint64{1 << 20, 4 << 20, 16 << 20}
-	if sc == Full {
-		sizes = append(sizes, 64<<20, 256<<20)
-	}
-	return sizes
 }
 
 // replayWorkload names one synthetic trace workload of the replay

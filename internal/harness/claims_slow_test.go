@@ -115,7 +115,9 @@ var simShapes = map[string]shape{
 		deviations: []deviation{{"memcpy gain, max", "4.9x avg (max 6.0x)", "3.42x", "max gain", "%.2fx"}},
 	},
 	"fig15a": {
-		view: fig15View(func(res any, i, base int) float64 { return res.([]float64)[i] / res.([]float64)[base] }),
+		view: fig15View(func(recs []TransferRecord, i, base int) float64 {
+			return recs[i].Throughput() / recs[base].Throughput()
+		}),
 		claims: []claim{
 			order("Base+D below 1.0 (vanilla DMA loses to AVX software)", "Base+D", "1", true),
 			order("the full PIM-MMU is the fastest design", "Base+D+H", "PIM-MMU", true),
@@ -125,8 +127,8 @@ var simShapes = map[string]shape{
 		deviations: []deviation{{"full PIM-MMU gain, average", "~4x", "5.51x", "mean PIM-MMU", "%.2fx"}},
 	},
 	"fig15b": {
-		view: fig15View(func(res any, i, base int) float64 {
-			return res.([]Fig15bPoint)[i].Total / res.([]Fig15bPoint)[base].Total
+		view: fig15View(func(recs []TransferRecord, i, base int) float64 {
+			return recs[i].Energy.Total() / recs[base].Energy.Total()
 		}),
 		claims: []claim{
 			order("Base+D costs more energy than Base", "1", "Base+D", true),
@@ -159,7 +161,7 @@ var simShapes = map[string]shape{
 		view: func(sc Scale, res any) view {
 			pts, g, v := res.([]HeadlinePoint), headlineGrid(sc), view{}
 			for di := range bothDirections {
-				for si := range headlineSizes(sc) {
+				for si := range fig15Sizes(sc) {
 					b, m := pts[g.Index(di, si, 0)], pts[g.Index(di, si, 1)]
 					v["throughput gain"] = append(v["throughput gain"], m.Thr/b.Thr)
 					v["efficiency gain"] = append(v["efficiency gain"], m.Eff/b.Eff)
@@ -232,16 +234,16 @@ func fig13View(g sweep.Grid, rows int) func(Scale, any) view {
 	}
 }
 
-// fig15View reads a Fig. 15 grid as each design's value over Base's at
-// every (direction x size) point; norm(res, i, base) is that ratio for
-// grid indexes i and base.
-func fig15View(norm func(res any, i, base int) float64) func(Scale, any) view {
+// fig15View reads a Fig. 15 grid of transfer records as each design's
+// value over Base's at every (direction x size) point; norm(recs, i,
+// base) is that ratio for grid indexes i and base.
+func fig15View(norm func(recs []TransferRecord, i, base int) float64) func(Scale, any) view {
 	return func(sc Scale, res any) view {
-		g, v := fig15Grid(sc), view{}
+		recs, g, v := res.([]TransferRecord), fig15Grid(sc), view{}
 		for di := range bothDirections {
 			for si := range fig15Sizes(sc) {
 				for d, name := range []string{"Base+D", "Base+D+H", "PIM-MMU"} {
-					v[name] = append(v[name], norm(res, g.Index(di, si, d+1), g.Index(di, si, 0)))
+					v[name] = append(v[name], norm(recs, g.Index(di, si, d+1), g.Index(di, si, 0)))
 				}
 				v["Base/PIM-MMU"] = append(v["Base/PIM-MMU"], 1/v["PIM-MMU"][len(v["PIM-MMU"])-1])
 			}

@@ -33,11 +33,6 @@ type transfer struct {
 	bytes uint64
 }
 
-// run executes the transfer on s across every PIM core.
-func (t transfer) run(s *system.System) system.XferResult {
-	return s.RunTransfer(s.TransferOp(t.dir, s.Cfg.PIM.NumCores(), s.PerCoreBytes(t.bytes)))
-}
-
 // table1: static configuration snapshot — nothing to simulate.
 
 func table1Data() Table1Data {
@@ -89,7 +84,7 @@ func fig4Sweep(r *Runner, sc Scale) *Sweep[transfer, Fig4Section] {
 	size := fig4Size(sc)
 	sw := NewSweep(len(bothDirections), func(t transfer, s *system.System) Fig4Section {
 		pt, stop := s.SamplePower(50 * clock.Microsecond)
-		res := t.run(s)
+		res := s.MeasureTransfer(t.dir, t.bytes).Res
 		stop()
 		sec := Fig4Section{Thr: res.Throughput()}
 		n := pt.Watts.Len()
@@ -127,7 +122,7 @@ var fig6Points = []struct {
 func fig6Sweep(r *Runner, sc Scale) *Sweep[transfer, Fig6Section] {
 	size := fig6Size(sc)
 	sw := NewSweep(len(fig6Points), func(t transfer, s *system.System) Fig6Section {
-		t.run(s)
+		s.MeasureTransfer(t.dir, t.bytes)
 		var series []*stats.Series
 		for _, c := range s.Mem.PIM.Stats().Channels {
 			series = append(series, c.WriteSeries)
@@ -142,7 +137,7 @@ func fig6Sweep(r *Runner, sc Scale) *Sweep[transfer, Fig6Section] {
 		// The time series is bucketed on a 100 us stats window.
 		cfg := system.DefaultConfig(pt.design)
 		cfg.Mem.PIM.SeriesWindow = 100 * clock.Microsecond
-		sw.Add(r.NewJob("harness/v1", cfg, fmt.Sprintf("fig6 bytes=%d label=%q", size, pt.label)),
+		sw.Add(r.NewJob("harness/v1", cfg, fmt.Sprintf("fig6 bytes=%d", size)),
 			transfer{core.DRAMToPIM, size})
 	}
 	return sw
@@ -197,7 +192,7 @@ func runContended(c contended, s *system.System) float64 {
 	} else {
 		st = s.HogContenders(c.n, contend.Intensity(c.level))
 	}
-	res := transfer{core.DRAMToPIM, c.size}.run(s)
+	res := s.MeasureTransfer(core.DRAMToPIM, c.size).Res
 	st.Stop()
 	return res.Duration.Seconds()
 }
@@ -271,41 +266,43 @@ func fig14Sweep(r *Runner, sc Scale) *Sweep[uint64, float64] {
 	return sw
 }
 
-// fig15a/fig15b: the ablation sweeps — every (direction x size x
-// design) point is an independent machine, so the whole ablation fans
-// out at once.
+// fig15a/fig15b/headline: whole-device transfers — every (direction x
+// size x design) point is an independent machine, so each matrix fans
+// out at once. The three plan one job per point and read their views
+// off its record; headline's jobs are the Base and PIM-MMU half.
 
 func fig15Grid(sc Scale) sweep.Grid {
 	return sweep.NewGrid(len(bothDirections), len(fig15Sizes(sc)), len(system.Designs()))
 }
 
-// addTransfers adds one job per (direction x size x design) point to
-// sw, in grid order, under the op string "prefix dir=DIR bytes=SIZE".
-func addTransfers[R any](r *Runner, sw *Sweep[transfer, R], prefix string, sizes []uint64, designs []system.Design) *Sweep[transfer, R] {
+func fig15Sweep(r *Runner, sc Scale) *Sweep[transfer, TransferRecord] {
+	return transferSweep(r, fig15Sizes(sc), system.Designs())
+}
+
+func headlineGrid(sc Scale) sweep.Grid {
+	return sweep.NewGrid(len(bothDirections), len(fig15Sizes(sc)), len(baseVsMMU))
+}
+
+func headlineSweep(r *Runner, sc Scale) *Sweep[transfer, TransferRecord] {
+	return transferSweep(r, fig15Sizes(sc), baseVsMMU)
+}
+
+// transferSweep plans one job per (direction x size x design) point, in
+// grid order, under the op string "xfer dir=DIR bytes=SIZE".
+func transferSweep(r *Runner, sizes []uint64, designs []system.Design) *Sweep[transfer, TransferRecord] {
+	sw := NewSweep(len(bothDirections)*len(sizes)*len(designs), func(t transfer, s *system.System) TransferRecord {
+		m := s.MeasureTransfer(t.dir, t.bytes)
+		return TransferRecord{Bytes: m.Res.Bytes, Duration: m.Res.Duration, Energy: m.Energy}
+	})
 	for _, dir := range bothDirections {
 		for _, size := range sizes {
-			op := fmt.Sprintf("%s dir=%v bytes=%d", prefix, dir, size)
+			op := fmt.Sprintf("xfer dir=%v bytes=%d", dir, size)
 			for _, d := range designs {
 				sw.Add(r.job(d, op), transfer{dir, size})
 			}
 		}
 	}
 	return sw
-}
-
-func fig15aSweep(r *Runner, sc Scale) *Sweep[transfer, float64] {
-	return addTransfers(r, NewSweep(fig15Grid(sc).Size(), func(t transfer, s *system.System) float64 {
-		return t.run(s).Throughput()
-	}), "fig15a xfer", fig15Sizes(sc), system.Designs())
-}
-
-func fig15bSweep(r *Runner, sc Scale) *Sweep[transfer, Fig15bPoint] {
-	return addTransfers(r, NewSweep(fig15Grid(sc).Size(), func(t transfer, s *system.System) Fig15bPoint {
-		before := s.Activity()
-		t.run(s)
-		b := s.EnergyOver(before, s.Activity())
-		return Fig15bPoint{Total: b.Total(), StaticFrac: b.Static() / b.Total()}
-	}), "fig15b energy", fig15Sizes(sc), system.Designs())
 }
 
 // fig16: end-to-end PrIM evaluation — the per-workload time breakdown
@@ -316,39 +313,24 @@ func fig16Grid() sweep.Grid {
 	return sweep.NewGrid(len(prim.Suite()), len(baseVsMMU))
 }
 
-func fig16Sweep(r *Runner, sc Scale) *Sweep[prim.Workload, prim.Phase] {
+func fig16Sweep(r *Runner, sc Scale) *Sweep[prim.Scaled, prim.Phase] {
 	scale := fig16Scale(sc)
-	sw := NewSweep(fig16Grid().Size(), func(wl prim.Workload, s *system.System) prim.Phase {
-		return prim.RunEndToEnd(s, wl, scale)
+	sw := NewSweep(fig16Grid().Size(), func(p prim.Scaled, s *system.System) prim.Phase {
+		return prim.RunEndToEnd(s, p)
 	})
 	for _, wl := range prim.Suite() {
-		// The workload's kernel shape and sizing live in code (prim.Suite),
-		// covered by the key's code-version stamp; the name and scale pin
-		// the point within the suite.
-		op := fmt.Sprintf("fig16 prim workload=%q scale=%g", wl.Name, scale)
 		for _, d := range baseVsMMU {
-			sw.Add(r.job(d, op), wl)
+			cfg := system.DefaultConfig(d)
+			p, err := wl.Scale(scale, cfg.PIM.NumCores())
+			if err != nil {
+				panic(err)
+			}
+			// The op names the sized run, so identical suite rows share it.
+			op := fmt.Sprintf("prim in=%d out=%d kernel=%d", p.InBytes, p.OutBytes, p.KernelCycles)
+			sw.Add(r.NewJob("harness/v1", cfg, op), p)
 		}
 	}
 	return sw
-}
-
-// headline: the abstract's summary numbers — average/max transfer
-// speedup and energy-efficiency gain of PIM-MMU over Base. Every
-// (direction x size x design) machine is independent, so the whole
-// matrix fans out through one sweep.
-
-func headlineGrid(sc Scale) sweep.Grid {
-	return sweep.NewGrid(len(bothDirections), len(headlineSizes(sc)), len(baseVsMMU))
-}
-
-func headlineSweep(r *Runner, sc Scale) *Sweep[transfer, HeadlinePoint] {
-	return addTransfers(r, NewSweep(headlineGrid(sc).Size(), func(t transfer, s *system.System) HeadlinePoint {
-		a0 := s.Activity()
-		res := t.run(s)
-		e := s.EnergyOver(a0, s.Activity())
-		return HeadlinePoint{Thr: res.Throughput(), Eff: float64(res.Bytes) / e.Total()}
-	}), "headline", headlineSizes(sc), baseVsMMU)
 }
 
 // replay: synthetic application access patterns replayed through the

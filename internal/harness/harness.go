@@ -5,10 +5,12 @@
 // derive from it:
 //
 //   - Plan is the sweep's jobs — (config, op, cache key) triples —
-//     enumerated without simulating anything;
+//     enumerated without simulating anything. An op names the
+//     simulation, not the figure, so fig15a, fig15b and headline share
+//     their jobs;
 //   - Compute is the sweep's runs, executed through the sweep layer and
-//     the result cache, returning pure gob-able results (the only phase
-//     that touches internal/system);
+//     the result cache once per distinct key, returning pure gob-able
+//     results (the only phase that touches internal/system);
 //   - Render writes the deterministic text artifact from results alone.
 //
 // Because plan and compute read the same sweep, compute runs exactly
@@ -71,6 +73,15 @@ type Experiment struct {
 func exp[P, R any](name, brief string,
 	build func(*Runner, Scale) *Sweep[P, R],
 	render func(io.Writer, Scale, []R)) Experiment {
+	return expView(name, brief, build, func(rs []R) []R { return rs }, render)
+}
+
+// expView is exp for an experiment that publishes view(its sweep's
+// results) and renders that.
+func expView[P, R, V any](name, brief string,
+	build func(*Runner, Scale) *Sweep[P, R],
+	view func([]R) V,
+	render func(io.Writer, Scale, V)) Experiment {
 	return Experiment{
 		Name:  name,
 		Brief: brief,
@@ -79,8 +90,8 @@ func exp[P, R any](name, brief string,
 			p.Experiment = name
 			return p
 		},
-		Compute: func(r *Runner, sc Scale) any { return build(r, sc).Compute(r) },
-		Render:  func(w io.Writer, sc Scale, results any) { render(w, sc, results.([]R)) },
+		Compute: func(r *Runner, sc Scale) any { return view(build(r, sc).Compute(r)) },
+		Render:  func(w io.Writer, sc Scale, results any) { render(w, sc, results.(V)) },
 	}
 }
 
@@ -106,11 +117,11 @@ func All() []Experiment {
 		exp("fig13a", "compute-contender sensitivity (Fig. 13a)", fig13aSweep, fig13aRender),
 		exp("fig13b", "memory-contender sensitivity (Fig. 13b)", fig13bSweep, fig13bRender),
 		exp("fig14", "DRAM->DRAM memcpy throughput (Fig. 14)", fig14Sweep, fig14Render),
-		exp("fig15a", "ablation: transfer throughput (Fig. 15a)", fig15aSweep, fig15aRender),
-		exp("fig15b", "ablation: energy (Fig. 15b)", fig15bSweep, fig15bRender),
+		exp("fig15a", "ablation: transfer throughput (Fig. 15a)", fig15Sweep, fig15aRender),
+		exp("fig15b", "ablation: energy (Fig. 15b)", fig15Sweep, fig15bRender),
 		exp("fig16", "PrIM end-to-end breakdown (Fig. 16)", fig16Sweep, fig16Render),
 		static("area", "implementation overhead (Section VI-C)", areaData, areaRender),
-		exp("headline", "headline speedups (abstract numbers)", headlineSweep, headlineRender),
+		expView("headline", "headline speedups (abstract numbers)", headlineSweep, headlinePoints, headlineRender),
 		exp("replay", "trace-driven workload replay (bandwidth/latency)", replaySweep, replayRender),
 		exp("loadcurve", "open-loop latency vs offered load (SLO knee)", loadCurveSweep, loadCurveRender),
 	}

@@ -140,7 +140,7 @@ func TestReplayWorkloadNamesUnique(t *testing.T) {
 }
 
 func TestPerCoreFloor(t *testing.T) {
-	s := system.MustNew(system.DefaultConfig(0))
+	s := system.DefaultConfig(0)
 	if got := s.PerCoreBytes(1); got != 64 {
 		t.Errorf("PerCoreBytes(1 byte) = %d, want floor 64", got)
 	}

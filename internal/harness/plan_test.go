@@ -3,8 +3,10 @@ package harness
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/prim"
 	"repro/internal/resultcache"
 )
 
@@ -35,14 +37,23 @@ func TestPlansDeterministic(t *testing.T) {
 
 // Every job key is non-empty and unique within its plan — a collision
 // inside one plan would make two different points serve each other's
-// cached results. (Keys MAY coincide across plans and scales: fig13a
-// and fig13b share their uncontended reference point, and a Full sweep
-// legitimately reuses the Quick sweep's sizes — the key addresses the
-// computation, not the experiment.)
+// cached results — unless the two jobs run the same simulation: fig16
+// keys a run by its sized inputs, so suite rows that differ only in name
+// share a key. (Keys MAY coincide across plans and scales: fig13a and
+// fig13b share their uncontended reference point, fig15a, fig15b and
+// headline share their transfers, and a Full sweep legitimately reuses
+// the Quick sweep's sizes — the key addresses the computation, not the
+// experiment.)
 func TestPlanKeysUniqueWithinPlan(t *testing.T) {
 	resultcache.SetCodeVersion("plan-test")
 	defer resultcache.SetCodeVersion("")
 	r := &Runner{}
+	suite, g := prim.Suite(), fig16Grid()
+	sameRun := func(i, j int) bool {
+		a, b := suite[g.Coord(i, 0)], suite[g.Coord(j, 0)]
+		a.Name = b.Name
+		return g.Coord(i, 1) == g.Coord(j, 1) && a == b
+	}
 	for _, sc := range []Scale{Quick, Full} {
 		for _, e := range All() {
 			p := e.Plan(r, sc)
@@ -52,11 +63,63 @@ func TestPlanKeysUniqueWithinPlan(t *testing.T) {
 					t.Errorf("%s/%v job %d: empty key", e.Name, sc, i)
 					continue
 				}
-				if prev, dup := seen[j.Key]; dup {
+				if prev, dup := seen[j.Key]; dup && !(e.Name == "fig16" && sameRun(prev, i)) {
 					t.Errorf("%s/%v job %d: key %q collides with job %d", e.Name, sc, i, j.Key, prev)
 				}
 				seen[j.Key] = i
 			}
+		}
+	}
+}
+
+// planKeys is an experiment's plan keys at sc, in job order.
+func planKeys(t *testing.T, name string, sc Scale) []string {
+	t.Helper()
+	e, ok := ByName(name)
+	if !ok {
+		t.Fatalf("unknown experiment %q", name)
+	}
+	var keys []string
+	for _, j := range e.Plan(&Runner{}, sc).Jobs {
+		keys = append(keys, j.Key)
+	}
+	return keys
+}
+
+// One job per distinct simulation: fig15a and fig15b plan the same
+// transfers, headline's are among them, and fig16 shares a key only
+// between the two pairs of suite rows with identical inputs.
+func TestPlansShareKeysOfOneSimulation(t *testing.T) {
+	resultcache.SetCodeVersion("plan-test")
+	defer resultcache.SetCodeVersion("")
+	for _, sc := range []Scale{Quick, Full} {
+		a, b := planKeys(t, "fig15a", sc), planKeys(t, "fig15b", sc)
+		if !slices.Equal(a, b) {
+			t.Errorf("%v: fig15a and fig15b plan different keys", sc)
+		}
+		for i, k := range planKeys(t, "headline", sc) {
+			if !slices.Contains(a, k) {
+				t.Errorf("%v: headline job %d's key is not one of fig15a's", sc, i)
+			}
+		}
+
+		suite, g := prim.Suite(), fig16Grid()
+		var shared []string
+		first := map[string]int{}
+		for i, k := range planKeys(t, "fig16", sc) {
+			prev, dup := first[k]
+			if !dup {
+				first[k] = i
+				continue
+			}
+			if g.Coord(prev, 1) != g.Coord(i, 1) {
+				t.Errorf("%v: fig16 jobs %d and %d of different designs share a key", sc, prev, i)
+			}
+			shared = append(shared, suite[g.Coord(prev, 0)].Name+"="+suite[g.Coord(i, 0)].Name)
+		}
+		want := []string{"SCAN-RSS=SCAN-SSA", "SCAN-RSS=SCAN-SSA", "UNI=VA", "UNI=VA"}
+		if !slices.Equal(shared, want) {
+			t.Errorf("%v: fig16 shares keys between %q, want %q", sc, shared, want)
 		}
 	}
 }

@@ -133,18 +133,16 @@ func fig14Render(w io.Writer, _ Scale, thr []float64) {
 
 // fig15aRender prints the ablation's throughput tables, one per
 // direction, normalized to Base.
-func fig15aRender(w io.Writer, sc Scale, thr []float64) {
+func fig15aRender(w io.Writer, sc Scale, recs []TransferRecord) {
 	sizes := fig15Sizes(sc)
 	g := fig15Grid(sc)
 	for di, dir := range bothDirections {
 		fmt.Fprintf(w, "-- %v: throughput normalized to Base --\n", dir)
 		t := stats.NewTable("size", "Base", "Base+D", "Base+D+H", "Base+D+H+P")
 		for si, size := range sizes {
-			base := thr[g.Index(di, si, 0)]
-			t.Rowf("%dMB\t1.00\t%.2f\t%.2f\t%.2f", size>>20,
-				thr[g.Index(di, si, 1)]/base,
-				thr[g.Index(di, si, 2)]/base,
-				thr[g.Index(di, si, 3)]/base)
+			thr := func(d int) float64 { return recs[g.Index(di, si, d)].Throughput() }
+			base := thr(0)
+			t.Rowf("%dMB\t1.00\t%.2f\t%.2f\t%.2f", size>>20, thr(1)/base, thr(2)/base, thr(3)/base)
 		}
 		fmt.Fprint(w, t)
 		fmt.Fprintln(w)
@@ -155,19 +153,18 @@ func fig15aRender(w io.Writer, sc Scale, thr []float64) {
 
 // fig15bRender prints the ablation's energy tables, one per direction,
 // normalized to Base.
-func fig15bRender(w io.Writer, sc Scale, res []Fig15bPoint) {
+func fig15bRender(w io.Writer, sc Scale, recs []TransferRecord) {
 	sizes := fig15Sizes(sc)
 	g := fig15Grid(sc)
 	for di, dir := range bothDirections {
 		fmt.Fprintf(w, "-- %v: energy normalized to Base (lower is better) --\n", dir)
 		t := stats.NewTable("size", "Base", "Base+D", "Base+D+H", "Base+D+H+P", "PIM-MMU static share")
 		for si, size := range sizes {
-			base := res[g.Index(di, si, 0)].Total
-			mmu := res[g.Index(di, si, 3)]
+			joules := func(d int) float64 { return recs[g.Index(di, si, d)].Energy.Total() }
+			base := joules(0)
+			mmu := recs[g.Index(di, si, 3)].Energy
 			t.Rowf("%dMB\t1.00\t%.2f\t%.2f\t%.2f\t%.0f%%", size>>20,
-				res[g.Index(di, si, 1)].Total/base,
-				res[g.Index(di, si, 2)].Total/base,
-				mmu.Total/base, 100*mmu.StaticFrac)
+				joules(1)/base, joules(2)/base, joules(3)/base, 100*(mmu.Static()/mmu.Total()))
 		}
 		fmt.Fprint(w, t)
 		fmt.Fprintln(w)
@@ -214,7 +211,7 @@ func fig16Render(w io.Writer, _ Scale, phases []prim.Phase) {
 
 // headlineRender prints the abstract's summary table.
 func headlineRender(w io.Writer, sc Scale, res []HeadlinePoint) {
-	sizes := headlineSizes(sc)
+	sizes := fig15Sizes(sc)
 	g := headlineGrid(sc)
 	var speedups, effs []float64
 	for di := range bothDirections {

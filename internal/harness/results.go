@@ -7,6 +7,7 @@ package harness
 
 import (
 	"repro/internal/clock"
+	"repro/internal/energy"
 	"repro/internal/trace"
 )
 
@@ -61,17 +62,35 @@ type Fig6Section struct {
 	Rows [][]float64
 }
 
-// Fig15bPoint is one (direction x size x design) energy measurement of
-// the fig15b ablation.
-type Fig15bPoint struct {
-	Total      float64
-	StaticFrac float64
+// TransferRecord is one whole-device transfer, the record fig15a,
+// fig15b and headline all read: bytes, duration, and energy spent.
+type TransferRecord struct {
+	Bytes    uint64
+	Duration clock.Picos
+	Energy   energy.Breakdown
+}
+
+// Throughput is bytes per second.
+func (t TransferRecord) Throughput() float64 {
+	if t.Duration <= 0 {
+		return 0
+	}
+	return float64(t.Bytes) / t.Duration.Seconds()
 }
 
 // HeadlinePoint is one (direction x size x design) measurement of the
 // headline sweep.
 type HeadlinePoint struct {
 	Thr, Eff float64
+}
+
+// headlinePoints is headline's view of its records.
+func headlinePoints(recs []TransferRecord) []HeadlinePoint {
+	pts := make([]HeadlinePoint, len(recs))
+	for i, t := range recs {
+		pts[i] = HeadlinePoint{Thr: t.Throughput(), Eff: float64(t.Bytes) / t.Energy.Total()}
+	}
+	return pts
 }
 
 // ReplayPoint is one (workload x design) replay measurement.

@@ -36,10 +36,10 @@ type Runner struct {
 }
 
 // Job is one plan-addressable unit of simulation: the machine
-// configuration to build, the op string carrying the experiment's
-// non-config inputs (direction, size, workload identity,
-// scale-dependent parameters), and the content-addressed cache key
-// binding both to the code version.
+// configuration to build, the op string naming the simulation's
+// non-config inputs (direction, size, per-core volumes, scale-dependent
+// parameters; never the figure that reads the result), and the
+// content-addressed cache key binding both to the code version.
 type Job struct {
 	Key    string
 	Config system.Config
@@ -101,9 +101,9 @@ func (s *Sweep[P, R]) Add(j Job, p P) {
 
 // Compute executes the sweep through the runner's cache and worker
 // pool: job i's result is served from the cache when a valid entry
-// exists under its key, and simulated otherwise. Results round-trip
-// through gob, so R must be a pure gob-able type — which is also what
-// makes it renderable without re-simulation.
+// exists under its key, and simulated once per distinct key otherwise.
+// Results round-trip through gob, so R must be a pure gob-able type —
+// which is also what makes it renderable without re-simulation.
 func (s *Sweep[P, R]) Compute(r *Runner) []R {
 	return sweep.MapCachedN(r.Cache, len(s.Jobs), r.Workers,
 		func(i int) string { return s.Jobs[i].Key },

@@ -1,6 +1,7 @@
 package prim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/clock"
@@ -15,8 +16,11 @@ func TestSuiteShape(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, w := range ws {
-		if err := w.Validate(); err != nil {
-			t.Error(err)
+		if w.InBytesPerCore == 0 || w.InBytesPerCore%64 != 0 || w.OutBytesPerCore%64 != 0 {
+			t.Errorf("%s: transfer sizes must be positive multiples of 64", w.Name)
+		}
+		if w.BaselineTransferFraction <= 0 || w.BaselineTransferFraction > 0.999 {
+			t.Errorf("%s: transfer fraction %f out of (0, 0.999]", w.Name, w.BaselineTransferFraction)
 		}
 		if seen[w.Name] {
 			t.Errorf("duplicate workload %s", w.Name)
@@ -82,15 +86,50 @@ func TestKernelCyclesModel(t *testing.T) {
 	}
 }
 
+// runScaled sizes w at scale for s's machine and runs it end to end.
+func runScaled(t *testing.T, s *system.System, w Workload, scale float64) Phase {
+	t.Helper()
+	r, err := w.Scale(scale, s.Cfg.PIM.NumCores())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return RunEndToEnd(s, r)
+}
+
+// Scale rounds each volume down to whole lines, floors it at one line,
+// and scales the kernel cycles by the same factor.
+func TestScale(t *testing.T) {
+	w := Workload{Name: "W", InBytesPerCore: 1 << 20, OutBytesPerCore: 64, BaselineTransferFraction: 0.5}
+	r, err := w.Scale(1.0/3, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Scaled{InBytes: (1 << 20) / 3 &^ 63, OutBytes: 64, KernelCycles: int64(float64(w.KernelCycles(512)) / 3)}
+	if r != want {
+		t.Errorf("Scale(1/3) = %+v, want %+v", r, want)
+	}
+}
+
+// A scale that is not positive, not a number, or so large that a volume
+// leaves 63 bits is an error, never a silent substitute size.
+func TestScaleRejectsOutOfRange(t *testing.T) {
+	w, _ := ByName("VA")
+	for _, sc := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300, 0x1p63 / (1 << 20)} {
+		if r, err := w.Scale(sc, 512); err == nil {
+			t.Errorf("Scale(%v) = %+v, want an error", sc, r)
+		}
+	}
+}
+
 // End-to-end smoke: a scaled-down VA run must produce a sane breakdown on
 // both designs, with PIM-MMU shrinking only the transfer phases.
 func TestRunEndToEndVA(t *testing.T) {
 	w, _ := ByName("VA")
 	const scale = 1.0 / 64
 	base := system.MustNew(system.DefaultConfig(system.Base))
-	pb := RunEndToEnd(base, w, scale)
+	pb := runScaled(t, base, w, scale)
 	mmu := system.MustNew(system.DefaultConfig(system.PIMMMU))
-	pm := RunEndToEnd(mmu, w, scale)
+	pm := runScaled(t, mmu, w, scale)
 
 	if pb.Kernel != pm.Kernel {
 		t.Errorf("kernel time differs across designs: %v vs %v", pb.Kernel, pm.Kernel)
@@ -113,9 +152,9 @@ func TestRunEndToEndTSMarginal(t *testing.T) {
 	w, _ := ByName("TS")
 	const scale = 1.0 / 256
 	base := system.MustNew(system.DefaultConfig(system.Base))
-	pb := RunEndToEnd(base, w, scale)
+	pb := runScaled(t, base, w, scale)
 	mmu := system.MustNew(system.DefaultConfig(system.PIMMMU))
-	pm := RunEndToEnd(mmu, w, scale)
+	pm := runScaled(t, mmu, w, scale)
 	speedup := float64(pb.Total()) / float64(pm.Total())
 	t.Logf("TS: base in=%v k=%v out=%v | mmu in=%v k=%v out=%v", pb.In, pb.Kernel, pb.Out, pm.In, pm.Kernel, pm.Out)
 	if speedup > 1.10 {
@@ -130,7 +169,7 @@ func TestRunEndToEndKernelAtDPUClock(t *testing.T) {
 	const scale = 1.0 / 256
 	for _, d := range []system.Design{system.Base, system.PIMMMU} {
 		s := system.MustNew(system.DefaultConfig(d))
-		ph := RunEndToEnd(s, w, scale)
+		ph := runScaled(t, s, w, scale)
 		kc := int64(float64(w.KernelCycles(s.Cfg.PIM.NumCores())) * scale)
 		if want := clock.NewDomain(pim.DPUClock).Duration(kc); ph.Kernel != want {
 			t.Errorf("%v: kernel = %v, want %d cycles at the DPU clock = %v", d, ph.Kernel, kc, want)

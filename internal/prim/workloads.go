@@ -38,18 +38,30 @@ func (w Workload) KernelCycles(cores int) int64 {
 	return int64(tkSecs * float64(pim.DPUClock))
 }
 
-// Validate reports descriptor errors.
-func (w Workload) Validate() error {
-	if w.Name == "" {
-		return fmt.Errorf("prim: unnamed workload")
+// Scaled is one workload sized for one machine, exactly what a run
+// simulates: per-core DRAM->PIM and PIM->DRAM volumes and the DPU
+// kernel's cycle budget.
+type Scaled struct {
+	InBytes, OutBytes uint64
+	KernelCycles      int64
+}
+
+// Scale sizes w at scale times its default problem for a machine of
+// cores PIM cores: the transfer volumes round down to whole 64 B lines
+// (at least one), and the kernel cycles scale with them. scale must be
+// positive, and small enough that each scaled volume fits in 63 bits.
+func (w Workload) Scale(scale float64, cores int) (Scaled, error) {
+	if !(scale > 0) || float64(max(w.InBytesPerCore, w.OutBytesPerCore))*scale >= 1<<63 {
+		return Scaled{}, fmt.Errorf("prim: %s: scale %v out of range", w.Name, scale)
 	}
-	if w.InBytesPerCore == 0 || w.InBytesPerCore%64 != 0 || w.OutBytesPerCore%64 != 0 {
-		return fmt.Errorf("prim: %s: transfer sizes must be positive multiples of 64", w.Name)
+	scaleBytes := func(b uint64) uint64 {
+		return max(uint64(float64(b)*scale)&^63, 64)
 	}
-	if w.BaselineTransferFraction <= 0 || w.BaselineTransferFraction > 0.999 {
-		return fmt.Errorf("prim: %s: transfer fraction %f out of (0, 0.999]", w.Name, w.BaselineTransferFraction)
-	}
-	return nil
+	return Scaled{
+		InBytes:      scaleBytes(w.InBytesPerCore),
+		OutBytes:     scaleBytes(w.OutBytesPerCore),
+		KernelCycles: int64(float64(w.KernelCycles(cores)) * scale),
+	}, nil
 }
 
 // Suite returns the 16 PrIM workloads of Fig. 16, in the paper's order.

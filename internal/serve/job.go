@@ -174,10 +174,9 @@ func (s *Server) endLocked(j *job) {
 // progressCache is the sweep.Cache a job's runner computes through: it
 // delegates to the per-design-point store (which may be absent) and
 // ticks the job's progress on every point that resolves here — a cache
-// hit or a computed-and-stored result. Wrapping even a nil inner cache
-// keeps every serve job on the MapCachedN path, so the process-wide
-// single-flight table dedupes shared design points across concurrent
-// jobs regardless of cache mode.
+// hit or a computed-and-stored result. A point whose key is already in
+// flight, in this job or a concurrent one, waits for that result without
+// ticking; finish brings the count to the job's total.
 type progressCache struct {
 	s     *Server
 	j     *job

@@ -9,8 +9,8 @@ import (
 // Cache is the result store MapCachedN consults: a content-addressed
 // byte-payload cache (satisfied by *resultcache.Store). Implementations
 // must be safe for concurrent use by the worker pool and best-effort on
-// Put — a failed store must not fail the sweep. A nil Cache disables
-// caching.
+// Put — a failed store must not fail the sweep. A nil Cache stores
+// nothing: MapCachedN then skips Get and Put and does everything else.
 type Cache interface {
 	// Get returns the payload stored under key, or false when no valid
 	// entry exists (missing, corrupt, or stale entries all answer false).
@@ -19,22 +19,21 @@ type Cache interface {
 	Put(key string, payload []byte)
 }
 
-// MapCachedN is MapN with a content-addressed result cache in front of
-// the jobs: index i's result is served from c when a valid entry exists
-// under key(i), and computed (then stored) otherwise, on a pool of
-// workers goroutines (workers <= 0 selects GOMAXPROCS). Because every
-// job is a pure function of its configuration — the determinism
-// contract the whole sweep layer rests on — a hit is byte-identical to
-// the computation it replaces, so the returned slice is
-// indistinguishable from MapN's at every worker count: hit-vs-miss is
-// invisible to deterministic ordering.
+// MapCachedN is MapN over content-addressed jobs: key(i) names the
+// computation job(i) performs, so jobs with equal keys compute once and
+// share the result, and with a non-nil c index i's result is served
+// from c when a valid entry exists under key(i), and computed (then
+// stored) otherwise, on a pool of workers goroutines (workers <= 0
+// selects GOMAXPROCS). Because every job is a pure function of its
+// configuration — the determinism contract the whole sweep layer rests
+// on — a hit or a shared result is byte-identical to the computation it
+// replaces, so the returned slice equals MapN's at every worker count.
 //
 // Results round-trip through gob, so R must be a gob-encodable type whose
 // meaningful state lives in exported fields (strings, numerics, and
 // exported-field structs all qualify). A payload that fails to decode —
 // for example after R's shape changed — counts as a miss and is
-// recomputed and overwritten. key(i) is only evaluated when a cache is
-// installed; with c == nil MapCachedN is exactly MapN.
+// recomputed and overwritten.
 //
 // Missed keys compute at most once at a time per process: duplicate keys
 // within one call share a single computation, and concurrent calls that
@@ -42,21 +41,19 @@ type Cache interface {
 // first computation's published result instead of running the job again
 // (see computeShared).
 func MapCachedN[R any](c Cache, n, workers int, key func(i int) string, job func(i int) R) []R {
-	if c == nil {
-		return MapN(n, workers, job)
-	}
 	out := make([]R, n)
 	keys := make([]string, n)
 	var miss []int
 	for i := 0; i < n; i++ {
 		keys[i] = key(i)
-		if payload, ok := c.Get(keys[i]); ok && decodeResult(payload, &out[i]) {
-			continue
+		if c != nil {
+			if payload, ok := c.Get(keys[i]); ok && decodeResult(payload, &out[i]) {
+				continue
+			}
+			// A failed decode leaves out[i] partly filled; reset it.
+			var zero R
+			out[i] = zero
 		}
-		// A decode failure after a successful Get leaves out[i] partially
-		// filled; reset it so the recompute starts from a zero value.
-		var zero R
-		out[i] = zero
 		miss = append(miss, i)
 	}
 	if len(miss) == 0 {
@@ -66,17 +63,13 @@ func MapCachedN[R any](c Cache, n, workers int, key func(i int) string, job func
 	// holding a key leads, later ones share its result. The leaders then
 	// run under the process-wide single-flight table, which extends the
 	// same one-compute guarantee across concurrent sweeps.
-	leaderAt := make(map[string]int, len(miss))
+	leaderAt := make(map[string]int, len(miss)) // key -> its leader's place in uniq
 	var uniq []int
-	type follower struct{ index, leader int }
-	var followers []follower
 	for _, i := range miss {
-		if at, ok := leaderAt[keys[i]]; ok {
-			followers = append(followers, follower{index: i, leader: at})
-			continue
+		if _, ok := leaderAt[keys[i]]; !ok {
+			leaderAt[keys[i]] = len(uniq)
+			uniq = append(uniq, i)
 		}
-		leaderAt[keys[i]] = len(uniq)
-		uniq = append(uniq, i)
 	}
 	// Only the misses occupy workers; each stores its result as soon as
 	// it is computed, so an interrupted sweep still persists every
@@ -85,11 +78,8 @@ func MapCachedN[R any](c Cache, n, workers int, key func(i int) string, job func
 		i := uniq[j]
 		return computeShared(c, keys[i], func() R { return job(i) })
 	})
-	for j, i := range uniq {
-		out[i] = results[j]
-	}
-	for _, f := range followers {
-		out[f.index] = results[f.leader]
+	for _, i := range miss {
+		out[i] = results[leaderAt[keys[i]]]
 	}
 	return out
 }
@@ -122,9 +112,9 @@ var inflight = struct {
 // another goroutine anywhere in the process is already computing the
 // same key, the caller blocks on that computation and decodes its
 // published payload instead of simulating a second time. The leader
-// alone stores the result in c; waiters already see it through the
-// flight, and their own Get on the next sweep will hit the entry the
-// leader persisted. A leader whose result cannot be shared (gob encode
+// alone stores the result in c (when c is non-nil); waiters already see
+// it through the flight, and their own Get on the next sweep will hit
+// the entry the leader persisted. A leader whose result cannot be shared (gob encode
 // failure, or a panic re-raised through the sweep pool) wakes its
 // waiters empty-handed and each computes locally.
 func computeShared[R any](c Cache, key string, job func() R) R {
@@ -154,7 +144,9 @@ func computeShared[R any](c Cache, key string, job func() R) R {
 	}()
 	r := job()
 	if payload, ok := encodeResult(r); ok {
-		c.Put(key, payload)
+		if c != nil {
+			c.Put(key, payload)
+		}
 		f.payload, f.ok = payload, true
 	}
 	return r

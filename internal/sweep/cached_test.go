@@ -118,14 +118,38 @@ func TestMapCachedRejectsUndecodablePayload(t *testing.T) {
 	}
 }
 
-func TestMapCachedNilCacheIsMap(t *testing.T) {
-	keyCalls := 0
-	got := MapCachedN[int](nil, 4, 0, func(i int) string { keyCalls++; return "" }, func(i int) int { return i + 1 })
-	if !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
-		t.Fatalf("nil-cache result %v", got)
+func TestMapCachedNilCacheDedupesKeys(t *testing.T) {
+	// Without a cache, jobs with equal keys still compute once, and the
+	// result equals MapN's over the same jobs, in index order, at every
+	// worker count.
+	keys := []string{"a", "b", "a", "c", "b", "a", "d", "c", "e"}
+	job := func(i int) result {
+		k := keys[i]
+		return result{Index: int(k[0]), Thr: float64(k[0]) / 3, Label: k}
 	}
-	if keyCalls != 0 {
-		t.Fatal("key derived with caching disabled")
+	want := MapN(len(keys), 1, job)
+	for _, workers := range []int{1, 2, 8} {
+		var mu sync.Mutex
+		runs := map[string]int{}
+		got := MapCachedN[result](nil, len(keys), workers,
+			func(i int) string { return keys[i] },
+			func(i int) result {
+				mu.Lock()
+				runs[keys[i]]++
+				mu.Unlock()
+				return job(i)
+			})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: nil-cache result %+v, want MapN's %+v", workers, got, want)
+		}
+		if len(runs) != 5 {
+			t.Fatalf("workers=%d: ran keys %v, want all 5 distinct keys", workers, runs)
+		}
+		for k, n := range runs {
+			if n != 1 {
+				t.Errorf("workers=%d: key %q computed %d times, want once", workers, k, n)
+			}
+		}
 	}
 }
 

@@ -26,17 +26,17 @@ type TransferMeasurement struct {
 
 // PerCoreBytes is each PIM core's share of a whole-device transfer of
 // totalBytes: rounded down to whole 64 B lines, and at least one line.
-func (s *System) PerCoreBytes(totalBytes uint64) uint64 {
-	return max(totalBytes/uint64(s.Cfg.PIM.NumCores())&^63, 64)
+func (c Config) PerCoreBytes(totalBytes uint64) uint64 {
+	return max(totalBytes/uint64(c.PIM.NumCores())&^63, 64)
 }
 
-// MeasureTransfer runs one whole-device transfer of mb MiB (split
+// MeasureTransfer runs one whole-device transfer of totalBytes (split
 // across every PIM core, floored to one line per core) and snapshots
 // the result, the energy over the transfer, and the memory-system
-// counters the detailed reports render.
-func (s *System) MeasureTransfer(dir core.Direction, mb uint64) TransferMeasurement {
+// counters the detailed reports render: the one whole-device measurement.
+func (s *System) MeasureTransfer(dir core.Direction, totalBytes uint64) TransferMeasurement {
 	before := s.Activity()
-	res := s.RunTransfer(s.TransferOp(dir, s.Cfg.PIM.NumCores(), s.PerCoreBytes(mb<<20)))
+	res := s.RunTransfer(s.TransferOp(dir, s.Cfg.PIM.NumCores(), s.Cfg.PerCoreBytes(totalBytes)))
 	m := TransferMeasurement{Res: res, Energy: s.EnergyOver(before, s.Activity())}
 	ds, ps := s.Mem.DRAM.Stats(), s.Mem.PIM.Stats()
 	m.DRAMRead, m.DRAMWritten = ds.BytesRead(), ds.BytesWritten()

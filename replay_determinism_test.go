@@ -46,11 +46,7 @@ func replayJob(d system.Design, recs []trace.Record) string {
 func recordTransferTrace(d system.Design, totalBytes uint64) []trace.Record {
 	s := system.MustNew(system.DefaultConfig(d))
 	rec := s.RecordTrace()
-	per := totalBytes / uint64(s.Cfg.PIM.NumCores()) &^ 63
-	if per < 64 {
-		per = 64
-	}
-	s.RunTransfer(s.TransferOp(core.DRAMToPIM, s.Cfg.PIM.NumCores(), per))
+	s.MeasureTransfer(core.DRAMToPIM, totalBytes)
 	s.StopTrace()
 	return rec.Records()
 }

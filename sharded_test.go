@@ -135,8 +135,7 @@ func TestShardedTransferMetricsIdentical(t *testing.T) {
 		cfg := system.DefaultConfig(system.PIMMMU)
 		cfg.Shards = shards
 		s := system.MustNew(cfg)
-		per := (1 << 20) / uint64(s.Cfg.PIM.NumCores()) &^ 63
-		res := s.RunTransfer(s.TransferOp(0, s.Cfg.PIM.NumCores(), per))
+		res := s.MeasureTransfer(0, 1<<20).Res
 		ds, ps := s.Mem.DRAM.Stats(), s.Mem.PIM.Stats()
 		snap := snapshot{
 			res:      res,
