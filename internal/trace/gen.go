@@ -112,11 +112,54 @@ func (c GenConfig) Validate() error {
 	return nil
 }
 
-// Generate builds the named synthetic pattern.
+// Generate builds the named synthetic pattern. The records are shared:
+// a call with the same pattern and configuration as the previous one
+// returns the same slice, so callers must treat them as read-only. The
+// slice's capacity equals its length, so an append copies it.
 func Generate(p Pattern, cfg GenConfig) ([]Record, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	traceMemo.mu.Lock()
+	defer traceMemo.mu.Unlock()
+	if traceMemo.recs != nil && traceMemo.p == p && traceMemo.cfg == cfg {
+		return traceMemo.recs, nil
+	}
+	// Drop the old trace first, so it can be collected while the new
+	// one is built instead of doubling the peak.
+	traceMemo.recs = nil
+	recs, err := synthesize(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	traceMemo.p, traceMemo.cfg, traceMemo.recs = p, cfg, recs[:len(recs):len(recs)]
+	return traceMemo.recs, nil
+}
+
+// MustGenerate is Generate for static configurations; its records are
+// shared and read-only in the same way.
+func MustGenerate(p Pattern, cfg GenConfig) []Record {
+	recs, err := Generate(p, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return recs
+}
+
+// traceMemo keeps the last trace Generate built. A sweep sends one trace
+// to every (offered load x design) point, and its jobs run in that
+// order, so one entry catches the repeats while holding a single trace
+// (24 B per record). Callers build under mu, so concurrent callers of
+// one configuration build it once.
+var traceMemo struct {
+	mu   sync.Mutex
+	p    Pattern
+	cfg  GenConfig
+	recs []Record
+}
+
+// synthesize builds a fresh trace of a validated configuration.
+func synthesize(p Pattern, cfg GenConfig) ([]Record, error) {
 	switch p {
 	case PatternStream:
 		return genLinear(cfg, 1), nil
@@ -130,15 +173,6 @@ func Generate(p Pattern, cfg GenConfig) ([]Record, error) {
 		return genZipf(cfg), nil
 	}
 	return nil, fmt.Errorf("trace: unknown pattern %q", p)
-}
-
-// MustGenerate is Generate for static configurations.
-func MustGenerate(p Pattern, cfg GenConfig) []Record {
-	recs, err := Generate(p, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return recs
 }
 
 // FootprintBytes reports the address span a pattern touches, for
@@ -230,7 +264,7 @@ func fillMixed(a chunkArgs, lo, hi int) {
 // proportional to 1/r^theta, so a small hot set dominates. Record i
 // takes draw i of the seed's stream.
 func genZipf(cfg GenConfig) []Record {
-	z := sharedZipfSampler(cfg.FootprintLines, cfg.ZipfTheta)
+	z := newZipfSampler(cfg.FootprintLines, cfg.ZipfTheta)
 	recs := make([]Record, cfg.Records)
 	fillChunked(len(recs), chunkArgs{cfg: cfg, recs: recs, z: z}, fillZipf)
 	return recs
@@ -238,10 +272,9 @@ func genZipf(cfg GenConfig) []Record {
 
 // zipfBatch is how many draws fillZipf resolves together, in three
 // passes: draw and load the guide entries, load the CDF at each start,
-// then walk. Once the simulation between two traces has evicted the
-// tables, a draw's loads miss the cache; a batch's loads are
-// independent, so their misses overlap instead of each stalling the
-// walk that needs it.
+// then walk. Once the tables outgrow the cache (2.3 MB at 2^18 lines), a
+// draw's loads miss it; a batch's loads are independent, so their
+// misses overlap instead of each stalling the walk that needs it.
 const zipfBatch = 32
 
 func fillZipf(a chunkArgs, lo, hi int) {
@@ -272,28 +305,6 @@ func fillZipf(a chunkArgs, lo, hi int) {
 	}
 }
 
-// zipfMemo keeps the last zipf sampler built. Its CDF costs a Log and an
-// Exp per footprint line, several times the cost of drawing a trace of
-// that length from it, and a sweep draws every zipf trace from the same
-// (footprint, theta). Callers build under mu, so concurrent generators
-// of one config build it once; a built sampler is read-only, so they
-// share it without further locking.
-var zipfMemo struct {
-	mu    sync.Mutex
-	n     int
-	theta float64
-	z     *zipfSampler
-}
-
-func sharedZipfSampler(n int, theta float64) *zipfSampler {
-	zipfMemo.mu.Lock()
-	defer zipfMemo.mu.Unlock()
-	if zipfMemo.z == nil || zipfMemo.n != n || zipfMemo.theta != theta {
-		zipfMemo.n, zipfMemo.theta, zipfMemo.z = n, theta, newZipfSampler(n, theta)
-	}
-	return zipfMemo.z
-}
-
 // zipfSampler inverts the zipf CDF with a guide table (the cutpoint
 // method): O(footprint) to build, O(1) expected per draw. The weight
 // range [0, total] splits into equal buckets, one per zipfRanksPerBucket
@@ -310,7 +321,7 @@ type zipfSampler struct {
 
 // zipfRanksPerBucket sizes the guide table at 1 B per footprint line, an
 // eighth of the CDF's own 8 B. More buckets draw barely faster but grow
-// the memory the memoized sampler holds.
+// the memory the sampler holds while its trace is drawn.
 const zipfRanksPerBucket = 4
 
 // newZipfSampler computes the per-rank weights in chunks and sums them

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/clock"
 	"repro/internal/mem"
@@ -21,7 +22,7 @@ func testGenConfig() GenConfig {
 
 // Every generator must emit a valid stream with the requested record
 // count and inter-arrival spacing, and be a pure function of its
-// configuration.
+// configuration: Generate's records equal a fresh, uncached synthesis.
 func TestGeneratorsValidAndDeterministic(t *testing.T) {
 	cfg := testGenConfig()
 	for _, p := range Patterns() {
@@ -41,9 +42,12 @@ func TestGeneratorsValidAndDeterministic(t *testing.T) {
 				break
 			}
 		}
-		b := MustGenerate(p, cfg)
+		b, err := synthesize(p, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
 		if !equalRecords(a, b) {
-			t.Errorf("%s: same config produced different streams", p)
+			t.Errorf("%s: Generate differs from a fresh synthesis of the same config", p)
 		}
 	}
 }
@@ -275,7 +279,9 @@ func withGOMAXPROCS(t *testing.T, procs []int, f func(t *testing.T)) {
 
 // Mixed and zipf traces, and the zipf CDF, must be byte for byte the
 // serial pass's at any worker count, on both sides of the chunking
-// threshold and at sizes no worker count divides.
+// threshold and at sizes no worker count divides. The generators are
+// called directly: Generate would return the first worker count's
+// trace from its memo.
 func TestChunkedGenerationMatchesSerial(t *testing.T) {
 	sizes := []int{1, 7, chunkMin - 1, chunkMin, chunkMin + 1, 3*chunkMin + 5}
 	footprints := []int{1000, chunkMin + 3}
@@ -290,10 +296,10 @@ func TestChunkedGenerationMatchesSerial(t *testing.T) {
 				cfg := testGenConfig()
 				cfg.Seed, cfg.Records = seed, records
 				cfg.FootprintLines = footprints[records%len(footprints)]
-				if !equalRecords(MustGenerate(PatternMixed, cfg), genMixedSerial(cfg)) {
+				if !equalRecords(genMixed(cfg), genMixedSerial(cfg)) {
 					t.Errorf("mixed seed=%#x records=%d: differs from the serial pass", seed, records)
 				}
-				if !equalRecords(MustGenerate(PatternZipf, cfg), genZipfSerial(cfg)) {
+				if !equalRecords(genZipf(cfg), genZipfSerial(cfg)) {
 					t.Errorf("zipf seed=%#x records=%d: differs from the serial pass", seed, records)
 				}
 			}
@@ -321,38 +327,90 @@ func TestRNGSkipMatchesDraws(t *testing.T) {
 	}
 }
 
-// The memoized CDF must never serve a table built for another footprint
-// or skew: interleaved configs each match a trace drawn from a fresh
-// sampler. Concurrent generators of both configs, which race to build
-// and replace the memo, must all get those same traces.
-func TestZipfMemo(t *testing.T) {
+// The trace memo must never serve a trace built for another pattern or
+// configuration: interleaved configs, one per pattern plus one per
+// GenConfig field, each changing that field's trace, must each match an
+// uncached reference. Concurrent generators, which race to build and
+// replace the memo, must all get those same traces. A repeat returns
+// the memo's own slice, clipped so an append cannot write into it.
+func TestTraceMemo(t *testing.T) {
 	base := testGenConfig()
 	base.Records = chunkMin + 1
-	cfgs := []GenConfig{base, base, base}
-	cfgs[1].ZipfTheta = 0.5
-	cfgs[2].FootprintLines = 2 * base.FootprintLines
-	want := make([][]Record, len(cfgs))
-	for i, cfg := range cfgs {
-		want[i] = genZipfSerial(cfg)
+	type memoCase struct {
+		p   Pattern
+		cfg GenConfig
+	}
+	var cases []memoCase
+	for _, p := range Patterns() {
+		cases = append(cases, memoCase{p, base})
+	}
+	for _, v := range []struct {
+		p      Pattern
+		mutate func(*GenConfig)
+	}{
+		{PatternMixed, func(c *GenConfig) { c.Seed = 2 }},
+		{PatternMixed, func(c *GenConfig) { c.Base = 1 << 20 }},
+		{PatternZipf, func(c *GenConfig) { c.Records = chunkMin + 2 }},
+		{PatternMixed, func(c *GenConfig) { c.Gap = 2 * clock.Nanosecond }},
+		{PatternMixed, func(c *GenConfig) { c.WritePercent = 50 }},
+		{PatternZipf, func(c *GenConfig) { c.ZipfTheta = 0.5 }},
+		{PatternZipf, func(c *GenConfig) { c.FootprintLines = 2 * base.FootprintLines }},
+		{PatternStrided, func(c *GenConfig) { c.StrideLines = 8 }},
+	} {
+		cfg := base
+		v.mutate(&cfg)
+		cases = append(cases, memoCase{v.p, cfg})
+	}
+	reference := func(c memoCase) []Record {
+		switch c.p {
+		case PatternMixed:
+			return genMixedSerial(c.cfg)
+		case PatternZipf:
+			return genZipfSerial(c.cfg)
+		}
+		recs, err := synthesize(c.p, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	want := make([][]Record, len(cases))
+	for i, c := range cases {
+		want[i] = reference(c)
+		if i >= len(Patterns()) && equalRecords(want[i], reference(memoCase{c.p, base})) {
+			t.Fatalf("config %d: %+v leaves the %s trace unchanged", i, c.cfg, c.p)
+		}
+	}
+	check := func(i int) string {
+		got := MustGenerate(cases[i].p, cases[i].cfg)
+		if cap(got) != len(got) {
+			return fmt.Sprintf("config %d: cap %d, len %d", i, cap(got), len(got))
+		}
+		if !equalRecords(got, want[i]) {
+			return fmt.Sprintf("config %d (%s): trace differs from the uncached reference", i, cases[i].p)
+		}
+		return ""
 	}
 	for round := range 3 {
-		for i, cfg := range cfgs {
-			if !equalRecords(MustGenerate(PatternZipf, cfg), want[i]) {
-				t.Errorf("round %d config %d: trace differs from a fresh sampler's", round, i)
+		for i := range cases {
+			if e := check(i); e != "" {
+				t.Errorf("round %d %s", round, e)
 			}
 		}
 	}
+	if a, b := MustGenerate(PatternZipf, base), MustGenerate(PatternZipf, base); &a[0] != &b[0] {
+		t.Error("a repeated config built a new trace")
+	}
 	var wg sync.WaitGroup
-	errs := make(chan string, 8*2*len(cfgs))
+	errs := make(chan string, 8*2*len(cases))
 	for g := range 8 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for round := range 2 {
-				for k := range cfgs {
-					i := (g + k) % len(cfgs)
-					if !equalRecords(MustGenerate(PatternZipf, cfgs[i]), want[i]) {
-						errs <- fmt.Sprintf("goroutine %d round %d config %d: trace differs", g, round, i)
+				for k := range cases {
+					if e := check((g + k) % len(cases)); e != "" {
+						errs <- fmt.Sprintf("goroutine %d round %d %s", g, round, e)
 					}
 				}
 			}
@@ -362,5 +420,13 @@ func TestZipfMemo(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// A record is 24 bytes: the trace memo and every driver hold records by
+// the hundred thousand, so a field that grows them must be deliberate.
+func TestRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n != 24 {
+		t.Errorf("trace.Record is %d bytes, want 24", n)
 	}
 }

@@ -43,18 +43,19 @@ func (k Kind) String() string {
 // Record is one traced request: at TSC picoseconds from the start of
 // the trace, an access of Bytes bytes (a multiple of the line size)
 // beginning at line-aligned address Addr. Multi-line records replay as
-// consecutive line requests issued back to back.
+// consecutive line requests issued back to back. The fields run from
+// widest to narrowest, so padding adds only 3 bytes: a record is 24.
 type Record struct {
 	// TSC is the issue time relative to the first record, in
 	// picoseconds.
 	TSC clock.Picos
-	// Kind is KindRead or KindWrite.
-	Kind Kind
 	// Addr is the line-aligned physical address of the first line.
 	Addr uint64
 	// Bytes is the access footprint, a positive multiple of
 	// mem.LineBytes.
 	Bytes uint32
+	// Kind is KindRead or KindWrite.
+	Kind Kind
 }
 
 // Lines reports how many line requests the record expands to.
