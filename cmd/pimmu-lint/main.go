@@ -29,6 +29,11 @@
 //     The Driver reaches a memory system only through mem.Port, so a
 //     trace replays the same way on any machine behind that port.
 //
+//   - internal/prim: never imports repro/internal/system, sim, cpu or
+//     core. The PrIM suite is pure data plus the analytic kernel model;
+//     the harness measures its transfers as shared transfer records, so
+//     there is one way to time a transfer.
+//
 // Usage:
 //
 //	pimmu-lint [DIR]
@@ -99,6 +104,14 @@ var rules = []rule{
 				p != "repro/internal/clock" && p != "repro/internal/mem" && p != "repro/internal/sim"
 		},
 		explain: "internal/trace reaches a memory system only through mem.Port: no repro/ imports beyond clock, mem and sim",
+	},
+	{
+		dir:     "internal/prim",
+		allowed: func(name string) bool { return strings.HasSuffix(name, "_test.go") },
+		banned: func(p string) bool {
+			return p == systemImport || p == "repro/internal/sim" || p == "repro/internal/cpu" || p == "repro/internal/core"
+		},
+		explain: "internal/prim is pure workload data plus the analytic kernel model: never " + systemImport + ", sim, cpu or core",
 	},
 }
 

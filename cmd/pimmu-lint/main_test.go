@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -136,5 +137,26 @@ func TestTraceViolationDetected(t *testing.T) {
 	}
 	if len(bad) != 1 || !strings.Contains(bad[0], "driver.go") {
 		t.Fatalf("violations = %v, want exactly the driver.go one", bad)
+	}
+}
+
+func TestPrimViolationDetected(t *testing.T) {
+	r := rules[5]
+	r.dir = writeFiles(t, map[string]string{
+		"workloads.go": "package prim\n\nimport (\n\t_ \"repro/internal/clock\"\n\t_ \"repro/internal/pim\"\n)\n",
+		"runner.go":    "package prim\n\nimport _ \"repro/internal/system\"\n",
+		"engine.go":    "package prim\n\nimport _ \"repro/internal/sim\"\n",
+		"threads.go":   "package prim\n\nimport _ \"repro/internal/cpu\"\n",
+		"dir.go":       "package prim\n\nimport _ \"repro/internal/core\"\n",
+		"prim_test.go": "package prim\n\nimport _ \"repro/internal/system\"\n",
+	})
+	bad, err := violations(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bad) != 4 || slices.ContainsFunc(bad, func(v string) bool {
+		return strings.Contains(v, "workloads.go") || strings.Contains(v, "prim_test.go")
+	}) {
+		t.Fatalf("violations = %v, want the runner, engine, threads and dir ones", bad)
 	}
 }

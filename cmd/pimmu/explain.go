@@ -8,14 +8,16 @@ import (
 	"repro/internal/addrmap"
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/harness"
 	"repro/internal/mem"
 	"repro/internal/prim"
 	"repro/internal/system"
 )
 
-// cmdPrim runs one PrIM workload end to end (input transfer, analytic
-// DPU kernel time, output transfer) on Base and on PIM-MMU and prints the
-// Fig. 16-style breakdown, or lists the suite's timing descriptors.
+// cmdPrim prints one PrIM workload's Fig. 16 breakdown on Base and on
+// PIM-MMU — input transfer, analytic DPU kernel time, output transfer,
+// each transfer measured on a fresh machine exactly as fig16 measures
+// it — or lists the suite's timing descriptors.
 func cmdPrim(args []string, w io.Writer) error {
 	fs := newFlags("prim")
 	scale := fs.Float64("scale", 1.0/64, "problem-size scale factor (1.0 = paper size)")
@@ -39,25 +41,24 @@ func cmdPrim(args []string, w io.Writer) error {
 		return usagef("unknown workload %q (try -list)", fs.Arg(0))
 	}
 
-	designs := []system.Design{system.Base, system.PIMMMU}
-	runs := make([]prim.Scaled, len(designs))
-	for i, d := range designs {
-		cfg := system.DefaultConfig(d)
-		r, err := wl.Scale(*scale, cfg.PIM.NumCores())
-		if err != nil {
-			return usageError{err, fs}
-		}
-		if err := checkTransfers(cfg, r.InBytes, r.OutBytes); err != nil {
-			return usagef("-scale %v: %v", *scale, err)
-		}
-		runs[i] = r
+	cfg := system.DefaultConfig(system.Base)
+	r, err := wl.Scale(*scale, cfg.PIM.NumCores())
+	if err != nil {
+		return usageError{err, fs}
 	}
-	for i, d := range designs {
-		ph := prim.RunEndToEnd(system.MustNew(system.DefaultConfig(d)), runs[i])
-		fmt.Fprintf(w, "%-12v in %10v | kernel %10v | out %10v | total %10v (transfer %4.1f%%)\n",
-			d, ph.In, ph.Kernel, ph.Out, ph.Total(), 100*ph.TransferFraction())
+	if err := checkTransfers(cfg, r.InBytes, r.OutBytes); err != nil {
+		return usagef("-scale %v: %v", *scale, err)
+	}
+	for i, ph := range harness.PrimPhases(&harness.Runner{}, []prim.Workload{wl}, *scale) {
+		printPhase(w, []system.Design{system.Base, system.PIMMMU}[i], ph)
 	}
 	return nil
+}
+
+// printPhase prints one design's breakdown as one prim line.
+func printPhase(w io.Writer, d system.Design, ph prim.Phase) {
+	fmt.Fprintf(w, "%-12v in %10v | kernel %10v | out %10v | total %10v (transfer %4.1f%%)\n",
+		d, ph.In, ph.Kernel, ph.Out, ph.Total(), 100*ph.TransferFraction())
 }
 
 // cmdMap decodes physical addresses under the locality-centric and

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/prim"
+	"repro/internal/system"
 	"repro/internal/trace"
 )
 
@@ -242,5 +244,27 @@ func TestRunSharesTransfersAcrossExperiments(t *testing.T) {
 	}
 	if w, c := footer.ReplaceAll(warm, nil), footer.ReplaceAll(cold, nil); string(w) != string(c) {
 		t.Errorf("headline from fig15a's cache differs from an uncached run:\n%s\nwant\n%s", w, c)
+	}
+}
+
+// `pimmu prim` is a view over the records fig16 reads: at fig16's quick
+// scale it prints exactly fig16's phases for the workload.
+func TestPrimMatchesFig16(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	e, _ := harness.ByName("fig16")
+	phases := e.Compute(&harness.Runner{}, harness.Quick).([]prim.Phase)
+	wi := slices.IndexFunc(prim.Suite(), func(w prim.Workload) bool { return w.Name == "VA" })
+	var want strings.Builder
+	for i, d := range []system.Design{system.Base, system.PIMMMU} {
+		printPhase(&want, d, phases[2*wi+i])
+	}
+	got, err := runCommand(t, "prim", "-scale", "0.015625", "VA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want.String() {
+		t.Errorf("pimmu prim VA:\n%s\nfig16's VA rows:\n%s", got, want.String())
 	}
 }

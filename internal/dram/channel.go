@@ -171,6 +171,11 @@ type Channel struct {
 	hitMark  []uint64
 	hitGen   uint64
 	hitValid bool
+	// casMark/casGen stamp, the same way, each bank whose row-hit CAS
+	// readiness the current queue scan has already evaluated (see
+	// tryQueue).
+	casMark []uint64
+	casGen  uint64
 
 	// freeComp recycles data-burst completion records so the per-command
 	// completion path performs no event allocation.
@@ -195,6 +200,7 @@ func newChannel(eng *sim.Engine, cfg Config, id int, name string) *Channel {
 	c.tickEv.Init(sim.HandlerFunc(c.tick))
 	nBanks := cfg.Geometry.BankGroups * cfg.Geometry.Banks
 	c.hitMark = make([]uint64, cfg.Geometry.Ranks*nBanks)
+	c.casMark = make([]uint64, cfg.Geometry.Ranks*nBanks)
 	for r := 0; r < cfg.Geometry.Ranks; r++ {
 		rs := &rankState{
 			banks:      make([]bankState, nBanks),

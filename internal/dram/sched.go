@@ -114,7 +114,11 @@ func (c *Channel) serveQueues(cyc int64) (bool, int64) {
 // scan ends without a ready row hit. Requests to one bank share that
 // command's readiness and its row-hit guard, so the remembered request
 // is its bank's oldest non-hit one, as FCFS wants, and younger requests
-// to a bank only repeat its wake cycle. Decisions and wake cycle are
+// to a bank only repeat its wake cycle. Row hits to one bank share
+// their CAS readiness too (one queue holds one request kind, and the
+// bank fixes rank and bank group), so only a bank's first hit is
+// evaluated: it was not ready, or it would have issued, and a younger
+// hit would only repeat its wake cycle. Decisions and wake cycle are
 // therefore exactly those of two passes over the window, hits first, with
 // each bank owned by its oldest non-hit request: neither pass changes
 // channel state before it issues.
@@ -124,12 +128,17 @@ func (c *Channel) tryQueue(q []*pending, cyc int64) (bool, int64) {
 	}
 	wake := never
 	var prep *pending
+	c.casGen++
 	for _, p := range q {
 		if p.rank.refreshing {
 			continue
 		}
 		b := p.bank
 		if b.row == p.loc.Row {
+			if c.casMark[p.bankIdx] == c.casGen {
+				continue // an earlier hit to this bank was not ready
+			}
+			c.casMark[p.bankIdx] = c.casGen
 			ready := c.earliestCAS(p)
 			if ready <= cyc {
 				c.issueCAS(p, cyc)

@@ -82,6 +82,18 @@ func fig15Sizes(sc Scale) []uint64 {
 	return []uint64{1 << 20, 4 << 20, 16 << 20}
 }
 
+// fig15Transfers is the (direction x size) axis of the ablation and
+// of headline.
+func fig15Transfers(sc Scale) []transfer {
+	var ts []transfer
+	for _, dir := range bothDirections {
+		for _, size := range fig15Sizes(sc) {
+			ts = append(ts, transfer{dir, size})
+		}
+	}
+	return ts
+}
+
 // fig16Scale is the PrIM suite's size multiplier.
 func fig16Scale(sc Scale) float64 {
 	if sc == Full {

@@ -155,7 +155,7 @@ var simShapes = map[string]shape{
 			order("PIM-MMU slows no workload", "1", "speedup", false),
 			within("baseline transfer share avg ~63.7%", "mean transfer %", 63.7, paperBand),
 		},
-		deviations: []deviation{{"end-to-end speedup, max", "4.0x", "5.10x", "max speedup", "%.2fx"}},
+		deviations: []deviation{{"end-to-end speedup, max", "4.0x", "5.05x", "max speedup", "%.2fx"}},
 	},
 	"headline": {
 		view: func(sc Scale, res any) view {

@@ -7,7 +7,9 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/clock"
 	"repro/internal/contend"
@@ -266,17 +268,19 @@ func fig14Sweep(r *Runner, sc Scale) *Sweep[uint64, float64] {
 	return sw
 }
 
-// fig15a/fig15b/headline: whole-device transfers — every (direction x
-// size x design) point is an independent machine, so each matrix fans
-// out at once. The three plan one job per point and read their views
-// off its record; headline's jobs are the Base and PIM-MMU half.
+// fig15a/fig15b/headline/fig16: whole-device transfers — every
+// (transfer x design) point is an independent machine, so each matrix
+// fans out at once. All four plan one job per point through
+// transferSweep and read their views off its record: headline's jobs
+// are the Base and PIM-MMU half of fig15's, and fig16's are the
+// distinct transfers its PrIM workloads need.
 
 func fig15Grid(sc Scale) sweep.Grid {
 	return sweep.NewGrid(len(bothDirections), len(fig15Sizes(sc)), len(system.Designs()))
 }
 
 func fig15Sweep(r *Runner, sc Scale) *Sweep[transfer, TransferRecord] {
-	return transferSweep(r, fig15Sizes(sc), system.Designs())
+	return transferSweep(r, fig15Transfers(sc), system.Designs())
 }
 
 func headlineGrid(sc Scale) sweep.Grid {
@@ -284,53 +288,90 @@ func headlineGrid(sc Scale) sweep.Grid {
 }
 
 func headlineSweep(r *Runner, sc Scale) *Sweep[transfer, TransferRecord] {
-	return transferSweep(r, fig15Sizes(sc), baseVsMMU)
+	return transferSweep(r, fig15Transfers(sc), baseVsMMU)
 }
 
-// transferSweep plans one job per (direction x size x design) point, in
-// grid order, under the op string "xfer dir=DIR bytes=SIZE".
-func transferSweep(r *Runner, sizes []uint64, designs []system.Design) *Sweep[transfer, TransferRecord] {
-	sw := NewSweep(len(bothDirections)*len(sizes)*len(designs), func(t transfer, s *system.System) TransferRecord {
+// transferSweep plans one job per (transfer x design) point, in grid
+// order, under the op string "xfer dir=DIR bytes=SIZE", so experiments
+// that need the same transfer share its key.
+func transferSweep(r *Runner, ts []transfer, designs []system.Design) *Sweep[transfer, TransferRecord] {
+	sw := NewSweep(len(ts)*len(designs), func(t transfer, s *system.System) TransferRecord {
 		m := s.MeasureTransfer(t.dir, t.bytes)
 		return TransferRecord{Bytes: m.Res.Bytes, Duration: m.Res.Duration, Energy: m.Energy}
 	})
-	for _, dir := range bothDirections {
-		for _, size := range sizes {
-			op := fmt.Sprintf("xfer dir=%v bytes=%d", dir, size)
-			for _, d := range designs {
-				sw.Add(r.job(d, op), transfer{dir, size})
-			}
+	for _, t := range ts {
+		op := fmt.Sprintf("xfer dir=%v bytes=%d", t.dir, t.bytes)
+		for _, d := range designs {
+			sw.Add(r.job(d, op), t)
 		}
 	}
 	return sw
 }
 
 // fig16: end-to-end PrIM evaluation — the per-workload time breakdown
-// for the baseline and for PIM-MMU. Every (workload x design) run is an
-// independent machine, so the whole suite fans out through one sweep.
+// for the baseline and for PIM-MMU, a view over transfer records (see
+// primPlan). `pimmu prim` reads the same view through PrimPhases.
 
 func fig16Grid() sweep.Grid {
 	return sweep.NewGrid(len(prim.Suite()), len(baseVsMMU))
 }
 
-func fig16Sweep(r *Runner, sc Scale) *Sweep[prim.Scaled, prim.Phase] {
-	scale := fig16Scale(sc)
-	sw := NewSweep(fig16Grid().Size(), func(p prim.Scaled, s *system.System) prim.Phase {
-		return prim.RunEndToEnd(s, p)
-	})
-	for _, wl := range prim.Suite() {
-		for _, d := range baseVsMMU {
-			cfg := system.DefaultConfig(d)
-			p, err := wl.Scale(scale, cfg.PIM.NumCores())
-			if err != nil {
-				panic(err)
-			}
-			// The op names the sized run, so identical suite rows share it.
-			op := fmt.Sprintf("prim in=%d out=%d kernel=%d", p.InBytes, p.OutBytes, p.KernelCycles)
-			sw.Add(r.NewJob("harness/v1", cfg, op), p)
+func fig16Sweep(r *Runner, sc Scale) *Sweep[transfer, TransferRecord] {
+	ts, _ := primPlan(prim.Suite(), fig16Scale(sc))
+	return transferSweep(r, ts, baseVsMMU)
+}
+
+func fig16Phases(sc Scale, recs []TransferRecord) []prim.Phase {
+	_, phases := primPlan(prim.Suite(), fig16Scale(sc))
+	return phases(recs)
+}
+
+// PrimPhases measures the workloads ws sized at scale on Base and on
+// PIM-MMU and returns their phases in fig16's (workload x design)
+// order. It panics if scale is out of range for a workload (see
+// prim.Workload.Scale).
+func PrimPhases(r *Runner, ws []prim.Workload, scale float64) []prim.Phase {
+	ts, phases := primPlan(ws, scale)
+	return phases(transferSweep(r, ts, baseVsMMU).Compute(r))
+}
+
+// primPlan sizes ws at scale for the PIM cores of the Table I machine,
+// which every design shares. ts is the distinct whole-device transfers
+// the workloads need, by direction, then size. phases assembles each
+// (workload x design) breakdown from transferSweep(ts, baseVsMMU)'s
+// records: input and output are the durations of the fresh-machine
+// DRAM->PIM and PIM->DRAM records, and the kernel is the analytic DPU
+// time, so workloads that move the same volume share one record.
+func primPlan(ws []prim.Workload, scale float64) (ts []transfer, phases func([]TransferRecord) []prim.Phase) {
+	cores := system.DefaultConfig(system.Base).PIM.NumCores()
+	sized := make([]prim.Scaled, len(ws))
+	for i, wl := range ws {
+		p, err := wl.Scale(scale, cores)
+		if err != nil {
+			panic(err)
 		}
+		sized[i] = p
+		ts = append(ts, transfer{core.DRAMToPIM, p.InBytes * uint64(cores)},
+			transfer{core.PIMToDRAM, p.OutBytes * uint64(cores)})
 	}
-	return sw
+	slices.SortFunc(ts, func(a, b transfer) int {
+		return cmp.Or(cmp.Compare(a.dir, b.dir), cmp.Compare(a.bytes, b.bytes))
+	})
+	ts = slices.Compact(ts)
+	return ts, func(recs []TransferRecord) []prim.Phase {
+		g := sweep.NewGrid(len(ts), len(baseVsMMU))
+		var out []prim.Phase
+		for _, p := range sized {
+			for d := range baseVsMMU {
+				at := func(dir core.Direction, perCore uint64) clock.Picos {
+					return recs[g.Index(slices.Index(ts, transfer{dir, perCore * uint64(cores)}), d)].Duration
+				}
+				out = append(out, prim.Phase{In: at(core.DRAMToPIM, p.InBytes), Kernel: p.Kernel,
+					Out: at(core.PIMToDRAM, p.OutBytes)})
+			}
+		}
+		return out
+	}
 }
 
 // replay: synthetic application access patterns replayed through the

@@ -73,14 +73,14 @@ type Experiment struct {
 func exp[P, R any](name, brief string,
 	build func(*Runner, Scale) *Sweep[P, R],
 	render func(io.Writer, Scale, []R)) Experiment {
-	return expView(name, brief, build, func(rs []R) []R { return rs }, render)
+	return expView(name, brief, build, func(_ Scale, rs []R) []R { return rs }, render)
 }
 
-// expView is exp for an experiment that publishes view(its sweep's
-// results) and renders that.
+// expView is exp for an experiment that publishes view(its scale, its
+// sweep's results) and renders that.
 func expView[P, R, V any](name, brief string,
 	build func(*Runner, Scale) *Sweep[P, R],
-	view func([]R) V,
+	view func(Scale, []R) V,
 	render func(io.Writer, Scale, V)) Experiment {
 	return Experiment{
 		Name:  name,
@@ -90,7 +90,7 @@ func expView[P, R, V any](name, brief string,
 			p.Experiment = name
 			return p
 		},
-		Compute: func(r *Runner, sc Scale) any { return view(build(r, sc).Compute(r)) },
+		Compute: func(r *Runner, sc Scale) any { return view(sc, build(r, sc).Compute(r)) },
 		Render:  func(w io.Writer, sc Scale, results any) { render(w, sc, results.(V)) },
 	}
 }
@@ -119,7 +119,7 @@ func All() []Experiment {
 		exp("fig14", "DRAM->DRAM memcpy throughput (Fig. 14)", fig14Sweep, fig14Render),
 		exp("fig15a", "ablation: transfer throughput (Fig. 15a)", fig15Sweep, fig15aRender),
 		exp("fig15b", "ablation: energy (Fig. 15b)", fig15Sweep, fig15bRender),
-		exp("fig16", "PrIM end-to-end breakdown (Fig. 16)", fig16Sweep, fig16Render),
+		expView("fig16", "PrIM end-to-end breakdown (Fig. 16)", fig16Sweep, fig16Phases, fig16Render),
 		static("area", "implementation overhead (Section VI-C)", areaData, areaRender),
 		expView("headline", "headline speedups (abstract numbers)", headlineSweep, headlinePoints, headlineRender),
 		exp("replay", "trace-driven workload replay (bandwidth/latency)", replaySweep, replayRender),

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/prim"
 	"repro/internal/stats"
 	"repro/internal/system"
 	"repro/internal/trace"
@@ -191,5 +192,50 @@ func TestFormatters(t *testing.T) {
 	}
 	if ratio(2.5) != "2.50x" {
 		t.Errorf("ratio = %q", ratio(2.5))
+	}
+}
+
+// primPair measures one workload at scale through PrimPhases and
+// returns its Base and PIM-MMU phases.
+func primPair(t *testing.T, name string, scale float64) (base, mmu prim.Phase) {
+	t.Helper()
+	w, ok := prim.ByName(name)
+	if !ok {
+		t.Fatalf("unknown workload %q", name)
+	}
+	ph := PrimPhases(&Runner{}, []prim.Workload{w}, scale)
+	if len(ph) != 2 {
+		t.Fatalf("%s: %d phases, want 2", name, len(ph))
+	}
+	return ph[0], ph[1]
+}
+
+// End-to-end smoke: a scaled-down VA run must produce a sane breakdown on
+// both designs, with PIM-MMU shrinking only the transfer phases.
+func TestPrimPhasesVA(t *testing.T) {
+	pb, pm := primPair(t, "VA", 1.0/64)
+	if pb.Kernel != pm.Kernel || pb.Kernel <= 0 {
+		t.Errorf("kernel time differs across designs or is empty: %v vs %v", pb.Kernel, pm.Kernel)
+	}
+	if pm.In >= pb.In || pm.Out >= pb.Out {
+		t.Errorf("PIM-MMU transfers not faster: in %v vs %v, out %v vs %v",
+			pm.In, pb.In, pm.Out, pb.Out)
+	}
+	speedup := float64(pb.Total()) / float64(pm.Total())
+	if speedup < 1.2 {
+		t.Errorf("end-to-end speedup = %.2fx, want > 1.2x for a transfer-heavy workload", speedup)
+	}
+	t.Logf("VA end-to-end: base %v (xfer %.0f%%), pim-mmu %v, speedup %.2fx",
+		pb.Total(), pb.TransferFraction()*100, pm.Total(), speedup)
+}
+
+// TS must show almost no end-to-end gain (paper: transfer is not its
+// bottleneck).
+func TestPrimPhasesTSMarginal(t *testing.T) {
+	pb, pm := primPair(t, "TS", 1.0/256)
+	speedup := float64(pb.Total()) / float64(pm.Total())
+	t.Logf("TS: base in=%v k=%v out=%v | mmu in=%v k=%v out=%v", pb.In, pb.Kernel, pb.Out, pm.In, pm.Kernel, pm.Out)
+	if speedup > 1.10 {
+		t.Errorf("TS speedup = %.3fx; should be marginal (kernel-bound)", speedup)
 	}
 }

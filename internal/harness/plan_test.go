@@ -2,12 +2,15 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/prim"
 	"repro/internal/resultcache"
+	"repro/internal/system"
 )
 
 // staticPlans names the experiments that plan zero jobs: pure
@@ -37,23 +40,15 @@ func TestPlansDeterministic(t *testing.T) {
 
 // Every job key is non-empty and unique within its plan — a collision
 // inside one plan would make two different points serve each other's
-// cached results — unless the two jobs run the same simulation: fig16
-// keys a run by its sized inputs, so suite rows that differ only in name
-// share a key. (Keys MAY coincide across plans and scales: fig13a and
-// fig13b share their uncontended reference point, fig15a, fig15b and
-// headline share their transfers, and a Full sweep legitimately reuses
-// the Quick sweep's sizes — the key addresses the computation, not the
-// experiment.)
+// cached results. (Keys MAY coincide across plans and scales: fig13a
+// and fig13b share their uncontended reference point, fig15a, fig15b,
+// headline and fig16 share their transfers, and a Full sweep
+// legitimately reuses the Quick sweep's sizes — the key addresses the
+// computation, not the experiment.)
 func TestPlanKeysUniqueWithinPlan(t *testing.T) {
 	resultcache.SetCodeVersion("plan-test")
 	defer resultcache.SetCodeVersion("")
 	r := &Runner{}
-	suite, g := prim.Suite(), fig16Grid()
-	sameRun := func(i, j int) bool {
-		a, b := suite[g.Coord(i, 0)], suite[g.Coord(j, 0)]
-		a.Name = b.Name
-		return g.Coord(i, 1) == g.Coord(j, 1) && a == b
-	}
 	for _, sc := range []Scale{Quick, Full} {
 		for _, e := range All() {
 			p := e.Plan(r, sc)
@@ -63,7 +58,7 @@ func TestPlanKeysUniqueWithinPlan(t *testing.T) {
 					t.Errorf("%s/%v job %d: empty key", e.Name, sc, i)
 					continue
 				}
-				if prev, dup := seen[j.Key]; dup && !(e.Name == "fig16" && sameRun(prev, i)) {
+				if prev, dup := seen[j.Key]; dup {
 					t.Errorf("%s/%v job %d: key %q collides with job %d", e.Name, sc, i, j.Key, prev)
 				}
 				seen[j.Key] = i
@@ -87,8 +82,9 @@ func planKeys(t *testing.T, name string, sc Scale) []string {
 }
 
 // One job per distinct simulation: fig15a and fig15b plan the same
-// transfers, headline's are among them, and fig16 shares a key only
-// between the two pairs of suite rows with identical inputs.
+// transfers, headline's are among them, and fig16 plans each distinct
+// transfer its suite needs once per design, under the key fig15a and
+// headline use where the sizes coincide.
 func TestPlansShareKeysOfOneSimulation(t *testing.T) {
 	resultcache.SetCodeVersion("plan-test")
 	defer resultcache.SetCodeVersion("")
@@ -97,30 +93,73 @@ func TestPlansShareKeysOfOneSimulation(t *testing.T) {
 		if !slices.Equal(a, b) {
 			t.Errorf("%v: fig15a and fig15b plan different keys", sc)
 		}
-		for i, k := range planKeys(t, "headline", sc) {
+		headline := planKeys(t, "headline", sc)
+		for i, k := range headline {
 			if !slices.Contains(a, k) {
 				t.Errorf("%v: headline job %d's key is not one of fig15a's", sc, i)
 			}
 		}
 
-		suite, g := prim.Suite(), fig16Grid()
-		var shared []string
-		first := map[string]int{}
-		for i, k := range planKeys(t, "fig16", sc) {
-			prev, dup := first[k]
-			if !dup {
-				first[k] = i
-				continue
+		// The distinct (direction, whole-device bytes) transfers the
+		// suite needs, and those that are also fig15 sizes.
+		cores := uint64(system.DefaultConfig(system.Base).PIM.NumCores())
+		distinct, coincide := map[transfer]bool{}, map[transfer]bool{}
+		for _, wl := range prim.Suite() {
+			p, err := wl.Scale(fig16Scale(sc), int(cores))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if g.Coord(prev, 1) != g.Coord(i, 1) {
-				t.Errorf("%v: fig16 jobs %d and %d of different designs share a key", sc, prev, i)
+			for _, x := range []transfer{{core.DRAMToPIM, p.InBytes * cores}, {core.PIMToDRAM, p.OutBytes * cores}} {
+				distinct[x] = true
+				coincide[x] = slices.Contains(fig15Sizes(sc), x.bytes)
 			}
-			shared = append(shared, suite[g.Coord(prev, 0)].Name+"="+suite[g.Coord(i, 0)].Name)
 		}
-		want := []string{"SCAN-RSS=SCAN-SSA", "SCAN-RSS=SCAN-SSA", "UNI=VA", "UNI=VA"}
-		if !slices.Equal(shared, want) {
-			t.Errorf("%v: fig16 shares keys between %q, want %q", sc, shared, want)
+		fig16 := planKeys(t, "fig16", sc)
+		if want := 2 * len(distinct); len(fig16) != want {
+			t.Errorf("%v: fig16 plans %d jobs, want %d (%d distinct transfers x 2 designs)",
+				sc, len(fig16), want, len(distinct))
 		}
+		var shared int
+		for _, k := range fig16 {
+			if slices.Contains(a, k) {
+				shared++
+				if !slices.Contains(headline, k) {
+					t.Errorf("%v: fig16 key %q is fig15a's but not headline's", sc, k)
+				}
+			}
+		}
+		var want int
+		for _, c := range coincide {
+			if c {
+				want += 2
+			}
+		}
+		if shared != want {
+			t.Errorf("%v: fig16 shares %d keys with fig15a and headline, want %d", sc, shared, want)
+		}
+		t.Logf("%v: fig16 plans %d jobs, %d shared with fig15a and headline", sc, len(fig16), shared)
+	}
+	// At quick scale the suite's transfers are 11 distinct (direction,
+	// size) pairs, and three of them are fig15 points.
+	e, _ := ByName("fig16")
+	jobs := e.Plan(&Runner{}, Quick).Jobs
+	if len(jobs) != 22 {
+		t.Errorf("quick fig16 plans %d jobs, want 22 (11 distinct transfers x 2 designs)", len(jobs))
+	}
+	fig15a := planKeys(t, "fig15a", Quick)
+	var ops []string
+	for _, j := range jobs {
+		if slices.Contains(fig15a, j.Key) && !slices.Contains(ops, j.Op) {
+			ops = append(ops, j.Op)
+		}
+	}
+	want := []string{
+		fmt.Sprintf("xfer dir=%v bytes=%d", core.DRAMToPIM, 1<<20),
+		fmt.Sprintf("xfer dir=%v bytes=%d", core.PIMToDRAM, 1<<20),
+		fmt.Sprintf("xfer dir=%v bytes=%d", core.PIMToDRAM, 4<<20),
+	}
+	if !slices.Equal(ops, want) {
+		t.Errorf("quick fig16 shares fig15a's keys for %q, want %q", ops, want)
 	}
 }
 

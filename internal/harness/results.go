@@ -62,8 +62,9 @@ type Fig6Section struct {
 	Rows [][]float64
 }
 
-// TransferRecord is one whole-device transfer, the record fig15a,
-// fig15b and headline all read: bytes, duration, and energy spent.
+// TransferRecord is one whole-device transfer on a fresh machine, the
+// record fig15a, fig15b, headline and fig16 all read: bytes, duration,
+// and energy spent.
 type TransferRecord struct {
 	Bytes    uint64
 	Duration clock.Picos
@@ -85,7 +86,7 @@ type HeadlinePoint struct {
 }
 
 // headlinePoints is headline's view of its records.
-func headlinePoints(recs []TransferRecord) []HeadlinePoint {
+func headlinePoints(_ Scale, recs []TransferRecord) []HeadlinePoint {
 	pts := make([]HeadlinePoint, len(recs))
 	for i, t := range recs {
 		pts[i] = HeadlinePoint{Thr: t.Throughput(), Eff: float64(t.Bytes) / t.Energy.Total()}

@@ -1,8 +1,13 @@
+// Package prim describes the PrIM suite of Fig. 16 as pure data: each
+// workload's per-core transfer volumes and the analytic DPU kernel time
+// calibrated from its baseline transfer share. It simulates nothing; the
+// harness measures the transfers.
 package prim
 
 import (
 	"fmt"
 
+	"repro/internal/clock"
 	"repro/internal/pim"
 )
 
@@ -38,17 +43,18 @@ func (w Workload) KernelCycles(cores int) int64 {
 	return int64(tkSecs * float64(pim.DPUClock))
 }
 
-// Scaled is one workload sized for one machine, exactly what a run
-// simulates: per-core DRAM->PIM and PIM->DRAM volumes and the DPU
-// kernel's cycle budget.
+// Scaled is one workload sized for one machine: per-core DRAM->PIM and
+// PIM->DRAM volumes and the kernel's wall time. Every DPU runs in
+// lockstep, so that is the kernel's cycle budget at the DPU clock; the
+// PIM-MMU does not change kernel execution (Section V).
 type Scaled struct {
 	InBytes, OutBytes uint64
-	KernelCycles      int64
+	Kernel            clock.Picos
 }
 
 // Scale sizes w at scale times its default problem for a machine of
 // cores PIM cores: the transfer volumes round down to whole 64 B lines
-// (at least one), and the kernel cycles scale with them. scale must be
+// (at least one), and the kernel's cycles scale with them. scale must be
 // positive, and small enough that each scaled volume fits in 63 bits.
 func (w Workload) Scale(scale float64, cores int) (Scaled, error) {
 	if !(scale > 0) || float64(max(w.InBytesPerCore, w.OutBytesPerCore))*scale >= 1<<63 {
@@ -58,9 +64,9 @@ func (w Workload) Scale(scale float64, cores int) (Scaled, error) {
 		return max(uint64(float64(b)*scale)&^63, 64)
 	}
 	return Scaled{
-		InBytes:      scaleBytes(w.InBytesPerCore),
-		OutBytes:     scaleBytes(w.OutBytesPerCore),
-		KernelCycles: int64(float64(w.KernelCycles(cores)) * scale),
+		InBytes:  scaleBytes(w.InBytesPerCore),
+		OutBytes: scaleBytes(w.OutBytesPerCore),
+		Kernel:   clock.NewDomain(pim.DPUClock).Duration(int64(float64(w.KernelCycles(cores)) * scale)),
 	}, nil
 }
 
