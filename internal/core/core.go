@@ -401,6 +401,14 @@ func (e *Engine) runBatch(op Op, from, to int) {
 		totalWrite: pimms.TotalLines(writeStreams) * mem.LineBytes,
 		bufBytes:   buf,
 	}
+	b.resumeR = func() {
+		b.readStalled = false
+		b.pump()
+	}
+	b.resumeW = func() {
+		b.writeStalled = false
+		b.pump()
+	}
 	e.batch = b
 	b.pump()
 }
@@ -479,10 +487,16 @@ func (e *Engine) firePreproc(now clock.Picos) {
 // batchRun is the in-flight state of one batch: the read-side and
 // write-side iterators coupled through the data buffer.
 type batchRun struct {
-	e                  *Engine
-	readIts, writeIts  []pimms.Iterator
-	rrR, rrW           int
-	pendingR, pendingW *pimms.Granule
+	e                 *Engine
+	readIts, writeIts []pimms.Iterator
+	rrR, rrW          int
+	// heldR/heldW is the granule the port last turned away on each side,
+	// valid while hasR/hasW; it issues first when the side resumes.
+	heldR, heldW pimms.Granule
+	hasR, hasW   bool
+	// resumeR/resumeW are the sides' queue-space retry callbacks, bound
+	// once per batch.
+	resumeR, resumeW func()
 
 	readsIssued, readsDone   uint64 // bytes
 	writesIssued, writesDone uint64 // bytes
@@ -493,11 +507,10 @@ type batchRun struct {
 	finished                  bool
 }
 
-func take(its []pimms.Iterator, rr *int, pending **pimms.Granule) (pimms.Granule, bool) {
-	if *pending != nil {
-		g := **pending
-		*pending = nil
-		return g, true
+func take(its []pimms.Iterator, rr *int, held *pimms.Granule, has *bool) (pimms.Granule, bool) {
+	if *has {
+		*has = false
+		return *held, true
 	}
 	n := len(its)
 	for scanned := 0; scanned < n; scanned++ {
@@ -521,17 +534,14 @@ func (b *batchRun) pump() {
 		if b.writesIssued >= b.totalWrite {
 			break
 		}
-		g, ok := take(b.writeIts, &b.rrW, &b.pendingW)
+		g, ok := take(b.writeIts, &b.rrW, &b.heldW, &b.hasW)
 		if !ok {
 			break
 		}
 		if !b.issueWrite(g) {
-			b.pendingW = &g
+			b.heldW, b.hasW = g, true
 			b.writeStalled = true
-			b.e.sys.WaitSpace(func() {
-				b.writeStalled = false
-				b.pump()
-			})
+			b.e.sys.WaitSpace(b.resumeW)
 			break
 		}
 		b.writesIssued += mem.LineBytes
@@ -541,17 +551,14 @@ func (b *batchRun) pump() {
 		if b.readsIssued-b.writesDone+mem.LineBytes > b.bufBytes {
 			break
 		}
-		g, ok := take(b.readIts, &b.rrR, &b.pendingR)
+		g, ok := take(b.readIts, &b.rrR, &b.heldR, &b.hasR)
 		if !ok {
 			break
 		}
 		if !b.issueRead(g) {
-			b.pendingR = &g
+			b.heldR, b.hasR = g, true
 			b.readStalled = true
-			b.e.sys.WaitSpace(func() {
-				b.readStalled = false
-				b.pump()
-			})
+			b.e.sys.WaitSpace(b.resumeR)
 			break
 		}
 		b.readsIssued += mem.LineBytes

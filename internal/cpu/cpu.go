@@ -130,14 +130,9 @@ type Thread struct {
 	done    bool
 	onExit  func()
 
-	// loadDone/storeDone are the thread's standing completion callbacks,
-	// built once at spawn so the per-op issue path allocates nothing.
-	loadDone, storeDone func(clock.Picos)
-
-	// rejected is the request the memory port last turned away; the
-	// thread's next issue attempt reuses it (mem.Port retains no rejected
-	// request).
-	rejected *mem.Req
+	// freeReqs recycles the thread's request records (see memReq); it
+	// grows to the thread's peak of outstanding memory operations.
+	freeReqs *memReq
 
 	// computeUntil marks the end of an in-progress compute span so that a
 	// preemption can carry the unfinished remainder over to the thread's
@@ -223,8 +218,6 @@ func (c *CPU) Runnable() int { return c.alive }
 // the program finishes.
 func (c *CPU) Spawn(name string, prog Program, onExit func()) *Thread {
 	t := &Thread{ID: c.nextID, Name: name, prog: prog, onExit: onExit}
-	t.loadDone = func(now clock.Picos) { t.complete(OpLoad) }
-	t.storeDone = func(now clock.Picos) { t.complete(OpStore) }
 	c.nextID++
 	if c.alive == 0 {
 		c.startQuantumTicker()
@@ -404,23 +397,17 @@ func (core *Core) advance(now clock.Picos) {
 				t.blocked = true
 				return
 			}
-			req := t.rejected
-			if req == nil {
-				req = &mem.Req{}
-			}
-			t.rejected = nil
-			*req = mem.Req{
-				Addr:      mem.LineAlign(op.Addr),
-				Cacheable: !op.NC,
-			}
+			r := t.takeReq()
+			r.op = op.Kind
+			r.req.Addr = mem.LineAlign(op.Addr)
+			r.req.Kind = mem.Read
 			if op.Kind == OpStore {
-				req.Kind = mem.Write
-				req.OnDone = t.storeDone
-			} else {
-				req.OnDone = t.loadDone
+				r.req.Kind = mem.Write
 			}
-			if !cpu.mem.TryEnqueue(req) {
-				t.rejected = req
+			r.req.Cacheable = !op.NC
+			if !cpu.mem.TryEnqueue(&r.req) {
+				// A rejected request is the thread's again at once.
+				t.putReq(r)
 				cpu.mem.WaitSpace(cpu.spaceWaiter(core, t))
 				return
 			}
@@ -496,6 +483,42 @@ func (c *CPU) spaceWaiter(core *Core, t *Thread) func() {
 	}
 	w.core, w.thread = core, t
 	return w.fn
+}
+
+// memReq is one of a thread's pooled request records: OnDone is bound
+// once, and the record returns to the thread's free list when its request
+// completes, the moment it is the thread's again (see mem.Req).
+type memReq struct {
+	req  mem.Req
+	t    *Thread
+	op   OpKind // OpLoad or OpStore
+	next *memReq
+}
+
+// takeReq pops a recycled request record or creates one.
+func (t *Thread) takeReq() *memReq {
+	r := t.freeReqs
+	if r == nil {
+		r = &memReq{t: t}
+		r.req.OnDone = r.done
+	} else {
+		t.freeReqs = r.next
+		r.next = nil
+	}
+	return r
+}
+
+// putReq returns a request record to the free list.
+func (t *Thread) putReq(r *memReq) {
+	r.next = t.freeReqs
+	t.freeReqs = r
+}
+
+// done is the record's completion callback: recycle, then complete.
+func (r *memReq) done(clock.Picos) {
+	t, op := r.t, r.op
+	t.putReq(r)
+	t.complete(op)
 }
 
 // complete absorbs one memory-operation completion, waking the thread if

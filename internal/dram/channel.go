@@ -176,6 +176,9 @@ type Channel struct {
 	// tryQueue).
 	casMark []uint64
 	casGen  uint64
+	// casFloor holds, per rank, the channel-scope CAS readiness of the
+	// current queue scan's request kind (see tryQueue).
+	casFloor []int64
 
 	// freeComp recycles data-burst completion records so the per-command
 	// completion path performs no event allocation.
@@ -201,6 +204,7 @@ func newChannel(eng *sim.Engine, cfg Config, id int, name string) *Channel {
 	nBanks := cfg.Geometry.BankGroups * cfg.Geometry.Banks
 	c.hitMark = make([]uint64, cfg.Geometry.Ranks*nBanks)
 	c.casMark = make([]uint64, cfg.Geometry.Ranks*nBanks)
+	c.casFloor = make([]int64, cfg.Geometry.Ranks)
 	for r := 0; r < cfg.Geometry.Ranks; r++ {
 		rs := &rankState{
 			banks:      make([]bankState, nBanks),

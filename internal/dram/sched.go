@@ -122,15 +122,29 @@ func (c *Channel) serveQueues(cyc int64) (bool, int64) {
 // therefore exactly those of two passes over the window, hits first, with
 // each bank owned by its oldest non-hit request: neither pass changes
 // channel state before it issues.
+//
+// The CAS terms of channel scope (tCCD_S and the data bus) depend only on
+// the request kind, which one queue shares, and the rank: the scan
+// computes them once per rank, at its first row hit (casFloor). Likewise
+// it reads each request's rank refresh state only when some rank is
+// refreshing.
 func (c *Channel) tryQueue(q []*pending, cyc int64) (bool, int64) {
+	if len(q) == 0 {
+		return false, never
+	}
 	if len(q) > c.cfg.ScanWindow {
 		q = q[:c.cfg.ScanWindow]
 	}
+	refreshing := false
+	for _, r := range c.ranks {
+		refreshing = refreshing || r.refreshing
+	}
 	wake := never
 	var prep *pending
+	floors := false
 	c.casGen++
 	for _, p := range q {
-		if p.rank.refreshing {
+		if refreshing && p.rank.refreshing {
 			continue
 		}
 		b := p.bank
@@ -139,7 +153,13 @@ func (c *Channel) tryQueue(q []*pending, cyc int64) (bool, int64) {
 				continue // an earlier hit to this bank was not ready
 			}
 			c.casMark[p.bankIdx] = c.casGen
-			ready := c.earliestCAS(p)
+			if !floors {
+				floors = true
+				for i := range c.casFloor {
+					c.casFloor[i] = c.channelCAS(p.req.Kind, i)
+				}
+			}
+			ready := max(c.bankCAS(p), c.casFloor[p.loc.Rank])
 			if ready <= cyc {
 				c.issueCAS(p, cyc)
 				return true, 0
@@ -222,6 +242,12 @@ func (c *Channel) earliestACT(p *pending) int64 {
 // earliestCAS computes the first cycle the column command for p may issue,
 // assuming its row is open.
 func (c *Channel) earliestCAS(p *pending) int64 {
+	return max(c.bankCAS(p), c.channelCAS(p.req.Kind, p.loc.Rank))
+}
+
+// bankCAS is the part of earliestCAS that p's bank, bank group and rank
+// set.
+func (c *Channel) bankCAS(p *pending) int64 {
 	r, b := p.rank, p.bank
 	var ready int64
 	if p.req.Kind == mem.Read {
@@ -231,10 +257,13 @@ func (c *Channel) earliestCAS(p *pending) int64 {
 	} else {
 		ready = b.nextWR
 	}
-	ready = max(ready, r.nextCASbg[p.loc.BankGroup]) // tCCD_L
-	ready = max(ready, c.nextCAS)                    // tCCD_S
-	ready = max(ready, c.busReady(p.req.Kind, p.loc.Rank))
-	return ready
+	return max(ready, r.nextCASbg[p.loc.BankGroup]) // tCCD_L
+}
+
+// channelCAS is the part of earliestCAS of channel scope: tCCD_S and the
+// data bus, for a column command of the given kind to rank.
+func (c *Channel) channelCAS(kind mem.Kind, rank int) int64 {
+	return max(c.nextCAS, c.busReady(kind, rank)) // tCCD_S, bus
 }
 
 // busReady applies shared data-bus occupancy and turnaround constraints

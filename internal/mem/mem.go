@@ -70,6 +70,13 @@ func (k Kind) String() string {
 // enqueued at a channel controller, and completed by invoking OnDone once
 // the data burst finishes on the bus. A request carries only what routing
 // and completion need: its address, kind, cacheability and callback.
+//
+// Ownership: an accepted request belongs to the memory system, which may
+// read it until its transfer completes, and belongs to its requester
+// again once OnDone has run (OnDone itself may already reuse it). A
+// requester can therefore recycle its request records from OnDone. A
+// posted request (nil OnDone) is never handed back, so it must not be
+// reused. A rejected request is never retained (see Port).
 type Req struct {
 	// Addr is the line-aligned physical address.
 	Addr uint64
@@ -78,7 +85,8 @@ type Req struct {
 	// Cacheable requests may be served by the LLC; non-cacheable requests
 	// (all PIM-space traffic) always reach the memory controller.
 	Cacheable bool
-	// OnDone, if non-nil, runs when the request's data transfer completes.
+	// OnDone, if non-nil, runs once when the request's data transfer
+	// completes; from then on the request is its requester's again.
 	OnDone func(now clock.Picos)
 }
 
@@ -93,9 +101,10 @@ func LineAlign(addr uint64) uint64 { return addr &^ uint64(LineBytes-1) }
 // TryEnqueue reports false when the target controller queue is full; the
 // caller must retry after Wakeup fires (registered via WaitSpace).
 type Port interface {
-	// TryEnqueue attempts to hand the request to the memory system. A
-	// rejected request is not retained: the caller owns it again and may
-	// reuse it for its retry or any other request.
+	// TryEnqueue attempts to hand the request to the memory system. An
+	// accepted request is the memory system's until its OnDone has run
+	// (see Req). A rejected request is not retained: the caller owns it
+	// again and may reuse it for its retry or any other request.
 	TryEnqueue(r *Req) bool
 	// WaitSpace registers a callback invoked (once) the next time queue
 	// space that previously caused a TryEnqueue failure becomes available.

@@ -128,9 +128,8 @@ type System struct {
 	// Access, so WaitSpace can register there (mem.Port contract).
 	lastFull *dram.Channel
 
-	// spareFill is an LLC-miss fill request a channel rejected, reused by
-	// the next miss.
-	spareFill *mem.Req
+	// freeFills recycles LLC-miss fill records (see fill).
+	freeFills *fill
 
 	// tap, when set, observes every request accepted at the mem.Port
 	// boundary — CPU, DCE and contender traffic alike — before any queue
@@ -277,19 +276,9 @@ func (s *System) TryEnqueue(r *mem.Req) bool {
 	}
 
 	// Miss: fetch the line (a read, even for a store — write-allocate).
-	fill := s.spareFill
-	if fill == nil {
-		fill = &mem.Req{}
-	}
-	s.spareFill = nil
-	*fill = mem.Req{
-		Addr:      r.Addr,
-		Kind:      mem.Read,
-		Cacheable: true,
-		OnDone:    r.OnDone,
-	}
-	if !ch.TryEnqueue(fill, loc) {
-		s.spareFill = fill
+	f := s.takeFill(r)
+	if !ch.TryEnqueue(&f.req, loc) {
+		s.putFill(f)
 		s.lastFull = ch
 		return false
 	}
@@ -321,19 +310,80 @@ func (s *System) fireHits(now clock.Picos) {
 	}
 }
 
+// fill is a pooled LLC-miss fill: the line read on behalf of a
+// requester, whose OnDone it relays. Its own OnDone is bound once.
+type fill struct {
+	req  mem.Req
+	s    *System
+	done func(clock.Picos) // the requester's OnDone
+	next *fill
+}
+
+// takeFill returns a fill record for requester r's line. A requester
+// with no OnDone gets a posted fill of its own, never pooled: nothing
+// tells when the channel is done with it, and a relaying OnDone would
+// turn its data burst into a crossing event on sharded engines.
+func (s *System) takeFill(r *mem.Req) *fill {
+	if r.OnDone == nil {
+		return &fill{req: mem.Req{Addr: r.Addr, Kind: mem.Read, Cacheable: true}}
+	}
+	f := s.freeFills
+	if f == nil {
+		f = &fill{s: s}
+		f.req = mem.Req{Kind: mem.Read, Cacheable: true, OnDone: f.complete}
+	} else {
+		s.freeFills = f.next
+		f.next = nil
+	}
+	f.req.Addr = r.Addr
+	f.done = r.OnDone
+	return f
+}
+
+// putFill returns a fill the channel no longer holds to the pool.
+func (s *System) putFill(f *fill) {
+	if f.req.OnDone == nil {
+		return // posted: not pooled
+	}
+	f.done = nil
+	f.next = s.freeFills
+	s.freeFills = f
+}
+
+// complete relays the fill's completion to the requester after recycling
+// the record.
+func (f *fill) complete(now clock.Picos) {
+	done := f.done
+	f.s.putFill(f)
+	done(now)
+}
+
+// writeback is an evicted dirty line on its way to DRAM. Writebacks are
+// posted: nothing waits on them, so a channel's completion tells nobody
+// when the record is free again, and each writeback takes a fresh one.
+type writeback struct {
+	req mem.Req
+	ch  *dram.Channel
+	loc addrmap.Loc
+}
+
 // issueWriteback sends an evicted dirty line to DRAM, retrying until the
-// target queue accepts it. Writebacks are posted: nothing waits on them.
+// target queue accepts it.
 func (s *System) issueWriteback(addr uint64) {
 	region, loc := s.Het.Decode(s.physical(addr))
-	ch := s.channelFor(region.Space, loc)
-	wb := &mem.Req{Addr: addr, Kind: mem.Write, Cacheable: true}
-	var try func()
-	try = func() {
-		if !ch.TryEnqueue(wb, loc) {
-			ch.WaitSpace(try)
-		}
+	wb := &writeback{
+		req: mem.Req{Addr: addr, Kind: mem.Write, Cacheable: true},
+		ch:  s.channelFor(region.Space, loc),
+		loc: loc,
 	}
-	try()
+	wb.try()
+}
+
+// try enqueues the writeback, or waits for queue space and tries again.
+func (wb *writeback) try() {
+	if !wb.ch.TryEnqueue(&wb.req, wb.loc) {
+		wb.ch.WaitSpace(wb.try)
+	}
 }
 
 // WaitSpace implements mem.Port: it registers fn with the channel that

@@ -9,6 +9,15 @@
 // second engine class, which partitions the queue into per-component
 // lanes merged in a canonical order — see sharded.go.
 //
+// The queue (queue.go) is a binary min-heap whose slots hold chains of
+// same-instant events: the DDR4 channels of a machine tick on shared
+// clock edges, so a schedule onto an instant that already holds events
+// appends to that instant's chain in O(1) instead of sifting through the
+// heap, and the chain's events later pop without a sift. Chains change no
+// order: events fire in exactly the (timestamp, insertion) order of a
+// heap of single events. The plain engine and every lane share this one
+// queue.
+//
 // Two scheduling styles coexist:
 //
 //   - the closure style, At/After/Ticker, convenient for one-shot and
@@ -46,7 +55,11 @@ type Event struct {
 	h   Handler
 	at  clock.Picos
 	seq uint64
-	pos int // heap index + 1; 0 when unscheduled
+	pos int // heap index + 1 for a chain head, -1 for a follower, 0 when unscheduled
+
+	// next/prev link the event into its chain of same-instant events (see
+	// queue.go); both are nil while the event is its chain's only member.
+	next, prev *Event
 
 	// Sharded-engine fields (see sharded.go); all zero on a plain engine.
 	lane     *Lane       // owning lane once scheduled through one
@@ -134,9 +147,9 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports the number of scheduled events not yet fired.
 func (e *Engine) Pending() int {
-	n := len(e.heap)
+	n := e.heap.len()
 	for _, l := range e.lanes {
-		n += len(l.heap)
+		n += l.heap.len()
 	}
 	return n
 }
@@ -145,12 +158,12 @@ func (e *Engine) Pending() int {
 // when the queue is empty.
 func (e *Engine) Next() clock.Picos {
 	t := clock.Never
-	if len(e.heap) > 0 {
-		t = e.heap[0].at
+	if !e.heap.empty() {
+		t = e.heap.slots[0].at
 	}
 	for _, l := range e.lanes {
-		if len(l.heap) > 0 && l.heap[0].at < t {
-			t = l.heap[0].at
+		if !l.heap.empty() && l.heap.slots[0].at < t {
+			t = l.heap.slots[0].at
 		}
 	}
 	return t
@@ -192,128 +205,6 @@ func (e *Engine) Cancel(ev *Event) {
 	e.heap.remove(ev)
 }
 
-// heapSlot is one entry of an event heap: the event's (at, seq) key
-// inline beside the event, so sift comparisons never dereference an
-// event. The key mirrors Event.at/seq, which When and the sharded
-// engine's cross-heap order read.
-type heapSlot struct {
-	at  clock.Picos
-	seq uint64
-	ev  *Event
-}
-
-// before orders a heap: earliest timestamp first, FIFO among equals.
-// Within one heap (the host's or one lane's) seq is assigned serially, so
-// this is exactly the serial engine's firing order.
-func (a *heapSlot) before(b *heapSlot) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// evHeap is an indexed binary min-heap of scheduled events, shared by the
-// plain engine and every lane: each event's pos is its slot index + 1.
-type evHeap []heapSlot
-
-// head returns the earliest event; the heap must not be empty.
-func (h evHeap) head() *Event { return h[0].ev }
-
-// set (re)schedules ev under the key (at, seq): a fresh event is
-// appended, a scheduled one is moved in place.
-func (h *evHeap) set(ev *Event, at clock.Picos, seq uint64) {
-	ev.at, ev.seq = at, seq
-	s := heapSlot{at: at, seq: seq, ev: ev}
-	if ev.pos == 0 {
-		*h = append(*h, s)
-		h.up(len(*h)-1, s)
-		return
-	}
-	// In place: a fresh seq means the event can only sink relative to
-	// equal-timestamp peers, but an earlier t can still float it up.
-	h.fix(ev.pos-1, s)
-}
-
-// fix stores s in the hole at i, moving it whichever way restores order.
-func (h evHeap) fix(i int, s heapSlot) {
-	if i > 0 && s.before(&h[(i-1)/2]) {
-		h.up(i, s)
-	} else {
-		h.down(i, s)
-	}
-}
-
-// up moves s from the hole at i toward the root until its parent is
-// earlier, and stores it.
-func (h evHeap) up(i int, s heapSlot) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		h[i].ev.pos = i + 1
-		i = parent
-	}
-	h[i] = s
-	s.ev.pos = i + 1
-}
-
-// down moves s from the hole at i toward the leaves until no child is
-// earlier, and stores it.
-func (h evHeap) down(i int, s heapSlot) {
-	n := len(h)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if right := child + 1; right < n && h[right].before(&h[child]) {
-			child = right
-		}
-		if !h[child].before(&s) {
-			break
-		}
-		h[i] = h[child]
-		h[i].ev.pos = i + 1
-		i = child
-	}
-	h[i] = s
-	s.ev.pos = i + 1
-}
-
-// remove takes a scheduled event out of the heap; an unscheduled event is
-// a no-op.
-func (h *evHeap) remove(ev *Event) {
-	if ev.pos == 0 {
-		return
-	}
-	i := ev.pos - 1
-	ev.pos = 0
-	if last := h.shrink(); i < len(*h) {
-		h.fix(i, last)
-	}
-}
-
-// pop removes and returns the earliest event; the heap must not be empty.
-func (h *evHeap) pop() *Event {
-	ev := (*h)[0].ev
-	ev.pos = 0
-	if last := h.shrink(); len(*h) > 0 {
-		h.down(0, last)
-	}
-	return ev
-}
-
-// shrink drops the heap's last slot and returns it.
-func (h *evHeap) shrink() heapSlot {
-	n := len(*h) - 1
-	last := (*h)[n]
-	(*h)[n].ev = nil // the slot is unused; drop its event reference
-	*h = (*h)[:n]
-	return last
-}
-
 // At schedules fn to run at absolute time t.
 func (e *Engine) At(t clock.Picos, fn func()) {
 	fe := e.freeFn
@@ -337,7 +228,7 @@ func (e *Engine) Step() bool {
 	if e.laned {
 		return e.lanedStep(clock.Never)
 	}
-	if len(e.heap) == 0 {
+	if e.heap.empty() {
 		return false
 	}
 	ev := e.heap.pop()
@@ -360,7 +251,7 @@ func (e *Engine) RunUntil(deadline clock.Picos) {
 		for e.lanedStep(deadline) {
 		}
 	} else {
-		for len(e.heap) > 0 && e.heap[0].at <= deadline {
+		for !e.heap.empty() && e.heap.slots[0].at <= deadline {
 			e.Step()
 		}
 	}

@@ -125,3 +125,43 @@ func BenchmarkEngineMixedLoad(b *testing.B) {
 	}
 	e.Run()
 }
+
+// BenchmarkEngineSameInstant measures the shared-edge shape of a
+// multi-channel DDR4 machine, where every channel ticks on the same
+// 833 ps command-clock edge: 12 standing events re-armed each edge, all
+// on one instant, and every third tick issuing a data-burst completion
+// that lands four edges later on an edge the ticks share. One op is one
+// fired event. This path must not allocate.
+func BenchmarkEngineSameInstant(b *testing.B) {
+	const edge = 833
+	e := New()
+	fired := 0
+	ticks := make([]Event, 12)
+	comps := make([]Event, 64)
+	next := 0
+	for i := range comps {
+		comps[i].Init(HandlerFunc(func(clock.Picos) { fired++ }))
+	}
+	for i := range ticks {
+		i := i
+		ticks[i].Init(HandlerFunc(func(now clock.Picos) {
+			fired++
+			if fired >= b.N {
+				return
+			}
+			e.Schedule(&ticks[i], now+edge)
+			if i%3 == 0 {
+				if c := &comps[next]; !c.Scheduled() {
+					e.Schedule(c, now+4*edge)
+				}
+				next = (next + 1) % len(comps)
+			}
+		}))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range ticks {
+		e.Schedule(&ticks[i], edge)
+	}
+	e.Run()
+}

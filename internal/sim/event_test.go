@@ -227,60 +227,187 @@ func TestClosurePoolReuse(t *testing.T) {
 	}
 }
 
+// checkQueue verifies the queue's structure: every slot's inline key
+// matches its head and the heap orders the slots; every chain member
+// shares its head's instant with seq rising from the head, has pos -1 and
+// consistent ring links; chains of one instant never interleave in seq;
+// and the event count includes every follower. It returns the scheduled
+// events and the number of instants held by more than one chain.
+func checkQueue(t *testing.T, h *evHeap) (map[*Event]bool, int) {
+	t.Helper()
+	queued := map[*Event]bool{}
+	type span struct{ lo, hi uint64 }
+	chains := map[clock.Picos][]span{}
+	for i := range h.slots {
+		s := &h.slots[i]
+		hd := s.ev
+		if hd.pos != i+1 || s.at != hd.at || s.seq != hd.seq {
+			t.Fatalf("slot %d: pos %d, key (%d,%d), head key (%d,%d)",
+				i, hd.pos, s.at, s.seq, hd.at, hd.seq)
+		}
+		if i > 0 && s.before(&h.slots[(i-1)/2]) {
+			t.Fatalf("slot %d is earlier than its parent", i)
+		}
+		if (hd.next == nil) != (hd.prev == nil) {
+			t.Fatalf("slot %d: head half-linked", i)
+		}
+		queued[hd] = true
+		last := hd.seq
+		if hd.next != nil {
+			for ev := hd.next; ev != hd; ev = ev.next {
+				if queued[ev] {
+					t.Fatalf("slot %d: event in two places", i)
+				}
+				queued[ev] = true
+				if ev.pos != -1 || ev.at != hd.at || ev.seq <= last || ev.next.prev != ev {
+					t.Fatalf("slot %d: follower pos %d key (%d,%d) after seq %d, links ok %v",
+						i, ev.pos, ev.at, ev.seq, last, ev.next.prev == ev)
+				}
+				last = ev.seq
+			}
+			if hd.next.prev != hd {
+				t.Fatalf("slot %d: broken ring at head", i)
+			}
+		}
+		chains[hd.at] = append(chains[hd.at], span{hd.seq, last})
+	}
+	split := 0
+	for at, cs := range chains {
+		if len(cs) > 1 {
+			split++
+		}
+		sort.Slice(cs, func(i, j int) bool { return cs[i].lo < cs[j].lo })
+		for i := 1; i < len(cs); i++ {
+			if cs[i-1].hi >= cs[i].lo {
+				t.Fatalf("instant %d: chains [%d,%d] and [%d,%d] interleave",
+					at, cs[i-1].lo, cs[i-1].hi, cs[i].lo, cs[i].hi)
+			}
+		}
+	}
+	if len(queued) != h.len() {
+		t.Fatalf("queue holds %d events, counts %d", len(queued), h.len())
+	}
+	return queued, split
+}
+
 // TestHeapRandomOpsFireInKeyOrder drives one engine through random
 // schedules, in-place reschedules and cancels of a pool of standing
-// events, checking after every operation that each slot's inline key
-// matches its event and each event's pos names its slot, then requires
-// the survivors to fire in (time, insertion) order.
+// events, half of the schedules onto an instant some event already
+// occupies, checking the queue's structure after every operation. It
+// then drains the queue while handlers keep scheduling and canceling,
+// and requires every fire to be the earliest pending event of a
+// reference model in (time, insertion) order.
 func TestHeapRandomOpsFireInKeyOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	e := New()
-	var fired []clock.Picos
-	evs := make([]Event, 64)
-	for i := range evs {
-		evs[i].Init(HandlerFunc(func(now clock.Picos) { fired = append(fired, now) }))
-	}
-	check := func() {
-		t.Helper()
-		for i, s := range e.heap {
-			if s.ev.pos != i+1 || s.at != s.ev.at || s.seq != s.ev.seq {
-				t.Fatalf("slot %d: pos %d, key (%d,%d), event key (%d,%d)",
-					i, s.ev.pos, s.at, s.seq, s.ev.at, s.ev.seq)
-			}
-			if i > 0 && s.before(&e.heap[(i-1)/2]) {
-				t.Fatalf("slot %d is earlier than its parent", i)
-			}
-		}
-	}
-	for op := 0; op < 20000; op++ {
-		ev := &evs[rng.Intn(len(evs))]
-		if rng.Intn(4) == 0 {
-			e.Cancel(ev)
-		} else {
-			e.Schedule(ev, clock.Picos(rng.Intn(50)))
-		}
-		check()
-	}
 	type key struct {
 		at  clock.Picos
 		seq uint64
 	}
-	var want []key
-	for _, s := range e.heap {
-		want = append(want, key{s.at, s.seq})
+	model := map[*Event]key{}
+	evs := make([]Event, 64)
+	// randomOp schedules or cancels a random pool event. A schedule goes,
+	// half the time, to an instant already in use.
+	randomOp := func() {
+		ev := &evs[rng.Intn(len(evs))]
+		if rng.Intn(4) == 0 {
+			e.Cancel(ev)
+			delete(model, ev)
+			return
+		}
+		at := e.Now() + clock.Picos(rng.Intn(200))
+		if rng.Intn(2) == 0 && len(model) > 0 {
+			other := &evs[rng.Intn(len(evs))]
+			if k, ok := model[other]; ok {
+				at = k.at
+			}
+		}
+		e.Schedule(ev, at)
+		model[ev] = key{ev.at, ev.seq}
 	}
-	sort.Slice(want, func(i, j int) bool {
-		return want[i].at < want[j].at || want[i].at == want[j].at && want[i].seq < want[j].seq
-	})
+	followers, split := 0, 0
+	check := func() {
+		t.Helper()
+		queued, n := checkQueue(t, &e.heap)
+		followers += len(queued) - len(e.heap.slots)
+		split += n
+		if len(queued) != len(model) || e.Pending() != len(model) {
+			t.Fatalf("queue holds %d events, Pending %d, model %d", len(queued), e.Pending(), len(model))
+		}
+		for ev, k := range model {
+			if !queued[ev] || ev.at != k.at || ev.seq != k.seq {
+				t.Fatalf("event key (%d,%d) queued %v, model (%d,%d)", ev.at, ev.seq, queued[ev], k.at, k.seq)
+			}
+		}
+	}
+	fired, handlerOps := 0, 0
+	for i := range evs {
+		ev := &evs[i]
+		ev.Init(HandlerFunc(func(now clock.Picos) {
+			want, ok := model[ev]
+			for _, k := range model {
+				if k.at < want.at || k.at == want.at && k.seq < want.seq {
+					t.Fatalf("fired (%d,%d) before pending (%d,%d)", want.at, want.seq, k.at, k.seq)
+				}
+			}
+			if !ok || now != want.at {
+				t.Fatalf("fired at %d, model has %v (%d)", now, ok, want.at)
+			}
+			delete(model, ev)
+			fired++
+			for n := 2 + rng.Intn(2); n > 0 && handlerOps < 20000; n-- {
+				randomOp()
+				handlerOps++
+			}
+		}))
+	}
+	for op := 0; op < 20000; op++ {
+		randomOp()
+		check()
+	}
 	for e.Step() {
 		check()
 	}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %d events, want %d", len(fired), len(want))
+	if len(model) != 0 || handlerOps < 20000 {
+		t.Fatalf("drained with %d events unfired after %d handler ops", len(model), handlerOps)
 	}
-	for i := range want {
-		if fired[i] != want[i].at {
-			t.Fatalf("event %d fired at %d, want %d", i, fired[i], want[i].at)
-		}
+	// The run must have exercised chaining and sealed chains.
+	if followers == 0 || split == 0 {
+		t.Fatalf("%d followers and %d split instants seen", followers, split)
+	}
+	t.Logf("%d events fired; %d followers and %d split instants seen", fired, followers, split)
+}
+
+// TestPendingCountsChainedEvents requires Pending and ShardStats to count
+// every event of a shared instant, not just the one holding its heap slot.
+func TestPendingCountsChainedEvents(t *testing.T) {
+	noop := HandlerFunc(func(clock.Picos) {})
+	e := New()
+	for i := 0; i < 5; i++ {
+		ev := &Event{}
+		ev.Init(noop)
+		e.Schedule(ev, 100)
+	}
+	e.At(200, func() {})
+	if e.Pending() != 6 {
+		t.Errorf("Pending = %d, want 6", e.Pending())
+	}
+	e.Step()
+	if e.Pending() != 5 {
+		t.Errorf("Pending after one fire = %d, want 5", e.Pending())
+	}
+
+	sh := NewSharded()
+	lane := sh.NewLane("l")
+	for i := 0; i < 3; i++ {
+		sh.At(50, func() {})
+		ev := &Event{}
+		ev.Init(noop)
+		lane.ScheduleLocal(ev, 50)
+	}
+	st := sh.ShardStats()
+	if st.HostPending != 3 || st.Lanes[0].Pending != 3 || sh.Pending() != 6 {
+		t.Errorf("HostPending %d, lane Pending %d, Pending %d; want 3, 3, 6",
+			st.HostPending, st.Lanes[0].Pending, sh.Pending())
 	}
 }

@@ -191,11 +191,11 @@ func headBefore(a *Event, aLane int, b *Event, bLane int) bool {
 func (e *Engine) minHead() (*Event, int) {
 	var best *Event
 	bestLane := 0
-	if len(e.heap) > 0 {
+	if !e.heap.empty() {
 		best = e.heap.head()
 	}
 	for _, l := range e.lanes {
-		if len(l.heap) == 0 {
+		if l.heap.empty() {
 			continue
 		}
 		if hd := l.heap.head(); best == nil || headBefore(hd, l.id, best, bestLane) {
@@ -262,14 +262,14 @@ func (e *Engine) ShardStats() ShardStats {
 	if !e.laned {
 		return ShardStats{}
 	}
-	st := ShardStats{HostFired: e.fired, HostPending: len(e.heap)}
+	st := ShardStats{HostFired: e.fired, HostPending: e.heap.len()}
 	for _, l := range e.lanes {
 		st.HostFired -= l.fired
 		st.Lanes = append(st.Lanes, LaneStats{
 			Name:      l.name,
 			Fired:     l.fired,
 			Crossings: l.crossings,
-			Pending:   len(l.heap),
+			Pending:   l.heap.len(),
 		})
 	}
 	return st

@@ -20,14 +20,15 @@ type Cache interface {
 }
 
 // MapCachedN is MapN over content-addressed jobs: key(i) names the
-// computation job(i) performs, so jobs with equal keys compute once and
-// share the result, and with a non-nil c index i's result is served
-// from c when a valid entry exists under key(i), and computed (then
-// stored) otherwise, on a pool of workers goroutines (workers <= 0
+// computation job(i) performs, and with a non-nil c index i's result is
+// served from c when a valid entry exists under key(i), and computed
+// (then stored) otherwise, on a pool of workers goroutines (workers <= 0
 // selects GOMAXPROCS). Because every job is a pure function of its
 // configuration — the determinism contract the whole sweep layer rests
 // on — a hit or a shared result is byte-identical to the computation it
 // replaces, so the returned slice equals MapN's at every worker count.
+// The keys of one call are distinct: every harness plan's are (see
+// harness TestPlanKeysUniqueWithinPlan).
 //
 // Results round-trip through gob, so R must be a gob-encodable type whose
 // meaningful state lives in exported fields (strings, numerics, and
@@ -35,11 +36,10 @@ type Cache interface {
 // for example after R's shape changed — counts as a miss and is
 // recomputed and overwritten.
 //
-// Missed keys compute at most once at a time per process: duplicate keys
-// within one call share a single computation, and concurrent calls that
-// miss the same key single-flight on it — later arrivals block on the
-// first computation's published result instead of running the job again
-// (see computeShared).
+// Missed keys compute at most once at a time per process: concurrent
+// calls that miss the same key single-flight on it — later arrivals
+// block on the first computation's published result instead of running
+// the job again (see computeShared).
 func MapCachedN[R any](c Cache, n, workers int, key func(i int) string, job func(i int) R) []R {
 	out := make([]R, n)
 	keys := make([]string, n)
@@ -59,27 +59,15 @@ func MapCachedN[R any](c Cache, n, workers int, key func(i int) string, job func
 	if len(miss) == 0 {
 		return out
 	}
-	// Duplicate keys inside one sweep compute once: the first index
-	// holding a key leads, later ones share its result. The leaders then
-	// run under the process-wide single-flight table, which extends the
-	// same one-compute guarantee across concurrent sweeps.
-	leaderAt := make(map[string]int, len(miss)) // key -> its leader's place in uniq
-	var uniq []int
-	for _, i := range miss {
-		if _, ok := leaderAt[keys[i]]; !ok {
-			leaderAt[keys[i]] = len(uniq)
-			uniq = append(uniq, i)
-		}
-	}
 	// Only the misses occupy workers; each stores its result as soon as
 	// it is computed, so an interrupted sweep still persists every
 	// finished design point.
-	results := MapN(len(uniq), workers, func(j int) R {
-		i := uniq[j]
+	results := MapN(len(miss), workers, func(j int) R {
+		i := miss[j]
 		return computeShared(c, keys[i], func() R { return job(i) })
 	})
-	for _, i := range miss {
-		out[i] = results[leaderAt[keys[i]]]
+	for j, i := range miss {
+		out[i] = results[j]
 	}
 	return out
 }

@@ -118,41 +118,6 @@ func TestMapCachedRejectsUndecodablePayload(t *testing.T) {
 	}
 }
 
-func TestMapCachedNilCacheDedupesKeys(t *testing.T) {
-	// Without a cache, jobs with equal keys still compute once, and the
-	// result equals MapN's over the same jobs, in index order, at every
-	// worker count.
-	keys := []string{"a", "b", "a", "c", "b", "a", "d", "c", "e"}
-	job := func(i int) result {
-		k := keys[i]
-		return result{Index: int(k[0]), Thr: float64(k[0]) / 3, Label: k}
-	}
-	want := MapN(len(keys), 1, job)
-	for _, workers := range []int{1, 2, 8} {
-		var mu sync.Mutex
-		runs := map[string]int{}
-		got := MapCachedN[result](nil, len(keys), workers,
-			func(i int) string { return keys[i] },
-			func(i int) result {
-				mu.Lock()
-				runs[keys[i]]++
-				mu.Unlock()
-				return job(i)
-			})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: nil-cache result %+v, want MapN's %+v", workers, got, want)
-		}
-		if len(runs) != 5 {
-			t.Fatalf("workers=%d: ran keys %v, want all 5 distinct keys", workers, runs)
-		}
-		for k, n := range runs {
-			if n != 1 {
-				t.Errorf("workers=%d: key %q computed %d times, want once", workers, k, n)
-			}
-		}
-	}
-}
-
 func TestMapCachedOrderingAcrossWorkers(t *testing.T) {
 	// Mixed hits and misses must land in index order at every worker
 	// count, exactly like Map.
@@ -170,33 +135,6 @@ func TestMapCachedOrderingAcrossWorkers(t *testing.T) {
 			if v != i {
 				t.Fatalf("workers=%d: index %d holds %d", workers, i, v)
 			}
-		}
-	}
-}
-
-func TestMapCachedDuplicateKeysComputeOnce(t *testing.T) {
-	// Duplicate keys within one call are the in-call face of the
-	// single-flight bug: without dedup, a serial sweep computes the
-	// shared key once per index.
-	for _, workers := range []int{1, 4} {
-		c := newMapCache()
-		var computes atomic.Int32
-		got := MapCachedN(c, 4, workers,
-			func(i int) string { return "shared" },
-			func(i int) result {
-				computes.Add(1)
-				return result{Index: 7, Label: "same"}
-			})
-		if n := computes.Load(); n != 1 {
-			t.Fatalf("workers=%d: %d computes for one shared key, want 1", workers, n)
-		}
-		for i, r := range got {
-			if r.Index != 7 || r.Label != "same" {
-				t.Fatalf("workers=%d: result %d = %+v, want the shared result", workers, i, r)
-			}
-		}
-		if c.puts != 1 {
-			t.Fatalf("workers=%d: %d puts, want 1", workers, c.puts)
 		}
 	}
 }
