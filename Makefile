@@ -15,9 +15,11 @@ vet:
 
 # Static checks: go vet (also over the slow-tagged test files, so a
 # change that breaks their build fails here rather than in the nightly
-# tier) plus the import layering rules — the harness compute-phase rule,
-# serve's no-internal/system rule, and serve/api's purity rule; see
-# cmd/pimmu-lint.
+# tier), the import layering rules — the harness compute-phase rule,
+# serve's no-internal/system rule, serve/api's purity rule, and the
+# trace and prim import limits — and the dead-export rule: every
+# exported name in internal/ needs a non-test reader or a //pimmu:keep
+# reason; see cmd/pimmu-lint.
 lint: vet
 	$(GO) vet -tags slow ./...
 	$(GO) run ./cmd/pimmu-lint
@@ -46,13 +48,18 @@ test-slow:
 # renamed only on success, so a failing benchmark run cannot clobber the
 # previous (committed) capture with a partial stream. BENCH_COUNT
 # repeats each gated benchmark; the diff tool takes the fastest run,
-# which strips shared-runner noise (CI uses BENCH_COUNT=3).
+# which strips shared-runner noise (CI uses BENCH_COUNT=3). BENCH_RUN
+# runs the one package named by the shell variable p: internal/sim's
+# rows run at 8-40 ns/op, and there a fixed 3e8 iterations per row
+# spread less between captures of one tree than the default 1 s
+# benchtime (worst row 1.37x to 1.32x max/min over 10 captures).
 BENCH_COUNT ?= 1
 BENCH_PKGS = ./internal/sim ./internal/dram ./internal/system ./internal/harness ./internal/trace
-BENCH_RUN = $(GO) test -json -run '^$$' -bench='Engine|Plan|Generate' -benchmem
+BENCH_RUN = $(GO) test -json -run '^$$' -bench='Engine|Plan|Generate' -benchmem \
+	$$([ "$$p" = ./internal/sim ] && echo -benchtime=300000000x)
 
 bench:
-	$(BENCH_RUN) -count=$(BENCH_COUNT) $(BENCH_PKGS) > BENCH_engine.json.tmp
+	for p in $(BENCH_PKGS); do $(BENCH_RUN) -count=$(BENCH_COUNT) $$p || exit 1; done > BENCH_engine.json.tmp
 	mv BENCH_engine.json.tmp BENCH_engine.json
 	@echo "wrote BENCH_engine.json"
 

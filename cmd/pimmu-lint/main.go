@@ -1,5 +1,6 @@
 // Command pimmu-lint enforces the repository's import layering rules —
-// the boundaries the type system cannot express:
+// the boundaries the type system cannot express — and its dead-export
+// rule:
 //
 //   - internal/harness: only the compute phase (runner.go and
 //     compute*.go) may import repro/internal/system. Plans are pure
@@ -34,14 +35,16 @@
 //     the harness measures its transfers as shared transfer records, so
 //     there is one way to time a transfer.
 //
-// Usage:
+//   - Every exported top-level func, method, type, const or var in
+//     internal/ has a reader: some non-test .go file in the repository
+//     (bench/ and examples/ included) reads it outside its own
+//     declaration. Top-level names match by package, methods by name;
+//     methods that satisfy standard-library interfaces (String, Error,
+//     Unwrap, MarshalJSON, ...) pass. A deliberate test hook passes only
+//     with a "//pimmu:keep REASON" line in its doc comment.
 //
-//	pimmu-lint [DIR]
-//
-// With no argument every rule runs against its own directory; passing
-// DIR runs the harness compute-phase rule against that directory
-// instead. Violations print one per line and exit non-zero; `make
-// lint` runs this after go vet.
+// Run it from the repository root, as `make lint` does after go vet.
+// Violations print one per line and exit non-zero.
 package main
 
 import (
@@ -116,18 +119,8 @@ var rules = []rule{
 }
 
 func main() {
-	checks := rules
-	if len(os.Args) > 1 {
-		checks = []rule{{
-			dir:     os.Args[1],
-			allowed: computeAllowed,
-			banned:  rules[0].banned,
-			explain: rules[0].explain,
-		}}
-	}
 	exit := 0
-	for _, r := range checks {
-		bad, err := violations(r)
+	report := func(bad []string, err error, explain string) {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pimmu-lint: %v\n", err)
 			os.Exit(2)
@@ -136,10 +129,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, v)
 		}
 		if len(bad) > 0 {
-			fmt.Fprintf(os.Stderr, "pimmu-lint: %d violation(s): %s\n", len(bad), r.explain)
+			fmt.Fprintf(os.Stderr, "pimmu-lint: %d violation(s): %s\n", len(bad), explain)
 			exit = 1
 		}
 	}
+	for _, r := range rules {
+		bad, err := violations(r)
+		report(bad, err, r.explain)
+	}
+	bad, err := deadExports(".")
+	report(bad, err, "delete or unexport each dead export, or mark a test hook "+keepDirective+" REASON")
 	os.Exit(exit)
 }
 

@@ -43,17 +43,108 @@ func TestRepositoryIsClean(t *testing.T) {
 			t.Error(v)
 		}
 	}
+	bad, err := deadExports(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range bad {
+		t.Error(v)
+	}
 }
 
+// writeFiles writes each file, named by its slash-separated path, under
+// a fresh temporary directory.
 func writeFiles(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
 	for name, src := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o666); err != nil {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return dir
+}
+
+func TestDeadExportDetected(t *testing.T) {
+	root := writeFiles(t, map[string]string{
+		"internal/foo/foo.go": `package foo
+
+import "errors"
+
+// Dead is read by nothing.
+func Dead() int { return Dead() + helper() }
+
+// Used is read by a sibling file as a bare name.
+const Used = 1
+
+// BenchOnly is read only by the bench/ module.
+func BenchOnly() {}
+
+// TestOnly is read only by a test file.
+var TestOnly = 2
+
+// Hook is kept for tests, with a reason.
+//
+//pimmu:keep test hook: tests override it
+func Hook() {}
+
+// Unreasoned is kept without a reason.
+//
+//pimmu:keep
+func Unreasoned() {}
+
+// T is read by bar.go.
+type T struct{}
+
+func (T) String() string { return "" }
+func (T) Error() string  { return "" }
+func (T) Unwrap() error  { return errors.New("") }
+
+// Called is read through a selector in bar.go.
+func (T) Called() {}
+
+// Orphan is a method nobody calls.
+func (T) Orphan() {}
+
+func helper() int { return Used }
+`,
+		"internal/foo/foo_test.go": "package foo\n\nvar _ = TestOnly\n",
+		"internal/foo/bar/bar.go": `package bar
+
+import f "repro/internal/foo"
+
+func use() { f.T{}.Called() }
+`,
+		"bench/main.go": `package main
+
+import "repro/internal/foo"
+
+func main() { foo.BenchOnly() }
+`,
+	})
+	bad, err := deadExports(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, v := range bad {
+		got = append(got, v[strings.Index(v, ": ")+2:])
+	}
+	want := []string{
+		"exported Dead is read by no non-test file",
+		"exported TestOnly is read by no non-test file",
+		"exported Orphan is read by no non-test file",
+		"//pimmu:keep on Unreasoned gives no reason",
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }
 
 func TestHarnessViolationDetected(t *testing.T) {

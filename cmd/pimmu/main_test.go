@@ -35,6 +35,10 @@ func TestSubcommandFlags(t *testing.T) {
 		"cmds":     {"design", "kb", "channel", "n", "side"},
 	}
 	runner := map[string]bool{"run": true, "sim": true, "replay": true, "load": true}
+	var runnerFlags []string
+	shared := flag.NewFlagSet("runner", flag.ContinueOnError)
+	harness.RegisterRunnerFlags(shared)
+	shared.VisitAll(func(f *flag.Flag) { runnerFlags = append(runnerFlags, f.Name) })
 	cmds := commands()
 	if len(cmds) != len(own) {
 		t.Errorf("%d subcommands, want %d", len(cmds), len(own))
@@ -43,7 +47,7 @@ func TestSubcommandFlags(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			want := slices.Clone(own[c.name])
 			if runner[c.name] {
-				want = append(want, harness.RunnerFlagNames()...)
+				want = append(want, runnerFlags...)
 			}
 			slices.Sort(want)
 			var ue usageError
@@ -177,6 +181,8 @@ func TestErrorKinds(t *testing.T) {
 		{[]string{"load", "-gaps", "9223372036854776"}, true},
 		{[]string{"load", "-n", "8192", "-gaps", "1e15"}, true},
 		{[]string{"load", "-n", "1000000000000000", "-gaps", "0.001"}, true},
+		{[]string{"load", "-slo-ns", "-1"}, true},
+		{[]string{"load", "-slo-ns", "9300000000000000"}, true},
 		{[]string{"gen", "-gap", "20000000000000000", "-n", "4", "-o", filepath.Join(dir, "g.pmt")}, true},
 		{[]string{"gen", "-gap", "-1", "-o", filepath.Join(dir, "g.pmt")}, true},
 		{[]string{"gen", "-gap", "9223372036854775", "-n", "4", "-o", filepath.Join(dir, "g.pmt")}, true},

@@ -243,6 +243,9 @@ func cmdLoad(args []string, w io.Writer) error {
 	if trace.Process(*process) == trace.ProcessReplay {
 		return usagef("-process replay needs a trace; use pimmu replay FILE")
 	}
+	if *sloNS < 0 || *sloNS > math.MaxInt64/int64(clock.Nanosecond) {
+		return usagef("-slo-ns %d outside [0, %d]", *sloNS, math.MaxInt64/int64(clock.Nanosecond))
+	}
 	slo := clock.Picos(*sloNS) * clock.Nanosecond
 
 	gcfg := trace.DefaultGenConfig()

@@ -73,12 +73,17 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	designs := system.Designs()
 	dirs := []core.Direction{core.DRAMToPIM, core.PIMToDRAM}
 	sizes := []uint64{256 << 10, 1 << 20}
-	g := sweep.NewGrid(len(designs), len(dirs), len(sizes))
-	job := func(i int) string {
-		return runOnce(designs[g.Coord(i, 0)], dirs[g.Coord(i, 1)], sizes[g.Coord(i, 2)])
+	var jobs []func() string
+	for _, d := range designs {
+		for _, dir := range dirs {
+			for _, size := range sizes {
+				jobs = append(jobs, func() string { return runOnce(d, dir, size) })
+			}
+		}
 	}
-	serial := sweep.MapN(g.Size(), 1, job)
-	parallel := sweep.MapN(g.Size(), 8, job)
+	job := func(i int) string { return jobs[i]() }
+	serial := sweep.MapN(len(jobs), 1, job)
+	parallel := sweep.MapN(len(jobs), 8, job)
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Errorf("job %d: parallel result differs from serial\n--- serial ---\n%s--- parallel ---\n%s",

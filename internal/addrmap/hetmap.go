@@ -97,16 +97,6 @@ func (h *HetMap) Encode(regionName string, l Loc) uint64 {
 	panic(fmt.Sprintf("addrmap: unknown region %q", regionName))
 }
 
-// Region returns the named region.
-func (h *HetMap) Region(name string) Region {
-	for _, r := range h.regions {
-		if r.Name == name {
-			return r
-		}
-	}
-	panic(fmt.Sprintf("addrmap: unknown region %q", name))
-}
-
 func (h *HetMap) String() string {
 	s := "HetMap{"
 	for i, r := range h.regions {

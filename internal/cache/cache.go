@@ -86,9 +86,6 @@ func New(cfg Config) *Cache {
 		keys:     make([]uint64, n), used: make([]uint64, n), dirty: make([]bool, n)}
 }
 
-// Sets reports the number of sets.
-func (c *Cache) Sets() int { return c.nSets }
-
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -102,7 +99,6 @@ func (c *Cache) index(addr uint64) (set uint64, base int, key uint64) {
 
 // Result describes the outcome of an access.
 type Result struct {
-	Hit bool
 	// Writeback holds the line address of an evicted dirty line that must
 	// be written to memory; valid only when HasWriteback.
 	Writeback    uint64
@@ -123,7 +119,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 				c.dirty[base+i] = true
 			}
 			c.stats.Hits++
-			return Result{Hit: true}
+			return Result{}
 		}
 	}
 	c.stats.Misses++

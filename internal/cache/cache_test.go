@@ -24,20 +24,20 @@ func TestConfigValidate(t *testing.T) {
 
 func TestDefaultConfigShape(t *testing.T) {
 	c := New(DefaultConfig())
-	if c.Sets() != 8192 {
-		t.Errorf("8MB/16-way LLC has %d sets, want 8192", c.Sets())
+	if c.nSets != 8192 {
+		t.Errorf("8MB/16-way LLC has %d sets, want 8192", c.nSets)
 	}
 }
 
 func TestMissThenHit(t *testing.T) {
 	c := New(small())
-	if c.Access(0x1000, false).Hit {
+	if c.Access(0x1000, false); c.Stats().Hits != 0 {
 		t.Error("first access hit an empty cache")
 	}
-	if !c.Access(0x1000, false).Hit {
+	if c.Access(0x1000, false); c.Stats().Hits != 1 {
 		t.Error("second access to same line missed")
 	}
-	if !c.Access(0x1010, false).Hit {
+	if c.Access(0x1010, false); c.Stats().Hits != 2 {
 		t.Error("access within the same 64B line missed")
 	}
 	s := c.Stats()
@@ -49,7 +49,7 @@ func TestMissThenHit(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	cfg := small()
 	c := New(cfg)
-	sets := uint64(c.Sets())
+	sets := uint64(c.nSets)
 	setStride := sets * mem.LineBytes // same set, next tag
 	// Fill all 4 ways of set 0.
 	for i := uint64(0); i < 4; i++ {
@@ -70,7 +70,7 @@ func TestLRUEviction(t *testing.T) {
 func TestDirtyEvictionProducesWriteback(t *testing.T) {
 	cfg := small()
 	c := New(cfg)
-	sets := uint64(c.Sets())
+	sets := uint64(c.nSets)
 	setStride := sets * mem.LineBytes
 	c.Access(0, true) // dirty line, tag 0
 	for i := uint64(1); i < 4; i++ {
@@ -91,7 +91,7 @@ func TestDirtyEvictionProducesWriteback(t *testing.T) {
 func TestCleanEvictionNoWriteback(t *testing.T) {
 	cfg := small()
 	c := New(cfg)
-	sets := uint64(c.Sets())
+	sets := uint64(c.nSets)
 	setStride := sets * mem.LineBytes
 	for i := uint64(0); i < 5; i++ {
 		if res := c.Access(i*setStride, false); res.HasWriteback {
@@ -106,7 +106,7 @@ func TestCleanEvictionNoWriteback(t *testing.T) {
 func TestWriteMakesDirty(t *testing.T) {
 	cfg := small()
 	c := New(cfg)
-	sets := uint64(c.Sets())
+	sets := uint64(c.nSets)
 	setStride := sets * mem.LineBytes
 	c.Access(0, false) // clean fill
 	c.Access(0, true)  // hit-write dirties it
@@ -129,8 +129,8 @@ func TestWritebackAddressSetInvariant(t *testing.T) {
 		if !res.HasWriteback {
 			return true
 		}
-		return res.Writeback/mem.LineBytes%uint64(c.Sets()) ==
-			addr/mem.LineBytes%uint64(c.Sets())
+		return res.Writeback/mem.LineBytes%uint64(c.nSets) ==
+			addr/mem.LineBytes%uint64(c.nSets)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)

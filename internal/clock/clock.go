@@ -14,7 +14,6 @@ type Picos int64
 
 // Convenient duration units.
 const (
-	Picosecond  Picos = 1
 	Nanosecond  Picos = 1000
 	Microsecond Picos = 1000 * Nanosecond
 	Millisecond Picos = 1000 * Microsecond
@@ -73,9 +72,6 @@ func NewDomain(freq Hz) Domain {
 	}
 	return Domain{freq: freq, period: Picos(int64(Second) / int64(freq))}
 }
-
-// Period reports the duration of one cycle, truncated to a picosecond.
-func (d Domain) Period() Picos { return d.period }
 
 // Cycles converts a duration to a whole number of elapsed cycles
 // (truncating).

@@ -18,8 +18,8 @@ func TestDomainPeriod(t *testing.T) {
 	}
 	for _, c := range cases {
 		d := NewDomain(c.freq)
-		if d.Period() != c.period {
-			t.Errorf("NewDomain(%v).Period() = %d, want %d", c.freq, d.Period(), c.period)
+		if d.period != c.period {
+			t.Errorf("NewDomain(%v).period = %d, want %d", c.freq, d.period, c.period)
 		}
 	}
 }
@@ -73,7 +73,7 @@ func TestCycleRoundingProperties(t *testing.T) {
 		}
 		down := d.Duration(d.Cycles(tp))
 		up := d.Duration(d.CyclesCeil(tp))
-		return down <= tp && up >= tp && up-down <= d.Period()
+		return down <= tp && up >= tp && up-down <= d.period
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -109,7 +109,7 @@ func TestPicosString(t *testing.T) {
 }
 
 func TestUnitRelations(t *testing.T) {
-	if Nanosecond != 1000*Picosecond || Microsecond != 1000*Nanosecond ||
+	if Nanosecond != 1000 || Microsecond != 1000*Nanosecond ||
 		Millisecond != 1000*Microsecond || Second != 1000*Millisecond {
 		t.Error("time unit constants are inconsistent")
 	}

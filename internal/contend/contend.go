@@ -30,9 +30,6 @@ type Stopper struct{ stopped bool }
 // current iteration.
 func (s *Stopper) Stop() { s.stopped = true }
 
-// Stopped reports whether Stop was called.
-func (s *Stopper) Stopped() bool { return s.stopped }
-
 // Spin returns a compute-bound contender program: long compute spans with
 // an occasional load inside a 16 KB working set (always an LLC hit after
 // warm-up). The span is emitted as spinChunks shorter compute operations

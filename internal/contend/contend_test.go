@@ -69,8 +69,8 @@ func TestStopperTerminatesPrograms(t *testing.T) {
 		t.Fatal("fresh spinner refused to run")
 	}
 	st.Stop()
-	if !st.Stopped() {
-		t.Error("Stopped() false after Stop")
+	if !st.stopped {
+		t.Error("stopped false after Stop")
 	}
 	if _, ok := p.Next(); ok {
 		t.Error("spinner kept running after Stop")

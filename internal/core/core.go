@@ -37,7 +37,6 @@ import (
 	"repro/internal/pim"
 	"repro/internal/pimms"
 	"repro/internal/sim"
-	"repro/internal/transpose"
 )
 
 // Direction of a transfer.
@@ -85,7 +84,7 @@ type Config struct {
 	// channel-level parallelism from Algorithm 1's bank interleave.
 	ChannelRRWithoutPIMMS bool
 	// Preproc models the hardware transpose unit.
-	Preproc transpose.HWUnit
+	Preproc HWUnit
 	// DriverLaunch is the software cost to invoke pim_mmu_transfer: the
 	// runtime marshals the descriptor arrays and the driver writes them to
 	// the DCE's MMIO BAR, then puts the calling process to sleep.
@@ -107,11 +106,37 @@ func DefaultConfig() Config {
 		AddrEntryBytes:  16,
 		UsePIMMS:        true,
 		DMAWindow:       4,
-		Preproc:         transpose.DefaultHWUnit(),
+		Preproc:         DefaultHWUnit(),
 		DriverLaunch:    3 * clock.Microsecond,
 		DriverInterrupt: 2 * clock.Microsecond,
 		BatchReload:     clock.Microsecond,
 	}
+}
+
+// HWUnit models the DCE's pipelined preprocessing unit (Section IV-C). It
+// transposes each 64-byte block (8 words by 8 byte lanes) so that a PIM
+// core inside one x8 chip receives whole words (Fig. 3), at the cost of a
+// pipeline fill plus BlocksPerCycle blocks per engine cycle.
+type HWUnit struct {
+	// PipelineDepth is the fill latency in DCE cycles.
+	PipelineDepth int64
+	// BlocksPerCycle is the sustained throughput.
+	BlocksPerCycle int64
+}
+
+// DefaultHWUnit matches the DCE at 3.2 GHz: 4-stage pipeline, one 64-byte
+// block per cycle (204.8 GB/s — never the bottleneck, by design).
+func DefaultHWUnit() HWUnit {
+	return HWUnit{PipelineDepth: 4, BlocksPerCycle: 1}
+}
+
+// Cycles reports the engine-cycle cost of streaming n blocks through the
+// unit.
+func (u HWUnit) Cycles(blocks int64) int64 {
+	if blocks <= 0 {
+		return 0
+	}
+	return u.PipelineDepth + (blocks+u.BlocksPerCycle-1)/u.BlocksPerCycle
 }
 
 // Validate reports configuration errors.
@@ -252,23 +277,11 @@ func New(eng *sim.Engine, sys *memsys.System, geom pim.Geometry, cfg Config) (*E
 	return e, nil
 }
 
-// MustNew is New for static configurations.
-func MustNew(eng *sim.Engine, sys *memsys.System, geom pim.Geometry, cfg Config) *Engine {
-	e, err := New(eng, sys, geom, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // Config reports the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
 // Geometry reports the attached PIM geometry.
 func (e *Engine) Geometry() pim.Geometry { return e.geom }
-
-// Busy reports whether a transfer is in flight.
-func (e *Engine) Busy() bool { return e.busy }
 
 // Transfer offloads op to the DCE. onDone runs when the completion
 // interrupt is delivered, so the transfer's span includes the driver's

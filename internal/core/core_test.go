@@ -7,6 +7,7 @@ import (
 	"repro/internal/addrmap"
 	"repro/internal/cache"
 	"repro/internal/clock"
+	"repro/internal/mem"
 	"repro/internal/memsys"
 	"repro/internal/pim"
 	"repro/internal/sim"
@@ -29,9 +30,16 @@ func newRig(t *testing.T, mapping memsys.MappingMode, dceCfg Config) *rig {
 	mc.LLC = cache.Config{SizeBytes: 256 << 10, Ways: 8}
 	mc.Mapping = mapping
 	eng := sim.New()
-	sys := memsys.MustNew(eng, mc)
+	sys, err := memsys.New(eng, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	geom := pim.Geometry{DRAM: g, LanesPerBank: 2} // 128 cores
-	return &rig{eng: eng, sys: sys, geom: geom, dce: MustNew(eng, sys, geom, dceCfg)}
+	dce, err := New(eng, sys, geom, dceCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &rig{eng: eng, sys: sys, geom: geom, dce: dce}
 }
 
 // op builds a transfer of bytesPerCore to each of n cores.
@@ -182,7 +190,7 @@ func TestBackToBackTransfers(t *testing.T) {
 	if done != 3 {
 		t.Errorf("completed %d of 3 back-to-back transfers", done)
 	}
-	if r.dce.Busy() {
+	if r.dce.busy {
 		t.Error("engine still busy after drain")
 	}
 }
@@ -259,5 +267,28 @@ func TestChannelRROrderBetweenSequentialAndPIMMS(t *testing.T) {
 	if !(seq < chrr && chrr < alg1) {
 		t.Errorf("issue-order ordering violated: seq %.1f, chRR %.1f, alg1 %.1f GB/s",
 			seq/1e9, chrr/1e9, alg1/1e9)
+	}
+}
+
+func TestHWUnitCycles(t *testing.T) {
+	u := DefaultHWUnit()
+	if got := u.Cycles(0); got != 0 {
+		t.Errorf("Cycles(0) = %d, want 0", got)
+	}
+	if got := u.Cycles(1); got != u.PipelineDepth+1 {
+		t.Errorf("Cycles(1) = %d, want %d", got, u.PipelineDepth+1)
+	}
+	if got := u.Cycles(1000); got != u.PipelineDepth+1000 {
+		t.Errorf("Cycles(1000) = %d, want %d", got, u.PipelineDepth+1000)
+	}
+}
+
+func TestHWUnitNeverBottleneck(t *testing.T) {
+	// One 64-byte block per DCE cycle at 3.2 GHz is 204.8 GB/s, far above
+	// the 19.2 GB/s channel peak the data stream can reach.
+	u := DefaultHWUnit()
+	bytesPerSec := float64(u.BlocksPerCycle) * mem.LineBytes * 3.2e9
+	if bytesPerSec < 5*19.2e9 {
+		t.Errorf("HW transpose throughput %.1f GB/s too low to be transparent", bytesPerSec/1e9)
 	}
 }

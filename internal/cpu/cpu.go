@@ -160,9 +160,6 @@ type Core struct {
 	lastRun clock.Picos
 }
 
-// Thread returns the thread currently scheduled on the core, or nil.
-func (c *Core) Thread() *Thread { return c.thread }
-
 // CPU is the processor: cores plus the OS scheduler.
 type CPU struct {
 	eng *sim.Engine

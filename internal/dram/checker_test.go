@@ -17,7 +17,7 @@ func runCheckedTraffic(t *testing.T, seed int64, n int, readFrac float64) []stri
 	t.Helper()
 	eng := sim.New()
 	cfg := smallConfig()
-	ds := MustNew(eng, cfg, "dram")
+	ds := mustNew(eng, cfg, "dram")
 	ch := ds.Channel(0)
 	chk := NewChecker(cfg)
 	ch.Observe(chk)
@@ -80,7 +80,7 @@ func TestControllerObeysProtocolUnderRandomTraffic(t *testing.T) {
 func TestControllerObeysProtocolOnStreams(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
-	ds := MustNew(eng, cfg, "dram")
+	ds := mustNew(eng, cfg, "dram")
 	ch := ds.Channel(0)
 	chk := NewChecker(cfg)
 	ch.Observe(chk)
@@ -216,7 +216,7 @@ func TestCheckerAcceptsLegalSequence(t *testing.T) {
 func TestObserverCountsMatchStats(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
-	ds := MustNew(eng, cfg, "dram")
+	ds := mustNew(eng, cfg, "dram")
 	ch := ds.Channel(0)
 	counts := map[Cmd]uint64{}
 	ch.Observe(observerFunc(func(_ int, e CmdEvent) { counts[e.Cmd]++ }))

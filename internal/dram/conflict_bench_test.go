@@ -19,7 +19,7 @@ func BenchmarkEngineChannelConflicts(b *testing.B) {
 	cfg.Geometry.Channels = 1
 	g := cfg.Geometry
 	eng := sim.New()
-	c := MustNew(eng, cfg, "bench").Channel(0)
+	c := mustNew(eng, cfg, "bench").Channel(0)
 
 	// A fixed table of random targets and a request ring larger than the
 	// most requests ever outstanding (both queues plus bursts in flight).
@@ -43,7 +43,7 @@ func BenchmarkEngineChannelConflicts(b *testing.B) {
 	ring := make([]mem.Req, 16*cfg.QueueDepth)
 
 	sent := 0
-	period := cfg.Timing.Domain().Period()
+	period := cfg.Timing.Domain().Duration(1)
 	var refill func()
 	refill = func() {
 		for sent < b.N {

@@ -29,15 +29,6 @@ func New(eng *sim.Engine, cfg Config, name string) (*DeviceSet, error) {
 	return d, nil
 }
 
-// MustNew is New for static configurations; it panics on error.
-func MustNew(eng *sim.Engine, cfg Config, name string) *DeviceSet {
-	d, err := New(eng, cfg, name)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Name reports the device set's label ("dram", "pim").
 func (d *DeviceSet) Name() string { return d.name }
 
@@ -67,9 +58,4 @@ func (d *DeviceSet) Idle() bool {
 		}
 	}
 	return true
-}
-
-// PeakBandwidth is the aggregate theoretical bandwidth in bytes/second.
-func (d *DeviceSet) PeakBandwidth() float64 {
-	return d.cfg.Timing.PeakChannelBandwidth() * float64(d.cfg.Geometry.Channels)
 }

@@ -17,6 +17,15 @@ func smallConfig() Config {
 	return cfg
 }
 
+// mustNew is New for the tests' static configurations.
+func mustNew(eng *sim.Engine, cfg Config, name string) *DeviceSet {
+	d, err := New(eng, cfg, name)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 // driver feeds a fixed list of (loc, kind) requests into one channel with
 // unbounded retry, and records completion times.
 type driver struct {
@@ -72,7 +81,7 @@ func seqLocs(n int, bankStride bool) []addrmap.Loc {
 func TestIdleReadLatency(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
-	d := MustNew(eng, cfg, "dram")
+	d := mustNew(eng, cfg, "dram")
 	var doneAt clock.Picos
 	r := &mem.Req{Kind: mem.Read, OnDone: func(now clock.Picos) { doneAt = now }}
 	if !d.Channel(0).TryEnqueue(r, addrmap.Loc{Row: 3, Col: 5}) {
@@ -95,7 +104,7 @@ func TestIdleReadLatency(t *testing.T) {
 func TestRowHitIsCountedAndFaster(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
-	d := MustNew(eng, cfg, "dram")
+	d := mustNew(eng, cfg, "dram")
 	ch := d.Channel(0)
 	var first, second clock.Picos
 	r1 := &mem.Req{Kind: mem.Read, OnDone: func(now clock.Picos) { first = now }}
@@ -118,7 +127,7 @@ func TestRowHitIsCountedAndFaster(t *testing.T) {
 func TestRowConflictForcesPrecharge(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
-	d := MustNew(eng, cfg, "dram")
+	d := mustNew(eng, cfg, "dram")
 	ch := d.Channel(0)
 	done := 0
 	cb := func(clock.Picos) { done++ }
@@ -141,7 +150,7 @@ func TestRowConflictForcesPrecharge(t *testing.T) {
 func TestSingleBankStreamBandwidth(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
-	ds := MustNew(eng, cfg, "dram")
+	ds := mustNew(eng, cfg, "dram")
 	dr := &driver{eng: eng, ch: ds.Channel(0)}
 	const n = 2000
 	dr.issueAll(seqLocs(n, false), mem.Read)
@@ -162,7 +171,7 @@ func TestSingleBankStreamBandwidth(t *testing.T) {
 func TestInterleavedStreamReachesPeak(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
-	ds := MustNew(eng, cfg, "dram")
+	ds := mustNew(eng, cfg, "dram")
 	dr := &driver{eng: eng, ch: ds.Channel(0)}
 	const n = 4000
 	dr.issueAll(seqLocs(n, true), mem.Read)
@@ -182,7 +191,7 @@ func TestInterleavedStreamReachesPeak(t *testing.T) {
 func TestInterleavedWriteBandwidth(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
-	ds := MustNew(eng, cfg, "dram")
+	ds := mustNew(eng, cfg, "dram")
 	dr := &driver{eng: eng, ch: ds.Channel(0)}
 	const n = 4000
 	dr.issueAll(seqLocs(n, true), mem.Write)
@@ -204,7 +213,7 @@ func TestInterleavedWriteBandwidth(t *testing.T) {
 func TestSameBankRowThrashingLimitedByTRC(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
-	ds := MustNew(eng, cfg, "dram")
+	ds := mustNew(eng, cfg, "dram")
 	ch := ds.Channel(0)
 	const n = 100
 	var lastDone clock.Picos
@@ -234,7 +243,7 @@ func TestSameBankRowThrashingLimitedByTRC(t *testing.T) {
 func TestQueueBackpressure(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
-	ds := MustNew(eng, cfg, "dram")
+	ds := mustNew(eng, cfg, "dram")
 	ch := ds.Channel(0)
 	// Fill beyond capacity without running the engine.
 	accepted := 0
@@ -263,7 +272,7 @@ func TestQueueBackpressure(t *testing.T) {
 func TestRefreshRate(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
-	ds := MustNew(eng, cfg, "dram")
+	ds := mustNew(eng, cfg, "dram")
 	dr := &driver{eng: eng, ch: ds.Channel(0)}
 	const n = 60000 // ~50 us of traffic at peak
 	dr.issueAll(seqLocs(n, true), mem.Read)
@@ -286,7 +295,7 @@ func TestRefreshRate(t *testing.T) {
 func TestFAWBoundsActivationRate(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
-	ds := MustNew(eng, cfg, "dram")
+	ds := mustNew(eng, cfg, "dram")
 	dr := &driver{eng: eng, ch: ds.Channel(0)}
 	const n = 400
 	locs := make([]addrmap.Loc, n)
@@ -312,7 +321,7 @@ func TestFAWBoundsActivationRate(t *testing.T) {
 func TestWriteToReadTurnaround(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
-	ds := MustNew(eng, cfg, "dram")
+	ds := mustNew(eng, cfg, "dram")
 	ch := ds.Channel(0)
 	var wDone, rDone clock.Picos
 	r := &mem.Req{Kind: mem.Read, OnDone: func(now clock.Picos) { rDone = now }}
@@ -336,7 +345,7 @@ func TestWriteToReadTurnaround(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() (clock.Picos, [8]uint64) {
 		eng := sim.New()
-		ds := MustNew(eng, smallConfig(), "dram")
+		ds := mustNew(eng, smallConfig(), "dram")
 		dr := &driver{eng: eng, ch: ds.Channel(0)}
 		locs := make([]addrmap.Loc, 3000)
 		// Mix of hits, misses and conflicts from a pseudo-random pattern.
@@ -373,7 +382,7 @@ func TestDeterminism(t *testing.T) {
 func TestWriteDrainServesBothKinds(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
-	ds := MustNew(eng, cfg, "dram")
+	ds := mustNew(eng, cfg, "dram")
 	ch := ds.Channel(0)
 	reads, writes := 0, 0
 	var issue func(i int)
@@ -417,7 +426,7 @@ func TestBandwidthSeries(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
 	cfg.SeriesWindow = clock.Microsecond
-	ds := MustNew(eng, cfg, "dram")
+	ds := mustNew(eng, cfg, "dram")
 	dr := &driver{eng: eng, ch: ds.Channel(0)}
 	const n = 3000
 	dr.issueAll(seqLocs(n, true), mem.Write)
@@ -454,23 +463,19 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestTimingPresets(t *testing.T) {
-	for _, tm := range []Timing{DDR42400(), DDR43200()} {
-		if err := tm.Validate(); err != nil {
-			t.Errorf("preset invalid: %v", err)
-		}
+	if err := DDR42400().Validate(); err != nil {
+		t.Errorf("preset invalid: %v", err)
 	}
-	if bw := DDR42400().PeakChannelBandwidth(); bw != 19.2e9 {
-		t.Errorf("DDR4-2400 peak = %v, want 19.2e9", bw)
-	}
-	if bw := DDR43200().PeakChannelBandwidth(); bw != 25.6e9 {
-		t.Errorf("DDR4-3200 peak = %v, want 25.6e9", bw)
+	// One 64-byte burst every BL command cycles: 19.2 GB/s per channel.
+	if tm := DDR42400(); 64*float64(tm.Clock)/float64(tm.BL) != 19.2e9 {
+		t.Errorf("DDR4-2400 peak = %v, want 19.2e9", 64*float64(tm.Clock)/float64(tm.BL))
 	}
 }
 
 func TestDeviceSetBasics(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
-	ds := MustNew(eng, cfg, "pim")
+	ds := mustNew(eng, cfg, "pim")
 	if ds.Name() != "pim" {
 		t.Errorf("Name = %q", ds.Name())
 	}
@@ -480,9 +485,6 @@ func TestDeviceSetBasics(t *testing.T) {
 	if !ds.Idle() {
 		t.Error("fresh device set not idle")
 	}
-	if got := ds.PeakBandwidth(); got != 19.2e9*2 {
-		t.Errorf("PeakBandwidth = %v, want 38.4e9", got)
-	}
 	if _, err := New(eng, Config{}, "bad"); err == nil {
 		t.Error("New with zero config succeeded")
 	}
@@ -490,7 +492,7 @@ func TestDeviceSetBasics(t *testing.T) {
 
 func TestRowHitRateAccounting(t *testing.T) {
 	eng := sim.New()
-	ds := MustNew(eng, smallConfig(), "dram")
+	ds := mustNew(eng, smallConfig(), "dram")
 	dr := &driver{eng: eng, ch: ds.Channel(0)}
 	dr.issueAll(seqLocs(256, false), mem.Read) // 2 rows x 128 cols
 	eng.Run()

@@ -160,7 +160,7 @@ func newDiffRig(seed int64) diffRig {
 	cfg.Geometry.Channels = 1
 	cfg.Geometry.Rows = 4
 	eng := sim.New()
-	c := MustNew(eng, cfg, "diff").Channel(0)
+	c := mustNew(eng, cfg, "diff").Channel(0)
 	log := &cmdLog{}
 	c.Observe(log)
 

@@ -22,7 +22,7 @@ func benchStream(b *testing.B, channels, shards int, linesPerChannel int) {
 	// fraction small, so the measurement is dominated by the per-channel
 	// controller work.
 	cfg.QueueDepth = 512
-	period := cfg.Timing.Domain().Period()
+	period := cfg.Timing.Domain().Duration(1)
 	for i := 0; i < b.N; i++ {
 		var eng *sim.Engine
 		if shards >= 1 {
@@ -30,7 +30,7 @@ func benchStream(b *testing.B, channels, shards int, linesPerChannel int) {
 		} else {
 			eng = sim.New()
 		}
-		ds := MustNew(eng, cfg, "bench")
+		ds := mustNew(eng, cfg, "bench")
 		sent := make([]int, channels)
 		cols := cfg.Geometry.Cols
 		// Requests recycle through a per-channel ring comfortably larger
@@ -113,10 +113,10 @@ func TestBenchStreamDeterministic(t *testing.T) {
 		} else {
 			eng = sim.New()
 		}
-		ds := MustNew(eng, cfg, "bench")
+		ds := mustNew(eng, cfg, "bench")
 		const lines = 2048
 		sent := make([]int, 4)
-		period := cfg.Timing.Domain().Period()
+		period := cfg.Timing.Domain().Duration(1)
 		var refill func()
 		refill = func() {
 			live := false

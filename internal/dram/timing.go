@@ -71,33 +71,6 @@ func DDR42400() Timing {
 	}
 }
 
-// DDR43200 is the DDR4-3200AA (CL22) timing set; the characterization
-// server's DRAM DIMMs run at this grade (Section V).
-func DDR43200() Timing {
-	return Timing{
-		Clock: 1600 * clock.MHz,
-		CL:    22,
-		CWL:   16,
-		BL:    4,
-		RCD:   22,
-		RP:    22,
-		RAS:   52,
-		RC:    74,
-		CCDS:  4,
-		CCDL:  8,
-		RRDS:  4,
-		RRDL:  8,
-		FAW:   34,
-		WR:    24,
-		WTRS:  4,
-		WTRL:  12,
-		RTP:   12,
-		RFC:   560,   // 350 ns at 1.6 GHz
-		REFI:  12480, // 7.8 us at 1.6 GHz
-		RTRS:  2,
-	}
-}
-
 // Validate reports an error for obviously inconsistent parameter sets.
 func (t Timing) Validate() error {
 	if t.Clock <= 0 {
@@ -135,9 +108,3 @@ func (t Timing) Validate() error {
 
 // Domain returns the command-clock domain.
 func (t Timing) Domain() clock.Domain { return clock.NewDomain(t.Clock) }
-
-// PeakChannelBandwidth is the theoretical per-channel bandwidth in bytes
-// per second: one 64-byte burst every BL command cycles.
-func (t Timing) PeakChannelBandwidth() float64 {
-	return 64 * float64(t.Clock) / float64(t.BL)
-}

@@ -12,6 +12,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func (v view) get(s string) []float64 {
 	if xs, ok := v[s]; ok {
 		return xs
 	}
-	for prefix, stat := range map[string]func([]float64) float64{"max ": stats.Max, "mean ": stats.Mean, "min ": stats.Min} {
+	for prefix, stat := range map[string]func([]float64) float64{"max ": stats.Max, "mean ": stats.Mean, "min ": slices.Min[[]float64]} {
 		if rest, ok := strings.CutPrefix(s, prefix); ok {
 			return []float64{stat(v.get(rest))}
 		}

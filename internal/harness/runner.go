@@ -130,13 +130,6 @@ func ResolveTopology(shards, coreLanes string) (sh, cl int, warns []string, err 
 	return sh, 0, nil, nil
 }
 
-// RunnerFlagNames is the canonical shared flag set RegisterRunnerFlags
-// registers; cmd/pimmu's flag test asserts that exactly the subcommands
-// taking Runner flags accept these names.
-func RunnerFlagNames() []string {
-	return []string{"workers", "cache-dir", "cache", "cpuprofile", "memprofile", "format"}
-}
-
 // RunnerFlags holds the parsed-but-unresolved shared CLI flags; call
 // Runner after FlagSet.Parse to resolve them.
 type RunnerFlags struct {

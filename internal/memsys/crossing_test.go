@@ -14,7 +14,7 @@ import (
 func shardedSystem(t *testing.T) (*sim.Engine, *System) {
 	t.Helper()
 	eng := sim.NewSharded()
-	return eng, MustNew(eng, smallConfig(MapLocalityBoth))
+	return eng, mustNew(eng, smallConfig(MapLocalityBoth))
 }
 
 // laneStat finds one lane's snapshot by name.
@@ -185,7 +185,7 @@ func TestWritebackStaysPostedAndLocal(t *testing.T) {
 // identically to a plain-engine run.
 func TestTapObservesEveryLaneSerially(t *testing.T) {
 	run := func(eng *sim.Engine) []string {
-		s := MustNew(eng, smallConfig(MapLocalityBoth))
+		s := mustNew(eng, smallConfig(MapLocalityBoth))
 		var seen []string
 		s.SetTap(func(now clock.Picos, r *mem.Req) {
 			seen = append(seen, fmt.Sprintf("%d:%x:%v", now, r.Addr, r.Kind))

@@ -197,15 +197,6 @@ func New(eng *sim.Engine, cfg Config) (*System, error) {
 	return s, nil
 }
 
-// MustNew is New for static configurations.
-func MustNew(eng *sim.Engine, cfg Config) *System {
-	s, err := New(eng, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Config reports the configuration.
 func (s *System) Config() Config { return s.cfg }
 

@@ -11,6 +11,15 @@ import (
 	"repro/internal/sim"
 )
 
+// mustNew is New for the tests' static configurations.
+func mustNew(eng *sim.Engine, cfg Config) *System {
+	s, err := New(eng, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func smallConfig(mode MappingMode) Config {
 	g := addrmap.Geometry{Channels: 2, Ranks: 1, BankGroups: 4, Banks: 4, Rows: 256, Cols: 128}
 	dc := dram.DefaultConfig()
@@ -28,7 +37,7 @@ func smallConfig(mode MappingMode) Config {
 
 func TestLLCHitLatency(t *testing.T) {
 	eng := sim.New()
-	s := MustNew(eng, smallConfig(MapLocalityBoth))
+	s := mustNew(eng, smallConfig(MapLocalityBoth))
 	var first, second clock.Picos
 	r1 := &mem.Req{Addr: 0x1000, Kind: mem.Read, Cacheable: true,
 		OnDone: func(now clock.Picos) { first = now }}
@@ -52,7 +61,7 @@ func TestLLCHitLatency(t *testing.T) {
 
 func TestPIMRequestsBypassCache(t *testing.T) {
 	eng := sim.New()
-	s := MustNew(eng, smallConfig(MapLocalityBoth))
+	s := mustNew(eng, smallConfig(MapLocalityBoth))
 	done := 0
 	for i := 0; i < 4; i++ {
 		r := &mem.Req{Addr: mem.PIMBase + uint64(i*64), Kind: mem.Write,
@@ -78,7 +87,7 @@ func TestPIMRequestsBypassCache(t *testing.T) {
 
 func TestNonCacheableDRAMBypassesCache(t *testing.T) {
 	eng := sim.New()
-	s := MustNew(eng, smallConfig(MapLocalityBoth))
+	s := mustNew(eng, smallConfig(MapLocalityBoth))
 	r := &mem.Req{Addr: 0x4000, Kind: mem.Write, Cacheable: false}
 	s.TryEnqueue(r)
 	eng.Run()
@@ -92,7 +101,7 @@ func TestNonCacheableDRAMBypassesCache(t *testing.T) {
 
 func TestWriteMissFillsLine(t *testing.T) {
 	eng := sim.New()
-	s := MustNew(eng, smallConfig(MapLocalityBoth))
+	s := mustNew(eng, smallConfig(MapLocalityBoth))
 	// Write-allocate: a cacheable store miss fetches the line (one DRAM
 	// read), then a later eviction writes it back.
 	r := &mem.Req{Addr: 0x8000, Kind: mem.Write, Cacheable: true}
@@ -110,7 +119,7 @@ func TestDirtyEvictionGeneratesWriteback(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig(MapLocalityBoth)
 	cfg.LLC = cache.Config{SizeBytes: 8 * 1024, Ways: 2} // 64 sets, tiny
-	s := MustNew(eng, cfg)
+	s := mustNew(eng, cfg)
 	setStride := uint64(64 * 64) // sets * line
 	// Dirty a line, then stream enough conflicting lines to evict it.
 	s.TryEnqueue(&mem.Req{Addr: 0, Kind: mem.Write, Cacheable: true})
@@ -132,10 +141,10 @@ func TestMappingModesRouteDifferently(t *testing.T) {
 	// locality-both vs hetmap (MLP) mapping.
 	addr := uint64(3 * 256) // 256B-aligned offset lands on a non-zero MLP channel
 	eng1 := sim.New()
-	s1 := MustNew(eng1, smallConfig(MapLocalityBoth))
+	s1 := mustNew(eng1, smallConfig(MapLocalityBoth))
 	_, locLoc := s1.Decode(addr)
 	eng2 := sim.New()
-	s2 := MustNew(eng2, smallConfig(MapHetMap))
+	s2 := mustNew(eng2, smallConfig(MapHetMap))
 	_, mlpLoc := s2.Decode(addr)
 	if locLoc.Channel != 0 {
 		t.Errorf("locality mapping put low address on channel %d, want 0", locLoc.Channel)
@@ -152,8 +161,12 @@ func TestMappingModesRouteDifferently(t *testing.T) {
 
 func TestHetMapNoHashMode(t *testing.T) {
 	eng := sim.New()
-	s := MustNew(eng, smallConfig(MapHetMapNoHash))
-	if got := s.Het.Region("dram").Mapper.Name(); got != "mlp-nohash" {
+	s := mustNew(eng, smallConfig(MapHetMapNoHash))
+	r, ok := s.Het.Lookup(0)
+	if !ok || r.Name != "dram" {
+		t.Fatalf("address 0 in region %q (found %v), want dram", r.Name, ok)
+	}
+	if got := r.Mapper.Name(); got != "mlp-nohash" {
 		t.Errorf("dram mapper = %q, want mlp-nohash", got)
 	}
 }
@@ -164,7 +177,7 @@ func TestBackpressurePropagates(t *testing.T) {
 	cfg.DRAM.QueueDepth = 4
 	cfg.DRAM.WriteDrainHi = 3
 	cfg.DRAM.WriteDrainLo = 1
-	s := MustNew(eng, cfg)
+	s := mustNew(eng, cfg)
 	// Saturate one channel's read queue without running the engine.
 	fails := 0
 	for i := 0; i < 10; i++ {
@@ -193,7 +206,7 @@ func TestTapSeesEveryAcceptedRequestOnce(t *testing.T) {
 	cfg.DRAM.QueueDepth = 4
 	cfg.DRAM.WriteDrainHi = 3
 	cfg.DRAM.WriteDrainLo = 1
-	s := MustNew(eng, cfg)
+	s := mustNew(eng, cfg)
 	var tapped []uint64
 	s.SetTap(func(now clock.Picos, r *mem.Req) {
 		if now != eng.Now() {
@@ -241,7 +254,7 @@ func TestTapSeesEveryAcceptedRequestOnce(t *testing.T) {
 
 func TestWaitSpaceWithoutFailureFiresImmediately(t *testing.T) {
 	eng := sim.New()
-	s := MustNew(eng, smallConfig(MapLocalityBoth))
+	s := mustNew(eng, smallConfig(MapLocalityBoth))
 	woke := false
 	s.WaitSpace(func() { woke = true })
 	eng.Run()
@@ -274,7 +287,7 @@ func TestMappingModeString(t *testing.T) {
 
 func TestIdle(t *testing.T) {
 	eng := sim.New()
-	s := MustNew(eng, smallConfig(MapLocalityBoth))
+	s := mustNew(eng, smallConfig(MapLocalityBoth))
 	if !s.Idle() {
 		t.Error("fresh system not idle")
 	}
@@ -332,7 +345,7 @@ func TestPageScatterOnlyAffectsDRAM(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig(MapLocalityBoth)
 	cfg.PageScatter = true
-	s := MustNew(eng, cfg)
+	s := mustNew(eng, cfg)
 	// PIM decode must be unaffected by paging.
 	_, pimLoc := s.Decode(mem.PIMBase)
 	if pimLoc != (addrmap.Loc{}) {
@@ -341,7 +354,7 @@ func TestPageScatterOnlyAffectsDRAM(t *testing.T) {
 	// DRAM decode must differ from the unpaged system for most addresses.
 	cfg2 := smallConfig(MapLocalityBoth)
 	cfg2.PageScatter = false
-	s2 := MustNew(sim.New(), cfg2)
+	s2 := mustNew(sim.New(), cfg2)
 	diff := 0
 	for i := uint64(0); i < 64; i++ {
 		a := i << 12

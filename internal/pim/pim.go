@@ -61,11 +61,6 @@ func (g Geometry) NumCores() int {
 	return g.DRAM.TotalBanks() * g.LanesPerBank
 }
 
-// CoresPerChannel is the PIM core count behind one channel.
-func (g Geometry) CoresPerChannel() int {
-	return g.DRAM.BanksPerChannel() * g.LanesPerBank
-}
-
 // MRAMBytes is each core's private memory capacity (its slice of a bank).
 func (g Geometry) MRAMBytes() uint64 {
 	return g.DRAM.BankBytes() / uint64(g.LanesPerBank)
@@ -86,16 +81,17 @@ func (g Geometry) BankCoreID(ra, bg, bk int) int {
 	return ra*g.DRAM.Banks*g.DRAM.BankGroups + bg*g.DRAM.Banks + bk
 }
 
-// CoreID flattens a CoreLoc into a global core index: channel-major, then
+// coreID flattens a CoreLoc into a global core index: channel-major, then
 // Algorithm 1's (rank, bank group, bank) order, lanes innermost. With the
 // locality-centric PIM mapping this makes consecutive core IDs occupy
-// consecutive regions of the PIM physical address space.
-func (g Geometry) CoreID(l CoreLoc) int {
+// consecutive regions of the PIM physical address space. It is the
+// reference inverse that the tests hold Loc to.
+func (g Geometry) coreID(l CoreLoc) int {
 	bankID := g.BankCoreID(l.Rank, l.BankGroup, l.Bank)
 	return (l.Channel*g.DRAM.BanksPerChannel()+bankID)*g.LanesPerBank + l.Lane
 }
 
-// Loc is the inverse of CoreID.
+// Loc is the inverse of coreID.
 func (g Geometry) Loc(coreID int) CoreLoc {
 	if coreID < 0 || coreID >= g.NumCores() {
 		panic(fmt.Sprintf("pim: core ID %d out of range [0,%d)", coreID, g.NumCores()))
@@ -162,14 +158,15 @@ func (g Geometry) BankBase(coreID int) uint64 {
 	return mem.PIMBase + uint64(g.BankLinear(coreID))*g.DRAM.BankBytes()
 }
 
-// MRAMAddr computes the physical address (in the PIM region) of a byte
-// offset within the given core's MRAM. Lanes of one bank are
+// mramAddr computes the physical address (in the PIM region) of a byte
+// offset within the given core's MRAM: the address model's specification,
+// which the tests check against the PIM mapping. Lanes of one bank are
 // byte-interleaved within each 64-byte line: line k of the bank holds
 // bytes [k*LaneBytes, (k+1)*LaneBytes) of every lane's MRAM. Consequently
 // a core's MRAM is not a contiguous physical range — but a bank's is,
 // which is what lets both the DCE and the runtime stream whole banks with
 // full row-buffer locality.
-func (g Geometry) MRAMAddr(coreID int, offset uint64) uint64 {
+func (g Geometry) mramAddr(coreID int, offset uint64) uint64 {
 	if offset >= g.MRAMBytes() {
 		panic(fmt.Sprintf("pim: MRAM offset 0x%x beyond capacity 0x%x", offset, g.MRAMBytes()))
 	}

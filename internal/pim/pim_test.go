@@ -20,8 +20,8 @@ func TestDefaultGeometryMatchesTableI(t *testing.T) {
 	if got := g.NumCores(); got != 512 {
 		t.Errorf("NumCores = %d, want 512 (Table I)", got)
 	}
-	if got := g.CoresPerChannel(); got != 128 {
-		t.Errorf("CoresPerChannel = %d, want 128", got)
+	if got := g.DRAM.BanksPerChannel() * g.LanesPerBank; got != 128 {
+		t.Errorf("cores per channel = %d, want 128", got)
 	}
 	if got := g.MRAMBytes(); got != 64<<20 {
 		t.Errorf("MRAMBytes = %d, want 64 MiB (UPMEM DPU MRAM)", got)
@@ -61,8 +61,8 @@ func TestCoreIDLocRoundTrip(t *testing.T) {
 	g := DefaultGeometry()
 	for id := 0; id < g.NumCores(); id++ {
 		l := g.Loc(id)
-		if back := g.CoreID(l); back != id {
-			t.Fatalf("CoreID(Loc(%d)) = %d", id, back)
+		if back := g.coreID(l); back != id {
+			t.Fatalf("coreID(Loc(%d)) = %d", id, back)
 		}
 	}
 }
@@ -94,7 +94,7 @@ func TestLocOutOfRangePanics(t *testing.T) {
 // thread-herding congestion (Fig. 6a) possible.
 func TestCoreIDChannelMajor(t *testing.T) {
 	g := DefaultGeometry()
-	per := g.CoresPerChannel()
+	per := g.DRAM.BanksPerChannel() * g.LanesPerBank
 	for id := 0; id < g.NumCores(); id++ {
 		if got := g.Loc(id).Channel; got != id/per {
 			t.Fatalf("core %d on channel %d, want %d", id, got, id/per)
@@ -102,7 +102,7 @@ func TestCoreIDChannelMajor(t *testing.T) {
 	}
 }
 
-// MRAMAddr must land inside the PIM region and decode (under the
+// mramAddr must land inside the PIM region and decode (under the
 // locality-centric PIM mapping) to exactly the core's own bank.
 func TestMRAMAddrDecodesToOwnBank(t *testing.T) {
 	g := DefaultGeometry()
@@ -110,7 +110,7 @@ func TestMRAMAddrDecodesToOwnBank(t *testing.T) {
 	f := func(rawCore, rawOff uint64) bool {
 		id := int(rawCore % uint64(g.NumCores()))
 		off := rawOff % g.MRAMBytes() &^ 63
-		a := g.MRAMAddr(id, off)
+		a := g.mramAddr(id, off)
 		if mem.SpaceOf(a) != mem.SpacePIM {
 			return false
 		}
@@ -134,7 +134,7 @@ func TestMRAMBytesDisjoint(t *testing.T) {
 	span := uint64(2 * mem.LineBytes / g.LanesPerBank)
 	for id := 0; id < g.NumCores(); id++ {
 		for off := uint64(0); off < span; off++ {
-			a := g.MRAMAddr(id, off)
+			a := g.mramAddr(id, off)
 			if prev, dup := seen[a]; dup {
 				t.Fatalf("cores %d@%d and %d@%d share physical byte 0x%x",
 					prev[0], prev[1], id, off, a)
@@ -157,12 +157,12 @@ func TestMRAMLaneInterleaving(t *testing.T) {
 	for _, id := range []int{0, 1, 2, 3, 128, 511} {
 		l := g.Loc(id)
 		want := g.BankBase(id) + uint64(l.Lane)*lb
-		if got := g.MRAMAddr(id, 0); got != want {
-			t.Errorf("MRAMAddr(%d, 0) = 0x%x, want 0x%x", id, got, want)
+		if got := g.mramAddr(id, 0); got != want {
+			t.Errorf("mramAddr(%d, 0) = 0x%x, want 0x%x", id, got, want)
 		}
 		// Crossing a lane-slice boundary advances one whole line.
-		if got := g.MRAMAddr(id, lb); got != want+mem.LineBytes {
-			t.Errorf("MRAMAddr(%d, LaneBytes) = 0x%x, want 0x%x", id, got, want+mem.LineBytes)
+		if got := g.mramAddr(id, lb); got != want+mem.LineBytes {
+			t.Errorf("mramAddr(%d, LaneBytes) = 0x%x, want 0x%x", id, got, want+mem.LineBytes)
 		}
 	}
 }
@@ -184,11 +184,11 @@ func TestBankLineAddr(t *testing.T) {
 func TestMRAMAddrBoundsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("MRAMAddr beyond capacity did not panic")
+			t.Error("mramAddr beyond capacity did not panic")
 		}
 	}()
 	g := DefaultGeometry()
-	g.MRAMAddr(0, g.MRAMBytes())
+	g.mramAddr(0, g.MRAMBytes())
 }
 
 func TestDeviceMRAMReadWrite(t *testing.T) {

@@ -127,7 +127,7 @@ func TestAlgorithm1FirstSweepCoversAllStreams(t *testing.T) {
 	g := geom()
 	ss := streamsFor(g, 1024)
 	its := NewAlgorithm1(g, ss)
-	perCh := g.CoresPerChannel()
+	perCh := g.DRAM.BanksPerChannel() * g.LanesPerBank
 	for ch, it := range its {
 		seen := map[int]bool{}
 		for i := 0; i < perCh; i++ {
@@ -170,7 +170,7 @@ func TestAlgorithm1SweepOrder(t *testing.T) {
 	it := its[0]
 	var prev pim.CoreLoc
 	first := true
-	for i := 0; i < g.CoresPerChannel(); i++ {
+	for i := 0; i < g.DRAM.BanksPerChannel()*g.LanesPerBank; i++ {
 		x, _ := it.Next()
 		loc := g.Loc(x.Core)
 		if !first {

@@ -121,7 +121,7 @@ func TestKernelTimeAtDPUClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	kc := int64(float64(w.KernelCycles(512)) * scale)
-	if want := clock.Picos(kc) * clock.NewDomain(pim.DPUClock).Period(); r.Kernel != want || want <= 0 {
+	if want := clock.Picos(kc) * clock.NewDomain(pim.DPUClock).Duration(1); r.Kernel != want || want <= 0 {
 		t.Errorf("kernel = %v, want %d cycles at the DPU clock = %v", r.Kernel, kc, want)
 	}
 }

@@ -35,6 +35,8 @@ var (
 // SetCodeVersion overrides the code-version stamp process-wide; the empty
 // string restores automatic resolution. It is intended for tests that
 // need to prove a code-version change forces a cache miss.
+//
+//pimmu:keep test hook: cache tests in other packages simulate a code change in-process
 func SetCodeVersion(v string) {
 	codeVersionMu.Lock()
 	codeVersionOverride = v

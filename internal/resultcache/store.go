@@ -151,9 +151,6 @@ func OpenFlags(dir, mode string) (*Store, error) {
 // Dir reports the cache root.
 func (s *Store) Dir() string { return s.dir }
 
-// Mode reports the open mode.
-func (s *Store) Mode() Mode { return s.mode }
-
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
 	if s == nil {

@@ -23,7 +23,7 @@
 //   - the closure style, At/After/Ticker, convenient for one-shot and
 //     rarely-fired callbacks (the engine pools its internal event records,
 //     so only the caller's closure itself allocates);
-//   - the handle style, Schedule/Cancel on an intrusive *Event owned by the
+//   - the handle style, Schedule on an intrusive *Event owned by the
 //     component, for hot paths. A component embeds its Event, binds a
 //     Handler once at construction, and thereafter reschedules the one
 //     standing event in place — zero allocations per fired event.
@@ -145,8 +145,8 @@ func (e *Engine) Now() clock.Picos { return e.now }
 // Fired reports how many events have run, a cheap progress/cost metric.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports the number of scheduled events not yet fired.
-func (e *Engine) Pending() int {
+// pending reports the number of scheduled events not yet fired.
+func (e *Engine) pending() int {
 	n := e.heap.len()
 	for _, l := range e.lanes {
 		n += l.heap.len()
@@ -195,11 +195,11 @@ func (e *Engine) Schedule(ev *Event, t clock.Picos) {
 	e.heap.set(ev, t, e.seq)
 }
 
-// Cancel removes ev from the queue. Canceling an unscheduled event is a
-// no-op, so components may cancel defensively.
-func (e *Engine) Cancel(ev *Event) {
+// cancel removes ev from the queue. Canceling an unscheduled event is a
+// no-op.
+func (e *Engine) cancel(ev *Event) {
 	if ev.lane != nil {
-		ev.lane.Cancel(ev)
+		ev.lane.cancel(ev)
 		return
 	}
 	e.heap.remove(ev)

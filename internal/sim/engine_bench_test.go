@@ -71,7 +71,7 @@ func BenchmarkEngineCancelReschedule(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Schedule(&ev, e.Now()+100)
-		e.Cancel(&ev)
+		e.cancel(&ev)
 	}
 }
 

@@ -80,8 +80,8 @@ func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 	if len(fired) != 2 {
 		t.Fatalf("RunUntil(25) fired %d events, want 2", len(fired))
 	}
-	if e.Pending() != 2 {
-		t.Errorf("Pending() = %d, want 2", e.Pending())
+	if e.pending() != 2 {
+		t.Errorf("pending() = %d, want 2", e.pending())
 	}
 	if e.Now() != 25 {
 		t.Errorf("Now() = %d, want clock advanced to deadline 25", e.Now())

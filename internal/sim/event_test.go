@@ -43,8 +43,8 @@ func TestEventRescheduleMovesInPlace(t *testing.T) {
 	ev.Init(r)
 	e.Schedule(&ev, 500)
 	e.Schedule(&ev, 200) // earlier
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d after reschedule, want 1 (no stale duplicate)", e.Pending())
+	if e.pending() != 1 {
+		t.Fatalf("pending = %d after reschedule, want 1 (no stale duplicate)", e.pending())
 	}
 	e.Schedule(&ev, 300) // later again
 	e.Run()
@@ -59,9 +59,9 @@ func TestEventCancel(t *testing.T) {
 	var ev Event
 	ev.Init(r)
 	e.Schedule(&ev, 100)
-	e.Cancel(&ev)
-	e.Cancel(&ev) // double-cancel is a no-op
-	if ev.Scheduled() || e.Pending() != 0 {
+	e.cancel(&ev)
+	e.cancel(&ev) // double-cancel is a no-op
+	if ev.Scheduled() || e.pending() != 0 {
 		t.Fatal("cancel did not remove the event")
 	}
 	e.Run()
@@ -193,8 +193,8 @@ func TestCancelMiddleOfHeapKeepsOrder(t *testing.T) {
 		evs[i].Init(HandlerFunc(func(clock.Picos) { order = append(order, i) }))
 		e.Schedule(evs[i], clock.Picos(10*(i+1)))
 	}
-	e.Cancel(evs[3])
-	e.Cancel(evs[7])
+	e.cancel(evs[3])
+	e.cancel(evs[7])
 	e.Run()
 	want := []int{0, 1, 2, 4, 5, 6, 8, 9}
 	if len(order) != len(want) {
@@ -311,7 +311,7 @@ func TestHeapRandomOpsFireInKeyOrder(t *testing.T) {
 	randomOp := func() {
 		ev := &evs[rng.Intn(len(evs))]
 		if rng.Intn(4) == 0 {
-			e.Cancel(ev)
+			e.cancel(ev)
 			delete(model, ev)
 			return
 		}
@@ -331,8 +331,8 @@ func TestHeapRandomOpsFireInKeyOrder(t *testing.T) {
 		queued, n := checkQueue(t, &e.heap)
 		followers += len(queued) - len(e.heap.slots)
 		split += n
-		if len(queued) != len(model) || e.Pending() != len(model) {
-			t.Fatalf("queue holds %d events, Pending %d, model %d", len(queued), e.Pending(), len(model))
+		if len(queued) != len(model) || e.pending() != len(model) {
+			t.Fatalf("queue holds %d events, pending %d, model %d", len(queued), e.pending(), len(model))
 		}
 		for ev, k := range model {
 			if !queued[ev] || ev.at != k.at || ev.seq != k.seq {
@@ -378,7 +378,7 @@ func TestHeapRandomOpsFireInKeyOrder(t *testing.T) {
 	t.Logf("%d events fired; %d followers and %d split instants seen", fired, followers, split)
 }
 
-// TestPendingCountsChainedEvents requires Pending and ShardStats to count
+// TestPendingCountsChainedEvents requires pending and ShardStats to count
 // every event of a shared instant, not just the one holding its heap slot.
 func TestPendingCountsChainedEvents(t *testing.T) {
 	noop := HandlerFunc(func(clock.Picos) {})
@@ -389,12 +389,12 @@ func TestPendingCountsChainedEvents(t *testing.T) {
 		e.Schedule(ev, 100)
 	}
 	e.At(200, func() {})
-	if e.Pending() != 6 {
-		t.Errorf("Pending = %d, want 6", e.Pending())
+	if e.pending() != 6 {
+		t.Errorf("pending = %d, want 6", e.pending())
 	}
 	e.Step()
-	if e.Pending() != 5 {
-		t.Errorf("Pending after one fire = %d, want 5", e.Pending())
+	if e.pending() != 5 {
+		t.Errorf("pending after one fire = %d, want 5", e.pending())
 	}
 
 	sh := NewSharded()
@@ -406,8 +406,8 @@ func TestPendingCountsChainedEvents(t *testing.T) {
 		lane.ScheduleLocal(ev, 50)
 	}
 	st := sh.ShardStats()
-	if st.HostPending != 3 || st.Lanes[0].Pending != 3 || sh.Pending() != 6 {
-		t.Errorf("HostPending %d, lane Pending %d, Pending %d; want 3, 3, 6",
-			st.HostPending, st.Lanes[0].Pending, sh.Pending())
+	if st.HostPending != 3 || st.Lanes[0].Pending != 3 || sh.pending() != 6 {
+		t.Errorf("HostPending %d, lane Pending %d, pending %d; want 3, 3, 6",
+			st.HostPending, st.Lanes[0].Pending, sh.pending())
 	}
 }

@@ -54,8 +54,6 @@ type Scheduler interface {
 	// handler touches nothing outside its lane. On the plain engine this is
 	// identical to Schedule.
 	ScheduleLocal(ev *Event, t clock.Picos)
-	// Cancel removes the event if scheduled.
-	Cancel(ev *Event)
 	// Promote reclassifies an already scheduled local event as crossing
 	// (a waiter registered against the component after the event was
 	// scheduled). No-op when unscheduled or already crossing.
@@ -149,13 +147,13 @@ func (l *Lane) schedule(ev *Event, t clock.Picos, crossing bool) {
 	l.heap.set(ev, t, l.seq)
 }
 
-// Cancel removes ev from the lane.
-func (l *Lane) Cancel(ev *Event) {
+// cancel removes ev from the lane.
+func (l *Lane) cancel(ev *Event) {
 	if ev.pos == 0 {
 		return
 	}
 	if ev.lane != l {
-		panic("sim: Cancel on another lane's event")
+		panic("sim: cancel on another lane's event")
 	}
 	l.heap.remove(ev)
 }

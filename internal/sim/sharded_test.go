@@ -166,8 +166,8 @@ func TestShardedRunUntil(t *testing.T) {
 	if eng.Now() != 1000 {
 		t.Errorf("Now = %v, want 1000", eng.Now())
 	}
-	if eng.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", eng.Pending())
+	if eng.pending() != 2 {
+		t.Errorf("pending = %d, want 2", eng.pending())
 	}
 	eng.Run()
 	if hostFired != 1 {
@@ -191,16 +191,16 @@ func TestShardedCancel(t *testing.T) {
 		}
 	}))
 	sched.ScheduleLocal(&local, 5)
-	sched.Cancel(&cross)
+	sched.(*Lane).cancel(&cross)
 	if cross.Scheduled() {
-		t.Fatal("event still scheduled after Cancel")
+		t.Fatal("event still scheduled after cancel")
 	}
 	eng.Run()
 	if n != 20 {
 		t.Errorf("local chain fired %d, want 20", n)
 	}
-	if eng.Pending() != 0 {
-		t.Errorf("Pending = %d after Run", eng.Pending())
+	if eng.pending() != 0 {
+		t.Errorf("pending = %d after Run", eng.pending())
 	}
 }
 

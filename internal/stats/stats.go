@@ -6,7 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/clock"
@@ -87,42 +86,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// GeoMean returns the geometric mean of xs, or 0 for an empty slice.
-// It is the conventional aggregate for speedup ratios.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
-// GB formats a byte rate as "x.xx GB/s" using decimal gigabytes, matching
-// the paper's units.
-func GB(bytesPerSec float64) string {
-	return fmt.Sprintf("%.2f GB/s", bytesPerSec/1e9)
 }
 
 // Table is a minimal fixed-width text table used by the benchmark harness

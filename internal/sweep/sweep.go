@@ -149,14 +149,6 @@ func (g Grid) Size() int {
 	return n
 }
 
-// Coord recovers dimension k's index from flat index i.
-func (g Grid) Coord(i, k int) int {
-	for j := len(g.dims) - 1; j > k; j-- {
-		i /= g.dims[j]
-	}
-	return i % g.dims[k]
-}
-
 // Index flattens per-dimension coordinates.
 func (g Grid) Index(coords ...int) int {
 	if len(coords) != len(g.dims) {

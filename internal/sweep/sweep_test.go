@@ -147,9 +147,6 @@ func TestGrid(t *testing.T) {
 				if got := g.Index(a, b, c); got != i {
 					t.Fatalf("Index(%d,%d,%d) = %d, want %d", a, b, c, got, i)
 				}
-				if x, y, z := g.Coord(i, 0), g.Coord(i, 1), g.Coord(i, 2); x != a || y != b || z != c {
-					t.Fatalf("Coord(%d) = (%d,%d,%d), want (%d,%d,%d)", i, x, y, z, a, b, c)
-				}
 				i++
 			}
 		}

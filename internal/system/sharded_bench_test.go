@@ -15,19 +15,37 @@ import (
 // benchContenders builds a Table I machine on the given engine class
 // with n spin contenders — the Fig. 13a interference workload: every
 // thread alternates compute-span chains with LLC-hit loads — and runs it
-// for simTime. It returns the machine for verification.
-func benchContenders(shards, n int, simTime clock.Picos) *system.System {
+// for simTime. It returns the machine and its threads for verification.
+func benchContenders(shards, n int, simTime clock.Picos) (*system.System, []*cpu.Thread) {
+	return runContenders(shards, n, simTime, func(st *contend.Stopper, base uint64) cpu.Program {
+		return contend.Spin(st, base)
+	})
+}
+
+// runContenders spawns n contenders, each over its own 16 KiB working
+// set, on a Table I Base machine and runs it for simTime.
+func runContenders(shards, n int, simTime clock.Picos, mk func(st *contend.Stopper, base uint64) cpu.Program) (*system.System, []*cpu.Thread) {
 	cfg := system.DefaultConfig(system.Base)
 	cfg.Shards = shards
 	s := system.MustNew(cfg)
 	const wset = 16 << 10
 	base := s.Alloc(uint64(n) * wset)
-	st := s.Contenders(n, func(i int, st *contend.Stopper) cpu.Program {
-		return contend.Spin(st, base+uint64(i)*wset)
-	})
+	st := &contend.Stopper{}
+	threads := make([]*cpu.Thread, n)
+	for i := range threads {
+		threads[i] = s.CPU.Spawn(fmt.Sprintf("contender-%d", i), mk(st, base+uint64(i)*wset), nil)
+	}
 	s.Eng.RunUntil(simTime)
-	st.Stop()
-	return s
+	return s, threads
+}
+
+// memOps sums the memory operations the threads issued.
+func memOps(threads []*cpu.Thread) uint64 {
+	var n uint64
+	for _, t := range threads {
+		n += t.MemOps
+	}
+	return n
 }
 
 // BenchmarkEngineShardedCores measures the Fig. 13a spin-contender
@@ -46,17 +64,12 @@ func BenchmarkEngineShardedCores(b *testing.B) {
 		{"host-lanes8", 8},
 	} {
 		b.Run(p.name, func(b *testing.B) {
-			var memOps uint64
+			var ops uint64
 			for i := 0; i < b.N; i++ {
-				s := benchContenders(p.shards, contenders, simTime)
-				memOps = 0
-				for _, c := range s.CPU.Cores() {
-					if t := c.Thread(); t != nil {
-						memOps += t.MemOps
-					}
-				}
+				_, threads := benchContenders(p.shards, contenders, simTime)
+				ops = memOps(threads)
 			}
-			b.ReportMetric(float64(memOps), "memops")
+			b.ReportMetric(float64(ops), "memops")
 		})
 	}
 }
@@ -65,8 +78,8 @@ func BenchmarkEngineShardedCores(b *testing.B) {
 // inside a 16 KB working set separated by one short compute chunk. Where
 // Spin spends 4096 cycles of compute per load, hitLoop issues four loads
 // per 512 cycles — the completion stream is almost entirely LLC-hit
-// deliveries.
-func hitLoop(st *contend.Stopper, base uint64) cpu.Program {
+// deliveries. It never exits; the machine runs for a fixed simulated time.
+func hitLoop(base uint64) cpu.Program {
 	const (
 		chunkCycles = 512
 		burstLoads  = 4
@@ -74,9 +87,6 @@ func hitLoop(st *contend.Stopper, base uint64) cpu.Program {
 	)
 	i, phase := 0, 0
 	return cpu.ProgramFunc(func() (cpu.Op, bool) {
-		if st.Stopped() {
-			return cpu.Op{}, false
-		}
 		if phase < burstLoads {
 			phase++
 			addr := base + uint64(i%(wsetBytes/mem.LineBytes))*mem.LineBytes
@@ -91,18 +101,10 @@ func hitLoop(st *contend.Stopper, base uint64) cpu.Program {
 // benchHitContenders is benchContenders with the hit-dominated workload
 // and an oversubscribed thread count, so quantum rotations run under
 // load.
-func benchHitContenders(shards, n int, simTime clock.Picos) *system.System {
-	cfg := system.DefaultConfig(system.Base)
-	cfg.Shards = shards
-	s := system.MustNew(cfg)
-	const wset = 16 << 10
-	base := s.Alloc(uint64(n) * wset)
-	st := s.Contenders(n, func(i int, st *contend.Stopper) cpu.Program {
-		return hitLoop(st, base+uint64(i)*wset)
+func benchHitContenders(shards, n int, simTime clock.Picos) (*system.System, []*cpu.Thread) {
+	return runContenders(shards, n, simTime, func(_ *contend.Stopper, base uint64) cpu.Program {
+		return hitLoop(base)
 	})
-	s.Eng.RunUntil(simTime)
-	st.Stop()
-	return s
 }
 
 // BenchmarkEngineContendedHits measures a hit-dominated Fig. 13-style
@@ -121,17 +123,12 @@ func BenchmarkEngineContendedHits(b *testing.B) {
 		{"host-lanes8", 8},
 	} {
 		b.Run(p.name, func(b *testing.B) {
-			var memOps uint64
+			var ops uint64
 			for i := 0; i < b.N; i++ {
-				s := benchHitContenders(p.shards, contenders, simTime)
-				memOps = 0
-				for _, c := range s.CPU.Cores() {
-					if t := c.Thread(); t != nil {
-						memOps += t.MemOps
-					}
-				}
+				_, threads := benchHitContenders(p.shards, contenders, simTime)
+				ops = memOps(threads)
 			}
-			b.ReportMetric(float64(memOps), "memops")
+			b.ReportMetric(float64(ops), "memops")
 		})
 	}
 }
@@ -184,24 +181,25 @@ func BenchmarkEngineOpenLoopLoad(b *testing.B) {
 func TestBenchContendersDeterministic(t *testing.T) {
 	workloads := []struct {
 		name  string
-		build func(shards int) *system.System
+		build func(shards int) (*system.System, []*cpu.Thread)
 	}{
-		{"spin", func(sh int) *system.System {
+		{"spin", func(sh int) (*system.System, []*cpu.Thread) {
 			return benchContenders(sh, 8, 2*clock.Millisecond)
 		}},
-		{"hit-loop", func(sh int) *system.System {
+		{"hit-loop", func(sh int) (*system.System, []*cpu.Thread) {
 			return benchHitContenders(sh, 16, clock.Millisecond)
 		}},
 	}
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
 			snap := func(shards int) string {
-				s := w.build(shards)
+				s, threads := w.build(shards)
 				out := fmt.Sprintf("now=%v", s.Eng.Now())
+				for _, th := range threads {
+					out += fmt.Sprintf(" [%s ops=%d]", th.Name, th.MemOps)
+				}
 				for _, c := range s.CPU.Cores() {
-					if th := c.Thread(); th != nil {
-						out += fmt.Sprintf(" [%s ops=%d busy=%v]", th.Name, th.MemOps, c.BusyTime())
-					}
+					out += fmt.Sprintf(" busy=%v", c.BusyTime())
 				}
 				ls := s.Mem.LLC.Stats()
 				out += fmt.Sprintf(" llc=%d/%d", ls.Hits, ls.Misses)

@@ -434,8 +434,6 @@ func (s *System) EnergyOver(before, after energy.Activity) energy.Breakdown {
 type PowerTrace struct {
 	Watts      *stats.Series
 	ActiveFrac *stats.Series
-	window     clock.Picos
-	samples    int
 }
 
 // SamplePower starts a sampler with the given window; it stops after the
@@ -444,7 +442,6 @@ func (s *System) SamplePower(window clock.Picos) (trace *PowerTrace, stop func()
 	t := &PowerTrace{
 		Watts:      stats.NewSeries(window),
 		ActiveFrac: stats.NewSeries(window),
-		window:     window,
 	}
 	stopped := false
 	prev := s.Activity()
@@ -455,12 +452,8 @@ func (s *System) SamplePower(window clock.Picos) (trace *PowerTrace, stop func()
 		cur := s.Activity()
 		t.Watts.Add(now-1, s.Cfg.Energy.Power(cur.Sub(prev)))
 		t.ActiveFrac.Add(now-1, float64(s.CPU.ActiveCores())/float64(s.Cfg.CPU.Cores))
-		t.samples++
 		prev = cur
 		return true
 	})
 	return t, func() { stopped = true }
 }
-
-// Samples reports how many windows the trace recorded.
-func (t *PowerTrace) Samples() int { return t.samples }

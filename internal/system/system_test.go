@@ -195,7 +195,7 @@ func TestPowerTraceSamples(t *testing.T) {
 	trace, stop := s.SamplePower(20 * clock.Microsecond)
 	s.RunTransfer(s.TransferOp(core.DRAMToPIM, s.Cfg.PIM.NumCores(), 4096))
 	stop()
-	if trace.Samples() == 0 {
+	if trace.Watts.Len() == 0 {
 		t.Fatal("power trace recorded nothing")
 	}
 	mid := trace.Watts.Bucket(trace.Watts.Len() / 2)
@@ -406,7 +406,16 @@ func TestRunLoad(t *testing.T) {
 // PIM requires.
 func TestServerConfigAsymmetricGrades(t *testing.T) {
 	cfg := smallCfg(PIMMMU)
-	cfg.Mem.DRAM.Timing = dram.DDR43200()
+	// DDR4-3200AA (CL22), the characterization server's DRAM grade.
+	cfg.Mem.DRAM.Timing = dram.Timing{
+		Clock: 1600 * clock.MHz,
+		CL:    22, CWL: 16, BL: 4, RCD: 22, RP: 22, RAS: 52, RC: 74,
+		CCDS: 4, CCDL: 8, RRDS: 4, RRDL: 8, FAW: 34, WR: 24,
+		WTRS: 4, WTRL: 12, RTP: 12,
+		RFC:  560,   // 350 ns at 1.6 GHz
+		REFI: 12480, // 7.8 us at 1.6 GHz
+		RTRS: 2,
+	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,6 @@ const (
 	ProcessBurst Process = "burst"
 )
 
-// Processes lists every open-loop arrival process in a stable order.
-func Processes() []Process {
-	return []Process{ProcessFixed, ProcessPoisson, ProcessBurst}
-}
-
 // DriverConfig parameterizes a Driver.
 type DriverConfig struct {
 	// Process selects how requests fall due.
@@ -241,12 +236,4 @@ func (r LoadResult) AvgService() clock.Picos {
 		return 0
 	}
 	return r.ServiceSum / clock.Picos(r.Completed)
-}
-
-// AvgTotal is the mean arrival-to-completion latency.
-func (r LoadResult) AvgTotal() clock.Picos {
-	if r.Completed == 0 {
-		return 0
-	}
-	return r.TotalSum / clock.Picos(r.Completed)
 }

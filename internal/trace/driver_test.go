@@ -165,8 +165,8 @@ func TestDriverUncontended(t *testing.T) {
 	if res.QueueSum != 0 || res.Retries != 0 {
 		t.Errorf("uncontended run queued: QueueSum=%v Retries=%d", res.QueueSum, res.Retries)
 	}
-	if res.AvgService() != lat || res.AvgTotal() != lat {
-		t.Errorf("service/total = %v/%v, want %v", res.AvgService(), res.AvgTotal(), lat)
+	if res.AvgService() != lat || res.TotalSum != lat*clock.Picos(res.Completed) {
+		t.Errorf("service/total = %v/%v, want %v", res.AvgService(), res.TotalSum/clock.Picos(res.Completed), lat)
 	}
 	if want := 7*cfg.MeanGap + lat; res.End != want {
 		t.Errorf("End = %v, want %v", res.End, want)
@@ -185,7 +185,7 @@ func TestDriverUncontended(t *testing.T) {
 // saturation — and every arrival eventually issues and completes.
 func TestDriverOpenLoopInvariant(t *testing.T) {
 	recs := streamRecs(64)
-	for _, proc := range Processes() {
+	for _, proc := range []Process{ProcessFixed, ProcessPoisson, ProcessBurst} {
 		cfg := DefaultDriverConfig()
 		cfg.Process = proc
 		cfg.MeanGap = 2 * clock.Nanosecond

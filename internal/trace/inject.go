@@ -108,19 +108,6 @@ func (d *Driver) Start(onDone func(LoadResult)) {
 	d.eng.Schedule(&d.issueEv, d.start)
 }
 
-// Snapshot reports the statistics accumulated so far without waiting for
-// completion — the only view of a run whose tail the port never accepts.
-// If issue is still behind (stalled on a full queue or out of slots),
-// the pending line's lag as of the engine clock is folded into Slip, so
-// a wedged run does not under-report how far issue fell behind.
-func (d *Driver) Snapshot() LoadResult {
-	r := d.res
-	if d.started && d.next < d.positions() {
-		r.Slip = max(r.Slip, d.eng.Now()-d.due(d.next))
-	}
-	return r
-}
-
 // positions is the number of due-time positions: records in replay,
 // arrivals in open loop.
 func (d *Driver) positions() int {
@@ -156,8 +143,8 @@ func (d *Driver) record(i int) *Record {
 
 // sampleLag folds a pending line's lag behind its due time into Slip.
 // It runs at every stall (slot exhaustion, enqueue rejection) as well as
-// at issue, so a run inspected mid-stall, or one whose tail the port
-// never accepts, reports how far issue actually fell behind.
+// at issue, so Slip holds the lag a stall built up even before the stalled
+// line issues.
 func (d *Driver) sampleLag(now, due clock.Picos) {
 	if lag := now - due; lag > d.res.Slip {
 		d.res.Slip = lag

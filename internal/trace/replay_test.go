@@ -79,8 +79,8 @@ func TestReplayCompletesAndTimes(t *testing.T) {
 	if res.End != 2*gap+lat {
 		t.Errorf("End = %v, want %v", res.End, 2*gap+lat)
 	}
-	if res.AvgService() != lat || res.AvgTotal() != lat {
-		t.Errorf("service/total = %v/%v, want %v", res.AvgService(), res.AvgTotal(), lat)
+	if res.AvgService() != lat || res.TotalSum != lat*clock.Picos(res.Completed) {
+		t.Errorf("service/total = %v/%v, want %v", res.AvgService(), res.TotalSum/clock.Picos(res.Completed), lat)
 	}
 	if res.Retries != 0 || res.Slip != 0 {
 		t.Errorf("uncontended replay reported pressure: %d retries, %v slip", res.Retries, res.Slip)
@@ -276,9 +276,9 @@ func (p *rejectTailPort) TryEnqueue(r *mem.Req) bool {
 // TestReplaySlipSampledAtStall is the regression for slip sampling: with
 // the tail of the trace rejected, the old code (slip sampled only on
 // successful enqueue, all at t=0 here) reported zero slip even though
-// issue fell a full service latency behind. Snapshot must report how far
-// the pending record lagged when the engine drained, and how far it lags
-// once the clock has moved on without another issue attempt.
+// issue fell a full service latency behind. The driver's result must hold
+// how far the pending record lagged at the rejection that stalled it, and
+// a later rejected retry must fold in the larger lag.
 func TestReplaySlipSampledAtStall(t *testing.T) {
 	const lat = 5 * clock.Nanosecond
 	recs := make([]Record, 4)
@@ -297,23 +297,23 @@ func TestReplaySlipSampledAtStall(t *testing.T) {
 	if done {
 		t.Fatal("replay completed despite a rejecting port")
 	}
-	res := d.Snapshot()
+	res := d.res
 	if res.Issued != 2 || res.Completed != 2 {
 		t.Fatalf("issued/completed = %d/%d, want 2/2", res.Issued, res.Completed)
 	}
 	if res.Retries == 0 {
 		t.Error("rejected tail produced no retries")
 	}
-	// The engine drained at the last completion (t = lat); record 2 was
-	// due at t = 0 and never issued, so issue slipped a full lat.
+	// The engine drained at the last completion (t = lat), whose freed
+	// space retried record 2 (due at t = 0) and was rejected: issue slipped
+	// a full lat.
 	if res.Slip != lat {
-		t.Errorf("Slip = %v, want %v (pending record's lag at drain)", res.Slip, lat)
+		t.Errorf("Slip = %v, want %v (pending record's lag at the stall)", res.Slip, lat)
 	}
-	// With no issue attempt since, the clock moves on to 3*lat: the
-	// snapshot folds in the pending record's lag as of now.
-	eng.After(2*lat, func() {})
+	// A retry rejected at 3*lat folds in the pending record's larger lag.
+	eng.After(2*lat, d.onSpace)
 	eng.Run()
-	if got := d.Snapshot().Slip; got != 3*lat {
-		t.Errorf("Slip = %v after the clock moved on, want %v", got, 3*lat)
+	if got := d.res.Slip; got != 3*lat {
+		t.Errorf("Slip = %v after a retry at %v, want %v", got, 3*lat, 3*lat)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/pim"
-	"repro/internal/transpose"
 )
 
 // group is one iteration of the copy loop: loads lines read, a barrier
@@ -123,6 +122,12 @@ func (s *lineSource) store(i int) cpu.Op {
 	return cpu.Op{Kind: cpu.OpStore, Addr: s.dst + s.off + uint64(i)*s.stride, NC: true}
 }
 
+// SWCostCyclesPerBlock models the AVX-512 software transpose of one
+// 64-byte block (Fig. 3) in CPU cycles, measured from shuffle-based 8x8
+// byte transposes on Skylake-class cores (roughly 8 shuffle uops plus
+// loads/stores per block).
+const SWCostCyclesPerBlock = 6
+
 // BaselineConfig parameterizes the software transfer engine.
 type BaselineConfig struct {
 	// Threads is the runtime library's worker-thread count (the paper's
@@ -139,7 +144,7 @@ type BaselineConfig struct {
 func DefaultBaselineConfig() BaselineConfig {
 	return BaselineConfig{
 		Threads:            8,
-		TransposeCycles:    transpose.SWCostCyclesPerBlock,
+		TransposeCycles:    SWCostCyclesPerBlock,
 		LoopOverheadCycles: 8,
 	}
 }

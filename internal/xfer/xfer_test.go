@@ -26,13 +26,16 @@ func newRig(mapping memsys.MappingMode) *rig {
 	eng := sim.New()
 	mc := memsys.DefaultConfig()
 	mc.Mapping = mapping
-	sys := memsys.MustNew(eng, mc)
-	c := cpu.New(eng, cpu.DefaultConfig(), sys)
-	geom := pim.DefaultGeometry()
-	return &rig{
-		eng: eng, sys: sys, cpu: c, geom: geom,
-		dce: core.MustNew(eng, sys, geom, core.DefaultConfig()),
+	sys, err := memsys.New(eng, mc)
+	if err != nil {
+		panic(err)
 	}
+	geom := pim.DefaultGeometry()
+	dce, err := core.New(eng, sys, geom, core.DefaultConfig())
+	if err != nil {
+		panic(err)
+	}
+	return &rig{eng: eng, sys: sys, cpu: cpu.New(eng, cpu.DefaultConfig(), sys), geom: geom, dce: dce}
 }
 
 // op builds a transfer of bytesPerCore to every PIM core from a
@@ -98,7 +101,9 @@ func TestBaselineUtilizationIsPoor(t *testing.T) {
 	thr := throughput(op.Bytes(), r.span(t, func(onDone func()) {
 		RunBaseline(r.cpu, r.geom, op, DefaultBaselineConfig(), onDone)
 	}))
-	frac := thr / r.sys.PIM.PeakBandwidth()
+	// One 64-byte burst every BL command cycles on every PIM channel.
+	pimCfg := r.sys.PIM.Config()
+	frac := thr / (64 * float64(pimCfg.Timing.Clock) / float64(pimCfg.Timing.BL) * float64(pimCfg.Geometry.Channels))
 	if frac > 0.30 {
 		t.Errorf("baseline PIM utilization = %.1f%%, expected well below 30%% (paper: 15.5%%)",
 			frac*100)

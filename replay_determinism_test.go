@@ -91,17 +91,25 @@ func TestSyntheticReplaySweepMatchesSerial(t *testing.T) {
 	designs := []system.Design{system.Base, system.PIMMMU}
 	cfg := trace.DefaultGenConfig()
 	cfg.Records = 4096
-	g := sweep.NewGrid(len(patterns), len(designs))
-	job := func(i int) string {
-		recs := trace.MustGenerate(patterns[g.Coord(i, 0)], cfg)
-		return replayJob(designs[g.Coord(i, 1)], recs)
+	type point struct {
+		p trace.Pattern
+		d system.Design
 	}
-	serial := sweep.MapN(g.Size(), 1, job)
-	parallel := sweep.MapN(g.Size(), 8, job)
+	var points []point
+	for _, p := range patterns {
+		for _, d := range designs {
+			points = append(points, point{p, d})
+		}
+	}
+	job := func(i int) string {
+		return replayJob(points[i].d, trace.MustGenerate(points[i].p, cfg))
+	}
+	serial := sweep.MapN(len(points), 1, job)
+	parallel := sweep.MapN(len(points), 8, job)
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Errorf("job %d (%s on %v): parallel differs from serial\n--- serial ---\n%s--- parallel ---\n%s",
-				i, patterns[g.Coord(i, 0)], designs[g.Coord(i, 1)], serial[i], parallel[i])
+				i, points[i].p, points[i].d, serial[i], parallel[i])
 		}
 	}
 }
