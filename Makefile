@@ -18,8 +18,9 @@ vet:
 # tier), the import layering rules — the harness compute-phase rule,
 # serve's no-internal/system rule, serve/api's purity rule, and the
 # trace and prim import limits — and the dead-export rule: every
-# exported name in internal/ needs a non-test reader or a //pimmu:keep
-# reason; see cmd/pimmu-lint.
+# exported name in internal/, methods and interface methods included,
+# needs a non-test reader, resolved by the type checker over the root
+# and bench/ modules, or a //pimmu:keep reason; see cmd/pimmu-lint.
 lint: vet
 	$(GO) vet -tags slow ./...
 	$(GO) run ./cmd/pimmu-lint

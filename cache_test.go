@@ -36,7 +36,7 @@ func renderWith(t *testing.T, store *resultcache.Store, name string, workers int
 		r.Cache = store
 	}
 	var b bytes.Buffer
-	r.Run(e, &b, harness.Quick)
+	e.Render(&b, harness.Quick, e.Compute(r, harness.Quick))
 	return b.Bytes()
 }
 

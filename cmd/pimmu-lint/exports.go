@@ -1,14 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 )
 
@@ -30,17 +34,18 @@ var stdMethods = map[string]bool{
 // part is one name a top-level declaration declares, with its doc
 // comments and the syntax in which its own name is not a read.
 type part struct {
-	id     *ast.Ident
-	method bool
-	docs   []*ast.CommentGroup
-	nodes  []ast.Node
+	id    *ast.Ident
+	docs  []*ast.CommentGroup
+	nodes []ast.Node
 }
 
+// parts lists the names d declares, the methods of a declared
+// interface among them. A method's receiver is in none of its nodes.
 func parts(d ast.Decl) []part {
 	var ps []part
 	switch d := d.(type) {
 	case *ast.FuncDecl:
-		p := part{id: d.Name, method: d.Recv != nil, docs: []*ast.CommentGroup{d.Doc}, nodes: []ast.Node{d.Type}}
+		p := part{id: d.Name, docs: []*ast.CommentGroup{d.Doc}, nodes: []ast.Node{d.Type}}
 		if d.Body != nil {
 			p.nodes = append(p.nodes, d.Body)
 		}
@@ -50,6 +55,13 @@ func parts(d ast.Decl) []part {
 			switch s := s.(type) {
 			case *ast.TypeSpec:
 				ps = append(ps, part{id: s.Name, docs: []*ast.CommentGroup{d.Doc, s.Doc, s.Comment}, nodes: []ast.Node{s}})
+				if it, ok := s.Type.(*ast.InterfaceType); ok {
+					for _, m := range it.Methods.List {
+						for _, id := range m.Names {
+							ps = append(ps, part{id: id, docs: []*ast.CommentGroup{m.Doc, m.Comment}})
+						}
+					}
+				}
 			case *ast.ValueSpec:
 				for _, id := range s.Names {
 					ps = append(ps, part{id: id, docs: []*ast.CommentGroup{d.Doc, s.Doc, s.Comment}, nodes: []ast.Node{s}})
@@ -60,122 +72,167 @@ func parts(d ast.Decl) []part {
 	return ps
 }
 
-// deadExports reports each exported name declared under root/internal
-// that no non-test .go file under root reads outside its own declaration
-// (testdata and dot directories skipped), and each keepDirective that
-// gives no reason. Declared names and a method's receiver are not reads.
+// checked is one type-checked package: its directory, its non-test
+// files and the objects their identifiers define and use.
+type checked struct {
+	dir   string
+	files []*ast.File
+	info  *types.Info
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// load type-checks the non-test files of every package the root and
+// bench/ modules build, each once, in `go list -deps` order so that a
+// package's imports are checked before it. The standard library comes
+// from the source importer.
+func load(root string, fset *token.FileSet) ([]checked, error) {
+	std := importer.ForCompiler(fset, "source", nil)
+	byPath := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := byPath[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	var pkgs []checked
+	for _, module := range []string{".", "bench"} {
+		cmd := exec.Command("go", "list", "-deps", "-json", "./...")
+		cmd.Dir, cmd.Stderr = filepath.Join(root, module), os.Stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list in %s: %w", cmd.Dir, err)
+		}
+		for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+			var p struct {
+				ImportPath, Dir string
+				GoFiles         []string
+				Standard        bool
+			}
+			if err := dec.Decode(&p); err != nil {
+				return nil, err
+			}
+			if p.Standard || byPath[p.ImportPath] != nil {
+				continue
+			}
+			c := checked{dir: p.Dir, info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
+			for _, name := range p.GoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
+				if err != nil {
+					return nil, err
+				}
+				c.files = append(c.files, f)
+			}
+			if byPath[p.ImportPath], err = conf.Check(p.ImportPath, fset, c.files, c.info); err != nil {
+				return nil, err
+			}
+			pkgs = append(pkgs, c)
+		}
+	}
+	return pkgs, nil
+}
+
+// origin is the declared object behind a use: a method of an
+// instantiated generic type resolves to its generic declaration.
+func origin(o types.Object) types.Object {
+	if f, ok := o.(*types.Func); ok {
+		return f.Origin()
+	}
+	return o
+}
+
+// deadExports reports each exported func, method, interface method,
+// type, const or var declared in a package under root/internal that no
+// non-test file of the root or bench/ module reads outside its own
+// declaration, and each keepDirective that gives no reason. Names
+// resolve through the type checker; a method also counts as read when
+// it implements a read method of an interface its type satisfies.
+// Declared names and a method's receiver are not reads.
 func deadExports(root string) ([]string, error) {
+	abs, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	pkgs, err := load(abs, fset)
+	if err != nil {
+		return nil, err
+	}
 	type export struct {
-		key [2]string // {package directory, name}; a method's has no directory
+		obj types.Object
 		pos string
 	}
 	var exports []export
 	var bad []string
-	read := map[[2]string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() && path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		pkg := filepath.ToSlash(rel)
-		imports := map[string]string{} // local name -> package directory
-		for _, imp := range f.Imports {
-			if p, err := strconv.Unquote(imp.Path.Value); err == nil && strings.HasPrefix(p, repoImportPrefix) {
-				dir := strings.TrimPrefix(p, repoImportPrefix)
-				local := dir[strings.LastIndex(dir, "/")+1:]
-				if imp.Name != nil {
-					local = imp.Name.Name
-				}
-				imports[local] = dir
-			}
-		}
-		for _, decl := range f.Decls {
-			for _, p := range parts(decl) {
-				own := [2]string{pkg, p.id.Name}
-				if p.method {
-					own[0] = ""
-				}
-				if strings.HasPrefix(pkg, "internal/") && p.id.IsExported() {
-					pos := fset.Position(p.id.Pos())
-					at := fmt.Sprintf("%s:%d", filepath.ToSlash(pos.Filename), pos.Line)
-					if reason, ok := kept(p.docs); !ok {
-						exports = append(exports, export{own, at})
-					} else if reason == "" {
-						bad = append(bad, fmt.Sprintf("%s: %s on %s gives no reason", at, keepDirective, p.id.Name))
+	read := map[types.Object]bool{}
+	for _, p := range pkgs {
+		rel, _ := filepath.Rel(abs, p.dir)
+		internal := strings.HasPrefix(filepath.ToSlash(rel)+"/", "internal/")
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				for _, pt := range parts(decl) {
+					own := p.info.Defs[pt.id]
+					if internal && pt.id.IsExported() {
+						pos := fset.Position(pt.id.Pos())
+						file, _ := filepath.Rel(abs, pos.Filename)
+						at := fmt.Sprintf("%s:%d", filepath.ToSlash(file), pos.Line)
+						if reason, ok := kept(pt.docs); !ok {
+							exports = append(exports, export{own, at})
+						} else if reason == "" {
+							bad = append(bad, fmt.Sprintf("%s: %s on %s gives no reason", at, keepDirective, pt.id.Name))
+						} else {
+							read[own] = true // a kept interface method keeps its implementations
+						}
+					}
+					for _, n := range pt.nodes {
+						ast.Inspect(n, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								if o := p.info.Uses[id]; o != nil && origin(o) != own {
+									read[origin(o)] = true
+								}
+							}
+							return true
+						})
 					}
 				}
-				for _, n := range p.nodes {
-					inspect(n, pkg, imports, own, read)
-				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	}
+	ifaces := map[string][]*types.Interface{} // read interface methods by name
+	for o := range read {
+		if sig, ok := o.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
+			ifaces[o.Name()] = append(ifaces[o.Name()], sig.Recv().Type().Underlying().(*types.Interface))
+		}
 	}
 	for _, e := range exports {
-		if read[e.key] || e.key[0] == "" && stdMethods[e.key[1]] {
-			continue
+		if !read[e.obj] && !implementsRead(e.obj, ifaces) {
+			bad = append(bad, fmt.Sprintf("%s: exported %s is read by no non-test file", e.pos, e.obj.Name()))
 		}
-		bad = append(bad, fmt.Sprintf("%s: exported %s is read by no non-test file", e.pos, e.key[1]))
 	}
 	slices.Sort(bad)
 	return bad, nil
 }
 
-// inspect marks in read every name n reads, except own.
-func inspect(n ast.Node, pkg string, imports map[string]string, own [2]string, read map[[2]string]bool) {
-	declared := map[*ast.Ident]bool{}
-	ast.Inspect(n, func(n ast.Node) bool {
-		var key [2]string
-		switch n := n.(type) {
-		case *ast.Field:
-			for _, id := range n.Names {
-				declared[id] = true
-			}
-			return true
-		case *ast.ValueSpec:
-			for _, id := range n.Names {
-				declared[id] = true
-			}
-			return true
-		case *ast.TypeSpec:
-			declared[n.Name] = true
-			return true
-		case *ast.SelectorExpr:
-			declared[n.Sel] = true
-			key = [2]string{"", n.Sel.Name}
-			if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-				key[0] = imports[x.Name]
-			}
-		case *ast.Ident:
-			if declared[n] {
-				return true
-			}
-			key = [2]string{pkg, n.Name}
-		default:
-			return true
-		}
-		if key != own {
-			read[key] = true
-		}
+// implementsRead reports whether o is a method that the standard
+// library calls, or a concrete method whose type implements an
+// interface with a read method of the same name.
+func implementsRead(o types.Object, ifaces map[string][]*types.Interface) bool {
+	sig, ok := o.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	if stdMethods[o.Name()] {
 		return true
+	}
+	recv := sig.Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	return !types.IsInterface(recv) && slices.ContainsFunc(ifaces[o.Name()], func(it *types.Interface) bool {
+		return types.Implements(types.NewPointer(recv), it)
 	})
 }
 

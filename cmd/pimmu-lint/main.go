@@ -35,13 +35,18 @@
 //     the harness measures its transfers as shared transfer records, so
 //     there is one way to time a transfer.
 //
-//   - Every exported top-level func, method, type, const or var in
-//     internal/ has a reader: some non-test .go file in the repository
-//     (bench/ and examples/ included) reads it outside its own
-//     declaration. Top-level names match by package, methods by name;
-//     methods that satisfy standard-library interfaces (String, Error,
-//     Unwrap, MarshalJSON, ...) pass. A deliberate test hook passes only
-//     with a "//pimmu:keep REASON" line in its doc comment.
+//   - Every exported top-level func, method, interface method, type,
+//     const or var in internal/ has a reader: some non-test .go file in
+//     the repository (the root and bench/ modules, examples/ included)
+//     reads it outside its own declaration. The files are type-checked
+//     (go list, then go/types), so every name resolves to the object it
+//     denotes, a generic method through its origin. A concrete method
+//     also counts as read when its type implements an interface whose
+//     method of that name is read; methods that satisfy
+//     standard-library interfaces (String, Error, Unwrap, MarshalJSON,
+//     ...) pass. A deliberate test hook passes only with a
+//     "//pimmu:keep REASON" line in its doc comment; a kept interface
+//     method keeps its implementations.
 //
 // Run it from the repository root, as `make lint` does after go vet.
 // Violations print one per line and exit non-zero.

@@ -71,6 +71,8 @@ func writeFiles(t *testing.T, files map[string]string) string {
 
 func TestDeadExportDetected(t *testing.T) {
 	root := writeFiles(t, map[string]string{
+		"go.mod":       "module repro\n\ngo 1.24\n",
+		"bench/go.mod": "module repro/bench\n\ngo 1.24\n\nrequire repro v0.0.0\n\nreplace repro => ../\n",
 		"internal/foo/foo.go": `package foo
 
 import "errors"
@@ -110,6 +112,35 @@ func (T) Called() {}
 // Orphan is a method nobody calls.
 func (T) Orphan() {}
 
+// A and B each have a Size; only A's is read.
+type A struct{}
+type B struct{}
+
+func (A) Size() int { return 0 }
+func (B) Size() int { return 0 }
+
+// Shape's Area is read; Sq.Area only through it.
+type Shape interface{ Area() int }
+type Sq struct{}
+
+func (Sq) Area() int { return 0 }
+
+// Box[int].Get is read.
+type Box[V any] struct{ v V }
+
+func (b Box[V]) Get() V { return b.v }
+
+// Ghost is an interface method nobody calls.
+type Ghostly interface{ Ghost() }
+
+// Inverse keeps Undo for tests, and so Sq's implementation of it.
+type Inverse interface {
+	//pimmu:keep test oracle
+	Undo()
+}
+
+func (Sq) Undo() {}
+
 func helper() int { return Used }
 `,
 		"internal/foo/foo_test.go": "package foo\n\nvar _ = TestOnly\n",
@@ -117,7 +148,16 @@ func helper() int { return Used }
 
 import f "repro/internal/foo"
 
-func use() { f.T{}.Called() }
+func use() {
+	f.T{}.Called()
+	f.A{}.Size()
+	var s f.Shape = f.Sq{}
+	s.Area()
+	f.Box[int]{}.Get()
+	var _ f.Ghostly
+	var _ f.B
+	var _ f.Inverse = f.Sq{}
+}
 `,
 		"bench/main.go": `package main
 
@@ -138,6 +178,8 @@ func main() { foo.BenchOnly() }
 		"exported Dead is read by no non-test file",
 		"exported TestOnly is read by no non-test file",
 		"exported Orphan is read by no non-test file",
+		"exported Size is read by no non-test file",
+		"exported Ghost is read by no non-test file",
 		"//pimmu:keep on Unreasoned gives no reason",
 	}
 	slices.Sort(got)

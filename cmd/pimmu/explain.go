@@ -71,16 +71,22 @@ func cmdMap(args []string, w io.Writer) error {
 	if err := parse(fs, args, -1); err != nil {
 		return err
 	}
+	g := dram.DefaultConfig().Geometry
+	if lines := g.TotalBytes() / mem.LineBytes; *stream < 0 || uint64(*stream) > lines {
+		return usagef("-stream %d outside [0, %d], the lines of the DRAM subsystem", *stream, lines)
+	}
 	addrs := make([]uint64, 0, fs.NArg())
 	for _, s := range fs.Args() {
 		a, err := strconv.ParseUint(s, 16, 64)
 		if err != nil {
 			return usagef("bad hex address %q", s)
 		}
+		if a >= g.TotalBytes() {
+			return usagef("address %s at or past the end of the %d GiB DRAM subsystem", s, g.TotalBytes()>>30)
+		}
 		addrs = append(addrs, mem.LineAlign(a))
 	}
 
-	g := dram.DefaultConfig().Geometry
 	loc := addrmap.NewLocality(g)
 	mlp := addrmap.NewMLP(g)
 	nohash := addrmap.NewMLP(g, addrmap.WithoutXORHash())

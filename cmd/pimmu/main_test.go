@@ -203,6 +203,11 @@ func TestErrorKinds(t *testing.T) {
 		{[]string{"run", "nope"}, true},
 		{[]string{"cmds", "-n", "-1", "-channel", "9"}, true},
 		{[]string{"cache-gc"}, true},
+		{[]string{"map", "1000000000"}, true},
+		{[]string{"map", "0", "ffffffffffffffff"}, true},
+		{[]string{"map", "-stream", "-1"}, true},
+		{[]string{"map", "-stream", "536870913"}, true},
+		{[]string{"map", "-stream", "288230376151711744"}, true},
 		{[]string{"inspect", filepath.Join(dir, "missing.pmt")}, false},
 		{[]string{"replay", filepath.Join(dir, "missing.pmt")}, false},
 	} {

@@ -36,7 +36,7 @@ var staticExperiments = map[string]bool{"table1": true, "area": true}
 func renderRunner(e harness.Experiment, workers int) []byte {
 	r := &harness.Runner{Workers: workers}
 	var buf bytes.Buffer
-	r.Run(e, &buf, harness.Quick)
+	e.Render(&buf, harness.Quick, e.Compute(r, harness.Quick))
 	return buf.Bytes()
 }
 

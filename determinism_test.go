@@ -108,7 +108,7 @@ func TestHarnessExperimentParallelMatchesSerial(t *testing.T) {
 	render := func(workers int) []byte {
 		r := &harness.Runner{Workers: workers}
 		var buf bytes.Buffer
-		r.Run(fig8, &buf, harness.Quick)
+		fig8.Render(&buf, harness.Quick, fig8.Compute(r, harness.Quick))
 		return buf.Bytes()
 	}
 	serial := render(1)

@@ -286,9 +286,12 @@ func TestHetMapEncodeDecodeRoundTrip(t *testing.T) {
 			region, base = "pim", mem.PIMBase
 		}
 		a := base + mem.LineAlign(rng.Uint64()%testGeom.TotalBytes())
-		_, l := h.Decode(a)
-		if got := h.Encode(region, l); got != a {
-			t.Fatalf("Encode(%s, Decode(0x%x)) = 0x%x", region, a, got)
+		r, l := h.Decode(a)
+		if r.Name != region {
+			t.Fatalf("Decode(0x%x) region = %s, want %s", a, r.Name, region)
+		}
+		if got := r.Base + r.Mapper.Unmap(l); got != a {
+			t.Fatalf("Unmap(Decode(0x%x)) = 0x%x", a, got)
 		}
 	}
 }

@@ -108,6 +108,8 @@ type Mapper interface {
 	// Map decodes a region-relative, line-aligned address.
 	Map(addr uint64) Loc
 	// Unmap is the inverse of Map; it returns the line-aligned address.
+	//
+	//pimmu:keep the inverse that addrmap's tests hold every Map to
 	Unmap(loc Loc) uint64
 	// Geometry reports the subsystem dimensions the mapper was built for.
 	Geometry() Geometry

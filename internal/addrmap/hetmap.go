@@ -87,16 +87,6 @@ func (h *HetMap) Decode(addr uint64) (Region, Loc) {
 	return r, r.Mapper.Map(addr - r.Base)
 }
 
-// Encode is the inverse of Decode for a named region.
-func (h *HetMap) Encode(regionName string, l Loc) uint64 {
-	for _, r := range h.regions {
-		if r.Name == regionName {
-			return r.Base + r.Mapper.Unmap(l)
-		}
-	}
-	panic(fmt.Sprintf("addrmap: unknown region %q", regionName))
-}
-
 func (h *HetMap) String() string {
 	s := "HetMap{"
 	for i, r := range h.regions {

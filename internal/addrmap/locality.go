@@ -18,7 +18,7 @@ import (
 type Locality struct {
 	g Geometry
 
-	colBits, rowBits, bankBits, bgBits, rankBits, chBits uint
+	colBits, rowBits, bankBits, bgBits, rankBits uint
 }
 
 // NewLocality builds the locality-centric mapping for a geometry. It
@@ -34,7 +34,6 @@ func NewLocality(g Geometry) *Locality {
 		bankBits: log2(g.Banks),
 		bgBits:   log2(g.BankGroups),
 		rankBits: log2(g.Ranks),
-		chBits:   log2(g.Channels),
 	}
 }
 

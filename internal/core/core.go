@@ -277,12 +277,6 @@ func New(eng *sim.Engine, sys *memsys.System, geom pim.Geometry, cfg Config) (*E
 	return e, nil
 }
 
-// Config reports the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
-// Geometry reports the attached PIM geometry.
-func (e *Engine) Geometry() pim.Geometry { return e.geom }
-
 // Transfer offloads op to the DCE. onDone runs when the completion
 // interrupt is delivered, so the transfer's span includes the driver's
 // launch and interrupt costs. The engine serializes transfers; calling

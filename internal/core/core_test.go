@@ -78,7 +78,7 @@ func TestTransferCompletesAndCountsBytes(t *testing.T) {
 	if got := r.sys.DRAM.Stats().BytesRead(); got != 32*4096 {
 		t.Errorf("DRAM bytes read = %d, want %d", got, 32*4096)
 	}
-	if span <= r.dce.Config().DriverLaunch {
+	if span <= r.dce.cfg.DriverLaunch {
 		t.Error("duration does not include transfer time")
 	}
 	if r.dce.TransfersDone != 1 || r.dce.BytesMoved != 32*4096 {

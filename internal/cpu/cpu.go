@@ -105,7 +105,6 @@ func (c Config) Validate() error {
 
 // Thread is one software thread.
 type Thread struct {
-	ID   int
 	Name string
 
 	prog Program
@@ -127,7 +126,6 @@ type Thread struct {
 
 	core    *Core // nil while descheduled
 	blocked bool  // waiting on a completion event
-	done    bool
 	onExit  func()
 
 	// freeReqs recycles the thread's request records (see memReq); it
@@ -143,12 +141,8 @@ type Thread struct {
 	MemOps uint64
 }
 
-// Done reports whether the program finished.
-func (t *Thread) Done() bool { return t.done }
-
 // Core is one hardware context.
 type Core struct {
-	id     int
 	cpu    *CPU
 	thread *Thread
 	// kickEv is the core's single standing execution event: dispatch,
@@ -167,10 +161,9 @@ type CPU struct {
 	dom clock.Domain
 	mem mem.Port
 
-	cores  []*Core
-	ready  []*Thread // runnable threads not on a core
-	nextID int
-	alive  int // spawned minus exited
+	cores []*Core
+	ready []*Thread // runnable threads not on a core
+	alive int       // spawned minus exited
 
 	// freeWaiters recycles queue-space retry callbacks (see spaceWaiter).
 	freeWaiters *spaceWaiter
@@ -184,18 +177,12 @@ func New(eng *sim.Engine, cfg Config, port mem.Port) *CPU {
 	}
 	c := &CPU{eng: eng, cfg: cfg, dom: clock.NewDomain(cfg.Clock), mem: port}
 	for i := 0; i < cfg.Cores; i++ {
-		core := &Core{id: i, cpu: c}
+		core := &Core{cpu: c}
 		core.kickEv.Init(sim.HandlerFunc(core.advance))
 		c.cores = append(c.cores, core)
 	}
 	return c
 }
-
-// Config reports the processor configuration.
-func (c *CPU) Config() Config { return c.cfg }
-
-// Domain reports the core clock domain.
-func (c *CPU) Domain() clock.Domain { return c.dom }
 
 // ActiveCores counts cores currently running a thread.
 func (c *CPU) ActiveCores() int {
@@ -214,8 +201,7 @@ func (c *CPU) Runnable() int { return c.alive }
 // Spawn creates a thread and schedules it. onExit, if non-nil, runs when
 // the program finishes.
 func (c *CPU) Spawn(name string, prog Program, onExit func()) *Thread {
-	t := &Thread{ID: c.nextID, Name: name, prog: prog, onExit: onExit}
-	c.nextID++
+	t := &Thread{Name: name, prog: prog, onExit: onExit}
 	if c.alive == 0 {
 		c.startQuantumTicker()
 	}
@@ -296,7 +282,6 @@ func (c *CPU) exit(core *Core) {
 	core.accountBusy(c.eng.Now())
 	core.thread = nil
 	t.core = nil
-	t.done = true
 	c.alive--
 	if len(c.ready) > 0 {
 		next := c.ready[0]
@@ -534,7 +519,3 @@ func (t *Thread) complete(kind OpKind) {
 		}
 	}
 }
-
-// Now reports the current simulated time (convenience for workload
-// orchestrators built on the CPU).
-func (c *CPU) Now() clock.Picos { return c.eng.Now() }

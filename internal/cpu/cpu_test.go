@@ -71,7 +71,7 @@ func TestComputeOpTiming(t *testing.T) {
 	c.Spawn("w", seqProgram([]Op{{Kind: OpCompute, Cycles: 3200}}), func() { endAt = eng.Now() })
 	eng.Run()
 	// 3200 cycles at 3.2 GHz = 1 us (312 ps truncated period => 998.4 ns).
-	want := c.Domain().Duration(3200)
+	want := c.dom.Duration(3200)
 	if endAt != want {
 		t.Errorf("compute end = %v, want %v", endAt, want)
 	}
@@ -191,7 +191,7 @@ func TestRoundRobinTimeslicing(t *testing.T) {
 	// 4 threads x 16 ms of compute each (in 0.5 ms slices so preemption
 	// boundaries interleave them) on 2 cores => ~32 ms total.
 	perThread := 16 * clock.Millisecond
-	sliceCycles := c.Domain().Cycles(clock.Picos(clock.Millisecond / 2))
+	sliceCycles := c.dom.Cycles(clock.Picos(clock.Millisecond / 2))
 	nSlices := int(perThread / (clock.Millisecond / 2))
 	var lastEnd clock.Picos
 	var firstEnd clock.Picos
@@ -247,7 +247,7 @@ func TestBusyTimeAccounting(t *testing.T) {
 	cfg := testCfg()
 	fm := &fakeMem{eng: eng, latency: 20 * clock.Nanosecond, accepts: -1}
 	c := New(eng, cfg, fm)
-	cycles := c.Domain().Cycles(2 * clock.Millisecond)
+	cycles := c.dom.Cycles(2 * clock.Millisecond)
 	c.Spawn("w", seqProgram([]Op{{Kind: OpCompute, Cycles: cycles}}), nil)
 	eng.Run()
 	total := clock.Picos(0)

@@ -147,7 +147,6 @@ type Channel struct {
 	cfg   Config
 	dom   clock.Domain
 	id    int
-	name  string
 
 	ranks   []*rankState
 	readQ   []*pending
@@ -196,7 +195,6 @@ func newChannel(eng *sim.Engine, cfg Config, id int, name string) *Channel {
 		cfg:      cfg,
 		dom:      cfg.Timing.Domain(),
 		id:       id,
-		name:     name,
 		lastTick: -1,
 		stats:    newChannelStats(cfg.SeriesWindow),
 	}
@@ -225,12 +223,6 @@ func newChannel(eng *sim.Engine, cfg Config, id int, name string) *Channel {
 	}
 	return c
 }
-
-// ID reports the channel index within its device set.
-func (c *Channel) ID() int { return c.id }
-
-// Stats exposes the channel's counters.
-func (c *Channel) Stats() *ChannelStats { return c.stats }
 
 // TryEnqueue places a decoded request in the appropriate queue. It reports
 // false when that queue is full; the caller should register a WaitSpace

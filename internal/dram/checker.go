@@ -13,7 +13,7 @@ import "fmt"
 // violations.
 type Checker struct {
 	t    Timing
-	geom struct{ ranks, bgs, banks int }
+	geom struct{ bgs, banks int }
 
 	banks []checkerBank // [rank][bg*banks+bank]
 	rank  []checkerRank
@@ -30,7 +30,6 @@ type checkerBank struct {
 	open      bool
 	row       int
 	actCycle  int64
-	lastCAS   int64
 	lastWrite int64 // WR CAS cycle, -1 never
 	lastRead  int64
 	preCycle  int64
@@ -49,7 +48,6 @@ type checkerRank struct {
 // NewChecker builds a checker for one channel of the given config.
 func NewChecker(cfg Config) *Checker {
 	c := &Checker{t: cfg.Timing}
-	c.geom.ranks = cfg.Geometry.Ranks
 	c.geom.bgs = cfg.Geometry.BankGroups
 	c.geom.banks = cfg.Geometry.Banks
 	c.banks = make([]checkerBank, cfg.Geometry.Ranks*cfg.Geometry.BankGroups*cfg.Geometry.Banks)

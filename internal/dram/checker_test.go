@@ -223,7 +223,7 @@ func TestObserverCountsMatchStats(t *testing.T) {
 	dr := &driver{eng: eng, ch: ch}
 	dr.issueAll(seqLocs(2000, true), mem.Write)
 	eng.Run()
-	st := ch.Stats()
+	st := ch.stats
 	if counts[CmdWR] != st.Writes || counts[CmdACT] != st.Acts ||
 		counts[CmdPRE] != st.Pres || counts[CmdREF] != st.Refs {
 		t.Errorf("observer counts %v vs stats %+v", counts, st)

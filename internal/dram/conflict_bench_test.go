@@ -62,7 +62,7 @@ func BenchmarkEngineChannelConflicts(b *testing.B) {
 	b.ResetTimer()
 	refill()
 	eng.Run()
-	if st := c.Stats(); st.Reads+st.Writes != uint64(b.N) {
+	if st := c.stats; st.Reads+st.Writes != uint64(b.N) {
 		b.Fatalf("served %d requests, want %d", st.Reads+st.Writes, b.N)
 	}
 }

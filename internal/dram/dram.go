@@ -12,8 +12,6 @@ import (
 // memory bus (the characterization server has 3 DRAM + 3 PIM channels; the
 // Table I simulation has 4 + 4).
 type DeviceSet struct {
-	name     string
-	cfg      Config
 	channels []*Channel
 }
 
@@ -22,24 +20,15 @@ func New(eng *sim.Engine, cfg Config, name string) (*DeviceSet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("dram %s: %w", name, err)
 	}
-	d := &DeviceSet{name: name, cfg: cfg}
+	d := &DeviceSet{}
 	for i := 0; i < cfg.Geometry.Channels; i++ {
 		d.channels = append(d.channels, newChannel(eng, cfg, i, name))
 	}
 	return d, nil
 }
 
-// Name reports the device set's label ("dram", "pim").
-func (d *DeviceSet) Name() string { return d.name }
-
-// Config reports the configuration the set was built with.
-func (d *DeviceSet) Config() Config { return d.cfg }
-
 // Channel returns controller i.
 func (d *DeviceSet) Channel(i int) *Channel { return d.channels[i] }
-
-// Channels returns all controllers.
-func (d *DeviceSet) Channels() []*Channel { return d.channels }
 
 // Stats aggregates the per-channel counters.
 func (d *DeviceSet) Stats() Stats {

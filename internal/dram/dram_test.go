@@ -95,7 +95,7 @@ func TestIdleReadLatency(t *testing.T) {
 		t.Errorf("idle read latency = %v (%d cycles), want %v (%d cycles)",
 			doneAt, tm.Domain().Cycles(doneAt), want, wantCycles)
 	}
-	st := d.Channel(0).Stats()
+	st := d.Channel(0).stats
 	if st.Reads != 1 || st.Acts != 1 || st.RowMisses != 1 || st.RowHits != 0 {
 		t.Errorf("stats = %+v, want 1 read, 1 act, 1 row miss", st)
 	}
@@ -118,7 +118,7 @@ func TestRowHitIsCountedAndFaster(t *testing.T) {
 	if gap != int64(tm.CCDL) {
 		t.Errorf("row-hit gap = %d cycles, want tCCD_L = %d", gap, tm.CCDL)
 	}
-	st := ch.Stats()
+	st := ch.stats
 	if st.RowHits != 1 || st.RowMisses != 1 {
 		t.Errorf("hits=%d misses=%d, want 1/1", st.RowHits, st.RowMisses)
 	}
@@ -134,7 +134,7 @@ func TestRowConflictForcesPrecharge(t *testing.T) {
 	ch.TryEnqueue(&mem.Req{Kind: mem.Read, OnDone: cb}, addrmap.Loc{Row: 1, Col: 0})
 	ch.TryEnqueue(&mem.Req{Kind: mem.Read, OnDone: cb}, addrmap.Loc{Row: 2, Col: 0})
 	eng.Run()
-	st := ch.Stats()
+	st := ch.stats
 	if done != 2 {
 		t.Fatalf("completed %d of 2 requests", done)
 	}
@@ -256,8 +256,8 @@ func TestQueueBackpressure(t *testing.T) {
 	if accepted != cfg.QueueDepth {
 		t.Fatalf("accepted %d requests, want %d", accepted, cfg.QueueDepth)
 	}
-	if ch.Stats().QueueFull != 10 {
-		t.Errorf("QueueFull = %d, want 10", ch.Stats().QueueFull)
+	if ch.stats.QueueFull != 10 {
+		t.Errorf("QueueFull = %d, want 10", ch.stats.QueueFull)
 	}
 	woke := false
 	ch.WaitSpace(func() { woke = true })
@@ -277,7 +277,7 @@ func TestRefreshRate(t *testing.T) {
 	const n = 60000 // ~50 us of traffic at peak
 	dr.issueAll(seqLocs(n, true), mem.Read)
 	eng.Run()
-	st := ds.Channel(0).Stats()
+	st := ds.Channel(0).stats
 	dur := dr.lastDone
 	tm := cfg.Timing
 	wantRefs := float64(dur) / float64(tm.Domain().Duration(int64(tm.REFI))) * float64(cfg.Geometry.Ranks)
@@ -362,7 +362,7 @@ func TestDeterminism(t *testing.T) {
 		}
 		dr.issueAll(locs, mem.Read)
 		eng.Run()
-		st := ds.Channel(0).Stats()
+		st := ds.Channel(0).stats
 		sum := [8]uint64{st.Reads, st.Acts, st.Pres, st.Refs,
 			st.RowHits, st.RowMisses, st.RowConflicts, st.BytesRead}
 		return dr.lastDone, sum
@@ -415,7 +415,7 @@ func TestWriteDrainServesBothKinds(t *testing.T) {
 	if reads != n/2 || writes != n/2 {
 		t.Errorf("completed %d reads, %d writes; want %d each", reads, writes, n/2)
 	}
-	st := ch.Stats()
+	st := ch.stats
 	if st.BytesRead != uint64(n/2*64) || st.BytesWritten != uint64(n/2*64) {
 		t.Errorf("bytes r/w = %d/%d, want %d each", st.BytesRead, st.BytesWritten, n/2*64)
 	}
@@ -431,12 +431,16 @@ func TestBandwidthSeries(t *testing.T) {
 	const n = 3000
 	dr.issueAll(seqLocs(n, true), mem.Write)
 	eng.Run()
-	s := ds.Channel(0).Stats().WriteSeries
+	s := ds.Channel(0).stats.WriteSeries
 	if s == nil {
 		t.Fatal("WriteSeries not enabled")
 	}
-	if s.Total() != float64(n*64) {
-		t.Errorf("series total = %.0f, want %d", s.Total(), n*64)
+	var total float64
+	for i := 0; i < s.Len(); i++ {
+		total += s.Bucket(i)
+	}
+	if total != float64(n*64) {
+		t.Errorf("series total = %.0f, want %d", total, n*64)
 	}
 }
 
@@ -476,11 +480,8 @@ func TestDeviceSetBasics(t *testing.T) {
 	eng := sim.New()
 	cfg := smallConfig()
 	ds := mustNew(eng, cfg, "pim")
-	if ds.Name() != "pim" {
-		t.Errorf("Name = %q", ds.Name())
-	}
-	if len(ds.Channels()) != cfg.Geometry.Channels {
-		t.Errorf("channels = %d, want %d", len(ds.Channels()), cfg.Geometry.Channels)
+	if len(ds.channels) != cfg.Geometry.Channels {
+		t.Errorf("channels = %d, want %d", len(ds.channels), cfg.Geometry.Channels)
 	}
 	if !ds.Idle() {
 		t.Error("fresh device set not idle")
@@ -496,7 +497,7 @@ func TestRowHitRateAccounting(t *testing.T) {
 	dr := &driver{eng: eng, ch: ds.Channel(0)}
 	dr.issueAll(seqLocs(256, false), mem.Read) // 2 rows x 128 cols
 	eng.Run()
-	st := ds.Channel(0).Stats()
+	st := ds.Channel(0).stats
 	if hr := st.RowHitRate(); hr < 0.95 {
 		t.Errorf("sequential stream row hit rate = %.3f, want > 0.95", hr)
 	}

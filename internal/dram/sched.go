@@ -239,14 +239,8 @@ func (c *Channel) earliestACT(p *pending) int64 {
 	return ready
 }
 
-// earliestCAS computes the first cycle the column command for p may issue,
-// assuming its row is open.
-func (c *Channel) earliestCAS(p *pending) int64 {
-	return max(c.bankCAS(p), c.channelCAS(p.req.Kind, p.loc.Rank))
-}
-
-// bankCAS is the part of earliestCAS that p's bank, bank group and rank
-// set.
+// bankCAS is the part of the first cycle p's column command may issue,
+// its row open, that p's bank, bank group and rank set.
 func (c *Channel) bankCAS(p *pending) int64 {
 	r, b := p.rank, p.bank
 	var ready int64
@@ -260,7 +254,7 @@ func (c *Channel) bankCAS(p *pending) int64 {
 	return max(ready, r.nextCASbg[p.loc.BankGroup]) // tCCD_L
 }
 
-// channelCAS is the part of earliestCAS of channel scope: tCCD_S and the
+// channelCAS is the channel-scope part of that cycle: tCCD_S and the
 // data bus, for a column command of the given kind to rank.
 func (c *Channel) channelCAS(kind mem.Kind, rank int) int64 {
 	return max(c.nextCAS, c.busReady(kind, rank)) // tCCD_S, bus

@@ -37,7 +37,7 @@ func (c *Channel) twoPassTryQueue(q []*pending, cyc int64, cov *oracleCoverage) 
 		if b.row != p.loc.Row {
 			continue
 		}
-		ready := c.earliestCAS(p)
+		ready := max(c.bankCAS(p), c.channelCAS(p.req.Kind, p.loc.Rank))
 		if ready <= cyc {
 			c.issueCAS(p, cyc)
 			return true, 0

@@ -72,8 +72,8 @@ func benchStream(b *testing.B, channels, shards int, linesPerChannel int) {
 		refill()
 		eng.Run()
 		var wrote uint64
-		for _, c := range ds.Channels() {
-			wrote += c.Stats().Writes
+		for _, c := range ds.channels {
+			wrote += c.stats.Writes
 		}
 		if want := uint64(channels * linesPerChannel); wrote != want {
 			b.Fatalf("wrote %d lines, want %d", wrote, want)
@@ -147,8 +147,8 @@ func TestBenchStreamDeterministic(t *testing.T) {
 		refill()
 		eng.Run()
 		var out []string
-		for i, c := range ds.Channels() {
-			s := c.Stats()
+		for i, c := range ds.channels {
+			s := c.stats
 			out = append(out, fmt.Sprintf("ch%d w=%d acts=%d pres=%d refs=%d hits=%d conf=%d bytes=%d end=%v",
 				i, s.Writes, s.Acts, s.Pres, s.Refs, s.RowHits, s.RowConflicts, s.BytesWritten, eng.Now()))
 		}

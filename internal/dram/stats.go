@@ -38,9 +38,6 @@ func newChannelStats(window clock.Picos) *ChannelStats {
 	return s
 }
 
-// TotalBytes is the sum of read and written bytes.
-func (s *ChannelStats) TotalBytes() uint64 { return s.BytesRead + s.BytesWritten }
-
 // CAS is the total number of column commands.
 func (s *ChannelStats) CAS() uint64 { return s.Reads + s.Writes }
 

@@ -52,7 +52,7 @@ func renderQuick(t *testing.T, name string) string {
 		t.Fatalf("unknown experiment %q", name)
 	}
 	var buf bytes.Buffer
-	(&Runner{}).Run(e, &buf, Quick)
+	e.Render(&buf, Quick, e.Compute(&Runner{}, Quick))
 	return buf.String()
 }
 

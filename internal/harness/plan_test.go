@@ -199,7 +199,7 @@ func TestWarmCacheRendersIdentical(t *testing.T) {
 		cold := &Runner{Cache: store}
 		jobs := len(e.Plan(cold, Quick).Jobs)
 		var coldOut bytes.Buffer
-		cold.Run(e, &coldOut, Quick)
+		e.Render(&coldOut, Quick, e.Compute(cold, Quick))
 		if st := store.Stats(); st.Misses != uint64(jobs) || st.Stores != uint64(jobs) || st.Hits != 0 {
 			t.Errorf("%s cold: stats %v, want %d misses and stores", name, st, jobs)
 		}
@@ -210,7 +210,7 @@ func TestWarmCacheRendersIdentical(t *testing.T) {
 		}
 		warm := &Runner{Cache: store2}
 		var warmOut bytes.Buffer
-		warm.Run(e, &warmOut, Quick)
+		e.Render(&warmOut, Quick, e.Compute(warm, Quick))
 		if st := store2.Stats(); st.Hits != uint64(jobs) || st.Misses != 0 {
 			t.Errorf("%s warm: stats %v, want %d hits and no misses", name, st, jobs)
 		}

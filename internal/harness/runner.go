@@ -9,7 +9,6 @@ package harness
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -53,12 +52,6 @@ type Job struct {
 type Plan struct {
 	Experiment string
 	Jobs       []Job
-}
-
-// Run executes an experiment end to end through this runner:
-// compute (the only phase that simulates), then render.
-func (r *Runner) Run(e Experiment, w io.Writer, sc Scale) {
-	e.Render(w, sc, e.Compute(r, sc))
 }
 
 // NewJob builds one plan job from an explicit configuration: the key

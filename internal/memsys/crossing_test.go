@@ -147,8 +147,8 @@ func TestLLCHitDeliversFromHostLane(t *testing.T) {
 // fill (which carries the requester's callback) crosses.
 func TestWritebackStaysPostedAndLocal(t *testing.T) {
 	eng, s := shardedSystem(t)
-	ways := s.Config().LLC.Ways
-	setStride := uint64(s.Config().LLC.SizeBytes / ways) // same-set stride
+	ways := s.cfg.LLC.Ways
+	setStride := uint64(s.cfg.LLC.SizeBytes / ways) // same-set stride
 	// Dirty one line, then evict it by filling the set with reads.
 	s.TryEnqueue(&mem.Req{Addr: 0, Kind: mem.Write, Cacheable: true})
 	eng.Run()

@@ -120,9 +120,7 @@ type System struct {
 	LLC  *cache.Cache
 	Het  *addrmap.HetMap
 
-	dramRegion addrmap.Region
-	pimRegion  addrmap.Region
-	pages      *PageMap // nil when page scatter is disabled
+	pages *PageMap // nil when page scatter is disabled
 
 	// lastFull remembers the channel whose queue rejected the most recent
 	// Access, so WaitSpace can register there (mem.Port contract).
@@ -181,14 +179,12 @@ func New(eng *sim.Engine, cfg Config) (*System, error) {
 	dramRegion := addrmap.Region{Name: "dram", Base: 0, Mapper: dramMapper, Space: mem.SpaceDRAM}
 	pimRegion := addrmap.Region{Name: "pim", Base: mem.PIMBase, Mapper: pimMapper, Space: mem.SpacePIM}
 	s := &System{
-		eng:        eng,
-		cfg:        cfg,
-		DRAM:       ds,
-		PIM:        ps,
-		LLC:        cache.New(cfg.LLC),
-		Het:        addrmap.NewHetMap(dramRegion, pimRegion),
-		dramRegion: dramRegion,
-		pimRegion:  pimRegion,
+		eng:  eng,
+		cfg:  cfg,
+		DRAM: ds,
+		PIM:  ps,
+		LLC:  cache.New(cfg.LLC),
+		Het:  addrmap.NewHetMap(dramRegion, pimRegion),
 	}
 	if cfg.PageScatter {
 		s.pages = NewPageMap(cfg.DRAM.Geometry.TotalBytes(), cfg.ArenaBytes, cfg.PageSeed)
@@ -196,9 +192,6 @@ func New(eng *sim.Engine, cfg Config) (*System, error) {
 	s.hitEv.Init(sim.HandlerFunc(s.fireHits))
 	return s, nil
 }
-
-// Config reports the configuration.
-func (s *System) Config() Config { return s.cfg }
 
 // SetTap installs (or, with nil, removes) the port-boundary observer.
 // The tap sees every accepted request exactly once, at its acceptance
@@ -227,13 +220,6 @@ func (s *System) physical(addr uint64) uint64 {
 		return addr
 	}
 	return s.pages.Translate(addr)
-}
-
-// Decode exposes the HetMap decode for agents (the DCE's AGU uses it).
-// It includes the OS page translation for DRAM-region addresses.
-func (s *System) Decode(addr uint64) (mem.Space, addrmap.Loc) {
-	r, loc := s.Het.Decode(s.physical(addr))
-	return r.Space, loc
 }
 
 // TryEnqueue implements mem.Port. It returns false when the target

@@ -20,6 +20,13 @@ func mustNew(eng *sim.Engine, cfg Config) *System {
 	return s
 }
 
+// decode is the HetMap location of addr, after the OS page translation
+// for DRAM-region addresses.
+func decode(s *System, addr uint64) addrmap.Loc {
+	_, loc := s.Het.Decode(s.physical(addr))
+	return loc
+}
+
 func smallConfig(mode MappingMode) Config {
 	g := addrmap.Geometry{Channels: 2, Ranks: 1, BankGroups: 4, Banks: 4, Rows: 256, Cols: 128}
 	dc := dram.DefaultConfig()
@@ -142,10 +149,10 @@ func TestMappingModesRouteDifferently(t *testing.T) {
 	addr := uint64(3 * 256) // 256B-aligned offset lands on a non-zero MLP channel
 	eng1 := sim.New()
 	s1 := mustNew(eng1, smallConfig(MapLocalityBoth))
-	_, locLoc := s1.Decode(addr)
+	locLoc := decode(s1, addr)
 	eng2 := sim.New()
 	s2 := mustNew(eng2, smallConfig(MapHetMap))
-	_, mlpLoc := s2.Decode(addr)
+	mlpLoc := decode(s2, addr)
 	if locLoc.Channel != 0 {
 		t.Errorf("locality mapping put low address on channel %d, want 0", locLoc.Channel)
 	}
@@ -153,7 +160,7 @@ func TestMappingModesRouteDifferently(t *testing.T) {
 		t.Error("MLP mapping kept 768B offset on channel 0; channel bits should be near LSB")
 	}
 	// PIM region must stay locality-mapped under HetMap.
-	_, pimLoc := s2.Decode(mem.PIMBase + addr)
+	pimLoc := decode(s2, mem.PIMBase+addr)
 	if pimLoc.Channel != 0 {
 		t.Errorf("HetMap PIM region channel = %d, want locality-mapped 0", pimLoc.Channel)
 	}
@@ -347,7 +354,7 @@ func TestPageScatterOnlyAffectsDRAM(t *testing.T) {
 	cfg.PageScatter = true
 	s := mustNew(eng, cfg)
 	// PIM decode must be unaffected by paging.
-	_, pimLoc := s.Decode(mem.PIMBase)
+	pimLoc := decode(s, mem.PIMBase)
 	if pimLoc != (addrmap.Loc{}) {
 		t.Errorf("PIM base decoded to %v under paging, want zero loc", pimLoc)
 	}
@@ -358,8 +365,8 @@ func TestPageScatterOnlyAffectsDRAM(t *testing.T) {
 	diff := 0
 	for i := uint64(0); i < 64; i++ {
 		a := i << 12
-		_, l1 := s.Decode(a)
-		_, l2 := s2.Decode(a)
+		l1 := decode(s, a)
+		l2 := decode(s2, a)
 		if l1 != l2 {
 			diff++
 		}

@@ -103,6 +103,3 @@ func (m *PageMap) Translate(addr uint64) uint64 {
 	off := local & (1<<m.pageShift - 1)
 	return arena<<m.arenaShift | m.Frame(frame, arena)<<m.pageShift | off
 }
-
-// ArenaBytes reports the clustering window size.
-func (m *PageMap) ArenaBytes() uint64 { return 1 << m.arenaShift }

@@ -212,9 +212,6 @@ func NewDevice(g Geometry) *Device {
 	return &Device{geom: g, chunks: make(map[uint64][]byte), dom: clock.NewDomain(DPUClock)}
 }
 
-// Geometry reports the device's geometry.
-func (d *Device) Geometry() Geometry { return d.geom }
-
 func (d *Device) checkRange(coreID int, offset, length uint64) {
 	if coreID < 0 || coreID >= d.geom.NumCores() {
 		panic(fmt.Sprintf("pim: core ID %d out of range", coreID))

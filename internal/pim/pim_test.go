@@ -212,14 +212,14 @@ func TestDeviceMRAMBounds(t *testing.T) {
 			t.Error("out-of-bounds MRAM write did not panic")
 		}
 	}()
-	d.WriteMRAM(0, d.Geometry().MRAMBytes()-4, make([]byte, 8))
+	d.WriteMRAM(0, d.geom.MRAMBytes()-4, make([]byte, 8))
 }
 
 // The MRAM range check must hold for offsets near 2^64, where
 // offset+length wraps, on both reads and writes.
 func TestDeviceMRAMRangeOverflow(t *testing.T) {
 	d := NewDevice(smallGeometry())
-	mram := d.Geometry().MRAMBytes()
+	mram := d.geom.MRAMBytes()
 	for _, tc := range []struct {
 		off   uint64
 		n     int

@@ -63,8 +63,6 @@ type Granule struct {
 type Iterator interface {
 	// Next returns the next granule; ok is false when exhausted.
 	Next() (g Granule, ok bool)
-	// Remaining reports the number of granules left.
-	Remaining() uint64
 }
 
 // cursor tracks one stream's progress.
@@ -257,9 +255,6 @@ func (c *Chunked) Next() (Granule, bool) {
 	return Granule{}, false
 }
 
-// Remaining implements Iterator.
-func (c *Chunked) Remaining() uint64 { return c.left }
-
 // ChannelRR is the intermediate issue order of the DESIGN.md ablation:
 // channels are served round-robin (like Algorithm 1's #do-parallel), but
 // within a channel the streams are walked strictly in core order with no
@@ -304,6 +299,3 @@ func (c *ChannelRR) Next() (Granule, bool) {
 	}
 	return Granule{}, false
 }
-
-// Remaining implements Iterator.
-func (c *ChannelRR) Remaining() uint64 { return c.left }

@@ -148,9 +148,6 @@ func OpenFlags(dir, mode string) (*Store, error) {
 	return Open(dir, m)
 }
 
-// Dir reports the cache root.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
 	if s == nil {

@@ -154,21 +154,6 @@ func (e *Engine) pending() int {
 	return n
 }
 
-// Next reports the timestamp of the earliest pending event, or clock.Never
-// when the queue is empty.
-func (e *Engine) Next() clock.Picos {
-	t := clock.Never
-	if !e.heap.empty() {
-		t = e.heap.slots[0].at
-	}
-	for _, l := range e.lanes {
-		if !l.heap.empty() && l.heap.slots[0].at < t {
-			t = l.heap.slots[0].at
-		}
-	}
-	return t
-}
-
 // Schedule places ev in the queue at absolute time t, binding the event to
 // this engine until it fires or is canceled. If ev is already scheduled it
 // is moved in place — no allocation, no stale duplicate — and the move
@@ -239,6 +224,8 @@ func (e *Engine) Step() bool {
 }
 
 // Run fires events until the queue drains.
+//
+//pimmu:keep the internal/sim and internal/dram engine benchmarks drain the queue with it
 func (e *Engine) Run() {
 	for e.Step() {
 	}

@@ -170,19 +170,6 @@ func TestEventSchedulePastPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestNextReportsEarliest(t *testing.T) {
-	e := New()
-	if e.Next() != clock.Never {
-		t.Errorf("Next() on empty engine = %d, want Never", e.Next())
-	}
-	e.At(70, func() {})
-	e.At(30, func() {})
-	if e.Next() != 30 {
-		t.Errorf("Next() = %d, want 30", e.Next())
-	}
-	e.Run()
-}
-
 func TestCancelMiddleOfHeapKeepsOrder(t *testing.T) {
 	e := New()
 	var order []int

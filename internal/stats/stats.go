@@ -52,16 +52,6 @@ func (s *Series) Bucket(i int) float64 {
 // Len reports the number of buckets: one past the highest window touched.
 func (s *Series) Len() int { return len(s.vals) }
 
-// Total sums all buckets in index order, so the floating-point sum is
-// bit-deterministic across reruns.
-func (s *Series) Total() float64 {
-	var t float64
-	for _, v := range s.vals {
-		t += v
-	}
-	return t
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -97,11 +87,6 @@ type Table struct {
 
 // NewTable creates a table with the given column headers.
 func NewTable(header ...string) *Table { return &Table{header: header} }
-
-// Row appends a row; cells beyond the header width are dropped.
-func (t *Table) Row(cells ...string) {
-	t.rows = append(t.rows, cells)
-}
 
 // Rowf appends a row of formatted cells.
 func (t *Table) Rowf(format string, args ...interface{}) {

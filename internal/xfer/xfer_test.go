@@ -102,7 +102,7 @@ func TestBaselineUtilizationIsPoor(t *testing.T) {
 		RunBaseline(r.cpu, r.geom, op, DefaultBaselineConfig(), onDone)
 	}))
 	// One 64-byte burst every BL command cycles on every PIM channel.
-	pimCfg := r.sys.PIM.Config()
+	pimCfg := memsys.DefaultConfig().PIM
 	frac := thr / (64 * float64(pimCfg.Timing.Clock) / float64(pimCfg.Timing.BL) * float64(pimCfg.Geometry.Channels))
 	if frac > 0.30 {
 		t.Errorf("baseline PIM utilization = %.1f%%, expected well below 30%% (paper: 15.5%%)",
