@@ -9,6 +9,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -88,9 +89,15 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // load type-checks the non-test files of every package the root and
 // bench/ modules build, each once, in `go list -deps` order so that a
 // package's imports are checked before it. The standard library comes
-// from the source importer.
+// from the compiler's export data, which `go list -export` names.
 func load(root string, fset *token.FileSet) ([]checked, error) {
-	std := importer.ForCompiler(fset, "source", nil)
+	export := map[string]string{} // standard package -> export data file
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if export[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(export[path])
+	})
 	byPath := map[string]*types.Package{}
 	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
 		if p := byPath[path]; p != nil {
@@ -100,7 +107,7 @@ func load(root string, fset *token.FileSet) ([]checked, error) {
 	})}
 	var pkgs []checked
 	for _, module := range []string{".", "bench"} {
-		cmd := exec.Command("go", "list", "-deps", "-json", "./...")
+		cmd := exec.Command("go", "list", "-deps", "-export", "-json", "./...")
 		cmd.Dir, cmd.Stderr = filepath.Join(root, module), os.Stderr
 		out, err := cmd.Output()
 		if err != nil {
@@ -108,12 +115,15 @@ func load(root string, fset *token.FileSet) ([]checked, error) {
 		}
 		for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 			var p struct {
-				ImportPath, Dir string
-				GoFiles         []string
-				Standard        bool
+				ImportPath, Dir, Export string
+				GoFiles                 []string
+				Standard                bool
 			}
 			if err := dec.Decode(&p); err != nil {
 				return nil, err
+			}
+			if p.Standard {
+				export[p.ImportPath] = p.Export
 			}
 			if p.Standard || byPath[p.ImportPath] != nil {
 				continue

@@ -23,10 +23,9 @@ func fakeSubmission(name string, mode resultcache.Mode, fn func()) accepted {
 		Compute: func(*harness.Runner, harness.Scale) any { fn(); return name },
 		Render:  func(w io.Writer, _ harness.Scale, _ any) { fmt.Fprintln(w, name) },
 	}
-	r := &harness.Runner{}
-	p := e.Plan(r, harness.Quick)
-	return accepted{exp: e, sc: harness.Quick, runner: r, plan: p,
-		key: serveKey(name, harness.Quick, p), mode: mode}
+	p := e.Plan(&harness.Runner{}, harness.Quick)
+	return accepted{planned: &planned{exp: e, sc: harness.Quick, plan: p,
+		key: serveKey(name, harness.Quick, p)}, mode: mode}
 }
 
 // awaitTerminal blocks on a job's change channel until it is done or

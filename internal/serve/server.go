@@ -17,6 +17,11 @@
 // (single-flight on the in-flight job) or a week apart (the
 // completed-result store).
 //
+// A warm submission plans nothing: a server resolves each experiment's
+// plan and serve key once per (experiment, scale, code version) and
+// memoizes them, so a repeat costs the decode, the dedup lookup and the
+// JSON reply.
+//
 // This package deliberately never imports internal/system (enforced by
 // cmd/pimmu-lint): the harness Runner is its only path to simulation.
 package serve
@@ -65,6 +70,27 @@ type Server struct {
 	byKey   map[string]*job // dedup: serve key -> job (in-flight or done; never failed)
 	pending int             // accepted jobs queued or running; store hits never count
 	nextID  int
+
+	planMu sync.Mutex
+	plans  map[planKey]*planned // at most one per registry (experiment, scale) per code version
+}
+
+// planKey names what fixes a submission's plan and serve key: workers
+// and cache mode reach neither.
+type planKey struct {
+	experiment string
+	sc         harness.Scale
+	version    string // resultcache.CodeVersion() when planned
+}
+
+// planned is one registry experiment resolved at one scale: its plan
+// and serve key. Shared by every submission that resolves to it; never
+// mutated after it is memoized.
+type planned struct {
+	exp  harness.Experiment
+	sc   harness.Scale
+	plan harness.Plan
+	key  string
 }
 
 // New builds a Server with cfg's bounds applied (zero values select the
@@ -82,6 +108,7 @@ func New(cfg Config) *Server {
 		sem:   make(chan struct{}, cfg.MaxActive),
 		jobs:  make(map[string]*job),
 		byKey: make(map[string]*job),
+		plans: make(map[planKey]*planned),
 	}
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -119,26 +146,21 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 // accepted is a validated submission resolved to everything needed to
 // run or dedupe it.
 type accepted struct {
-	exp         harness.Experiment
-	sc          harness.Scale
-	runner      *harness.Runner
-	plan        harness.Plan
-	key         string
+	*planned
+	workers     int
 	mode        resultcache.Mode
 	pointShared sweep.Cache // mode-wrapped per-design-point store (nil when off)
 }
 
 // validate turns a JobRequest into an accepted run or a client error.
+// A warm submission plans nothing: its plan and serve key come from the
+// server's memo.
 func (s *Server) validate(req api.JobRequest) (accepted, error) {
 	var a accepted
 	if err := api.CheckSchema(req.Schema); err != nil {
 		return a, err
 	}
-	exp, err := harness.Lookup(req.Experiment)
-	if err != nil {
-		return a, err
-	}
-	sc, err := harness.ParseScale(req.Scale)
+	p, err := s.resolve(req.Experiment, req.Scale)
 	if err != nil {
 		return a, err
 	}
@@ -157,13 +179,45 @@ func (s *Server) validate(req api.JobRequest) (accepted, error) {
 	if workers == 0 {
 		workers = s.cfg.Workers
 	}
-	a.exp, a.sc = exp, sc
-	a.runner = &harness.Runner{Workers: workers}
-	a.plan = exp.Plan(a.runner, sc)
-	a.key = serveKey(exp.Name, sc, a.plan)
+	a.planned, a.workers = p, workers
 	a.mode = parsedMode
 	a.pointShared = s.pointCache(parsedMode)
 	return a, nil
+}
+
+// resolve looks an experiment up in the registry and plans it at scale,
+// once per (experiment, scale, code version) per server. A name or
+// scale that is not in the registry is never memoized, and an unknown
+// experiment is reported before a bad scale.
+func (s *Server) resolve(experiment, scale string) (*planned, error) {
+	sc, scaleErr := harness.ParseScale(scale)
+	k := planKey{experiment: experiment, sc: sc, version: resultcache.CodeVersion()}
+	if scaleErr == nil {
+		s.planMu.Lock()
+		p := s.plans[k]
+		s.planMu.Unlock()
+		if p != nil {
+			return p, nil
+		}
+	}
+	exp, err := harness.Lookup(experiment)
+	if err != nil {
+		return nil, err
+	}
+	if scaleErr != nil {
+		return nil, scaleErr
+	}
+	// Plans read no runner field: workers and caches reach no key.
+	plan := exp.Plan(&harness.Runner{}, sc)
+	p := &planned{exp: exp, sc: sc, plan: plan, key: serveKey(exp.Name, sc, plan)}
+	// A version switched while planning may have reached the plan's keys:
+	// answer this submission but memoize nothing under the old version.
+	if resultcache.CodeVersion() == k.version {
+		s.planMu.Lock()
+		s.plans[k] = p
+		s.planMu.Unlock()
+	}
+	return p, nil
 }
 
 // serveKey is the dedup identity of one submission: the code version,
@@ -272,8 +326,8 @@ func (s *Server) submit(a accepted) (api.JobStatus, int, error) {
 	s.pending++
 	s.mu.Unlock()
 
-	a.runner.Cache = progressCache{s: s, j: j, inner: a.pointShared}
-	go s.runJob(j, a.runner, a.exp, a.sc, a.mode == resultcache.ReadWrite)
+	r := &harness.Runner{Workers: a.workers, Cache: progressCache{s: s, j: j, inner: a.pointShared}}
+	go s.runJob(j, r, a.exp, a.sc, a.mode == resultcache.ReadWrite)
 	return s.statusOf(j), http.StatusAccepted, nil
 }
 
